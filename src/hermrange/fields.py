@@ -419,7 +419,8 @@ class FieldCtx:
             norm_t = []
             for a in range(q2):
                 na = self.mul_enc(a, frob_t[a])
-                assert na < q, "norm landed outside the subfield"
+                if na >= q:
+                    raise RuntimeError("norm landed outside the subfield")
                 norm_t.append(na)
             self.norm_enc = lambda a: norm_t[a]
             self._frob_t, self._norm_t = frob_t, norm_t
@@ -440,7 +441,8 @@ class FieldCtx:
 
     def _norm_poly(self, x: int) -> int:
         nx = self._mul2_poly(x, self._frob_poly(x))
-        assert nx < self.q, "norm landed outside the subfield"
+        if nx >= self.q:
+            raise RuntimeError("norm landed outside the subfield")
         return nx
 
     def sub_enc(self, a: int, b: int) -> int:
@@ -710,6 +712,8 @@ def two_square_rep(a1: FieldElem, a2: FieldElem, k: FieldElem) -> tuple[FieldEle
             x2 = roots[0]
             lhs = ctx.q_add(ctx.q_mul(a1.enc, ctx.q_mul(x1, x1)),
                             ctx.q_mul(a2.enc, ctx.q_mul(x2, x2)))
-            assert lhs == k.enc, "two square representation failed its own check"
+            if lhs != k.enc:
+                raise RuntimeError(
+                    "two square representation failed its own check")
             return (FieldElem(ctx, x1), FieldElem(ctx, x2))
     raise RuntimeError("no representation found")  # pragma: no cover

@@ -267,6 +267,33 @@ def cone_upper_bound(ctx: FieldCtx, n: int, mode: str) -> int:
     return ctx.q ** (n - 1) * per
 
 
+def _level_maps(ctx: FieldCtx, mode: str):
+    """The per-coordinate self-pairing of a mode and its completion map,
+    which lists every last coordinate giving a residual in F_q."""
+    if mode == FULL_FIELD:
+        return ctx.norm_enc, ctx.norm_preimage_encs
+    return (lambda x: ctx.q_mul(x, x)), ctx.q_sqrt_encs
+
+
+def _level_set_is_empty(ctx: FieldCtx, n: int, k_enc: int, mode: str,
+                        exclude_zero: bool) -> bool:
+    """Whether no vector u (nonzero, with exclude_zero) has <u, u> = k.
+
+    Decided without enumeration.  In one coordinate the members are the
+    completions of k.  From two coordinates on, the norm and the sum of
+    two squares reach every value of F_q, so only the nonzero zero-level
+    vectors of odd subfield mode can be missing: a form of dimension
+    three or more over F_q is isotropic, and x^2 + y^2 = 0 has a nonzero
+    solution exactly when -1 is a square.
+    """
+    if n == 1:
+        options = _level_maps(ctx, mode)[1](k_enc)
+        return not options or (exclude_zero and options == (0,))
+    if mode == FULL_FIELD or ctx.p == 2 or k_enc != 0 or not exclude_zero:
+        return False
+    return n == 2 and not ctx.q_is_square(ctx.q_neg(1))
+
+
 def iter_cone_encs(ctx: FieldCtx, n: int, k_enc: int, mode: str,
                    exclude_zero: bool = False,
                    prefix_start: int = 0,
@@ -283,12 +310,7 @@ def iter_cone_encs(ctx: FieldCtx, n: int, k_enc: int, mode: str,
     if not 0 <= prefix_start <= prefix_stop <= total_prefixes:
         raise ValueError("bad prefix range")
 
-    if mode == FULL_FIELD:
-        norm_of = ctx.norm_enc
-        complete = ctx.norm_preimage_encs
-    else:
-        norm_of = lambda x: ctx.q_mul(x, x)
-        complete = ctx.q_sqrt_encs
+    norm_of, complete = _level_maps(ctx, mode)
     q_sub, q_add = ctx.q_sub, ctx.q_add
 
     if prefix_start == 0 and prefix_stop == total_prefixes:
@@ -309,7 +331,8 @@ def iter_cone_encs(ctx: FieldCtx, n: int, k_enc: int, mode: str,
         for x in prefix:
             acc = q_add(acc, norm_of(x))
         residual = q_sub(k_enc, acc)
-        assert residual < ctx.q
+        if residual >= ctx.q:
+            raise RuntimeError("cone residual landed outside the subfield")
         for last in complete(residual):
             if exclude_zero and last == 0 and not any(prefix):
                 continue
@@ -367,15 +390,14 @@ def sample_cone_encs(ctx: FieldCtx, n: int, k_enc: int, mode: str,
     """Random cone members: uniform prefix plus a random completion.
 
     Draws are independent, so repeats can occur; prefixes without a
-    completion (possible only in odd subfield mode) are redrawn.
+    completion (possible only in odd subfield mode) are redrawn.  An
+    empty level set raises ValueError instead of redrawing forever.
     """
+    if _level_set_is_empty(ctx, n, k_enc, mode, exclude_zero):
+        raise ValueError(f"no vector of length {n} to sample: the {mode} "
+                         f"level set <u, u> = {k_enc} is empty")
     space = ctx.q2 if mode == FULL_FIELD else ctx.q
-    if mode == FULL_FIELD:
-        norm_of = ctx.norm_enc
-        complete = ctx.norm_preimage_encs
-    else:
-        norm_of = lambda x: ctx.q_mul(x, x)
-        complete = ctx.q_sqrt_encs
+    norm_of, complete = _level_maps(ctx, mode)
     produced = 0
     while produced < count:
         prefix = tuple(rng.randrange(space) for _ in range(n - 1))
@@ -410,5 +432,6 @@ def random_unitary_2x2(ctx: FieldCtx, rng) -> HermMatrix:
     w0 = ctx.mul_enc(ctx.neg_enc(ctx.frob_enc(b)), sp)
     w1 = ctx.mul_enc(ctx.frob_enc(a), sp)
     u = HermMatrix.from_encs(ctx, ((a, w0), (b, w1)))
-    assert is_unitary(u)
+    if not is_unitary(u):
+        raise RuntimeError("completed 2 by 2 matrix is not unitary")
     return u

@@ -6,15 +6,20 @@ nonzero vectors of the zero level set, and the subfield variants
 restrict coordinates to F_q, where both the level condition and the
 evaluated pairing become quadratic forms over F_q.
 
-Exhaustive results are canonical: values are kept as sorted code lists,
-so equal ranges serialize to identical bytes.  When the cone is too
-large for the configured capacity, a sampling budget produces a witness
-subset flagged as such; exact-set consumers must refuse those.
+Exhaustive ranges are evaluated once per Gram class of the cone:
+vectors with the same tuple u_i^q * u_j pair to the same value under
+every matrix, and witness_count stays the cone size.  Exhaustive
+results are canonical: values are kept as sorted code lists, so equal
+ranges serialize to identical bytes.  When the cone is too large for
+the configured capacity, a sampling budget produces a witness subset
+flagged as such; exact-set consumers must refuse those.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .fields import FieldCtx, FieldElem
 from .hermitian import (DEFAULT_CAPACITY, FULL_FIELD, SUBFIELD, CapacityError,
@@ -81,37 +86,45 @@ class FiberCount:
     count: int
 
 
-def _value_enc_full(ctx: FieldCtx, mrows, u: tuple[int, ...]) -> int:
-    """<u, M u> on code tuples, full field coordinates."""
-    add, mul, frob = ctx.add_enc, ctx.mul_enc, ctx.frob_enc
+def _gram(ctx: FieldCtx, u: tuple[int, ...]) -> tuple[int, ...]:
+    """Gram tuple of u: g_ij = u_i^q * u_j, row-major.
+
+    The pairing <u, M u> is sum m_ij * g_ij, and g does not change under
+    u -> lambda u with N(lambda) = 1, so many cone vectors share one g.
+    On F_q coordinates the Frobenius is the identity and F_{q^2}
+    arithmetic agrees with F_q arithmetic, so both modes share this map.
+    """
+    mul, frob = ctx.mul_enc, ctx.frob_enc
+    return tuple(mul(frob(ui), uj) for ui in u for uj in u)
+
+
+def _value(ctx: FieldCtx, mflat, g: tuple[int, ...]) -> int:
+    """<u, M u> from the row-major entries of M and the Gram tuple of u."""
+    add, mul = ctx.add_enc, ctx.mul_enc
     total = 0
-    for i, row in enumerate(mrows):
-        ui = u[i]
-        if not ui:
-            continue
-        s = 0
-        for j, mij in enumerate(row):
-            uj = u[j]
-            if mij and uj:
-                s = add(s, mul(mij, uj))
-        if s:
-            total = add(total, mul(frob(ui), s))
+    for mij, gij in zip(mflat, g):
+        if mij and gij:
+            total = add(total, mul(mij, gij))
     return total
 
 
-def _value_enc_subfield(ctx: FieldCtx, mrows, u: tuple[int, ...]) -> int:
-    """Same pairing when all codes lie in F_q: a plain quadratic form."""
-    q_add, q_mul = ctx.q_add, ctx.q_mul
-    total = 0
-    for i, row in enumerate(mrows):
-        ui = u[i]
-        if not ui:
-            continue
-        for j, mij in enumerate(row):
-            uj = u[j]
-            if mij and uj:
-                total = q_add(total, q_mul(mij, q_mul(ui, uj)))
-    return total
+def _flat(m: HermMatrix) -> tuple[int, ...]:
+    return tuple(e for row in m.encs() for e in row)
+
+
+@lru_cache(maxsize=128)
+def gram_classes(ctx: FieldCtx, n: int, k_enc: int, mode: str,
+                 exclude_zero: bool = False,
+                 capacity: int = DEFAULT_CAPACITY):
+    """Distinct Gram tuples of one cone, sorted, with their multiplicities.
+
+    Returns (classes, cone_size), where classes is a tuple of
+    (gram, count) pairs whose counts sum to cone_size.  Keyed like
+    cone_encs and cached the same way.
+    """
+    cone = cone_encs(ctx, n, k_enc, mode, exclude_zero, capacity)
+    counts = Counter(_gram(ctx, u) for u in cone)
+    return tuple(sorted(counts.items())), len(cone)
 
 
 def _validate_k(m: HermMatrix, k: FieldElem) -> None:
@@ -124,26 +137,25 @@ def _validate_k(m: HermMatrix, k: FieldElem) -> None:
 def _range(m: HermMatrix, kind: str, k_enc: int, mode: str, exclude_zero: bool,
            capacity: int, sample_budget, rng) -> RangeSet:
     ctx = m.ctx
-    value_of = _value_enc_full if mode == FULL_FIELD else _value_enc_subfield
-    mrows = m.encs()
+    if sample_budget is not None and sample_budget < 1:
+        raise ValueError(f"sample budget must be at least 1, got {sample_budget}")
+    mflat = _flat(m)
     bound = cone_upper_bound(ctx, m.n, mode)
     if bound <= capacity:
-        cone = cone_encs(ctx, m.n, k_enc, mode, exclude_zero, capacity)
-        values = set()
-        for u in cone:
-            values.add(value_of(ctx, mrows, u))
+        classes, size = gram_classes(ctx, m.n, k_enc, mode, exclude_zero,
+                                     capacity)
+        values = {_value(ctx, mflat, g) for g, _ in classes}
         return RangeSet(kind=kind, k_enc=k_enc, values=tuple(sorted(values)),
-                        mode=EXHAUSTIVE, witness_count=len(cone), ctx=ctx)
+                        mode=EXHAUSTIVE, witness_count=size, ctx=ctx)
     if sample_budget is None:
         raise CapacityError(
             f"cone may hold up to {bound} vectors, capacity is {capacity}; "
             "pass a sample budget for a witness subset")
     if rng is None:
         raise ValueError("sampling requires a seeded random generator")
-    values = set()
-    for u in sample_cone_encs(ctx, m.n, k_enc, mode, exclude_zero,
-                              sample_budget, rng):
-        values.add(value_of(ctx, mrows, u))
+    values = {_value(ctx, mflat, _gram(ctx, u))
+              for u in sample_cone_encs(ctx, m.n, k_enc, mode, exclude_zero,
+                                        sample_budget, rng)}
     return RangeSet(kind=kind, k_enc=k_enc, values=tuple(sorted(values)),
                     mode=SAMPLED, witness_count=sample_budget, ctx=ctx)
 
@@ -202,12 +214,11 @@ def range_naive(m: HermMatrix, kind: str, k: FieldElem) -> RangeSet:
         raise ValueError("null-range needs dimension at least 2")
     if mode == SUBFIELD and not m.has_subfield_coeffs:
         raise ValueError("subfield range needs a matrix with F_q entries")
-    value_of = _value_enc_full if mode == FULL_FIELD else _value_enc_subfield
-    mrows = m.encs()
+    mflat = _flat(m)
     values = set()
     count = 0
     for u in naive_cone_encs(ctx, m.n, k.enc, mode, exclude_zero):
-        values.add(value_of(ctx, mrows, u))
+        values.add(_value(ctx, mflat, _gram(ctx, u)))
         count += 1
     return RangeSet(kind=kind, k_enc=k.enc, values=tuple(sorted(values)),
                     mode=EXHAUSTIVE, witness_count=count, ctx=ctx)
@@ -221,13 +232,9 @@ def fiber_count(m: HermMatrix, a: FieldElem, *,
         raise ValueError("fiber counting needs a matrix with F_q entries")
     if a.ctx is not ctx or not a.in_subfield:
         raise ValueError(f"fiber value must lie in F_q, got {a!r}")
-    mrows = m.encs()
-    cone = cone_encs(ctx, m.n, 0, SUBFIELD, False, capacity)
-    target = a.enc
-    count = 0
-    for u in cone:
-        if _value_enc_subfield(ctx, mrows, u) == target:
-            count += 1
+    mflat = _flat(m)
+    classes, _ = gram_classes(ctx, m.n, 0, SUBFIELD, False, capacity)
+    count = sum(c for g, c in classes if _value(ctx, mflat, g) == a.enc)
     return FiberCount(value=a, count=count)
 
 
@@ -237,11 +244,11 @@ def fiber_table(m: HermMatrix, *,
     ctx = m.ctx
     if not m.has_subfield_coeffs:
         raise ValueError("fiber counting needs a matrix with F_q entries")
-    mrows = m.encs()
-    cone = cone_encs(ctx, m.n, 0, SUBFIELD, False, capacity)
+    mflat = _flat(m)
+    classes, _ = gram_classes(ctx, m.n, 0, SUBFIELD, False, capacity)
     counts = [0] * ctx.q
-    for u in cone:
-        counts[_value_enc_subfield(ctx, mrows, u)] += 1
+    for g, c in classes:
+        counts[_value(ctx, mflat, g)] += c
     return tuple(FiberCount(value=ctx.elem(v), count=c)
                  for v, c in enumerate(counts))
 

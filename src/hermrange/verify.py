@@ -105,6 +105,11 @@ class _Tally:
         return out
 
 
+def _check_count(count: int) -> None:
+    if count < 0:
+        raise ValueError(f"matrix count must not be negative, got {count}")
+
+
 def _base_config(ctx: FieldCtx, scope: str, **kw) -> dict:
     cfg = {"p": ctx.p, "m": ctx.m, "q": ctx.q, "q2": ctx.q2, "scope": scope}
     cfg.update(kw)
@@ -163,6 +168,7 @@ def run_random_nxn(ctx: FieldCtx, *, n: int = 3, count: int = 50,
                    collect: str = COLLECT_ALL,
                    capacity: int = DEFAULT_CAPACITY) -> dict:
     """Check rules on seeded random n by n matrices."""
+    _check_count(count)
     if n < 2:
         raise ValueError(f"dimension must be at least 2, got {n}")
     if space not in ("full", "subfield"):
@@ -207,6 +213,7 @@ def run_direct_sums(ctx: FieldCtx, *, count: int = 50, seed: int = 0,
                     collect: str = COLLECT_ALL,
                     capacity: int = DEFAULT_CAPACITY) -> dict:
     """Zero-level assembly law on random block-diagonal matrices."""
+    _check_count(count)
     rng = random.Random(seed)
     splits = ((1, 1), (1, 2), (2, 1))
     tally = _Tally(collect)

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from hermrange.fields import (FieldSpec, build_tower, ctx_from_spec, frobenius,
-                              is_square, norm, norm_minus_one_roots,
+from hermrange.fields import (FieldCtx, FieldSpec, build_tower, ctx_from_spec,
+                              frobenius, is_square, norm, norm_minus_one_roots,
                               norm_preimages, sqrt_subfield, two_square_rep)
 
 from conftest import TOWER_PARAMS
@@ -164,3 +164,19 @@ def test_pow_and_inverse(f9):
         assert f9.pow_enc(a, 80) == 1
     with pytest.raises(ZeroDivisionError):
         f9.inv_enc(0)
+
+
+def test_broken_invariants_raise_without_asserts(monkeypatch):
+    # explicit raises, so python -O keeps these checks
+    ctx = build_tower(5)
+    monkeypatch.setattr(ctx, "q_sqrt_encs", lambda a: (1,))
+    with pytest.raises(RuntimeError):
+        two_square_rep(ctx.one, ctx.one, ctx.elem(3))
+    # with the identity as Frobenius the norm map squares, which leaves F_q
+    monkeypatch.setattr(FieldCtx, "_frob_poly", lambda self, x: x)
+    with pytest.raises(RuntimeError):
+        build_tower(3)  # the table tier checks every norm up front
+    poly = build_tower(3, table_threshold=0)
+    with pytest.raises(RuntimeError):
+        for x in range(poly.q2):
+            poly.norm_enc(x)

@@ -4,11 +4,13 @@ import random
 
 import pytest
 
-from hermrange.fields import frobenius
+from hermrange import hermitian
+from hermrange.fields import build_tower, frobenius
 from hermrange.hermitian import (FULL_FIELD, SUBFIELD, CapacityError,
-                                 ConeSlice, HermMatrix, Vector, block_diag,
-                                 cone_encs, cone_upper_bound, conj_by_unitary,
-                                 dagger, enumerate_cone, inner, is_unitary,
+                                 ConeSlice, HermMatrix, Vector,
+                                 _level_set_is_empty, block_diag, cone_encs,
+                                 cone_upper_bound, conj_by_unitary, dagger,
+                                 enumerate_cone, inner, is_unitary,
                                  iter_cone_encs, naive_cone_encs,
                                  random_unitary_2x2, sample_cone_encs)
 
@@ -153,3 +155,30 @@ def test_sampling_is_seeded_and_sound(f5):
     assert a == b
     assert len(a) == 40
     assert set(a) <= truth
+
+
+def test_level_set_emptiness_matches_naive_filter(towers):
+    # q = 3 and 7 have -1 a nonsquare, q = 5 and 9 a square
+    for q in (2, 3, 4, 5, 7, 9):
+        ctx = towers[q]
+        for mode, space in ((FULL_FIELD, ctx.q2), (SUBFIELD, ctx.q)):
+            for n in (1, 2, 3):
+                if space ** n > 1 << 13:
+                    continue
+                for k in range(ctx.q):
+                    for ez in ((False, True) if k == 0 else (False,)):
+                        empty = next(naive_cone_encs(ctx, n, k, mode, ez),
+                                     None) is None
+                        assert _level_set_is_empty(ctx, n, k, mode, ez) \
+                            == empty
+
+
+def test_broken_invariants_raise_without_asserts(monkeypatch):
+    # explicit raises, so python -O keeps these checks
+    ctx = build_tower(3)
+    monkeypatch.setattr(ctx, "q_sub", lambda a, b: ctx.q)
+    with pytest.raises(RuntimeError):
+        list(iter_cone_encs(ctx, 2, 1, FULL_FIELD))
+    monkeypatch.setattr(hermitian, "is_unitary", lambda u: False)
+    with pytest.raises(RuntimeError):
+        random_unitary_2x2(build_tower(3), random.Random(0))

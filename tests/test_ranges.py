@@ -10,13 +10,19 @@ import random
 
 import pytest
 
-from hermrange.hermitian import CapacityError, HermMatrix, block_diag
+from hermrange.fields import build_tower
+from hermrange.hermitian import (FULL_FIELD, SUBFIELD, CapacityError,
+                                 HermMatrix, Vector, block_diag, cone_encs,
+                                 inner)
 from hermrange.ranges import (EXHAUSTIVE, KIND_NUM0_PRIME,
                               KIND_NUM0_PRIME_SUBFIELD, KIND_NUM_K,
-                              KIND_NUM_K_SUBFIELD, SAMPLED, fiber_count,
-                              fiber_table, num0_prime, num0_prime_subfield,
-                              num_k, num_k_subfield, range_naive,
+                              KIND_NUM_K_SUBFIELD, SAMPLED, _gram, _value,
+                              fiber_count, fiber_table, gram_classes,
+                              num0_prime, num0_prime_subfield, num_k,
+                              num_k_subfield, range_naive,
                               resolve_affine_shift, scaling_law_check)
+
+from conftest import TOWER_PARAMS
 
 
 def _m(ctx, rows):
@@ -152,6 +158,21 @@ def test_sampling_modes(f3):
     assert set(part.values) <= set(full.values)
     with pytest.raises(ValueError):
         part.require_exhaustive()
+    for budget in (0, -5):
+        with pytest.raises(ValueError):
+            num_k(m, f3.one, capacity=1000, sample_budget=budget,
+                  rng=random.Random(3))
+
+
+def test_sampled_range_over_an_empty_level_set_raises(f3):
+    # x^2 = 2 has no root in F_3, and x^2 + y^2 = 0 only the zero one:
+    # sampling must refuse instead of redrawing prefixes forever
+    with pytest.raises(ValueError):
+        num_k_subfield(_m(f3, [[1]]), f3.elem(2), capacity=1,
+                       sample_budget=3, rng=random.Random(0))
+    with pytest.raises(ValueError):
+        num0_prime_subfield(_m(f3, [[1, 0], [0, 1]]), capacity=1,
+                            sample_budget=3, rng=random.Random(0))
 
 
 def test_range_set_shape(f2):
@@ -201,3 +222,68 @@ def test_affine_shift_resolution(f3):
                                 rng=random.Random(0)) == "tie"
     with pytest.raises(ValueError):
         resolve_affine_shift(f3, k=f3.elem(2))
+
+
+def test_gram_value_matches_the_pairing(towers):
+    # hermitian.inner and HermMatrix.apply share no code with _gram/_value
+    rng = random.Random(79)
+    for q in (2, 3, 4, 9):
+        ctx = towers[q]
+        for n in (2, 3):
+            for limit in (ctx.q2, ctx.q):  # full field, then subfield
+                for _ in range(25):
+                    m = _rand(ctx, rng, n, limit)
+                    u = Vector.from_encs(
+                        ctx, [rng.randrange(limit) for _ in range(n)])
+                    mflat = [e for row in m.encs() for e in row]
+                    assert _value(ctx, mflat, _gram(ctx, u.encs())) \
+                        == inner(u, m.apply(u)).enc
+
+
+def test_gram_classes_are_unit_scalar_orbits(towers):
+    # u and v share a Gram tuple exactly when v = lambda u with
+    # N(lambda) = 1: q + 1 scalars in the full field, +-1 in F_q
+    for q in (2, 3, 4, 5):
+        ctx = towers[q]
+        for mode, orbit in ((FULL_FIELD, ctx.q + 1),
+                            (SUBFIELD, 1 if ctx.p == 2 else 2)):
+            for n in (1, 2, 3):
+                for k in range(ctx.q):
+                    classes, size = gram_classes(ctx, n, k, mode)
+                    assert size == len(cone_encs(ctx, n, k, mode))
+                    grams = [g for g, _ in classes]
+                    assert grams == sorted(set(grams))
+                    for g, count in classes:
+                        assert count == (orbit if any(g) else 1)
+
+
+def _tier_results(ctx, full_rows, sub_rows):
+    out = []
+    if full_rows is not None:
+        m = _m(ctx, full_rows)
+        out += [num_k(m, ctx.elem(k)) for k in range(ctx.q)]
+        out.append(num0_prime(m))
+    ms = _m(ctx, sub_rows)
+    out += [num_k_subfield(ms, ctx.elem(k)) for k in range(ctx.q)]
+    out.append(num0_prime_subfield(ms))
+    out = [rs.to_json_dict() for rs in out]
+    out.append([(fc.value.enc, fc.count) for fc in fiber_table(ms)])
+    return out
+
+
+def test_polynomial_tier_matches_the_tables(towers):
+    # table_threshold=0 switches every F_{q^2} table off, so this tower
+    # runs the polynomial arithmetic otherwise used only past 2^20 codes
+    rng = random.Random(83)
+    for q, (p, deg) in TOWER_PARAMS.items():
+        poly = build_tower(p, deg, table_threshold=0)
+        assert poly._mul2_t is None and poly._frob_t is None
+        for n in (2, 3):
+            full_rows = None
+            if q ** (2 * n) <= 1 << 12:  # full 3x3 cones only for q <= 4
+                full_rows = [[rng.randrange(q * q) for _ in range(n)]
+                             for _ in range(n)]
+            sub_rows = [[rng.randrange(q) for _ in range(n)]
+                        for _ in range(n)]
+            assert _tier_results(poly, full_rows, sub_rows) \
+                == _tier_results(towers[q], full_rows, sub_rows)

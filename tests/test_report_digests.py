@@ -1,0 +1,42 @@
+"""Pinned sha256 digests of whole sweep reports.
+
+Each digest is over the canonical report bytes (sorted keys, compact
+separators, trailing newline, as the CLI writes them) for the default
+arguments and collect="all".  A refactor or optimisation that keeps
+every report byte-identical keeps these digests; a deliberate change to
+the report must update them and say why.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from hermrange.fields import build_tower
+from hermrange.verify import (run_direct_sums, run_exhaustive_2x2,
+                              run_random_nxn, run_scalar_fibers)
+
+PINNED = (
+    ("exhaustive-2x2-q2", run_exhaustive_2x2, (2, 1), {},
+     "5160cfc792041a0d4d9c647e5316f8e856b5025f60e75a737afc58fcad48e2d9"),
+    ("exhaustive-2x2-q3", run_exhaustive_2x2, (3, 1), {},
+     "ead5ca97dd4e859e22efd67768483b9fa93d3cc93840cdace243f2034ae2f706"),
+    ("random-nxn-q3", run_random_nxn, (3, 1), {"seed": 0},
+     "c6bfba149e900fb07af86bbce1140159a5af9999a8d6e3986a5e3cd4000e9c8a"),
+    ("direct-sums-q3", run_direct_sums, (3, 1), {"seed": 0},
+     "d638f863f1753131e8db271c6ae5de8810659d2ea5cdd3b54593214ffc5fc0fe"),
+    ("scalar-fibers-q3", run_scalar_fibers, (3, 1), {},
+     "82613653f59506f4b2398165f58e11a45d3a9536302194a03f73359dc8c15db2"),
+)
+
+
+def _digest(report: dict) -> str:
+    text = json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("runner,pm,kw,expect",
+                         [p[1:] for p in PINNED], ids=[p[0] for p in PINNED])
+def test_report_digest(runner, pm, kw, expect):
+    report = runner(build_tower(*pm), collect="all", **kw)
+    assert _digest(report) == expect

@@ -185,3 +185,27 @@ def test_cli_error_codes(capsys, tmp_path):
 def test_cli_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_negative_sizes_exit_two(capsys, f3):
+    with pytest.raises(ValueError):
+        run_random_nxn(f3, count=-1)
+    with pytest.raises(ValueError):
+        run_direct_sums(f3, count=-1)
+    for scope in ("random-nxn", "direct-sums"):
+        assert main(["verify", "--p", "3", "--scope", scope,
+                     "--count", "-3"]) == 2
+    for budget in ("0", "-5"):
+        assert main(["range", "--p", "3", "--matrix", "0,1;2,0",
+                     "--capacity", "1", "--sample-budget", budget]) == 2
+    capsys.readouterr()
+
+
+def test_cli_sampled_empty_level_set_exits_two(capsys, tmp_path):
+    # x^2 = 2 has no solution in F_3: refuse instead of sampling forever
+    src = tmp_path / "m.json"
+    src.write_text(json.dumps({"entries": [[1]]}), encoding="utf-8")
+    assert main(["range", "--p", "3", "--matrix", str(src),
+                 "--kind", "num_k_subfield", "--k", "2", "--capacity", "1",
+                 "--sample-budget", "3"]) == 2
+    assert "no vector" in capsys.readouterr().err
