@@ -91,8 +91,14 @@ def _load_matrix(args) -> tuple[FieldCtx, HermMatrix]:
         spec = FieldSpec.from_json_dict(doc["field"])
     ctx = _resolve_ctx(args, spec)
     entries = doc["entries"]
-    n = int(doc.get("n", len(entries)))
-    if len(entries) != n or any(len(r) != n for r in entries):
+    # bool is a subclass of int, but JSON true/false are not codes
+    if not (isinstance(entries, list) and all(
+            isinstance(r, list) and all(type(c) is int for c in r)
+            for r in entries)):
+        raise ValueError(
+            f"matrix file {text!r}: entries must be a list of lists of integers")
+    n = doc.get("n", len(entries))
+    if type(n) is not int or len(entries) != n or any(len(r) != n for r in entries):
         raise ValueError(f"matrix file {text!r}: entries are not {n}x{n}")
     return ctx, HermMatrix.from_encs(ctx, entries)
 

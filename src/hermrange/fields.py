@@ -12,9 +12,19 @@ a0 + a1*t has code a0 + q*a1, and F_q elements are themselves encoded by
 their base-p digit vectors.  Code 0 is the zero element, code 1 the
 identity, and the codes below q are exactly the subfield F_q.
 
-Arithmetic is table driven for small fields and falls back to direct
-polynomial computation above the configured threshold, so one context
-class serves both desk-size and larger towers.
+Arithmetic comes in tiers, so one context class serves both desk-size
+and larger towers:
+
+* F_q with q <= 64, and F_{q^2} with q^2 <= 512 within
+  ``table_threshold``, use dense pairwise add/mul tables;
+* larger prime F_q (m = 1) computes on integer residues mod p, which are
+  its codes, and any other larger F_q on polynomial digit vectors;
+* larger F_{q^2} multiplies coordinate pairs over F_q and reduces by the
+  quadratic modulus;
+* up to ``table_threshold`` elements of F_{q^2}, negation, Frobenius and
+  norm are tabulated and norm preimages come from buckets; above it,
+  norm preimages come from a q-length discrete-log table of the norm of
+  a generator, built on first use.
 """
 
 from __future__ import annotations
@@ -24,7 +34,8 @@ from dataclasses import dataclass
 DEFAULT_TABLE_THRESHOLD = 1 << 20
 
 # Dense pairwise add/mul tables are only worth the memory for very small
-# fields; everything else goes through digit arithmetic or exp/log tables.
+# fields; larger prime F_q computes on residues mod p, and everything else
+# on polynomial digit vectors.
 _Q_PAIRWISE_LIMIT = 64
 _Q2_PAIRWISE_LIMIT = 512
 
@@ -278,13 +289,18 @@ class FieldCtx:
         if q <= _Q_PAIRWISE_LIMIT:
             add_t = [[self._q_add_poly(a, b) for b in range(q)] for a in range(q)]
             mul_t = [[self._q_mul_poly(a, b) for b in range(q)] for a in range(q)]
-            self._q_add_t, self._q_mul_t = add_t, mul_t
             self.q_add = lambda a, b: add_t[a][b]
             self.q_mul = lambda a, b: mul_t[a][b]
             neg_t = [self._q_neg_poly(a) for a in range(q)]
             self.q_neg = lambda a: neg_t[a]
+        elif self.m == 1:
+            # the modulus is x, so codes are residues and the digit
+            # routines reduce to integer arithmetic mod p
+            p = self.p
+            self.q_add = lambda a, b: (a + b) % p
+            self.q_mul = lambda a, b: a * b % p
+            self.q_neg = lambda a: -a % p
         else:
-            self._q_add_t = self._q_mul_t = None
             self.q_add = self._q_add_poly
             self.q_mul = self._q_mul_poly
             self.q_neg = self._q_neg_poly
@@ -432,6 +448,7 @@ class FieldCtx:
 
         self._gen_enc: int | None = None
         self._norm_buckets: list[tuple[int, ...]] | None = None
+        self._norm_log: list[int | None] | None = None
 
     def _frob_poly(self, x: int) -> int:
         a0, a1 = self._split(x)
@@ -474,7 +491,8 @@ class FieldCtx:
         if self._gen_enc is None:
             order = self.q2 - 1
             factors = _prime_factors(order)
-            for cand in range(2, self.q2):
+            # codes below q lie in F_q, whose orders divide q - 1
+            for cand in range(self.q, self.q2):
                 if all(self.pow_enc(cand, order // r) != 1 for r in factors):
                     self._gen_enc = cand
                     break
@@ -495,16 +513,24 @@ class FieldCtx:
                     buckets[self.norm_enc(x)].append(x)
                 self._norm_buckets = [tuple(b) for b in buckets]
             return self._norm_buckets[a]
-        # large field path: express a as a power of the norm of a generator
+        # large field path: a = delta^j for delta the norm of a generator g,
+        # so g^j is one preimage and the rest differ by norm-one factors
         g = self.multiplicative_generator_enc()
-        delta = self.pow_enc(g, self.q + 1)
-        j, acc = 0, 1
-        while acc != a:
-            acc = self.mul_enc(acc, delta)
-            j += 1
-            if j >= self.q:  # pragma: no cover - the norm is surjective
-                raise RuntimeError("norm preimage search failed")
+        if self._norm_log is None:
+            # delta generates F_q^*, so j is unique mod q - 1
+            delta = self.pow_enc(g, self.q + 1)
+            log: list[int | None] = [None] * self.q
+            acc = 1
+            for j in range(self.q - 1):
+                log[acc] = j
+                acc = self.q_mul(acc, delta)
+            self._norm_log = log
+        j = self._norm_log[a]
+        if j is None:
+            raise RuntimeError(f"no discrete log of the norm value {a}")
         base = self.pow_enc(g, j)
+        if self.norm_enc(base) != a:
+            raise RuntimeError("norm preimage base has the wrong norm")
         step = self.pow_enc(g, self.q - 1)
         out = []
         for _ in range(self.q + 1):

@@ -144,15 +144,24 @@ def test_two_square_rep(towers):
                         == ctx.elem(k)
 
 
+def _brute_force_generator(ctx):
+    # the smallest code whose powers reach 1 only after q^2 - 1 steps
+    for cand in range(2, ctx.q2):
+        acc, order = cand, 1
+        while acc != 1:
+            acc = ctx.mul_enc(acc, cand)
+            order += 1
+        if order == ctx.q2 - 1:
+            return cand
+    raise AssertionError("no generator")
+
+
 def test_generator_order(towers):
     for ctx in towers.values():
-        g = ctx.multiplicative_generator_enc()
-        seen = set()
-        e = 1
-        for _ in range(ctx.q2 - 1):
-            e = ctx.mul_enc(e, g)
-            seen.add(e)
-        assert len(seen) == ctx.q2 - 1
+        assert ctx.multiplicative_generator_enc() == _brute_force_generator(ctx)
+    f67 = build_tower(67)
+    assert f67.multiplicative_generator_enc() == _brute_force_generator(f67)
+    assert f67.multiplicative_generator_enc() == 74
 
 
 def test_pow_and_inverse(f9):
@@ -180,3 +189,58 @@ def test_broken_invariants_raise_without_asserts(monkeypatch):
     with pytest.raises(RuntimeError):
         for x in range(poly.q2):
             poly.norm_enc(x)
+
+
+def test_prime_residue_tier_matches_the_digit_routines(monkeypatch):
+    f67 = build_tower(67)
+    for a in range(67):
+        assert f67.q_neg(a) == f67._q_neg_poly(a)
+        for b in range(67):
+            assert f67.q_add(a, b) == f67._q_add_poly(a, b)
+            assert f67.q_mul(a, b) == f67._q_mul_poly(a, b)
+    f1031 = build_tower(1031)
+    rng = random.Random(5)
+    for _ in range(3000):
+        a, b = rng.randrange(1031), rng.randrange(1031)
+        assert f1031.q_neg(a) == f1031._q_neg_poly(a)
+        assert f1031.q_add(a, b) == f1031._q_add_poly(a, b)
+        assert f1031.q_mul(a, b) == f1031._q_mul_poly(a, b)
+
+    # the residue tier never falls back to the digit routines
+    def digits_called(*args):
+        raise AssertionError("digit routine called")
+
+    for name in ("_q_add_poly", "_q_mul_poly", "_q_neg_poly"):
+        monkeypatch.setattr(FieldCtx, name, digits_called)
+    ctx = build_tower(67, table_threshold=0)
+    assert len(ctx.norm_preimage_encs(ctx.q_neg(1))) == 68
+
+
+@pytest.mark.parametrize("p", [3, 5, 67])
+def test_norm_log_table_matches_the_buckets(p):
+    buckets, logs = build_tower(p), build_tower(p, table_threshold=0)
+    for a in range(p):
+        assert logs.norm_preimage_encs(a) == buckets.norm_preimage_encs(a)
+
+
+def test_large_field_norm_preimages():
+    ctx = build_tower(1031)
+    assert ctx.norm_preimage_encs(0) == (0,)
+    rng = random.Random(11)
+    for a in rng.sample(range(1, 1031), 4):
+        pre = ctx.norm_preimage_encs(a)
+        assert len(pre) == 1032
+        assert list(pre) == sorted(set(pre))
+        assert all(ctx.norm_enc(x) == a for x in pre)
+
+
+def test_broken_norm_log_raises():
+    ctx = build_tower(67, table_threshold=0)
+    ctx.norm_preimage_encs(1)  # builds the log table
+    ctx._norm_log = [None] * ctx.q
+    with pytest.raises(RuntimeError):
+        ctx.norm_preimage_encs(2)
+    # a wrong logarithm yields a base of the wrong norm
+    ctx._norm_log = [0] * ctx.q
+    with pytest.raises(RuntimeError):
+        ctx.norm_preimage_encs(2)

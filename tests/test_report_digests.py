@@ -9,10 +9,13 @@ the report must update them and say why.
 
 import hashlib
 import json
+import random
 
 import pytest
 
 from hermrange.fields import build_tower
+from hermrange.hermitian import HermMatrix
+from hermrange.ranges import num0_prime
 from hermrange.verify import (run_direct_sums, run_exhaustive_2x2,
                               run_random_nxn, run_scalar_fibers)
 
@@ -40,3 +43,16 @@ def _digest(report: dict) -> str:
 def test_report_digest(runner, pm, kw, expect):
     report = runner(build_tower(*pm), collect="all", **kw)
     assert _digest(report) == expect
+
+
+def test_sampled_range_digest():
+    # the sampled-q1031 benchmark input at seed 0: a seeded 2x2 past
+    # capacity, 20 drawn witnesses, on the large-field tier of q = 1031
+    ctx = build_tower(1031, 1)
+    rng = random.Random(0)
+    rows = [[rng.randrange(ctx.q2) for _ in range(2)] for _ in range(2)]
+    rs = num0_prime(HermMatrix.from_encs(ctx, rows), sample_budget=20, rng=rng)
+    payload = dict(rs.to_json_dict(), field=ctx.spec.to_json_dict(),
+                   matrix=rows)
+    assert _digest(payload) == (
+        "957ba02ce236bfca3dfa1c3f15a210ed89f0e4b104025cb89bf774257b7a3af4")

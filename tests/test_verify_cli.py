@@ -182,6 +182,21 @@ def test_cli_error_codes(capsys, tmp_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("doc", [
+    {"entries": [[None, 1], [0, 0]]},
+    {"entries": 5},
+    {"entries": [[0, True], [1, 0]]},
+    {"entries": [0, 1]},
+    {"n": None, "entries": [[0, 1], [1, 0]]},
+], ids=["null-entry", "scalar-entries", "bool-entry", "flat-entries",
+        "null-n"])
+def test_cli_malformed_matrix_file_exits_two(capsys, tmp_path, doc):
+    src = tmp_path / "m.json"
+    src.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["range", "--p", "3", "--matrix", str(src)]) == 2
+    assert capsys.readouterr().err.startswith("hermrange: matrix file")
+
+
 def test_cli_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
