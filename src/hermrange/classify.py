@@ -327,13 +327,18 @@ def predict_direct_sum(a: HermMatrix, b: HermMatrix,
     ]
 
 
-def _symmetrized(m: HermMatrix):
-    """Diagonal codes and the off-diagonal sums m_ij + m_ji (i < j)."""
-    rows = m.encs()
-    n = m.n
+def symmetrized(ctx: FieldCtx, rows):
+    """Diagonal codes and the off-diagonal sums m_ij + m_ji of F_q code rows.
+
+    Returns the hashable pair (diag, sums), sums holding ((i, j), sum)
+    for i < j in row-major order.  Subfield ranges, fibers and rules
+    depend on a matrix only through this pair, so it names the matrix's
+    class for them.
+    """
+    n = len(rows)
     diag = tuple(rows[i][i] for i in range(n))
-    sums = {(i, j): m.ctx.q_add(rows[i][j], rows[j][i])
-            for i in range(n) for j in range(i + 1, n)}
+    sums = tuple(((i, j), ctx.q_add(rows[i][j], rows[j][i]))
+                 for i in range(n) for j in range(i + 1, n))
     return diag, sums
 
 
@@ -352,7 +357,8 @@ def predict_subfield(m: HermMatrix, k: FieldElem) -> list[Prediction]:
         raise ValueError(f"level value must lie in F_q, got {k!r}")
 
     q, n = ctx.q, m.n
-    d, s = _symmetrized(m)
+    d, sums = symmetrized(ctx, m.encs())
+    s = dict(sums)
     at_zero = k.enc == 0
     qmod4 = q % 4
     all_s_zero = all(v == 0 for v in s.values())

@@ -155,13 +155,14 @@ def cmd_verify(cfg: RunConfig, args) -> int:
         report = run_exhaustive_2x2(ctx, space=args.space, seed=cfg.seed,
                                     capacity=cfg.capacity)
     elif args.scope == SCOPE_RANDOM_NXN:
-        report = run_random_nxn(ctx, n=args.n or 3, count=args.count,
+        n = 3 if args.n is None else args.n
+        report = run_random_nxn(ctx, n=n, count=args.count,
                                 seed=cfg.seed, space=args.space
                                 if args.space != "auto" else "subfield",
                                 capacity=cfg.capacity)
     elif args.scope == SCOPE_SCALAR_FIBERS:
         kw = {"capacity": cfg.capacity}
-        if args.n:
+        if args.n is not None:
             kw["n_values"] = (args.n,)
         report = run_scalar_fibers(ctx, **kw)
     elif args.scope == SCOPE_DIRECT_SUMS:

@@ -5,6 +5,18 @@ applicable claim, computes the corresponding range or fiber count
 exhaustively, and aggregates verdicts into a serializable report.  A
 failing check names the matrix, the rule tag, and the observed values,
 so a single failure pinpoints the rule it contradicts.
+
+The exhaustive subfield sweep evaluates once per symmetrized class.
+For u in F_q^n the pairing is
+<u, M u> = sum m_ii u_i^2 + sum_{i<j} (m_ij + m_ji) u_i u_j, so every
+subfield range, fiber count and subfield rule depends on M only through
+its diagonal and the sums m_ij + m_ji.  Matrices sharing that data share
+their predictions, observed values and verdicts exactly; the first
+matrix of a class is evaluated and every matrix, the first included,
+still gets its own tally and report rows.  Random sweeps evaluate every
+draw: their draws rarely repeat a class, so a memo there would only
+hold memory.  The full-field and direct-sum sweeps have no such
+reduction (m_ij x + m_ji x^q determines both entries).
 """
 
 from __future__ import annotations
@@ -14,7 +26,7 @@ import random
 
 from .classify import (FAIL, SCOPE_FIBER_ZERO, check_prediction,
                        predict_direct_sum, predict_full_field,
-                       predict_subfield)
+                       predict_subfield, symmetrized)
 from .fields import FieldCtx
 from .hermitian import DEFAULT_CAPACITY, HermMatrix, block_diag
 from .ranges import (KIND_NUM0_PRIME, KIND_NUM0_PRIME_SUBFIELD, KIND_NUM_K,
@@ -54,6 +66,22 @@ def _observe(m: HermMatrix, pred, capacity: int, cache: dict):
     return cache[key]
 
 
+def _evaluate(m: HermMatrix, preds, capacity: int) -> tuple:
+    """Predictions to observed ranges to verdicts.
+
+    Each outcome is (basis, k_enc, claim, observed, verdict), observed
+    being the RangeSet or FiberCount.  Neither holds the matrix, so a
+    class of matrices can share outcomes.
+    """
+    cache: dict = {}
+    outcomes = []
+    for pred in preds:
+        obs = _observe(m, pred, capacity, cache)
+        outcomes.append((pred.basis, pred.k_enc, pred.claim, obs,
+                         check_prediction(pred, obs)))
+    return tuple(outcomes)
+
+
 def _observed_json(obs, verdict: str) -> dict:
     if isinstance(obs, FiberCount):
         return {"count": obs.count}
@@ -61,6 +89,14 @@ def _observed_json(obs, verdict: str) -> dict:
     if verdict == FAIL:
         out["values"] = list(obs.values)
     return out
+
+
+def _subfield_preds(m: HermMatrix) -> list:
+    """Subfield predictions of m at every level of F_q."""
+    preds = []
+    for k in range(m.ctx.q):
+        preds.extend(predict_subfield(m, m.ctx.elem(k)))
+    return preds
 
 
 class _Tally:
@@ -75,22 +111,23 @@ class _Tally:
         self.by_citation: dict[str, dict] = {}
 
     def run(self, m: HermMatrix, preds, capacity: int) -> None:
-        cache: dict = {}
-        for pred in preds:
-            obs = _observe(m, pred, capacity, cache)
-            verdict = check_prediction(pred, obs)
+        self.record(m.encs(), _evaluate(m, preds, capacity))
+
+    def record(self, rows, outcomes) -> None:
+        """Count one matrix's outcomes and collect its rows."""
+        for basis, k_enc, claim, observed, verdict in outcomes:
             self.counts["total"] += 1
             self.counts[verdict] += 1
             per = self.by_citation.setdefault(
-                pred.basis, {"pass": 0, "fail": 0, "inapplicable": 0})
+                basis, {"pass": 0, "fail": 0, "inapplicable": 0})
             per[verdict] += 1
             if self.collect == COLLECT_ALL or verdict == FAIL:
                 self.checks.append({
-                    "matrix": [list(r) for r in m.encs()],
-                    "k": pred.k_enc,
-                    "citation": pred.basis,
-                    "claim": pred.claim,
-                    "observed": _observed_json(obs, verdict),
+                    "matrix": [list(r) for r in rows],
+                    "k": k_enc,
+                    "citation": basis,
+                    "claim": claim,
+                    "observed": _observed_json(observed, verdict),
                     "verdict": verdict,
                 })
 
@@ -142,12 +179,15 @@ def run_exhaustive_2x2(ctx: FieldCtx, *, space: str = "auto",
                 m = HermMatrix.from_encs(ctx, (encs[0:2], encs[2:4]))
                 tally.run(m, predict_full_field(m), capacity)
         else:
+            # each of the q^3 classes recurs q times, once per split of its sum
+            classes: dict = {}
             for encs in itertools.product(range(ctx.q), repeat=4):
-                m = HermMatrix.from_encs(ctx, (encs[0:2], encs[2:4]))
-                preds = []
-                for k in range(ctx.q):
-                    preds.extend(predict_subfield(m, ctx.elem(k)))
-                tally.run(m, preds, capacity)
+                rows = (encs[0:2], encs[2:4])
+                key = symmetrized(ctx, rows)
+                if key not in classes:
+                    m = HermMatrix.from_encs(ctx, rows)
+                    classes[key] = _evaluate(m, _subfield_preds(m), capacity)
+                tally.record(rows, classes[key])
 
     # settle how the level enters the range of a shifted matrix; only a
     # level outside {0, 1} can separate the two candidate laws
@@ -184,10 +224,7 @@ def run_random_nxn(ctx: FieldCtx, *, n: int = 3, count: int = 50,
         if space == "full":
             tally.run(m, predict_full_field(m), capacity)
         else:
-            preds = []
-            for k in range(ctx.q):
-                preds.extend(predict_subfield(m, ctx.elem(k)))
-            tally.run(m, preds, capacity)
+            tally.run(m, _subfield_preds(m), capacity)
     config = _base_config(ctx, SCOPE_RANDOM_NXN, n=n, count=count, seed=seed,
                           space=space)
     return tally.report(config)
@@ -197,6 +234,9 @@ def run_scalar_fibers(ctx: FieldCtx, *, n_values=(2, 3, 4, 5),
                       c_encs=None, collect: str = COLLECT_ALL,
                       capacity: int = DEFAULT_CAPACITY) -> dict:
     """Fiber-size formula versus counted null fibers for scalar matrices."""
+    for n in n_values:
+        if n < 2:
+            raise ValueError(f"dimension must be at least 2, got {n}")
     if c_encs is None:
         c_encs = tuple(range(1, ctx.q)) if ctx.q <= 5 else (1, 2)
     tally = _Tally(collect)

@@ -7,6 +7,7 @@ just outside a rule's guard: the guards exist because the unrestricted
 claims are false there, and each such test records the refuting range.
 """
 
+import itertools
 import random
 
 import pytest
@@ -19,13 +20,14 @@ from hermrange.classify import (CLAIM_EMPTY, CLAIM_EXACT_CARD,
                                 check_prediction, eigen2, predict_direct_sum,
                                 predict_full_field, predict_subfield,
                                 predict_unitary_diagonal,
-                                scalar_fiber_formula,
+                                scalar_fiber_formula, symmetrized,
                                 unitarily_diagonalizable_2x2)
 from hermrange.hermitian import HermMatrix, Vector, block_diag, inner
 from hermrange.ranges import (KIND_NUM0_PRIME, KIND_NUM0_PRIME_SUBFIELD,
                               KIND_NUM_K, KIND_NUM_K_SUBFIELD, SAMPLED,
-                              RangeSet, fiber_count, num0_prime,
-                              num0_prime_subfield, num_k, num_k_subfield)
+                              RangeSet, fiber_count, fiber_table, num0_prime,
+                              num0_prime_subfield, num_k, num_k_subfield,
+                              range_naive)
 
 
 def _m(ctx, rows):
@@ -468,6 +470,38 @@ def test_subfield_validation(f3):
         predict_subfield(_m(f3, [[3, 0], [0, 1]]), f3.zero)
     with pytest.raises(ValueError):
         predict_subfield(_diag(f3, (0, 1)), f3.elem(5))
+
+
+def _class_rep(m):
+    """Diagonal kept, m_ij + m_ji above the diagonal, zeros below."""
+    ctx, rows, n = m.ctx, m.encs(), m.n
+    return _m(ctx, [[rows[i][i] if i == j
+                     else ctx.q_add(rows[i][j], rows[j][i]) if i < j else 0
+                     for j in range(n)] for i in range(n)])
+
+
+def test_subfield_data_depends_only_on_the_symmetrized_class(towers):
+    # the invariance the subfield sweeps rely on to evaluate one matrix
+    # per symmetrized class: the oracle on M agrees with the engines and
+    # the rules on M's class representative
+    cases = [(towers[q], encs) for q in (2, 3, 4, 5)
+             for encs in itertools.product(range(q), repeat=4)]
+    ctx = towers[3]
+    rng = random.Random(41)
+    cases += [(ctx, [rng.randrange(3) for _ in range(9)]) for _ in range(30)]
+    for ctx, flat in cases:
+        n = 2 if len(flat) == 4 else 3
+        m = _m(ctx, [flat[i * n:(i + 1) * n] for i in range(n)])
+        rep = _class_rep(m)
+        assert symmetrized(ctx, m.encs()) == symmetrized(ctx, rep.encs())
+        for ke in range(ctx.q):
+            k = ctx.elem(ke)
+            assert (range_naive(m, KIND_NUM_K_SUBFIELD, k)
+                    == num_k_subfield(rep, k)), (m, ke)
+            assert predict_subfield(m, k) == predict_subfield(rep, k), (m, ke)
+        assert (range_naive(m, KIND_NUM0_PRIME_SUBFIELD, ctx.zero)
+                == num0_prime_subfield(rep)), m
+        assert fiber_table(m) == fiber_table(rep), m
 
 
 # verdict semantics and the fiber formula

@@ -30,6 +30,21 @@ PINNED = (
      "d638f863f1753131e8db271c6ae5de8810659d2ea5cdd3b54593214ffc5fc0fe"),
     ("scalar-fibers-q3", run_scalar_fibers, (3, 1), {},
      "82613653f59506f4b2398165f58e11a45d3a9536302194a03f73359dc8c15db2"),
+    # subfield sweeps across q mod 4: even q (prop5.ii, prop6), q = 1 mod 4,
+    # and q = 3 mod 4 above 3
+    ("exhaustive-2x2-subfield-q4", run_exhaustive_2x2, (2, 2),
+     {"space": "subfield"},
+     "7c5f58c219b31f5f2025a51618963a182413a8b44312f6ae36b61e647dd486fb"),
+    ("exhaustive-2x2-subfield-q5", run_exhaustive_2x2, (5, 1),
+     {"space": "subfield"},
+     "e0d94ccb177733ba20cb0eb6095d37fb6851bf0d709360d247bb6dadd0bcd2c0"),
+    ("exhaustive-2x2-subfield-q7", run_exhaustive_2x2, (7, 1),
+     {"space": "subfield"},
+     "11bf166f76489d4be3179a6ed8108a71f5f0a25d7ebdafa2fb150452b88bf1bd"),
+    # random subfield sweep of 3x3 draws, each draw evaluated on its own
+    ("random-nxn-q3-n3-count400", run_random_nxn, (3, 1),
+     {"n": 3, "count": 400, "seed": 1},
+     "514a9b20faf53094e4f6cc118013ff22d3aabf9b644242ea890581562bd72f49"),
 )
 
 

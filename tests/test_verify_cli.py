@@ -1,9 +1,11 @@
 """Sweep runners and the command line front end."""
 
 import json
+from collections import Counter
 
 import pytest
 
+from hermrange import verify
 from hermrange.cli import main
 from hermrange.verify import (COLLECT_FAILS, SCOPE_SCALAR_FIBERS,
                               run_direct_sums, run_exhaustive_2x2,
@@ -66,6 +68,38 @@ def test_direct_sum_sweep(f2):
     report = _clean(run_direct_sums(f2, count=12, seed=3))
     assert report["summary"]["total"] == 24
     assert set(report["summary"]["by_citation"]) == {"lemma2"}
+
+
+def _count_rule_calls(monkeypatch):
+    calls = Counter()
+    predict, check = verify.predict_subfield, verify.check_prediction
+
+    def counting_predict(m, k):
+        preds = predict(m, k)
+        calls["predict"] += 1
+        calls["predictions"] += len(preds)
+        return preds
+
+    def counting_check(pred, obs):
+        calls["check"] += 1
+        return check(pred, obs)
+
+    monkeypatch.setattr(verify, "predict_subfield", counting_predict)
+    monkeypatch.setattr(verify, "check_prediction", counting_check)
+    return calls
+
+
+def test_exhaustive_subfield_sweep_evaluates_each_class_once(monkeypatch, f3):
+    calls = _count_rule_calls(monkeypatch)
+    report = _clean(run_exhaustive_2x2(f3, space="subfield"))
+    # 81 matrices, 27 classes (two diagonal codes and one sum), 3 levels
+    assert calls["predict"] == 27 * 3
+    assert calls["check"] == calls["predictions"]
+    # every matrix is still tallied and reported: 93 checks, as when each
+    # matrix was evaluated on its own
+    assert report["summary"]["total"] == 93
+    assert len(report["checks"]) == 93
+    assert calls["check"] < 93
 
 
 def test_scope_dispatch(f2):
@@ -224,3 +258,12 @@ def test_cli_sampled_empty_level_set_exits_two(capsys, tmp_path):
                  "--kind", "num_k_subfield", "--k", "2", "--capacity", "1",
                  "--sample-budget", "3"]) == 2
     assert "no vector" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scope", ["random-nxn", "scalar-fibers"])
+@pytest.mark.parametrize("n", ["0", "1", "-1"])
+def test_cli_verify_rejects_sizes_below_two(capsys, scope, n):
+    # a given --n is passed on, never swapped for the default sizes
+    assert main(["verify", "--p", "3", "--scope", scope, "--n", n,
+                 "--count", "1"]) == 2
+    assert f"dimension must be at least 2, got {n}" in capsys.readouterr().err
