@@ -15,10 +15,10 @@ the only input those ranges depend on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .fields import FieldCtx, FieldElem
-from .hermitian import HermMatrix, Vector, inner
+from .hermitian import HermMatrix, Vector, inner_encs
 from .ranges import (EXHAUSTIVE, KIND_NUM0_PRIME, KIND_NUM0_PRIME_SUBFIELD,
                      KIND_NUM_K, KIND_NUM_K_SUBFIELD, FiberCount, RangeSet,
                      num0_prime)
@@ -49,19 +49,30 @@ _NEEDS_EXHAUSTIVE = (CLAIM_EXACT_SET, CLAIM_EXACT_CARD, CLAIM_UPPER_BOUND,
 
 @dataclass(frozen=True)
 class EigenData2:
-    """Eigenstructure of a 2 by 2 matrix over F_{q^2}.
+    """Eigenstructure of a 2 by 2 matrix over F_{q^2}, held as codes.
 
-    One representative eigenvector is kept per eigenvalue; isotropic
-    flags record whether its self-pairing vanishes.  When the
-    characteristic polynomial has no root in F_{q^2} all tuples are
-    empty.
+    One representative eigenvector (a code pair) is kept per eigenvalue,
+    eigenvalues sorted by code; isotropic flags record whether its
+    self-pairing vanishes.  When the characteristic polynomial has no
+    root in F_{q^2} all tuples are empty.  eigenvalues and eigenvectors
+    build FieldElem and Vector objects when read.
     """
 
     status: str
-    eigenvalues: tuple[FieldElem, ...]
-    eigenvectors: tuple[Vector, ...]
+    eigenvalue_encs: tuple[int, ...]
+    eigenvector_encs: tuple[tuple[int, int], ...]
     isotropic: tuple[bool, ...]
     eigenspace_dims: tuple[int, ...]
+    ctx: FieldCtx = field(compare=False, repr=False)
+
+    @property
+    def eigenvalues(self) -> tuple[FieldElem, ...]:
+        return tuple(FieldElem(self.ctx, v) for v in self.eigenvalue_encs)
+
+    @property
+    def eigenvectors(self) -> tuple[Vector, ...]:
+        return tuple(Vector.from_encs(self.ctx, v)
+                     for v in self.eigenvector_encs)
 
 
 @dataclass(frozen=True)
@@ -101,36 +112,28 @@ def _kernel_vector(ctx: FieldCtx, rows) -> tuple[int, int] | None:
 
 
 def eigen2(m: HermMatrix) -> EigenData2:
-    """Solve the characteristic polynomial by scanning F_{q^2}."""
+    """Eigenstructure from the closed-form roots of the characteristic
+    polynomial x^2 - tr x + det."""
     if m.n != 2:
         raise ValueError(f"eigen decomposition implemented for n=2, got n={m.n}")
     ctx = m.ctx
     (a, b), (c, d) = m.encs()
     tr = ctx.add_enc(a, d)
     det = ctx.sub_enc(ctx.mul_enc(a, d), ctx.mul_enc(b, c))
-    roots = [x for x in range(ctx.q2)
-             if ctx.add_enc(ctx.sub_enc(ctx.mul_enc(x, x), ctx.mul_enc(tr, x)),
-                            det) == 0]
+    roots = ctx.quadratic_roots_enc(ctx.neg_enc(tr), det)
     if not roots:
-        return EigenData2(IRREDUCIBLE, (), (), (), ())
+        return EigenData2(IRREDUCIBLE, (), (), (), (), ctx)
 
-    values, vectors, flags, dims = [], [], [], []
+    vectors, flags, dims = [], [], []
     for r in roots:
-        shifted = ((ctx.sub_enc(a, r), b), (c, ctx.sub_enc(d, r)))
-        kv = _kernel_vector(ctx, shifted)
-        if kv is None:
-            vec = Vector.from_encs(ctx, (1, 0))
-            dim = 2
-        else:
-            vec = Vector.from_encs(ctx, kv)
-            dim = 1
-        values.append(ctx.elem(r))
+        kv = _kernel_vector(ctx, ((ctx.sub_enc(a, r), b), (c, ctx.sub_enc(d, r))))
+        vec, dim = ((1, 0), 2) if kv is None else (kv, 1)
         vectors.append(vec)
-        flags.append(inner(vec, vec).is_zero)
+        flags.append(inner_encs(ctx, vec, vec) == 0)
         dims.append(dim)
     status = TWO_DISTINCT if len(roots) == 2 else REPEATED
-    return EigenData2(status, tuple(values), tuple(vectors), tuple(flags),
-                      tuple(dims))
+    return EigenData2(status, roots, tuple(vectors), tuple(flags),
+                      tuple(dims), ctx)
 
 
 def unitarily_diagonalizable_2x2(m: HermMatrix) -> bool:
@@ -140,9 +143,9 @@ def unitarily_diagonalizable_2x2(m: HermMatrix) -> bool:
     e = eigen2(m)
     if e.status != TWO_DISTINCT:
         return False
-    u1, u2 = e.eigenvectors
+    u1, u2 = e.eigenvector_encs
     return (not e.isotropic[0] and not e.isotropic[1]
-            and inner(u1, u2).is_zero)
+            and inner_encs(m.ctx, u1, u2) == 0)
 
 
 def _line_values(ctx: FieldCtx, direction_enc: int, full: bool) -> tuple[int, ...]:
@@ -175,10 +178,11 @@ def predict_full_field(m: HermMatrix) -> list[Prediction]:
 
     e = eigen2(m)
     if e.status == TWO_DISTINCT:
-        u1, u2 = e.eigenvectors
+        u1, u2 = e.eigenvector_encs
         iso1, iso2 = e.isotropic
-        if not iso1 and not iso2 and inner(u1, u2).is_zero:
-            diff = (e.eigenvalues[1] - e.eigenvalues[0]).enc
+        if not iso1 and not iso2 and inner_encs(ctx, u1, u2) == 0:
+            c1, c2 = e.eigenvalue_encs
+            diff = ctx.sub_enc(c2, c1)
             preds.append(Prediction(
                 basis="prop1d", scope=KIND_NUM0_PRIME, k_enc=0,
                 claim=CLAIM_EXACT_SET, values=_line_values(ctx, diff, False)))
@@ -198,7 +202,7 @@ def predict_full_field(m: HermMatrix) -> list[Prediction]:
                                     k_enc=0, claim=CLAIM_EXACT_SET,
                                     values=tuple(range(1, q2))))
 
-    m12, m21 = m.entry(0, 1).enc, m.entry(1, 0).enc
+    (_, m12), (m21, _) = m.encs()
     if m12 and m21:
         preds.append(Prediction(basis="prop4.i", scope=KIND_NUM0_PRIME, k_enc=0,
                                 claim=CLAIM_LOWER_BOUND, count=_half_up(q + 1)))

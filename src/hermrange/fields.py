@@ -20,11 +20,15 @@ and larger towers:
 * larger prime F_q (m = 1) computes on integer residues mod p, which are
   its codes, and any other larger F_q on polynomial digit vectors;
 * larger F_{q^2} multiplies coordinate pairs over F_q and reduces by the
-  quadratic modulus;
+  quadratic modulus; ``add_rows``/``mul_rows`` then compute the entries
+  that the pairwise tables would hold;
 * up to ``table_threshold`` elements of F_{q^2}, negation, Frobenius and
-  norm are tabulated and norm preimages come from buckets; above it,
+  norm are tabulated, and norm preimages, square roots and
+  Artin-Schreier roots come from buckets built on first use; above it,
   norm preimages come from a q-length discrete-log table of the norm of
-  a generator, built on first use.
+  a generator, built on first use, and quadratic roots from formulas;
+* F_q inverses are cached in a q-length table only up to
+  ``table_threshold``.
 """
 
 from __future__ import annotations
@@ -324,6 +328,8 @@ class FieldCtx:
     def q_inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero in F_q")
+        if self.q > self.table_threshold:
+            return self.q_pow(a, self.q - 2)
         if self._q_inv_t is None:
             # q - 2 never overflows; the scan table pays off after one use
             self._q_inv_t = [None] * self.q
@@ -354,26 +360,27 @@ class FieldCtx:
 
     # -- canonical quadratic modulus over F_q ------------------------------
 
-    def _ext_irreducible(self, e0: int, e1: int) -> bool:
-        if self.p == 2:
-            # t^2 + e1 t + e0 with e1 = 0 is a perfect square in char 2
-            if e1 == 0:
-                return False
-            u = self.q_mul(e0, self.q_inv(self.q_mul(e1, e1)))
-            tr, acc = 0, u
-            for _ in range(self.m):
-                tr = self.q_add(tr, acc)
-                acc = self.q_mul(acc, acc)
-            return tr == 1
-        four = 4 % self.p
-        disc = self.q_sub(self.q_mul(e1, e1), self.q_mul(four, e0))
-        return disc != 0 and not self.q_is_square(disc)
-
     def _find_ext_modulus(self) -> tuple[int, int, int]:
-        for v in range(self.q2):
-            e0, e1 = v % self.q, v // self.q
-            if self._ext_irreducible(e0, e1):
-                return (e0, e1, 1)
+        """First irreducible t^2 + e1 t + e0 in the order of e0 + q * e1."""
+        if self.p == 2:
+            # e1 = 0 gives a perfect square, so the scan reaches e1 = 1,
+            # where t^2 + t + e0 is irreducible exactly when Tr(e0) = 1.
+            # The trace is linear in the digits of e0, so the least such
+            # code is x^j for the least j with Tr(x^j) = 1.
+            for j in range(self.m):
+                tr, acc = 0, 1 << j
+                for _ in range(self.m):
+                    tr = self.q_add(tr, acc)
+                    acc = self.q_mul(acc, acc)
+                if tr == 1:
+                    return (1 << j, 1, 1)
+        else:
+            four = 4 % self.p
+            for v in range(self.q2):
+                e0, e1 = v % self.q, v // self.q
+                disc = self.q_sub(self.q_mul(e1, e1), self.q_mul(four, e0))
+                if disc != 0 and not self.q_is_square(disc):
+                    return (e0, e1, 1)
         raise RuntimeError("no irreducible quadratic found")  # pragma: no cover
 
     # -- F_{q^2} layer -----------------------------------------------------
@@ -449,6 +456,24 @@ class FieldCtx:
         self._gen_enc: int | None = None
         self._norm_buckets: list[tuple[int, ...]] | None = None
         self._norm_log: list[int | None] | None = None
+        self._root_buckets: dict[int, list[tuple[int, ...]]] = {}
+
+    # Row access is a property, not an attribute: from 30 instance
+    # attributes on, CPython 3.11 stops sharing dict keys and every
+    # attribute read on the context (self.q_mul, ...) gets slower.
+
+    @property
+    def add_rows(self):
+        """rows[a][b] is the code of a + b: the pairwise table when it
+        exists, otherwise a view computing each entry."""
+        t = self._add2_t
+        return _OpRows(self._add2_poly) if t is None else t
+
+    @property
+    def mul_rows(self):
+        """rows[a][b] is the code of a * b, as add_rows."""
+        t = self._mul2_t
+        return _OpRows(self._mul2_poly) if t is None else t
 
     def _frob_poly(self, x: int) -> int:
         a0, a1 = self._split(x)
@@ -538,6 +563,96 @@ class FieldCtx:
             base = self.mul_enc(base, step)
         return tuple(sorted(out))
 
+    # -- quadratic equations over F_{q^2} ---------------------------------
+
+    def quadratic_roots_enc(self, b: int, c: int) -> tuple[int, ...]:
+        """Codes of the roots of x^2 + b x + c in F_{q^2}, sorted.
+
+        Odd q completes the square: x = (-b + s) / 2 over the square
+        roots s of b^2 - 4c.  Even q with b = 0 takes the unique square
+        root of c; otherwise x = b y turns the equation into the
+        Artin-Schreier equation y^2 + y = c / b^2, whose roots come in
+        pairs y, y + 1.
+        """
+        if self.p != 2:
+            disc = self.sub_enc(self.mul_enc(b, b), self.mul_enc(4 % self.p, c))
+            nb, half = self.neg_enc(b), self.inv_enc(2)
+            return tuple(sorted(self.mul_enc(self.add_enc(nb, s), half)
+                                for s in self._monic_roots(0, disc)))
+        if b == 0:
+            return self._monic_roots(0, c)
+        ys = self._monic_roots(1, self.div_enc(c, self.mul_enc(b, b)))
+        return tuple(sorted(self.mul_enc(b, y) for y in ys))
+
+    def _monic_roots(self, e: int, a: int) -> tuple[int, ...]:
+        """Roots of y^2 + e y = a for e in {0, 1}, sorted by code.
+
+        Up to table_threshold elements they come from q^2-length buckets
+        built on first use; above it, from formulas.
+        """
+        if self.q2 <= self.table_threshold:
+            buckets = self._root_buckets.get(e)
+            if buckets is None:
+                lists: list[list[int]] = [[] for _ in range(self.q2)]
+                for y in range(self.q2):
+                    lists[self.add_enc(self.mul_enc(y, y),
+                                       self.mul_enc(e, y))].append(y)
+                buckets = self._root_buckets[e] = [tuple(r) for r in lists]
+            return buckets[a]
+        if e == 1:
+            return self._artin_schreier_roots(a)
+        if self.p == 2:
+            # squaring is the Frobenius of F_{q^2}, so its inverse is the
+            # power q^2 / 2
+            return (self.pow_enc(a, self.q2 // 2),)
+        return self._sqrt2_odd(a)
+
+    def _sqrt2_odd(self, a: int) -> tuple[int, ...]:
+        """Square roots of a in F_{q^2} for odd q, from F_q square roots.
+
+        a is a square exactly when its norm is a square n^2 in F_q.
+        Then (a + n)^2 = a s with s = Tr(a) + 2n in F_q, which is nonzero
+        for one sign of n, so a root is (a + n) / w with w^2 = s.  For a
+        nonsquare s, w = r u with u = 2t + e1, whose square is the
+        nonsquare discriminant of the modulus, and r^2 = s / u^2.
+        """
+        if a == 0:
+            return (0,)
+        ns = self.q_sqrt_encs(self.norm_enc(a))
+        if not ns:
+            return ()
+        n, tr = ns[0], self.add_enc(a, self.frob_enc(a))
+        s = self.q_add(tr, self.q_add(n, n))
+        if s == 0:
+            n = self.q_neg(n)
+            s = self.q_add(tr, self.q_add(n, n))
+        w = self.q_sqrt_encs(s)[:1]
+        if not w:
+            u = self._e1 + 2 * self.q
+            r = self.q_sqrt_encs(self.q_mul(s, self.q_inv(self.mul_enc(u, u))))
+            w = (self.mul_enc(r[0], u),)
+        x = self.div_enc(self.add_enc(a, n), w[0])
+        return tuple(sorted((x, self.neg_enc(x))))
+
+    def _artin_schreier_roots(self, a: int) -> tuple[int, ...]:
+        """Roots of y^2 + y = a in F_{q^2} for even q, sorted by code.
+
+        The canonical modulus is t^2 + t + e0 with Tr(e0) = 1, so d = e0 t
+        has absolute trace Tr(e0 (t + t^q)) = 1.  Then, with k = 2m,
+        y = sum_{0 < j < k} d^(2^j) sum_{i < j} a^(2^i) satisfies
+        y^2 + y = a + d Tr(a): a root exactly when Tr(a) = 0, and the
+        other root is y + 1.
+        """
+        add, mul = self.add_enc, self.mul_enc
+        y, part, a_pow, d_pow = 0, 0, a, self._e0 * self.q
+        for _ in range(2 * self.m - 1):
+            part = add(part, a_pow)
+            a_pow, d_pow = mul(a_pow, a_pow), mul(d_pow, d_pow)
+            y = add(y, mul(d_pow, part))
+        if add(mul(y, y), y) != a:
+            return ()
+        return tuple(sorted((y, add(y, 1))))
+
     # -- element construction ---------------------------------------------
 
     def elem(self, enc: int) -> "FieldElem":
@@ -568,6 +683,28 @@ class FieldCtx:
 
     def __repr__(self) -> str:
         return f"FieldCtx(p={self.p}, m={self.m}, q={self.q}, q2={self.q2})"
+
+
+class _OpRows:
+    """Computed stand-in for a pairwise table: rows[a][b] is op(a, b)."""
+
+    __slots__ = ("op",)
+
+    def __init__(self, op):
+        self.op = op
+
+    def __getitem__(self, a: int) -> "_OpRow":
+        return _OpRow(self.op, a)
+
+
+class _OpRow:
+    __slots__ = ("op", "a")
+
+    def __init__(self, op, a: int):
+        self.op, self.a = op, a
+
+    def __getitem__(self, b: int) -> int:
+        return self.op(self.a, b)
 
 
 class FieldElem:

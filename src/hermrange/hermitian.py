@@ -79,39 +79,66 @@ class Vector:
         return f"Vector({', '.join(e.poly_str() for e in self.entries)})"
 
 
+def inner_encs(ctx: FieldCtx, u, v) -> int:
+    """Hermitian pairing of two code tuples of equal length."""
+    add, mul, frob = ctx.add_enc, ctx.mul_enc, ctx.frob_enc
+    total = 0
+    for x, y in zip(u, v):
+        total = add(total, mul(frob(x), y))
+    return total
+
+
 def inner(u: Vector, v: Vector) -> FieldElem:
     """Hermitian pairing <u, v> = sum of u_i^q * v_i."""
     if u.ctx is not v.ctx:
         raise ValueError("vectors belong to different field contexts")
     if len(u) != len(v):
         raise ValueError(f"length mismatch: {len(u)} vs {len(v)}")
-    ctx = u.ctx
-    total = 0
-    for ue, ve in zip(u.entries, v.entries):
-        total = ctx.add_enc(total, ctx.mul_enc(ctx.frob_enc(ue.enc), ve.enc))
-    return ctx.elem(total)
+    return u.ctx.elem(inner_encs(u.ctx, u.encs(), v.encs()))
+
+
+def _check_square(rows) -> None:
+    n = len(rows)
+    if n == 0 or any(len(r) != n for r in rows):
+        raise ValueError("matrix must be square and nonempty")
 
 
 class HermMatrix:
-    """Square matrix over F_{q^2} with the conjugate-transpose involution."""
+    """Square matrix over F_{q^2} with the conjugate-transpose involution.
 
-    __slots__ = ("ctx", "rows")
+    Entries are stored as rows of codes; rows and entry build FieldElems
+    for callers that want them.
+    """
+
+    __slots__ = ("ctx", "_encs")
 
     def __init__(self, ctx: FieldCtx, rows):
         rows = tuple(tuple(r) for r in rows)
-        n = len(rows)
-        if n == 0 or any(len(r) != n for r in rows):
-            raise ValueError("matrix must be square and nonempty")
+        _check_square(rows)
         for r in rows:
             for e in r:
                 if not isinstance(e, FieldElem) or e.ctx is not ctx:
                     raise ValueError("matrix entries must belong to the given context")
         self.ctx = ctx
-        self.rows = rows
+        self._encs = tuple(tuple(e.enc for e in r) for r in rows)
 
     @classmethod
     def from_encs(cls, ctx: FieldCtx, rows) -> "HermMatrix":
-        return cls(ctx, tuple(tuple(ctx.elem(int(e)) for e in r) for r in rows))
+        q2 = ctx.q2
+        encs = tuple(tuple(int(e) for e in r) for r in rows)
+        for r in encs:
+            for e in r:
+                if not 0 <= e < q2:
+                    raise ValueError(f"element code {e} out of range [0, {q2})")
+        _check_square(encs)
+        return cls._of(ctx, encs)
+
+    @classmethod
+    def _of(cls, ctx: FieldCtx, encs) -> "HermMatrix":
+        """Wrap code rows that are valid by construction."""
+        m = object.__new__(cls)
+        m.ctx, m._encs = ctx, encs
+        return m
 
     @classmethod
     def identity(cls, ctx: FieldCtx, n: int) -> "HermMatrix":
@@ -125,30 +152,36 @@ class HermMatrix:
 
     @property
     def n(self) -> int:
-        return len(self.rows)
+        return len(self._encs)
+
+    @property
+    def rows(self) -> tuple[tuple[FieldElem, ...], ...]:
+        ctx = self.ctx
+        return tuple(tuple(FieldElem(ctx, e) for e in r) for r in self._encs)
 
     def entry(self, i: int, j: int) -> FieldElem:
-        return self.rows[i][j]
+        return FieldElem(self.ctx, self._encs[i][j])
 
     def encs(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(e.enc for e in r) for r in self.rows)
+        return self._encs
 
     def dagger(self) -> "HermMatrix":
         """Conjugate transpose: entry (i, j) becomes m_ji^q."""
-        ctx = self.ctx
-        n = self.n
-        return HermMatrix(ctx, tuple(
-            tuple(self.rows[j][i].frobenius() for j in range(n)) for i in range(n)))
+        frob = self.ctx.frob_enc
+        cols = zip(*self._encs)
+        return HermMatrix._of(self.ctx, tuple(tuple(frob(e) for e in c)
+                                              for c in cols))
 
     def apply(self, v: Vector) -> Vector:
         if v.ctx is not self.ctx or len(v) != self.n:
             raise ValueError("vector does not match matrix shape or context")
         ctx = self.ctx
+        u = v.encs()
         out = []
-        for row in self.rows:
+        for row in self._encs:
             s = 0
-            for e, ve in zip(row, v.entries):
-                s = ctx.add_enc(s, ctx.mul_enc(e.enc, ve.enc))
+            for e, x in zip(row, u):
+                s = ctx.add_enc(s, ctx.mul_enc(e, x))
             out.append(ctx.elem(s))
         return Vector(ctx, out)
 
@@ -156,45 +189,43 @@ class HermMatrix:
         if other.ctx is not self.ctx or other.n != self.n:
             raise ValueError("matrix shapes or contexts differ")
         ctx = self.ctx
-        n = self.n
+        cols = tuple(zip(*other._encs))
         rows = []
-        for i in range(n):
+        for r in self._encs:
             row = []
-            for j in range(n):
+            for c in cols:
                 s = 0
-                for l in range(n):
-                    s = ctx.add_enc(s, ctx.mul_enc(self.rows[i][l].enc,
-                                                   other.rows[l][j].enc))
-                row.append(ctx.elem(s))
+                for x, y in zip(r, c):
+                    s = ctx.add_enc(s, ctx.mul_enc(x, y))
+                row.append(s)
             rows.append(tuple(row))
-        return HermMatrix(ctx, rows)
+        return HermMatrix._of(ctx, tuple(rows))
 
     def __add__(self, other: "HermMatrix") -> "HermMatrix":
         if other.ctx is not self.ctx or other.n != self.n:
             raise ValueError("matrix shapes or contexts differ")
-        return HermMatrix(self.ctx, tuple(
-            tuple(a + b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.rows, other.rows)))
-
-    def scale(self, c: FieldElem) -> "HermMatrix":
-        return HermMatrix(self.ctx, tuple(tuple(c * e for e in r) for r in self.rows))
+        add = self.ctx.add_enc
+        return HermMatrix._of(self.ctx, tuple(
+            tuple(add(a, b) for a, b in zip(ra, rb))
+            for ra, rb in zip(self._encs, other._encs)))
 
     @property
     def has_subfield_coeffs(self) -> bool:
-        return all(e.in_subfield for r in self.rows for e in r)
+        q = self.ctx.q
+        return all(e < q for r in self._encs for e in r)
 
     @property
     def is_scalar(self) -> bool:
-        c = self.rows[0][0].enc
-        return all(e.enc == (c if i == j else 0)
-                   for i, r in enumerate(self.rows) for j, e in enumerate(r))
+        c = self._encs[0][0]
+        return all(e == (c if i == j else 0)
+                   for i, r in enumerate(self._encs) for j, e in enumerate(r))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, HermMatrix) and other.ctx is self.ctx
-                and other.encs() == self.encs())
+                and other._encs == self._encs)
 
     def __hash__(self) -> int:
-        return hash((id(self.ctx), self.encs()))
+        return hash((id(self.ctx), self._encs))
 
     def __repr__(self) -> str:
         body = "; ".join(", ".join(e.poly_str() for e in r) for r in self.rows)
@@ -221,15 +252,9 @@ def block_diag(a: HermMatrix, b: HermMatrix) -> HermMatrix:
     """Direct sum placed on orthogonal coordinate blocks."""
     if a.ctx is not b.ctx:
         raise ValueError("blocks belong to different field contexts")
-    ctx = a.ctx
-    z = ctx.zero
-    n = a.n + b.n
-    rows = []
-    for i in range(a.n):
-        rows.append(tuple(a.rows[i]) + tuple(z for _ in range(b.n)))
-    for i in range(b.n):
-        rows.append(tuple(z for _ in range(a.n)) + tuple(b.rows[i]))
-    return HermMatrix(ctx, rows)
+    za, zb = (0,) * a.n, (0,) * b.n
+    return HermMatrix._of(a.ctx, tuple(r + zb for r in a.encs())
+                          + tuple(za + r for r in b.encs()))
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,16 @@ evaluated pairing become quadratic forms over F_q.
 
 Exhaustive ranges are evaluated once per Gram class of the cone:
 vectors with the same tuple u_i^q * u_j pair to the same value under
-every matrix, and witness_count stays the cone size.  Exhaustive
-results are canonical: values are kept as sorted code lists, so equal
-ranges serialize to identical bytes.  When the cone is too large for
-the configured capacity, a sampling budget produces a witness subset
-flagged as such; exact-set consumers must refuse those.
+every matrix, and witness_count stays the cone size.  One evaluator,
+_values, turns Gram tuples into pairings for every path: exhaustive,
+sampled, the naive oracle and the fiber counts.  It reads the field
+through the context's table rows, which towers without pairwise tables
+compute on demand, so no path here depends on the arithmetic tier.
+
+Exhaustive results are canonical: values are kept as sorted code lists,
+so equal ranges serialize to identical bytes.  When the cone is too
+large for the configured capacity, a sampling budget produces a witness
+subset flagged as such; exact-set consumers must refuse those.
 """
 
 from __future__ import annotations
@@ -98,18 +103,25 @@ def _gram(ctx: FieldCtx, u: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(mul(frob(ui), uj) for ui in u for uj in u)
 
 
-def _value(ctx: FieldCtx, mflat, g: tuple[int, ...]) -> int:
-    """<u, M u> from the row-major entries of M and the Gram tuple of u."""
-    add, mul = ctx.add_enc, ctx.mul_enc
-    total = 0
-    for mij, gij in zip(mflat, g):
-        if mij and gij:
-            total = add(total, mul(mij, gij))
-    return total
+def _values(m: HermMatrix, grams) -> list[int]:
+    """<u, M u> = sum m_ij * g_ij for each Gram tuple g of the iterable.
 
-
-def _flat(m: HermMatrix) -> tuple[int, ...]:
-    return tuple(e for row in m.encs() for e in row)
+    Zero entries of M drop out, and each nonzero m_ij binds its row of
+    the multiplication table once per call; each tuple is then folded
+    through rows of the addition table.  On towers without pairwise
+    tables the context's rows compute each entry instead.
+    """
+    ctx = m.ctx
+    add, mul = ctx.add_rows, ctx.mul_rows
+    terms = [(i, mul[mij])
+             for i, mij in enumerate(e for row in m.encs() for e in row) if mij]
+    out = []
+    for g in grams:
+        total = 0
+        for i, row in terms:
+            total = add[total][row[g[i]]]
+        out.append(total)
+    return out
 
 
 @lru_cache(maxsize=128)
@@ -139,12 +151,11 @@ def _range(m: HermMatrix, kind: str, k_enc: int, mode: str, exclude_zero: bool,
     ctx = m.ctx
     if sample_budget is not None and sample_budget < 1:
         raise ValueError(f"sample budget must be at least 1, got {sample_budget}")
-    mflat = _flat(m)
     bound = cone_upper_bound(ctx, m.n, mode)
     if bound <= capacity:
         classes, size = gram_classes(ctx, m.n, k_enc, mode, exclude_zero,
                                      capacity)
-        values = {_value(ctx, mflat, g) for g, _ in classes}
+        values = set(_values(m, (g for g, _ in classes)))
         return RangeSet(kind=kind, k_enc=k_enc, values=tuple(sorted(values)),
                         mode=EXHAUSTIVE, witness_count=size, ctx=ctx)
     if sample_budget is None:
@@ -153,9 +164,8 @@ def _range(m: HermMatrix, kind: str, k_enc: int, mode: str, exclude_zero: bool,
             "pass a sample budget for a witness subset")
     if rng is None:
         raise ValueError("sampling requires a seeded random generator")
-    values = {_value(ctx, mflat, _gram(ctx, u))
-              for u in sample_cone_encs(ctx, m.n, k_enc, mode, exclude_zero,
-                                        sample_budget, rng)}
+    values = set(_values(m, (_gram(ctx, u) for u in sample_cone_encs(
+        ctx, m.n, k_enc, mode, exclude_zero, sample_budget, rng))))
     return RangeSet(kind=kind, k_enc=k_enc, values=tuple(sorted(values)),
                     mode=SAMPLED, witness_count=sample_budget, ctx=ctx)
 
@@ -214,14 +224,10 @@ def range_naive(m: HermMatrix, kind: str, k: FieldElem) -> RangeSet:
         raise ValueError("null-range needs dimension at least 2")
     if mode == SUBFIELD and not m.has_subfield_coeffs:
         raise ValueError("subfield range needs a matrix with F_q entries")
-    mflat = _flat(m)
-    values = set()
-    count = 0
-    for u in naive_cone_encs(ctx, m.n, k.enc, mode, exclude_zero):
-        values.add(_value(ctx, mflat, _gram(ctx, u)))
-        count += 1
-    return RangeSet(kind=kind, k_enc=k.enc, values=tuple(sorted(values)),
-                    mode=EXHAUSTIVE, witness_count=count, ctx=ctx)
+    values = _values(m, [_gram(ctx, u) for u in
+                         naive_cone_encs(ctx, m.n, k.enc, mode, exclude_zero)])
+    return RangeSet(kind=kind, k_enc=k.enc, values=tuple(sorted(set(values))),
+                    mode=EXHAUSTIVE, witness_count=len(values), ctx=ctx)
 
 
 def fiber_count(m: HermMatrix, a: FieldElem, *,
@@ -232,9 +238,9 @@ def fiber_count(m: HermMatrix, a: FieldElem, *,
         raise ValueError("fiber counting needs a matrix with F_q entries")
     if a.ctx is not ctx or not a.in_subfield:
         raise ValueError(f"fiber value must lie in F_q, got {a!r}")
-    mflat = _flat(m)
     classes, _ = gram_classes(ctx, m.n, 0, SUBFIELD, False, capacity)
-    count = sum(c for g, c in classes if _value(ctx, mflat, g) == a.enc)
+    values = _values(m, (g for g, _ in classes))
+    count = sum(c for (_, c), v in zip(classes, values) if v == a.enc)
     return FiberCount(value=a, count=count)
 
 
@@ -244,11 +250,10 @@ def fiber_table(m: HermMatrix, *,
     ctx = m.ctx
     if not m.has_subfield_coeffs:
         raise ValueError("fiber counting needs a matrix with F_q entries")
-    mflat = _flat(m)
     classes, _ = gram_classes(ctx, m.n, 0, SUBFIELD, False, capacity)
     counts = [0] * ctx.q
-    for g, c in classes:
-        counts[_value(ctx, mflat, g)] += c
+    for (_, c), v in zip(classes, _values(m, (g for g, _ in classes))):
+        counts[v] += c
     return tuple(FiberCount(value=ctx.elem(v), count=c)
                  for v, c in enumerate(counts))
 

@@ -22,12 +22,15 @@ from hermrange.classify import (CLAIM_EMPTY, CLAIM_EXACT_CARD,
                                 predict_unitary_diagonal,
                                 scalar_fiber_formula, symmetrized,
                                 unitarily_diagonalizable_2x2)
+from hermrange.fields import build_tower
 from hermrange.hermitian import HermMatrix, Vector, block_diag, inner
 from hermrange.ranges import (KIND_NUM0_PRIME, KIND_NUM0_PRIME_SUBFIELD,
                               KIND_NUM_K, KIND_NUM_K_SUBFIELD, SAMPLED,
                               RangeSet, fiber_count, fiber_table, num0_prime,
                               num0_prime_subfield, num_k, num_k_subfield,
                               range_naive)
+
+from conftest import TOWER_PARAMS
 
 
 def _m(ctx, rows):
@@ -113,6 +116,47 @@ def test_eigen2_irreducible(f2):
     assert e.eigenvalues == ()
     with pytest.raises(ValueError):
         eigen2(HermMatrix.identity(f2, 3))
+
+
+def _eigen2_scan(m):
+    """Eigenstructure as a root scan over F_{q^2} finds it."""
+    ctx = m.ctx
+    (a, b), (c, d) = m.encs()
+    tr = ctx.add_enc(a, d)
+    det = ctx.sub_enc(ctx.mul_enc(a, d), ctx.mul_enc(b, c))
+    roots = [x for x in range(ctx.q2)
+             if ctx.add_enc(ctx.sub_enc(ctx.mul_enc(x, x), ctx.mul_enc(tr, x)),
+                            det) == 0]
+    if not roots:
+        return (IRREDUCIBLE, (), (), (), ())
+    vectors, dims = [], []
+    for r in roots:
+        (s00, s01), (s10, s11) = ((ctx.sub_enc(a, r), b),
+                                  (c, ctx.sub_enc(d, r)))
+        if s00 or s01:
+            kv, dim = (s01, ctx.neg_enc(s00)), 1
+        elif s10 or s11:
+            kv, dim = (s11, ctx.neg_enc(s10)), 1
+        else:
+            kv, dim = (1, 0), 2
+        vectors.append(Vector.from_encs(ctx, kv))
+        dims.append(dim)
+    status = TWO_DISTINCT if len(roots) == 2 else REPEATED
+    return (status, tuple(ctx.elem(r) for r in roots), tuple(vectors),
+            tuple(inner(v, v).is_zero for v in vectors), tuple(dims))
+
+
+def test_eigen2_matches_the_root_scan(towers):
+    # both tiers: root buckets, and formulas on a table_threshold=0 tower
+    for q, table in towers.items():
+        for ctx in (table, build_tower(*TOWER_PARAMS[q], table_threshold=0)):
+            rng = random.Random(q)
+            for _ in range(200):
+                m = _m(ctx, [[rng.randrange(ctx.q2) for _ in range(2)]
+                             for _ in range(2)])
+                e = eigen2(m)
+                assert (e.status, e.eigenvalues, e.eigenvectors, e.isotropic,
+                        e.eigenspace_dims) == _eigen2_scan(m)
 
 
 def test_unitary_diagonalizability(f2):

@@ -244,3 +244,93 @@ def test_broken_norm_log_raises():
     ctx._norm_log = [0] * ctx.q
     with pytest.raises(RuntimeError):
         ctx.norm_preimage_encs(2)
+
+
+def _scan_roots(ctx, pairs):
+    """Roots of x^2 + b x + c by scanning F_{q^2}, grouped by b so each
+    x^2 + b x is evaluated once per b."""
+    q2 = ctx.q2
+    squares = [ctx.mul_enc(x, x) for x in range(q2)]
+    by_b = {}
+    for b, c in pairs:
+        by_b.setdefault(b, []).append(c)
+    out = {}
+    for b, cs in by_b.items():
+        hits = {}
+        for x in range(q2):
+            hits.setdefault(ctx.add_enc(squares[x], ctx.mul_enc(b, x)),
+                            []).append(x)
+        for c in cs:
+            out[(b, c)] = tuple(hits.get(ctx.neg_enc(c), ()))
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 23])
+def test_quadratic_roots_match_the_scan(towers, q):
+    # the default tower reads buckets, table_threshold=0 the formulas
+    # (Frobenius square root and trace formula for even q, square roots
+    # through the norm for odd q); codes agree across tiers
+    p, m = TOWER_PARAMS.get(q, (q, 1))
+    table = towers[q] if q in towers else build_tower(p, m)
+    if q <= 8:
+        pairs = [(b, c) for b in range(q * q) for c in range(q * q)]
+    else:
+        rng = random.Random(q)
+        pairs = [(rng.randrange(q * q), rng.randrange(q * q))
+                 for _ in range(2000)]
+    expect = _scan_roots(table, pairs)
+    for ctx in (table, build_tower(p, m, table_threshold=0)):
+        for b, c in pairs:
+            assert ctx.quadratic_roots_enc(b, c) == expect[(b, c)], (b, c)
+
+
+def _first_irreducible_char2(ctx):
+    """The full scan over e0 + q * e1: t^2 + e1 t + e0 is irreducible
+    exactly when e1 != 0 and Tr(e0 / e1^2) = 1."""
+    for v in range(ctx.q2):
+        e0, e1 = v % ctx.q, v // ctx.q
+        if e1 == 0:
+            continue
+        tr, acc = 0, ctx.q_mul(e0, ctx.q_inv(ctx.q_mul(e1, e1)))
+        for _ in range(ctx.m):
+            tr, acc = ctx.q_add(tr, acc), ctx.q_mul(acc, acc)
+        if tr == 1:
+            return (e0, e1, 1)
+
+
+def test_char2_modulus_is_the_first_irreducible_quadratic():
+    for m in range(1, 15):
+        ctx = build_tower(2, m, table_threshold=0)
+        e0, e1, e2 = (int("".join(map(str, reversed(v))), 2)
+                      for v in ctx.spec.ext_modulus)
+        assert (e0, e1, e2) == _first_irreducible_char2(ctx), m
+        if m <= 8:
+            # by definition: no root in F_q
+            assert all(ctx.q_add(ctx.q_add(ctx.q_mul(x, x), ctx.q_mul(e1, x)),
+                                 e0) for x in range(ctx.q))
+
+
+def test_towers_past_the_table_threshold_tabulate_no_inverses():
+    ctx = build_tower(2, 6, table_threshold=16)
+    assert ctx.q > ctx.table_threshold and ctx._q_inv_t is None
+    for a in range(1, ctx.q):
+        assert ctx.q_mul(a, ctx.q_inv(a)) == 1
+    assert ctx._q_inv_t is None
+    small = build_tower(2, 6)
+    small.q_inv(5)
+    assert small._q_inv_t is not None
+
+
+def test_context_stays_under_the_shared_key_limit():
+    # from 30 instance attributes on, CPython 3.11 stops specializing
+    # attribute reads on the context, which slows every arithmetic call.
+    # Lazy state is declared in __init__, so using the tower adds none,
+    # and one slot stays free for perfbench's traced norm_preimage_encs.
+    for ctx in (build_tower(2, 2), build_tower(23), build_tower(3, 2,
+                table_threshold=0), build_tower(1031)):
+        ctx.norm_preimage_encs(1)
+        ctx.quadratic_roots_enc(1, 1)
+        ctx.q_sqrt_encs(1)
+        ctx.q_inv(1)
+        ctx.multiplicative_generator_enc()
+        assert len(vars(ctx)) < 29, sorted(vars(ctx))

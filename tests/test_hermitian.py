@@ -55,6 +55,35 @@ def test_matrix_predicates(f3):
     assert not HermMatrix.from_encs(f3, ((1, 3), (0, 2))).has_subfield_coeffs
 
 
+def test_code_rows_round_trip(f9):
+    rng = random.Random(41)
+    for n in (1, 2, 3):
+        codes = tuple(tuple(rng.randrange(81) for _ in range(n))
+                      for _ in range(n))
+        by_codes = HermMatrix.from_encs(f9, codes)
+        by_elems = HermMatrix(f9, tuple(tuple(f9.elem(e) for e in r)
+                                        for r in codes))
+        assert by_codes == by_elems and hash(by_codes) == hash(by_elems)
+        assert by_codes.encs() == by_elems.encs() == codes
+        assert by_codes.rows == by_elems.rows
+        assert HermMatrix(f9, by_codes.rows) == by_codes
+        assert all(by_codes.entry(i, j) == f9.elem(codes[i][j])
+                   for i in range(n) for j in range(n))
+    assert HermMatrix.from_encs(f9, ((1, 2), (3, 4))) \
+        != HermMatrix.from_encs(f9, ((1, 2), (3, 5)))
+
+
+@pytest.mark.parametrize("rows,message", [
+    (((0, 9), (0, 0)), r"element code 9 out of range \[0, 9\)"),
+    (((0, -1), (0, 0)), r"element code -1 out of range \[0, 9\)"),
+    (((0, 1), (0,)), "matrix must be square and nonempty"),
+    ((), "matrix must be square and nonempty"),
+])
+def test_from_encs_rejects_bad_codes_and_shapes(f3, rows, message):
+    with pytest.raises(ValueError, match=message):
+        HermMatrix.from_encs(f3, rows)
+
+
 def test_block_diag_layout(f3):
     a = HermMatrix.from_encs(f3, ((1, 2), (3, 4)))
     b = HermMatrix.from_encs(f3, ((5,),))

@@ -16,7 +16,7 @@ from hermrange.hermitian import (FULL_FIELD, SUBFIELD, CapacityError,
                                  inner)
 from hermrange.ranges import (EXHAUSTIVE, KIND_NUM0_PRIME,
                               KIND_NUM0_PRIME_SUBFIELD, KIND_NUM_K,
-                              KIND_NUM_K_SUBFIELD, SAMPLED, _gram, _value,
+                              KIND_NUM_K_SUBFIELD, SAMPLED, _gram, _values,
                               fiber_count, fiber_table, gram_classes,
                               num0_prime, num0_prime_subfield, num_k,
                               num_k_subfield, range_naive,
@@ -225,19 +225,21 @@ def test_affine_shift_resolution(f3):
 
 
 def test_gram_value_matches_the_pairing(towers):
-    # hermitian.inner and HermMatrix.apply share no code with _gram/_value
+    # hermitian.inner and HermMatrix.apply share no code with _gram/_values;
+    # q = 23 has no pairwise tables, so its rows are computed
     rng = random.Random(79)
-    for q in (2, 3, 4, 9):
-        ctx = towers[q]
+    for q in (2, 3, 4, 9, 23):
+        ctx = towers[q] if q in towers else build_tower(q)
         for n in (2, 3):
             for limit in (ctx.q2, ctx.q):  # full field, then subfield
                 for _ in range(25):
                     m = _rand(ctx, rng, n, limit)
-                    u = Vector.from_encs(
+                    us = [Vector.from_encs(
                         ctx, [rng.randrange(limit) for _ in range(n)])
-                    mflat = [e for row in m.encs() for e in row]
-                    assert _value(ctx, mflat, _gram(ctx, u.encs())) \
-                        == inner(u, m.apply(u)).enc
+                        for _ in range(4)]
+                    got = _values(m, [_gram(ctx, u.encs()) for u in us])
+                    assert got == [inner(u, m.apply(u)).enc for u in us]
+                    assert _values(m, [_gram(ctx, us[0].encs())]) == got[:1]
 
 
 def test_gram_classes_are_unit_scalar_orbits(towers):

@@ -45,6 +45,26 @@ PINNED = (
     ("random-nxn-q3-n3-count400", run_random_nxn, (3, 1),
      {"n": 3, "count": 400, "seed": 1},
      "514a9b20faf53094e4f6cc118013ff22d3aabf9b644242ea890581562bd72f49"),
+    # random full-field 2x2 sweeps: eigen2's even and odd root paths, the
+    # pairwise tables up to q = 9, and the computed rows of q = 23
+    ("random-full-q4", run_random_nxn, (2, 2),
+     {"n": 2, "space": "full", "count": 300, "seed": 0},
+     "2c6a81f5e5f2e426a393b5e8643e8d6618e885533e755b58244714ce29067e5a"),
+    ("random-full-q5", run_random_nxn, (5, 1),
+     {"n": 2, "space": "full", "count": 300, "seed": 0},
+     "eb65cceb71c1063be6a5f0fe27f5a4788b7214f231bfd4cf7dae1141ada6958a"),
+    ("random-full-q7", run_random_nxn, (7, 1),
+     {"n": 2, "space": "full", "count": 300, "seed": 0},
+     "b98123b8d81d51410cf4c8f43efb318886ec69a8cb4844875d76118898c0654f"),
+    ("random-full-q8", run_random_nxn, (2, 3),
+     {"n": 2, "space": "full", "count": 300, "seed": 0},
+     "03081d5591977edc15e919fe36e42a1e62f06ff3f0903919eec6989cdd295487"),
+    ("random-full-q9", run_random_nxn, (3, 2),
+     {"n": 2, "space": "full", "count": 300, "seed": 0},
+     "dc62377ee4062c6905cc34f2d1cdaba1a9c5c7ec07a806238142b174e316e130"),
+    ("random-full-q23", run_random_nxn, (23, 1),
+     {"n": 2, "space": "full", "count": 20, "seed": 0},
+     "62ce210fcbdf4ddf75fb38ca91df23b6bc9d7bdf298c81230fa8077ff6af102a"),
 )
 
 
