@@ -63,7 +63,7 @@ class EigenData2:
     eigenvector_encs: tuple[tuple[int, int], ...]
     isotropic: tuple[bool, ...]
     eigenspace_dims: tuple[int, ...]
-    ctx: FieldCtx = field(compare=False, repr=False)
+    ctx: FieldCtx = field(repr=False)
 
     @property
     def eigenvalues(self) -> tuple[FieldElem, ...]:

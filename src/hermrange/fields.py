@@ -20,13 +20,14 @@ and larger towers:
 * larger prime F_q (m = 1) computes on integer residues mod p, which are
   its codes, and any other larger F_q on polynomial digit vectors;
 * larger F_{q^2} multiplies coordinate pairs over F_q and reduces by the
-  quadratic modulus; ``add_rows``/``mul_rows`` then compute the entries
-  that the pairwise tables would hold;
+  quadratic modulus, and ``dot_encs`` sums products term by term instead
+  of folding through table rows;
 * up to ``table_threshold`` elements of F_{q^2}, negation, Frobenius and
-  norm are tabulated, and norm preimages, square roots and
-  Artin-Schreier roots come from buckets built on first use; above it,
-  norm preimages come from a q-length discrete-log table of the norm of
-  a generator, built on first use, and quadratic roots from formulas;
+  norm are tabulated, and norm preimages come from buckets built on
+  first use; above it, from a q-length discrete-log table of the norm
+  of a generator, built on first use;
+* with pairwise tables, square roots and Artin-Schreier roots come from
+  buckets built on first use, and otherwise from formulas;
 * F_q inverses are cached in a q-length table only up to
   ``table_threshold``.
 """
@@ -458,22 +459,32 @@ class FieldCtx:
         self._norm_log: list[int | None] | None = None
         self._root_buckets: dict[int, list[tuple[int, ...]]] = {}
 
-    # Row access is a property, not an attribute: from 30 instance
-    # attributes on, CPython 3.11 stops sharing dict keys and every
-    # attribute read on the context (self.q_mul, ...) gets slower.
+    def dot_encs(self, terms, vectors) -> list[int]:
+        """Code of sum c * v[i] over the (i, c) of terms, for each vector v.
 
-    @property
-    def add_rows(self):
-        """rows[a][b] is the code of a + b: the pairwise table when it
-        exists, otherwise a view computing each entry."""
-        t = self._add2_t
-        return _OpRows(self._add2_poly) if t is None else t
-
-    @property
-    def mul_rows(self):
-        """rows[a][b] is the code of a * b, as add_rows."""
-        t = self._mul2_t
-        return _OpRows(self._mul2_poly) if t is None else t
+        With pairwise tables, the multiplication row of each c is bound
+        once and each sum folds through table rows with no call per term;
+        otherwise each nonzero term costs one product and one sum.
+        """
+        add_t, mul_t = self._add2_t, self._mul2_t
+        out = []
+        if add_t is None:
+            add, mul = self._add2_poly, self._mul2_poly
+            for v in vectors:
+                total = 0
+                for i, c in terms:
+                    vi = v[i]
+                    if vi:
+                        total = add(total, mul(c, vi))
+                out.append(total)
+            return out
+        rows = [(i, mul_t[c]) for i, c in terms]
+        for v in vectors:
+            total = 0
+            for i, row in rows:
+                total = add_t[total][row[v[i]]]
+            out.append(total)
+        return out
 
     def _frob_poly(self, x: int) -> int:
         a0, a1 = self._split(x)
@@ -587,10 +598,12 @@ class FieldCtx:
     def _monic_roots(self, e: int, a: int) -> tuple[int, ...]:
         """Roots of y^2 + e y = a for e in {0, 1}, sorted by code.
 
-        Up to table_threshold elements they come from q^2-length buckets
-        built on first use; above it, from formulas.
+        With pairwise tables they come from q^2-length buckets built on
+        first use, which repay their build within a few hundred calls;
+        otherwise from formulas, as a bucket would take about 1.6 q^2
+        calls to repay its polynomial arithmetic.
         """
-        if self.q2 <= self.table_threshold:
+        if self._mul2_t is not None:
             buckets = self._root_buckets.get(e)
             if buckets is None:
                 lists: list[list[int]] = [[] for _ in range(self.q2)]
@@ -683,28 +696,6 @@ class FieldCtx:
 
     def __repr__(self) -> str:
         return f"FieldCtx(p={self.p}, m={self.m}, q={self.q}, q2={self.q2})"
-
-
-class _OpRows:
-    """Computed stand-in for a pairwise table: rows[a][b] is op(a, b)."""
-
-    __slots__ = ("op",)
-
-    def __init__(self, op):
-        self.op = op
-
-    def __getitem__(self, a: int) -> "_OpRow":
-        return _OpRow(self.op, a)
-
-
-class _OpRow:
-    __slots__ = ("op", "a")
-
-    def __init__(self, op, a: int):
-        self.op, self.a = op, a
-
-    def __getitem__(self, b: int) -> int:
-        return self.op(self.a, b)
 
 
 class FieldElem:

@@ -10,9 +10,9 @@ Exhaustive ranges are evaluated once per Gram class of the cone:
 vectors with the same tuple u_i^q * u_j pair to the same value under
 every matrix, and witness_count stays the cone size.  One evaluator,
 _values, turns Gram tuples into pairings for every path: exhaustive,
-sampled, the naive oracle and the fiber counts.  It reads the field
-through the context's table rows, which towers without pairwise tables
-compute on demand, so no path here depends on the arithmetic tier.
+sampled, the naive oracle and the fiber counts.  It hands the sums to
+the context's dot_encs, which picks table or polynomial arithmetic, so
+no path here depends on the arithmetic tier.
 
 Exhaustive results are canonical: values are kept as sorted code lists,
 so equal ranges serialize to identical bytes.  When the cone is too
@@ -106,22 +106,12 @@ def _gram(ctx: FieldCtx, u: tuple[int, ...]) -> tuple[int, ...]:
 def _values(m: HermMatrix, grams) -> list[int]:
     """<u, M u> = sum m_ij * g_ij for each Gram tuple g of the iterable.
 
-    Zero entries of M drop out, and each nonzero m_ij binds its row of
-    the multiplication table once per call; each tuple is then folded
-    through rows of the addition table.  On towers without pairwise
-    tables the context's rows compute each entry instead.
+    Zero entries of M drop out here; the context sums the rest in the
+    arithmetic of its tier.
     """
-    ctx = m.ctx
-    add, mul = ctx.add_rows, ctx.mul_rows
-    terms = [(i, mul[mij])
+    terms = [(i, mij)
              for i, mij in enumerate(e for row in m.encs() for e in row) if mij]
-    out = []
-    for g in grams:
-        total = 0
-        for i, row in terms:
-            total = add[total][row[g[i]]]
-        out.append(total)
-    return out
+    return m.ctx.dot_encs(terms, grams)
 
 
 @lru_cache(maxsize=128)

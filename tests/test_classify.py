@@ -147,7 +147,8 @@ def _eigen2_scan(m):
 
 
 def test_eigen2_matches_the_root_scan(towers):
-    # both tiers: root buckets, and formulas on a table_threshold=0 tower
+    # both tiers: root buckets on the pairwise tables, and formulas on a
+    # table_threshold=0 tower
     for q, table in towers.items():
         for ctx in (table, build_tower(*TOWER_PARAMS[q], table_threshold=0)):
             rng = random.Random(q)

@@ -267,9 +267,9 @@ def _scan_roots(ctx, pairs):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 23])
 def test_quadratic_roots_match_the_scan(towers, q):
-    # the default tower reads buckets, table_threshold=0 the formulas
-    # (Frobenius square root and trace formula for even q, square roots
-    # through the norm for odd q); codes agree across tiers
+    # towers with pairwise tables (q <= 19) read buckets, the others the
+    # formulas (Frobenius square root and trace formula for even q,
+    # square roots through the norm for odd q); codes agree across tiers
     p, m = TOWER_PARAMS.get(q, (q, 1))
     table = towers[q] if q in towers else build_tower(p, m)
     if q <= 8:
@@ -283,6 +283,18 @@ def test_quadratic_roots_match_the_scan(towers, q):
         for b, c in pairs:
             assert ctx.quadratic_roots_enc(b, c) == expect[(b, c)], (b, c)
 
+
+
+def test_root_buckets_stay_on_the_pairwise_tier():
+    # without pairwise tables a q^2-length bucket costs q^2 polynomial
+    # products, so those towers answer from the formulas alone
+    for ctx in (build_tower(23), build_tower(3, table_threshold=0)):
+        ctx.quadratic_roots_enc(1, 1)
+        ctx.quadratic_roots_enc(0, 1)
+        assert ctx._root_buckets == {}
+    small = build_tower(3)
+    small.quadratic_roots_enc(0, 1)
+    assert len(small._root_buckets[0]) == small.q2
 
 def _first_irreducible_char2(ctx):
     """The full scan over e0 + q * e1: t^2 + e1 t + e0 is irreducible
