@@ -20,15 +20,16 @@ from .fields import (FieldCtx, FieldElem, FieldSpec, build_tower,
                      norm_minus_one_roots, norm_preimages, sqrt_subfield,
                      two_square_rep)
 from .hermitian import (DEFAULT_CAPACITY, FULL_FIELD, SUBFIELD, CapacityError,
-                        ConeSlice, HermMatrix, Vector, block_diag,
-                        cone_encs, cone_upper_bound, conj_by_unitary, dagger,
-                        enumerate_cone, inner, is_unitary, iter_cone_encs,
-                        naive_cone_encs, random_unitary_2x2, sample_cone_encs)
+                        HermMatrix, Vector, block_diag, cone_encs,
+                        cone_upper_bound, conj_by_unitary, dagger, inner,
+                        is_unitary, iter_cone_encs, naive_cone_encs,
+                        random_unitary_2x2, sample_cone_encs)
 from .ranges import (EXHAUSTIVE, KIND_NUM0_PRIME, KIND_NUM0_PRIME_SUBFIELD,
-                     KIND_NUM_K, KIND_NUM_K_SUBFIELD, SAMPLED, FiberCount,
-                     RangeSet, fiber_count, fiber_table, num0_prime,
-                     num0_prime_subfield, num_k, num_k_subfield, range_naive,
-                     resolve_affine_shift, scaling_law_check)
+                     KIND_NUM_K, KIND_NUM_K_SUBFIELD, RANGE_KINDS, SAMPLED,
+                     FiberCount, RangeSet, fiber_count, fiber_table,
+                     num0_prime, num0_prime_subfield, num_k, num_k_subfield,
+                     range_naive, range_of, resolve_affine_shift,
+                     scaling_law_check)
 from .verify import (SCOPE_DIRECT_SUMS, SCOPE_EXHAUSTIVE_2X2,
                      SCOPE_RANDOM_NXN, SCOPE_SCALAR_FIBERS, VERIFY_SCOPES,
                      run_direct_sums, run_exhaustive_2x2, run_random_nxn,

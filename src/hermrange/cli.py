@@ -21,16 +21,8 @@ from dataclasses import dataclass
 
 from .fields import FieldCtx, FieldSpec, build_tower, ctx_from_spec
 from .hermitian import DEFAULT_CAPACITY, CapacityError, HermMatrix
-from .ranges import (KIND_NUM0_PRIME, KIND_NUM0_PRIME_SUBFIELD, KIND_NUM_K,
-                     KIND_NUM_K_SUBFIELD, fiber_table, num0_prime,
-                     num0_prime_subfield, num_k, num_k_subfield)
-from .verify import (SCOPE_DIRECT_SUMS, SCOPE_EXHAUSTIVE_2X2,
-                     SCOPE_RANDOM_NXN, SCOPE_SCALAR_FIBERS, VERIFY_SCOPES,
-                     run_direct_sums, run_exhaustive_2x2, run_random_nxn,
-                     run_scalar_fibers)
-
-KINDS = (KIND_NUM_K, KIND_NUM0_PRIME, KIND_NUM_K_SUBFIELD,
-         KIND_NUM0_PRIME_SUBFIELD)
+from .ranges import KIND_NUM_K, RANGE_KINDS, fiber_table, range_of
+from .verify import VERIFY_SCOPES, run_scope
 
 
 @dataclass(frozen=True)
@@ -129,16 +121,7 @@ def cmd_range(cfg: RunConfig, m: HermMatrix, kind: str, k_enc: int) -> int:
     if cfg.sample_budget is not None:
         kw["sample_budget"] = cfg.sample_budget
         kw["rng"] = random.Random(cfg.seed)
-    if kind == KIND_NUM_K:
-        rs = num_k(m, ctx.elem(k_enc), **kw)
-    elif kind == KIND_NUM0_PRIME:
-        rs = num0_prime(m, **kw)
-    elif kind == KIND_NUM_K_SUBFIELD:
-        rs = num_k_subfield(m, ctx.elem(k_enc), **kw)
-    elif kind == KIND_NUM0_PRIME_SUBFIELD:
-        rs = num0_prime_subfield(m, **kw)
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
+    rs = range_of(m, kind, ctx.elem(k_enc), **kw)
     if cfg.fmt == "json":
         payload = dict(rs.to_json_dict(), field=ctx.spec.to_json_dict(),
                        matrix=[list(r) for r in m.encs()])
@@ -150,26 +133,8 @@ def cmd_range(cfg: RunConfig, m: HermMatrix, kind: str, k_enc: int) -> int:
 
 
 def cmd_verify(cfg: RunConfig, args) -> int:
-    ctx = cfg.ctx
-    if args.scope == SCOPE_EXHAUSTIVE_2X2:
-        report = run_exhaustive_2x2(ctx, space=args.space, seed=cfg.seed,
-                                    capacity=cfg.capacity)
-    elif args.scope == SCOPE_RANDOM_NXN:
-        n = 3 if args.n is None else args.n
-        report = run_random_nxn(ctx, n=n, count=args.count,
-                                seed=cfg.seed, space=args.space
-                                if args.space != "auto" else "subfield",
-                                capacity=cfg.capacity)
-    elif args.scope == SCOPE_SCALAR_FIBERS:
-        kw = {"capacity": cfg.capacity}
-        if args.n is not None:
-            kw["n_values"] = (args.n,)
-        report = run_scalar_fibers(ctx, **kw)
-    elif args.scope == SCOPE_DIRECT_SUMS:
-        report = run_direct_sums(ctx, count=args.count, seed=cfg.seed,
-                                 capacity=cfg.capacity)
-    else:
-        raise ValueError(f"unknown scope {args.scope!r}")
+    report = run_scope(cfg.ctx, args.scope, n=args.n, count=args.count,
+                       space=args.space, seed=cfg.seed, capacity=cfg.capacity)
     if cfg.fmt == "json":
         _write(cfg, _json_bytes(report))
     else:
@@ -225,9 +190,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--matrix", required=True,
                     help="inline rows like 0,1;2,3 or a JSON file")
-    sp.add_argument("--kind", choices=KINDS, default=KIND_NUM_K)
+    sp.add_argument("--kind", choices=tuple(RANGE_KINDS),
+                    default=KIND_NUM_K)
     sp.add_argument("--k", type=int, default=0,
-                    help="level as an element code (default 0)")
+                    help="level as an element code (default 0; the null "
+                         "kinds take only 0)")
     sp.add_argument("--sample-budget", type=int, default=None,
                     help="fall back to this many sampled vectors over capacity")
 

@@ -15,7 +15,6 @@ independent oracle for the optimized walk.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
@@ -257,33 +256,6 @@ def block_diag(a: HermMatrix, b: HermMatrix) -> HermMatrix:
                           + tuple(za + r for r in b.encs()))
 
 
-@dataclass(frozen=True)
-class ConeSlice:
-    """One level set of the self-pairing: vectors u with <u, u> = k.
-
-    Mode picks coordinates from the whole field or from F_q only, and
-    exclude_zero drops the zero vector (meaningful only for k = 0).
-    """
-
-    n: int
-    k: FieldElem
-    mode: str = FULL_FIELD
-    exclude_zero: bool = False
-
-
-def _validate_slice(ctx: FieldCtx, cs: ConeSlice) -> None:
-    if cs.n < 1:
-        raise ValueError(f"dimension must be at least 1, got {cs.n}")
-    if cs.mode not in (FULL_FIELD, SUBFIELD):
-        raise ValueError(f"unknown mode {cs.mode!r}")
-    if cs.k.ctx is not ctx:
-        raise ValueError("level value belongs to a different field context")
-    if not cs.k.in_subfield:
-        raise ValueError(f"level value must lie in F_q, got {cs.k!r}")
-    if cs.exclude_zero and cs.k.enc != 0:
-        raise ValueError("exclude_zero only makes sense at level zero")
-
-
 def cone_upper_bound(ctx: FieldCtx, n: int, mode: str) -> int:
     """Cheap upper bound on the number of enumerated vectors."""
     if mode == FULL_FIELD:
@@ -319,39 +291,32 @@ def _level_set_is_empty(ctx: FieldCtx, n: int, k_enc: int, mode: str,
     return n == 2 and not ctx.q_is_square(ctx.q_neg(1))
 
 
+def _check_cone(ctx: FieldCtx, n: int, k_enc: int, mode: str) -> None:
+    if n < 1:
+        raise ValueError(f"dimension must be at least 1, got {n}")
+    if mode not in (FULL_FIELD, SUBFIELD):
+        raise ValueError(f"unknown mode {mode!r}")
+    if not 0 <= k_enc < ctx.q:
+        raise ValueError(f"level code must lie in F_q = [0, {ctx.q}), "
+                         f"got {k_enc}")
+
+
 def iter_cone_encs(ctx: FieldCtx, n: int, k_enc: int, mode: str,
-                   exclude_zero: bool = False,
-                   prefix_start: int = 0,
-                   prefix_stop: int | None = None) -> Iterator[tuple[int, ...]]:
+                   exclude_zero: bool = False) -> Iterator[tuple[int, ...]]:
     """Stream cone vectors as code tuples, in lexicographic code order.
 
-    The prefix indices [prefix_start, prefix_stop) slice the space of
-    first n - 1 coordinates, so disjoint ranges partition the cone.
+    Arguments are checked on the call, before the first vector is made.
     """
-    space = ctx.q2 if mode == FULL_FIELD else ctx.q
-    total_prefixes = space ** (n - 1)
-    if prefix_stop is None:
-        prefix_stop = total_prefixes
-    if not 0 <= prefix_start <= prefix_stop <= total_prefixes:
-        raise ValueError("bad prefix range")
+    _check_cone(ctx, n, k_enc, mode)
+    return _walk_cone(ctx, n, k_enc, mode, exclude_zero)
 
+
+def _walk_cone(ctx: FieldCtx, n: int, k_enc: int, mode: str,
+               exclude_zero: bool) -> Iterator[tuple[int, ...]]:
+    space = ctx.q2 if mode == FULL_FIELD else ctx.q
     norm_of, complete = _level_maps(ctx, mode)
     q_sub, q_add = ctx.q_sub, ctx.q_add
-
-    if prefix_start == 0 and prefix_stop == total_prefixes:
-        prefixes = itertools.product(range(space), repeat=n - 1)
-    else:
-        def slice_prefixes():
-            for idx in range(prefix_start, prefix_stop):
-                digits = []
-                v = idx
-                for _ in range(n - 1):
-                    digits.append(v % space)
-                    v //= space
-                yield tuple(reversed(digits))
-        prefixes = slice_prefixes()
-
-    for prefix in prefixes:
+    for prefix in itertools.product(range(space), repeat=n - 1):
         acc = 0
         for x in prefix:
             acc = q_add(acc, norm_of(x))
@@ -387,27 +352,13 @@ def naive_cone_encs(ctx: FieldCtx, n: int, k_enc: int, mode: str,
 def cone_encs(ctx: FieldCtx, n: int, k_enc: int, mode: str,
               exclude_zero: bool = False,
               capacity: int = DEFAULT_CAPACITY) -> tuple[tuple[int, ...], ...]:
-    """Materialized cone, cached per context and slice."""
+    """Materialized cone, cached per context and arguments."""
+    _check_cone(ctx, n, k_enc, mode)
     bound = cone_upper_bound(ctx, n, mode)
     if bound > capacity:
         raise CapacityError(
             f"cone may hold up to {bound} vectors, capacity is {capacity}")
-    return tuple(iter_cone_encs(ctx, n, k_enc, mode, exclude_zero))
-
-
-def enumerate_cone(ctx: FieldCtx, cs: ConeSlice, *,
-                   capacity: int = DEFAULT_CAPACITY,
-                   prefix_start: int = 0,
-                   prefix_stop: int | None = None) -> Iterator[Vector]:
-    """Walk one cone in deterministic order, yielding vectors."""
-    _validate_slice(ctx, cs)
-    bound = cone_upper_bound(ctx, cs.n, cs.mode)
-    if bound > capacity:
-        raise CapacityError(
-            f"cone may hold up to {bound} vectors, capacity is {capacity}")
-    for encs in iter_cone_encs(ctx, cs.n, cs.k.enc, cs.mode, cs.exclude_zero,
-                               prefix_start, prefix_stop):
-        yield Vector(ctx, tuple(ctx.elem(e) for e in encs))
+    return tuple(_walk_cone(ctx, n, k_enc, mode, exclude_zero))
 
 
 def sample_cone_encs(ctx: FieldCtx, n: int, k_enc: int, mode: str,
@@ -417,10 +368,17 @@ def sample_cone_encs(ctx: FieldCtx, n: int, k_enc: int, mode: str,
     Draws are independent, so repeats can occur; prefixes without a
     completion (possible only in odd subfield mode) are redrawn.  An
     empty level set raises ValueError instead of redrawing forever.
+    Arguments are checked on the call, before the first draw.
     """
+    _check_cone(ctx, n, k_enc, mode)
     if _level_set_is_empty(ctx, n, k_enc, mode, exclude_zero):
         raise ValueError(f"no vector of length {n} to sample: the {mode} "
                          f"level set <u, u> = {k_enc} is empty")
+    return _draw_cone(ctx, n, k_enc, mode, exclude_zero, count, rng)
+
+
+def _draw_cone(ctx: FieldCtx, n: int, k_enc: int, mode: str,
+               exclude_zero: bool, count: int, rng) -> Iterator[tuple[int, ...]]:
     space = ctx.q2 if mode == FULL_FIELD else ctx.q
     norm_of, complete = _level_maps(ctx, mode)
     produced = 0

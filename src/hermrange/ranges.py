@@ -4,7 +4,9 @@ For a level k in F_q, the range at k collects the pairings <u, M u> over
 all vectors u with <u, u> = k.  The null-range variant runs over the
 nonzero vectors of the zero level set, and the subfield variants
 restrict coordinates to F_q, where both the level condition and the
-evaluated pairing become quadratic forms over F_q.
+evaluated pairing become quadratic forms over F_q.  RANGE_KINDS lists
+the four kinds once; range_of computes any of them by name, and one
+validator checks a matrix and a level against the table.
 
 Exhaustive ranges are evaluated once per Gram class of the cone:
 vectors with the same tuple u_i^q * u_j pair to the same value under
@@ -36,10 +38,20 @@ KIND_NUM0_PRIME = "num0_prime"
 KIND_NUM_K_SUBFIELD = "num_k_subfield"
 KIND_NUM0_PRIME_SUBFIELD = "num0_prime_subfield"
 
+# kind -> (coordinate mode, null-range).  Each kind is also the name of
+# its entry point below.  range_of finds that in the module namespace,
+# so an entry point replaced on the module (by a call recorder, say) is
+# the one it reaches.
+RANGE_KINDS = {
+    KIND_NUM_K: (FULL_FIELD, False),
+    KIND_NUM0_PRIME: (FULL_FIELD, True),
+    KIND_NUM_K_SUBFIELD: (SUBFIELD, False),
+    KIND_NUM0_PRIME_SUBFIELD: (SUBFIELD, True),
+}
+_ENTRY_POINTS = globals()
+
 EXHAUSTIVE = "exhaustive"
 SAMPLED = "sampled"
-
-_SUBFIELD_KINDS = (KIND_NUM_K_SUBFIELD, KIND_NUM0_PRIME_SUBFIELD)
 
 
 @dataclass(frozen=True)
@@ -129,22 +141,39 @@ def gram_classes(ctx: FieldCtx, n: int, k_enc: int, mode: str,
     return tuple(sorted(counts.items())), len(cone)
 
 
-def _validate_k(m: HermMatrix, k: FieldElem) -> None:
-    if k.ctx is not m.ctx:
-        raise ValueError("level value belongs to a different field context")
-    if not k.in_subfield:
-        raise ValueError(f"level value must lie in F_q, got {k!r}")
+def _check_range(m: HermMatrix, kind: str, k) -> tuple[str, bool]:
+    """Mode and null flag of a range kind, once m and the level k are
+    checked against it.  k is None from the null entry points, which
+    fix the level at zero."""
+    if kind not in RANGE_KINDS:
+        raise ValueError(f"unknown range kind {kind!r}; expected one of "
+                         f"{', '.join(RANGE_KINDS)}")
+    mode, null = RANGE_KINDS[kind]
+    if k is not None:
+        if k.ctx is not m.ctx:
+            raise ValueError("level value belongs to a different field context")
+        if not k.in_subfield:
+            raise ValueError(f"level value must lie in F_q, got {k!r}")
+        if null and k.enc:
+            raise ValueError(f"{kind} is a null-range and runs at level zero "
+                             f"only, got level {k.enc}")
+    if null and m.n < 2:
+        raise ValueError("null-range needs dimension at least 2")
+    if mode == SUBFIELD and not m.has_subfield_coeffs:
+        raise ValueError("subfield range needs a matrix with F_q entries")
+    return mode, null
 
 
-def _range(m: HermMatrix, kind: str, k_enc: int, mode: str, exclude_zero: bool,
-           capacity: int, sample_budget, rng) -> RangeSet:
+def _range(m: HermMatrix, kind: str, k, capacity: int, sample_budget,
+           rng) -> RangeSet:
+    mode, null = _check_range(m, kind, k)
+    k_enc = 0 if null else k.enc
     ctx = m.ctx
     if sample_budget is not None and sample_budget < 1:
         raise ValueError(f"sample budget must be at least 1, got {sample_budget}")
     bound = cone_upper_bound(ctx, m.n, mode)
     if bound <= capacity:
-        classes, size = gram_classes(ctx, m.n, k_enc, mode, exclude_zero,
-                                     capacity)
+        classes, size = gram_classes(ctx, m.n, k_enc, mode, null, capacity)
         values = set(_values(m, (g for g, _ in classes)))
         return RangeSet(kind=kind, k_enc=k_enc, values=tuple(sorted(values)),
                         mode=EXHAUSTIVE, witness_count=size, ctx=ctx)
@@ -155,7 +184,7 @@ def _range(m: HermMatrix, kind: str, k_enc: int, mode: str, exclude_zero: bool,
     if rng is None:
         raise ValueError("sampling requires a seeded random generator")
     values = set(_values(m, (_gram(ctx, u) for u in sample_cone_encs(
-        ctx, m.n, k_enc, mode, exclude_zero, sample_budget, rng))))
+        ctx, m.n, k_enc, mode, null, sample_budget, rng))))
     return RangeSet(kind=kind, k_enc=k_enc, values=tuple(sorted(values)),
                     mode=SAMPLED, witness_count=sample_budget, ctx=ctx)
 
@@ -163,9 +192,7 @@ def _range(m: HermMatrix, kind: str, k_enc: int, mode: str, exclude_zero: bool,
 def num_k(m: HermMatrix, k: FieldElem, *, capacity: int = DEFAULT_CAPACITY,
           sample_budget: int | None = None, rng=None) -> RangeSet:
     """Range of <u, M u> over <u, u> = k, coordinates in the full field."""
-    _validate_k(m, k)
-    return _range(m, KIND_NUM_K, k.enc, FULL_FIELD, False,
-                  capacity, sample_budget, rng)
+    return _range(m, KIND_NUM_K, k, capacity, sample_budget, rng)
 
 
 def num0_prime(m: HermMatrix, *, capacity: int = DEFAULT_CAPACITY,
@@ -174,48 +201,47 @@ def num0_prime(m: HermMatrix, *, capacity: int = DEFAULT_CAPACITY,
 
     Undefined for 1 by 1 matrices, whose zero level set is trivial.
     """
-    if m.n < 2:
-        raise ValueError("null-range needs dimension at least 2")
-    return _range(m, KIND_NUM0_PRIME, 0, FULL_FIELD, True,
-                  capacity, sample_budget, rng)
+    return _range(m, KIND_NUM0_PRIME, None, capacity, sample_budget, rng)
 
 
 def num_k_subfield(m: HermMatrix, k: FieldElem, *,
                    capacity: int = DEFAULT_CAPACITY,
                    sample_budget: int | None = None, rng=None) -> RangeSet:
     """Range at level k with coordinates restricted to F_q."""
-    _validate_k(m, k)
-    if not m.has_subfield_coeffs:
-        raise ValueError("subfield range needs a matrix with F_q entries")
-    return _range(m, KIND_NUM_K_SUBFIELD, k.enc, SUBFIELD, False,
-                  capacity, sample_budget, rng)
+    return _range(m, KIND_NUM_K_SUBFIELD, k, capacity, sample_budget, rng)
 
 
 def num0_prime_subfield(m: HermMatrix, *, capacity: int = DEFAULT_CAPACITY,
                         sample_budget: int | None = None, rng=None) -> RangeSet:
     """Null-range with coordinates restricted to F_q."""
-    if m.n < 2:
-        raise ValueError("null-range needs dimension at least 2")
-    if not m.has_subfield_coeffs:
-        raise ValueError("subfield range needs a matrix with F_q entries")
-    return _range(m, KIND_NUM0_PRIME_SUBFIELD, 0, SUBFIELD, True,
-                  capacity, sample_budget, rng)
+    return _range(m, KIND_NUM0_PRIME_SUBFIELD, None, capacity, sample_budget,
+                  rng)
+
+
+def range_of(m: HermMatrix, kind: str, k: FieldElem, **kw) -> RangeSet:
+    """The range of a kind in RANGE_KINDS at level k, computed by the
+    kind's entry point; keywords go to it unchanged.
+
+    Null kinds take only k = 0.  Their entry points have no level
+    argument, so the validator is called here when the level is wrong;
+    otherwise every check runs once, in the entry point.
+    """
+    if kind not in RANGE_KINDS:
+        _check_range(m, kind, k)  # raises: unknown kind
+    if not RANGE_KINDS[kind][1]:
+        return _ENTRY_POINTS[kind](m, k, **kw)
+    if k.enc or k.ctx is not m.ctx:
+        _check_range(m, kind, k)  # raises: a null-range takes only k = 0
+    return _ENTRY_POINTS[kind](m, **kw)
+
 
 
 def range_naive(m: HermMatrix, kind: str, k: FieldElem) -> RangeSet:
-    """Full-space filter oracle for any of the four range kinds."""
+    """Full-space filter oracle for any of the range kinds."""
     ctx = m.ctx
-    _validate_k(m, k)
-    mode = SUBFIELD if kind in _SUBFIELD_KINDS else FULL_FIELD
-    exclude_zero = kind in (KIND_NUM0_PRIME, KIND_NUM0_PRIME_SUBFIELD)
-    if exclude_zero and k.enc != 0:
-        raise ValueError("null-range oracle runs at level zero")
-    if exclude_zero and m.n < 2:
-        raise ValueError("null-range needs dimension at least 2")
-    if mode == SUBFIELD and not m.has_subfield_coeffs:
-        raise ValueError("subfield range needs a matrix with F_q entries")
+    mode, null = _check_range(m, kind, k)
     values = _values(m, [_gram(ctx, u) for u in
-                         naive_cone_encs(ctx, m.n, k.enc, mode, exclude_zero)])
+                         naive_cone_encs(ctx, m.n, k.enc, mode, null)])
     return RangeSet(kind=kind, k_enc=k.enc, values=tuple(sorted(set(values))),
                     mode=EXHAUSTIVE, witness_count=len(values), ctx=ctx)
 

@@ -29,9 +29,7 @@ from .classify import (FAIL, SCOPE_FIBER_ZERO, check_prediction,
                        predict_subfield, symmetrized)
 from .fields import FieldCtx
 from .hermitian import DEFAULT_CAPACITY, HermMatrix, block_diag
-from .ranges import (KIND_NUM0_PRIME, KIND_NUM0_PRIME_SUBFIELD, KIND_NUM_K,
-                     KIND_NUM_K_SUBFIELD, FiberCount, fiber_count, num0_prime,
-                     num0_prime_subfield, num_k, num_k_subfield,
+from .ranges import (FiberCount, fiber_count, num_k, range_of,
                      resolve_affine_shift)
 
 SCOPE_EXHAUSTIVE_2X2 = "exhaustive-2x2"
@@ -50,18 +48,11 @@ def _observe(m: HermMatrix, pred, capacity: int, cache: dict):
     key = (pred.scope, pred.k_enc)
     if key not in cache:
         ctx = m.ctx
-        if pred.scope == KIND_NUM_K:
-            obs = num_k(m, ctx.elem(pred.k_enc), capacity=capacity)
-        elif pred.scope == KIND_NUM0_PRIME:
-            obs = num0_prime(m, capacity=capacity)
-        elif pred.scope == KIND_NUM_K_SUBFIELD:
-            obs = num_k_subfield(m, ctx.elem(pred.k_enc), capacity=capacity)
-        elif pred.scope == KIND_NUM0_PRIME_SUBFIELD:
-            obs = num0_prime_subfield(m, capacity=capacity)
-        elif pred.scope == SCOPE_FIBER_ZERO:
+        if pred.scope == SCOPE_FIBER_ZERO:
             obs = fiber_count(m, ctx.zero, capacity=capacity)
         else:
-            raise ValueError(f"unknown prediction scope {pred.scope!r}")
+            obs = range_of(m, pred.scope, ctx.elem(pred.k_enc),
+                           capacity=capacity)
         cache[key] = obs
     return cache[key]
 
@@ -275,14 +266,28 @@ def run_direct_sums(ctx: FieldCtx, *, count: int = 50, seed: int = 0,
     return tally.report(config)
 
 
-def run_scope(ctx: FieldCtx, scope: str, **kw) -> dict:
-    """Dispatch a named sweep preset."""
+def run_scope(ctx: FieldCtx, scope: str, *, n: int | None = None,
+              count: int = 50, space: str = "auto", seed: int = 0,
+              collect: str = COLLECT_ALL,
+              capacity: int = DEFAULT_CAPACITY) -> dict:
+    """Run a named sweep preset from the command line's size options.
+
+    n, count and space become each runner's own arguments here, and a
+    preset ignores the options it does not take: n defaults to 3 for
+    random-nxn and to the runner's sizes for scalar-fibers, and space
+    "auto" means subfield for random-nxn.
+    """
+    common = {"collect": collect, "capacity": capacity}
     if scope == SCOPE_EXHAUSTIVE_2X2:
-        return run_exhaustive_2x2(ctx, **kw)
+        return run_exhaustive_2x2(ctx, space=space, seed=seed, **common)
     if scope == SCOPE_RANDOM_NXN:
-        return run_random_nxn(ctx, **kw)
+        return run_random_nxn(
+            ctx, n=3 if n is None else n, count=count, seed=seed,
+            space="subfield" if space == "auto" else space, **common)
     if scope == SCOPE_SCALAR_FIBERS:
-        return run_scalar_fibers(ctx, **kw)
+        if n is not None:
+            common["n_values"] = (n,)
+        return run_scalar_fibers(ctx, **common)
     if scope == SCOPE_DIRECT_SUMS:
-        return run_direct_sums(ctx, **kw)
+        return run_direct_sums(ctx, count=count, seed=seed, **common)
     raise ValueError(f"unknown verification scope {scope!r}")

@@ -11,14 +11,12 @@ import random
 from hermrange import (FULL_FIELD, SUBFIELD, HermMatrix, PASS,
                        check_prediction, cone_encs, dagger, fiber_count,
                        naive_cone_encs, norm_minus_one_roots, norm_preimages,
-                       num0_prime, num0_prime_subfield, num_k, num_k_subfield,
-                       predict_subfield, random_unitary_2x2,
+                       num0_prime, num0_prime_subfield, num_k_subfield,
+                       predict_subfield, random_unitary_2x2, range_of,
                        resolve_affine_shift, run_exhaustive_2x2,
                        scalar_fiber_formula, scaling_law_check,
                        two_square_rep)
 from hermrange.classify import SCOPE_FIBER_ZERO
-from hermrange.ranges import (KIND_NUM0_PRIME, KIND_NUM0_PRIME_SUBFIELD,
-                              KIND_NUM_K, KIND_NUM_K_SUBFIELD)
 
 
 @contextlib.contextmanager
@@ -57,20 +55,12 @@ def _pattern(ctx, d, s):
 
 def _verify_preds(m, preds):
     """Check each prediction against the matching engine; return tags."""
-    ctx = m.ctx
     for pred in preds:
-        k = ctx.elem(pred.k_enc)
-        if pred.scope == KIND_NUM_K:
-            obs = num_k(m, k)
-        elif pred.scope == KIND_NUM0_PRIME:
-            obs = num0_prime(m)
-        elif pred.scope == KIND_NUM_K_SUBFIELD:
-            obs = num_k_subfield(m, k)
-        elif pred.scope == KIND_NUM0_PRIME_SUBFIELD:
-            obs = num0_prime_subfield(m)
-        else:
-            assert pred.scope == SCOPE_FIBER_ZERO
+        k = m.ctx.elem(pred.k_enc)
+        if pred.scope == SCOPE_FIBER_ZERO:
             obs = fiber_count(m, k)
+        else:
+            obs = range_of(m, pred.scope, k)
         assert check_prediction(pred, obs) == PASS, pred
     return {p.basis for p in preds}
 

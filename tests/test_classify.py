@@ -26,9 +26,9 @@ from hermrange.fields import build_tower
 from hermrange.hermitian import HermMatrix, Vector, block_diag, inner
 from hermrange.ranges import (KIND_NUM0_PRIME, KIND_NUM0_PRIME_SUBFIELD,
                               KIND_NUM_K, KIND_NUM_K_SUBFIELD, SAMPLED,
-                              RangeSet, fiber_count, fiber_table, num0_prime,
+                              RangeSet, fiber_count, fiber_table,
                               num0_prime_subfield, num_k, num_k_subfield,
-                              range_naive)
+                              range_naive, range_of)
 
 from conftest import TOWER_PARAMS
 
@@ -44,18 +44,10 @@ def _diag(ctx, encs):
 
 
 def _observe(m, pred):
-    ctx = m.ctx
-    k = ctx.elem(pred.k_enc)
-    if pred.scope == KIND_NUM_K:
-        return num_k(m, k)
-    if pred.scope == KIND_NUM0_PRIME:
-        return num0_prime(m)
-    if pred.scope == KIND_NUM_K_SUBFIELD:
-        return num_k_subfield(m, k)
-    if pred.scope == KIND_NUM0_PRIME_SUBFIELD:
-        return num0_prime_subfield(m)
-    assert pred.scope == SCOPE_FIBER_ZERO
-    return fiber_count(m, k)
+    k = m.ctx.elem(pred.k_enc)
+    if pred.scope == SCOPE_FIBER_ZERO:
+        return fiber_count(m, k)
+    return range_of(m, pred.scope, k)
 
 
 def _check_all(m, preds):

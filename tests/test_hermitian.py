@@ -7,10 +7,9 @@ import pytest
 from hermrange import hermitian
 from hermrange.fields import build_tower, frobenius
 from hermrange.hermitian import (FULL_FIELD, SUBFIELD, CapacityError,
-                                 ConeSlice, HermMatrix, Vector,
-                                 _level_set_is_empty, block_diag, cone_encs,
-                                 cone_upper_bound, conj_by_unitary, dagger,
-                                 enumerate_cone, inner, is_unitary,
+                                 HermMatrix, Vector, _level_set_is_empty,
+                                 block_diag, cone_encs, cone_upper_bound,
+                                 conj_by_unitary, dagger, inner, is_unitary,
                                  iter_cone_encs, naive_cone_encs,
                                  random_unitary_2x2, sample_cone_encs)
 
@@ -104,15 +103,25 @@ def test_unitary_conjugation(f4):
         == random_unitary_2x2(f4, random.Random(9))
 
 
-def test_cone_slice_validation(f3):
-    # slices are plain data; validation happens when a walk starts
-    bad = [ConeSlice(0, f3.elem(0)),
-           ConeSlice(2, f3.elem(0), mode="nope"),
-           ConeSlice(2, f3.elem(4)),
-           ConeSlice(2, f3.elem(1), exclude_zero=True)]
-    for cs in bad:
-        with pytest.raises(ValueError):
-            list(enumerate_cone(f3, cs))
+_CONE_FUNCS = {
+    "cone_encs": cone_encs,
+    "iter_cone_encs": iter_cone_encs,
+    "sample_cone_encs": lambda ctx, n, k, mode: sample_cone_encs(
+        ctx, n, k, mode, False, 1, random.Random(0)),
+}
+
+
+@pytest.mark.parametrize("func", list(_CONE_FUNCS))
+@pytest.mark.parametrize("n,k,mode,message", [
+    (0, 0, FULL_FIELD, "dimension must be at least 1, got 0"),
+    (2, 0, "nope", "unknown mode 'nope'"),
+    (2, 4, FULL_FIELD, r"level code must lie in F_q = \[0, 3\), got 4"),
+    (2, -1, SUBFIELD, r"level code must lie in F_q = \[0, 3\), got -1"),
+], ids=["n0", "mode-nope", "k4", "k-1"])
+def test_cone_functions_reject_bad_arguments(f3, func, n, k, mode, message):
+    # refused on the call itself, before any vector is built or drawn
+    with pytest.raises(ValueError, match=message):
+        _CONE_FUNCS[func](f3, n, k, mode)
 
 
 def test_known_cone_sizes(f2):
@@ -155,24 +164,9 @@ def test_exclude_zero_only_affects_level_zero(f5):
         == cone_encs(f5, 2, 1, FULL_FIELD, True)
 
 
-def test_prefix_windows_tile_the_cone(f3):
-    cs = ConeSlice(3, f3.elem(1))
-    whole = tuple(iter_cone_encs(f3, 3, 1, FULL_FIELD))
-    parts = []
-    total = f3.q2 ** 2
-    step = 20
-    for start in range(0, total, step):
-        parts.extend(v.encs() for v in
-                     enumerate_cone(f3, cs, prefix_start=start,
-                                    prefix_stop=min(start + step, total)))
-    assert tuple(parts) == whole
-
-
 def test_capacity_refusal(f5):
     with pytest.raises(CapacityError):
         cone_encs(f5, 3, 0, FULL_FIELD, False, 100)
-    with pytest.raises(CapacityError):
-        list(enumerate_cone(f5, ConeSlice(3, f5.elem(0)), capacity=100))
 
 
 def test_sampling_is_seeded_and_sound(f5):

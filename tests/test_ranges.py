@@ -10,16 +10,17 @@ import random
 
 import pytest
 
+from hermrange import ranges
 from hermrange.fields import build_tower
 from hermrange.hermitian import (FULL_FIELD, SUBFIELD, CapacityError,
                                  HermMatrix, Vector, block_diag, cone_encs,
                                  inner)
 from hermrange.ranges import (EXHAUSTIVE, KIND_NUM0_PRIME,
                               KIND_NUM0_PRIME_SUBFIELD, KIND_NUM_K,
-                              KIND_NUM_K_SUBFIELD, SAMPLED, _gram, _values,
-                              fiber_count, fiber_table, gram_classes,
-                              num0_prime, num0_prime_subfield, num_k,
-                              num_k_subfield, range_naive,
+                              KIND_NUM_K_SUBFIELD, RANGE_KINDS, SAMPLED,
+                              _gram, _values, fiber_count, fiber_table,
+                              gram_classes, num0_prime, num0_prime_subfield,
+                              num_k, num_k_subfield, range_naive, range_of,
                               resolve_affine_shift, scaling_law_check)
 
 from conftest import TOWER_PARAMS
@@ -201,6 +202,52 @@ def test_validation_errors(f3, f4):
         num_k_subfield(_m(f3, [[3, 0], [0, 1]]), f3.one)
     with pytest.raises(ValueError):
         range_naive(_m(f3, [[0, 0], [0, 1]]), KIND_NUM0_PRIME, f3.one)
+
+
+@pytest.mark.parametrize("kind", list(RANGE_KINDS))
+def test_range_of_matches_the_entry_point_and_the_oracle(towers, kind):
+    mode, null = RANGE_KINDS[kind]
+    entry = getattr(ranges, kind)
+    rng = random.Random(89)
+    for q in (2, 3):
+        ctx = towers[q]
+        for _ in range(4):
+            m = _rand(ctx, rng, 2, ctx.q if mode == SUBFIELD else ctx.q2)
+            for ke in (0,) if null else range(ctx.q):
+                k = ctx.elem(ke)
+                got = range_of(m, kind, k)
+                assert got.kind == kind and got.k_enc == ke
+                assert got == (entry(m) if null else entry(m, k))
+                assert got == range_naive(m, kind, k)
+
+
+def test_range_of_refuses_what_the_table_does_not_allow(f3, f4):
+    m = _m(f3, [[0, 1], [2, 0]])
+    for call in (range_of, range_naive):
+        with pytest.raises(ValueError, match="unknown range kind 'nope'"):
+            call(m, "nope", f3.zero)
+        for kind, (_, null) in RANGE_KINDS.items():
+            if null:
+                with pytest.raises(ValueError, match="level zero only"):
+                    call(m, kind, f3.elem(2))
+                with pytest.raises(ValueError, match="different field"):
+                    call(m, kind, f4.zero)
+
+
+def test_range_of_reaches_entry_points_replaced_on_the_module(
+        monkeypatch, f2):
+    # a wrapper set on the module (as a call recorder does) is the one
+    # range_of calls, for every kind
+    calls = []
+    for kind in RANGE_KINDS:
+        def wrapped(*args, _fn=getattr(ranges, kind), _kind=kind, **kw):
+            calls.append(_kind)
+            return _fn(*args, **kw)
+        monkeypatch.setattr(ranges, kind, wrapped)
+    m = _m(f2, [[0, 1], [1, 0]])
+    for kind in RANGE_KINDS:
+        range_of(m, kind, f2.zero)
+    assert calls == list(RANGE_KINDS)
 
 
 def test_block_sum_value_sets_union_at_matching_levels(f2):

@@ -1,12 +1,17 @@
 """Sweep runners and the command line front end."""
 
+import argparse
+import hashlib
 import json
 from collections import Counter
 
 import pytest
 
 from hermrange import verify
-from hermrange.cli import main
+from hermrange.cli import build_parser, main
+from hermrange.fields import build_tower
+from hermrange.ranges import (KIND_NUM0_PRIME, KIND_NUM0_PRIME_SUBFIELD,
+                              RANGE_KINDS)
 from hermrange.verify import (COLLECT_FAILS, SCOPE_SCALAR_FIBERS,
                               run_direct_sums, run_exhaustive_2x2,
                               run_random_nxn, run_scalar_fibers, run_scope)
@@ -103,13 +108,64 @@ def test_exhaustive_subfield_sweep_evaluates_each_class_once(monkeypatch, f3):
 
 
 def test_scope_dispatch(f2):
-    report = run_scope(f2, SCOPE_SCALAR_FIBERS, n_values=(2,))
+    report = run_scope(f2, SCOPE_SCALAR_FIBERS, n=2)
     assert report["config"]["scope"] == SCOPE_SCALAR_FIBERS
     with pytest.raises(ValueError):
         run_scope(f2, "everything")
 
 
 # command line
+
+
+# verify argument lists, the run_scope call each must match, and the
+# sha256 of the report bytes; digests predate cmd_verify calling run_scope
+CLI_SCOPES = (
+    ("--p 3 --scope exhaustive-2x2", (3, "exhaustive-2x2", {}),
+     "ead5ca97dd4e859e22efd67768483b9fa93d3cc93840cdace243f2034ae2f706"),
+    ("--p 3 --scope random-nxn", (3, "random-nxn", {}),
+     "c6bfba149e900fb07af86bbce1140159a5af9999a8d6e3986a5e3cd4000e9c8a"),
+    ("--p 3 --scope direct-sums --count 12",
+     (3, "direct-sums", {"count": 12}),
+     "e4a7b5ea8ddbc89222bea56ea402eb3bdcd092a6b5561c857ddd9fd221b52313"),
+    ("--p 3 --scope scalar-fibers --n 3", (3, "scalar-fibers", {"n": 3}),
+     "01b06a99085faaaf39a3d943475ef19e449034d3a24f626fb3b0be6a43be0c7e"),
+    ("--p 2 --scope random-nxn --space full --n 2 --count 40",
+     (2, "random-nxn", {"space": "full", "n": 2, "count": 40}),
+     "e6e2576d2d4449e3af4a98fa7d33cb4c73ab46b1f939d01b0ed2792eb3b4f953"),
+    ("--p 2 --scope exhaustive-2x2 --space both",
+     (2, "exhaustive-2x2", {"space": "both"}),
+     "c85a600e73dce013990c12e429106d479e3a471363825100a9352871fc99a8c6"),
+)
+
+
+@pytest.mark.parametrize("argv,call,expect", CLI_SCOPES,
+                         ids=[c[1][1] + "-" + str(i)
+                              for i, c in enumerate(CLI_SCOPES)])
+def test_cli_verify_writes_the_run_scope_report(tmp_path, argv, call, expect):
+    dest = tmp_path / "report.json"
+    assert main(["verify", *argv.split(), "--out", str(dest)]) == 0
+    data = dest.read_bytes()
+    p, scope, kw = call
+    report = run_scope(build_tower(p), scope, **kw)
+    text = json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+    assert data == text.encode("utf-8")
+    assert hashlib.sha256(data).hexdigest() == expect
+
+
+def test_cli_kind_choices_are_the_range_table():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    kind = next(a for a in sub.choices["range"]._actions if a.dest == "kind")
+    assert tuple(kind.choices) == tuple(RANGE_KINDS)
+
+
+@pytest.mark.parametrize("kind", [KIND_NUM0_PRIME, KIND_NUM0_PRIME_SUBFIELD])
+def test_cli_null_kinds_refuse_a_nonzero_level(capsys, kind):
+    argv = ["range", "--p", "3", "--matrix", "0,1;2,0", "--kind", kind]
+    assert main(argv + ["--k", "2"]) == 2
+    assert "level zero only, got level 2" in capsys.readouterr().err
+    assert main(argv + ["--k", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["kind"] == kind
 
 
 def test_cli_range_json(capsys):
