@@ -32,8 +32,8 @@ from .ranges import (EXHAUSTIVE, KIND_NUM0_PRIME, KIND_NUM0_PRIME_SUBFIELD,
                      scaling_law_check)
 from .verify import (SCOPE_DIRECT_SUMS, SCOPE_EXHAUSTIVE_2X2,
                      SCOPE_RANDOM_NXN, SCOPE_SCALAR_FIBERS, VERIFY_SCOPES,
-                     run_direct_sums, run_exhaustive_2x2, run_random_nxn,
-                     run_scalar_fibers, run_scope)
+                     evaluate, run_direct_sums, run_exhaustive_2x2,
+                     run_random_nxn, run_scalar_fibers, run_scope)
 
 __version__ = "0.1.0"
 

@@ -3,9 +3,9 @@
 Each rule inspects a matrix's eigenstructure or coefficient pattern and,
 when its hypothesis holds, emits Prediction records: exact sets, exact
 cardinalities, bounds, memberships, or line shapes, each tagged with the
-rule that produced it.  check_prediction compares one record against a
-computed RangeSet (or a fiber count) and returns a verdict, so a sweep
-over a matrix space validates the whole rule table mechanically.
+rule that produced it.  check_prediction evaluates one record's claim
+on a computed RangeSet (or a fiber count) and returns a verdict, so a
+sweep over a matrix space validates the whole rule table mechanically.
 
 Rules never guess: a matrix matching no hypothesis gets only the
 universal facts.  All hypotheses on subfield ranges are evaluated on the
@@ -42,10 +42,6 @@ PASS = "pass"
 FAIL = "fail"
 INAPPLICABLE = "inapplicable"
 
-# claims that a sampled (subset) observation can never settle
-_NEEDS_EXHAUSTIVE = (CLAIM_EXACT_SET, CLAIM_EXACT_CARD, CLAIM_UPPER_BOUND,
-                     CLAIM_LINE)
-
 
 @dataclass(frozen=True)
 class EigenData2:
@@ -74,30 +70,35 @@ class EigenData2:
         return tuple(Vector.from_encs(self.ctx, v)
                      for v in self.eigenvector_encs)
 
+    @property
+    def orthogonal_eigenbasis(self) -> bool:
+        """Two distinct eigenvalues whose eigenvectors are non-isotropic
+        and orthogonal: the Gram test for unitary diagonalizability."""
+        if self.status != TWO_DISTINCT or any(self.isotropic):
+            return False
+        u1, u2 = self.eigenvector_encs
+        return inner_encs(self.ctx, u1, u2) == 0
+
 
 @dataclass(frozen=True)
 class Prediction:
     """One checkable claim about one range, tagged by its source rule.
 
     scope names the range kind (or fiber_zero for the null-fiber count)
-    and k_enc the level; the claim constant picks which payload fields
-    are meaningful: values for exact_set/superset, count for
-    cardinalities and bounds, member_enc/member_in for membership,
-    line_full/direction_enc for line shapes.  nonzero_only makes a
-    lower bound count only the nonzero values.
+    and k_enc the level.  target is the claim's one datum: the sorted
+    value codes for exact_set and superset, an int for exact_card,
+    lower_bound and upper_bound, a bool (0 is in the range) for
+    membership, and None for empty and for line, a full F_q-line
+    through 0.  nonzero_only makes a lower bound count only the nonzero
+    values.
     """
 
     basis: str
     scope: str
     k_enc: int
     claim: str
-    values: tuple[int, ...] | None = None
-    count: int | None = None
-    member_enc: int | None = None
-    member_in: bool | None = None
+    target: tuple[int, ...] | int | bool | None = None
     nonzero_only: bool = False
-    line_full: bool = False
-    direction_enc: int | None = None
 
 
 def _kernel_vector(ctx: FieldCtx, rows) -> tuple[int, int] | None:
@@ -138,24 +139,31 @@ def eigen2(m: HermMatrix) -> EigenData2:
 
 def unitarily_diagonalizable_2x2(m: HermMatrix) -> bool:
     """Gram test: an orthogonal eigenbasis of non-isotropic vectors."""
-    if m.is_scalar:
-        return True
-    e = eigen2(m)
-    if e.status != TWO_DISTINCT:
-        return False
-    u1, u2 = e.eigenvector_encs
-    return (not e.isotropic[0] and not e.isotropic[1]
-            and inner_encs(m.ctx, u1, u2) == 0)
+    return m.is_scalar or eigen2(m).orthogonal_eigenbasis
 
 
-def _line_values(ctx: FieldCtx, direction_enc: int, full: bool) -> tuple[int, ...]:
+def _line_values(ctx: FieldCtx, direction: int, full: bool) -> tuple[int, ...]:
     start = 0 if full else 1
-    return tuple(sorted(ctx.mul_enc(t, direction_enc)
+    return tuple(sorted(ctx.mul_enc(t, direction)
                         for t in range(start, ctx.q)))
 
 
 def _half_up(x: int) -> int:
     return (x + 1) // 2
+
+
+_ZERO_IN_NUM0 = Prediction("zero-in-num0", KIND_NUM_K, 0, CLAIM_MEMBER, True)
+_REMARK4 = Prediction("remark4", KIND_NUM0_PRIME, 0, CLAIM_EXACT_SET, (0,))
+
+
+def _level0_header(q: int, scalar: bool) -> list[Prediction]:
+    """The universal level-0 facts: 0 is in the level-0 range, and a
+    scalar matrix has null-range {0} while any other matrix has at
+    least ceil((q+1)/2) level-0 values."""
+    if scalar:
+        return [_ZERO_IN_NUM0, _REMARK4]
+    return [_ZERO_IN_NUM0, Prediction("cor1", KIND_NUM_K, 0,
+                                      CLAIM_LOWER_BOUND, _half_up(q + 1))]
 
 
 def predict_full_field(m: HermMatrix) -> list[Prediction]:
@@ -165,52 +173,37 @@ def predict_full_field(m: HermMatrix) -> list[Prediction]:
     ctx = m.ctx
     q, q2 = ctx.q, ctx.q2
 
-    preds = [Prediction(basis="zero-in-num0", scope=KIND_NUM_K, k_enc=0,
-                        claim=CLAIM_MEMBER, member_enc=0, member_in=True)]
+    preds = _level0_header(q, m.is_scalar)
     if m.is_scalar:
-        preds.append(Prediction(basis="remark4", scope=KIND_NUM0_PRIME, k_enc=0,
-                                claim=CLAIM_EXACT_SET, values=(0,)))
         return preds
 
-    # any non-scalar matrix carries the halved lower bound on the zero level
-    preds.append(Prediction(basis="cor1", scope=KIND_NUM_K, k_enc=0,
-                            claim=CLAIM_LOWER_BOUND, count=_half_up(q + 1)))
-
     e = eigen2(m)
-    if e.status == TWO_DISTINCT:
-        u1, u2 = e.eigenvector_encs
-        iso1, iso2 = e.isotropic
-        if not iso1 and not iso2 and inner_encs(ctx, u1, u2) == 0:
-            c1, c2 = e.eigenvalue_encs
-            diff = ctx.sub_enc(c2, c1)
-            preds.append(Prediction(
-                basis="prop1d", scope=KIND_NUM0_PRIME, k_enc=0,
-                claim=CLAIM_EXACT_SET, values=_line_values(ctx, diff, False)))
-        elif iso1 and iso2:
-            preds.append(Prediction(basis="prop3", scope=KIND_NUM0_PRIME,
-                                    k_enc=0, claim=CLAIM_LINE, line_full=True))
+    if e.orthogonal_eigenbasis:
+        c1, c2 = e.eigenvalue_encs
+        preds.append(Prediction(
+            "prop1d", KIND_NUM0_PRIME, 0, CLAIM_EXACT_SET,
+            _line_values(ctx, ctx.sub_enc(c2, c1), False)))
+    elif e.status == TWO_DISTINCT and all(e.isotropic):
+        preds.append(Prediction("prop3", KIND_NUM0_PRIME, 0, CLAIM_LINE))
     elif (e.status == REPEATED and e.eigenspace_dims == (1,)
           and not e.isotropic[0]):
-        preds.append(Prediction(basis="prop2", scope=KIND_NUM0_PRIME, k_enc=0,
-                                claim=CLAIM_MEMBER, member_enc=0,
-                                member_in=False))
+        preds.append(Prediction("prop2", KIND_NUM0_PRIME, 0, CLAIM_MEMBER,
+                                False))
         card = q2 - 1 if q % 2 == 0 else (q2 - 1) // 2
-        preds.append(Prediction(basis="prop2", scope=KIND_NUM0_PRIME, k_enc=0,
-                                claim=CLAIM_EXACT_CARD, count=card))
+        preds.append(Prediction("prop2", KIND_NUM0_PRIME, 0, CLAIM_EXACT_CARD,
+                                card))
         if q % 2 == 0:
-            preds.append(Prediction(basis="prop2", scope=KIND_NUM0_PRIME,
-                                    k_enc=0, claim=CLAIM_EXACT_SET,
-                                    values=tuple(range(1, q2))))
+            preds.append(Prediction("prop2", KIND_NUM0_PRIME, 0,
+                                    CLAIM_EXACT_SET, tuple(range(1, q2))))
 
     (_, m12), (m21, _) = m.encs()
     if m12 and m21:
-        preds.append(Prediction(basis="prop4.i", scope=KIND_NUM0_PRIME, k_enc=0,
-                                claim=CLAIM_LOWER_BOUND, count=_half_up(q + 1)))
+        preds.append(Prediction("prop4.i", KIND_NUM0_PRIME, 0,
+                                CLAIM_LOWER_BOUND, _half_up(q + 1)))
         ratio = ctx.div_enc(ctx.neg_enc(m12), m21)
         if ctx.norm_enc(ratio) != 1:
-            preds.append(Prediction(basis="prop4.ii", scope=KIND_NUM0_PRIME,
-                                    k_enc=0, claim=CLAIM_LOWER_BOUND,
-                                    count=q + 1))
+            preds.append(Prediction("prop4.ii", KIND_NUM0_PRIME, 0,
+                                    CLAIM_LOWER_BOUND, q + 1))
     return preds
 
 
@@ -239,25 +232,16 @@ def predict_unitary_diagonal(ctx: FieldCtx,
     q, q2 = ctx.q, ctx.q2
     kdist = len(pairs)
 
-    preds = [Prediction(basis="zero-in-num0", scope=KIND_NUM_K, k_enc=0,
-                        claim=CLAIM_MEMBER, member_enc=0, member_in=True)]
+    preds = _level0_header(q, kdist == 1)
     if kdist == 1:
-        preds.append(Prediction(basis="remark4", scope=KIND_NUM0_PRIME, k_enc=0,
-                                claim=CLAIM_EXACT_SET, values=(0,)))
         return preds
-
-    preds.append(Prediction(basis="cor1", scope=KIND_NUM_K, k_enc=0,
-                            claim=CLAIM_LOWER_BOUND, count=_half_up(q + 1)))
     if kdist == 2:
+        # n = 2 punctures the line through the eigenvalue gap (prop1d);
+        # a repeated eigenvalue fills it (prop1c)
         diff = (pairs[1][0] - pairs[0][0]).enc
-        if n == 2:
-            preds.append(Prediction(
-                basis="prop1d", scope=KIND_NUM0_PRIME, k_enc=0,
-                claim=CLAIM_EXACT_SET, values=_line_values(ctx, diff, False)))
-        else:
-            preds.append(Prediction(
-                basis="prop1c", scope=KIND_NUM0_PRIME, k_enc=0,
-                claim=CLAIM_EXACT_SET, values=_line_values(ctx, diff, True)))
+        basis = "prop1d" if n == 2 else "prop1c"
+        preds.append(Prediction(basis, KIND_NUM0_PRIME, 0, CLAIM_EXACT_SET,
+                                _line_values(ctx, diff, n > 2)))
         return preds
 
     # Three or more distinct eigenvalues fill the zero level, provided
@@ -269,9 +253,8 @@ def predict_unitary_diagonal(ctx: FieldCtx,
     spanning = any(not ((c - c0) / base_gap).in_subfield
                    for c, _ in pairs[2:])
     if spanning:
-        preds.append(Prediction(basis="prop1a", scope=KIND_NUM_K, k_enc=0,
-                                claim=CLAIM_EXACT_SET,
-                                values=tuple(range(q2))))
+        preds.append(Prediction("prop1a", KIND_NUM_K, 0, CLAIM_EXACT_SET,
+                                tuple(range(q2))))
     if kdist >= 4 or n >= 4:
         zero_in = True
     else:
@@ -279,9 +262,8 @@ def predict_unitary_diagonal(ctx: FieldCtx,
         # F_q-proportional
         c1, c2, c3 = (c for c, _ in pairs)
         zero_in = ((c3 - c1) / (c2 - c1)).in_subfield
-    preds.append(Prediction(basis="prop1b", scope=KIND_NUM0_PRIME, k_enc=0,
-                            claim=CLAIM_MEMBER, member_enc=0,
-                            member_in=zero_in))
+    preds.append(Prediction("prop1b", KIND_NUM0_PRIME, 0, CLAIM_MEMBER,
+                            zero_in))
     return preds
 
 
@@ -324,10 +306,9 @@ def predict_direct_sum(a: HermMatrix, b: HermMatrix,
         zero_in = bool(set(num1_a.values) & set(num1_b.values))
 
     return [
-        Prediction(basis="lemma2", scope=KIND_NUM_K, k_enc=0,
-                   claim=CLAIM_EXACT_SET, values=tuple(sorted(assembled))),
-        Prediction(basis="lemma2", scope=KIND_NUM0_PRIME, k_enc=0,
-                   claim=CLAIM_MEMBER, member_enc=0, member_in=zero_in),
+        Prediction("lemma2", KIND_NUM_K, 0, CLAIM_EXACT_SET,
+                   tuple(sorted(assembled))),
+        Prediction("lemma2", KIND_NUM0_PRIME, 0, CLAIM_MEMBER, zero_in),
     ]
 
 
@@ -369,132 +350,116 @@ def predict_subfield(m: HermMatrix, k: FieldElem) -> list[Prediction]:
     all_d_equal = all(x == d[0] for x in d)
     preds: list[Prediction] = []
 
-    def emit(**kw):
-        preds.append(Prediction(**kw))
+    def emit(*args):
+        preds.append(Prediction(*args))
 
     if n == 2:
         d1, d2 = d
         s12 = s[(0, 1)]
         if qmod4 == 3 and at_zero:
-            emit(basis="prop5.i", scope=KIND_NUM0_PRIME_SUBFIELD, k_enc=0,
-                 claim=CLAIM_EMPTY)
+            emit("prop5.i", KIND_NUM0_PRIME_SUBFIELD, 0, CLAIM_EMPTY)
         if q % 2 == 0:
             t = ctx.q_add(ctx.q_add(d1, d2), s12)
             if t != 0:
                 if at_zero:
-                    emit(basis="prop5.ii", scope=KIND_NUM0_PRIME_SUBFIELD,
-                         k_enc=0, claim=CLAIM_EXACT_SET,
-                         values=tuple(range(1, q)))
+                    emit("prop5.ii", KIND_NUM0_PRIME_SUBFIELD, 0,
+                         CLAIM_EXACT_SET, tuple(range(1, q)))
                 else:
-                    emit(basis="prop5.ii", scope=KIND_NUM_K_SUBFIELD,
-                         k_enc=k.enc, claim=CLAIM_LOWER_BOUND, count=q // 2)
+                    emit("prop5.ii", KIND_NUM_K_SUBFIELD, k.enc,
+                         CLAIM_LOWER_BOUND, q // 2)
             elif at_zero:
-                emit(basis="prop5.ii", scope=KIND_NUM0_PRIME_SUBFIELD, k_enc=0,
-                     claim=CLAIM_EXACT_SET, values=(0,))
+                emit("prop5.ii", KIND_NUM0_PRIME_SUBFIELD, 0, CLAIM_EXACT_SET,
+                     (0,))
             if s12 == 0 and d1 != d2 and not at_zero:
-                emit(basis="prop5.ii", scope=KIND_NUM_K_SUBFIELD, k_enc=k.enc,
-                     claim=CLAIM_EXACT_SET, values=tuple(range(q)))
+                emit("prop5.ii", KIND_NUM_K_SUBFIELD, k.enc, CLAIM_EXACT_SET,
+                     tuple(range(q)))
         if qmod4 == 1:
             if s12 != 0 and at_zero:
-                emit(basis="prop5.iii1", scope=KIND_NUM_K_SUBFIELD, k_enc=0,
-                     claim=CLAIM_LOWER_BOUND, count=(q - 1) // 2,
-                     nonzero_only=True)
+                emit("prop5.iii1", KIND_NUM_K_SUBFIELD, 0, CLAIM_LOWER_BOUND,
+                     (q - 1) // 2, True)
             if s12 == 0 and d1 == d2:
-                emit(basis="prop5.iii2", scope=KIND_NUM_K_SUBFIELD, k_enc=k.enc,
-                     claim=CLAIM_EXACT_SET,
-                     values=(ctx.q_mul(k.enc, d1),))
+                emit("prop5.iii2", KIND_NUM_K_SUBFIELD, k.enc, CLAIM_EXACT_SET,
+                     (ctx.q_mul(k.enc, d1),))
                 if at_zero:
-                    emit(basis="prop5.iii2", scope=KIND_NUM0_PRIME_SUBFIELD,
-                         k_enc=0, claim=CLAIM_MEMBER, member_enc=0,
-                         member_in=True)
+                    emit("prop5.iii2", KIND_NUM0_PRIME_SUBFIELD, 0,
+                         CLAIM_MEMBER, True)
             if s12 == 0 and d1 != d2:
                 if at_zero:
-                    emit(basis="prop5.iii2", scope=KIND_NUM_K_SUBFIELD, k_enc=0,
-                         claim=CLAIM_EXACT_CARD, count=(q + 1) // 2)
-                    emit(basis="prop5.iii2", scope=KIND_NUM0_PRIME_SUBFIELD,
-                         k_enc=0, claim=CLAIM_EXACT_CARD, count=(q - 1) // 2)
+                    emit("prop5.iii2", KIND_NUM_K_SUBFIELD, 0,
+                         CLAIM_EXACT_CARD, (q + 1) // 2)
+                    emit("prop5.iii2", KIND_NUM0_PRIME_SUBFIELD, 0,
+                         CLAIM_EXACT_CARD, (q - 1) // 2)
                 else:
-                    emit(basis="remark10", scope=KIND_NUM_K_SUBFIELD,
-                         k_enc=k.enc, claim=CLAIM_UPPER_BOUND,
-                         count=(q + 1) // 2)
+                    emit("remark10", KIND_NUM_K_SUBFIELD, k.enc,
+                         CLAIM_UPPER_BOUND, (q + 1) // 2)
 
     if q % 2 == 0 and at_zero:
-        emit(basis="prop6.a", scope=KIND_NUM0_PRIME_SUBFIELD, k_enc=0,
-             claim=CLAIM_LOWER_BOUND, count=1)
+        emit("prop6.a", KIND_NUM0_PRIME_SUBFIELD, 0, CLAIM_LOWER_BOUND, 1)
         balanced = all(ctx.q_add(ctx.q_add(d[i], d[j]), s[(i, j)]) == 0
                        for (i, j) in s)
         if balanced:
-            emit(basis="prop6.b", scope=KIND_NUM0_PRIME_SUBFIELD, k_enc=0,
-                 claim=CLAIM_EXACT_SET, values=(0,))
+            emit("prop6.b", KIND_NUM0_PRIME_SUBFIELD, 0, CLAIM_EXACT_SET, (0,))
         elif n == 2:
-            emit(basis="prop6.c", scope=KIND_NUM0_PRIME_SUBFIELD, k_enc=0,
-                 claim=CLAIM_EXACT_SET, values=tuple(range(1, q)))
+            emit("prop6.c", KIND_NUM0_PRIME_SUBFIELD, 0, CLAIM_EXACT_SET,
+                 tuple(range(1, q)))
         elif n == 3:
-            emit(basis="prop6.c", scope=KIND_NUM0_PRIME_SUBFIELD, k_enc=0,
-                 claim=CLAIM_SUPERSET, values=tuple(range(1, q)))
+            emit("prop6.c", KIND_NUM0_PRIME_SUBFIELD, 0, CLAIM_SUPERSET,
+                 tuple(range(1, q)))
         else:
-            emit(basis="prop6.c", scope=KIND_NUM0_PRIME_SUBFIELD, k_enc=0,
-                 claim=CLAIM_EXACT_SET, values=tuple(range(q)))
+            emit("prop6.c", KIND_NUM0_PRIME_SUBFIELD, 0, CLAIM_EXACT_SET,
+                 tuple(range(q)))
         if n >= 4:
-            emit(basis="cor2", scope=KIND_NUM0_PRIME_SUBFIELD, k_enc=0,
-                 claim=CLAIM_MEMBER, member_enc=0, member_in=True)
+            emit("cor2", KIND_NUM0_PRIME_SUBFIELD, 0, CLAIM_MEMBER, True)
 
     if qmod4 == 1:
         if all_s_zero and all_d_equal:
-            emit(basis="cor4.i", scope=KIND_NUM_K_SUBFIELD, k_enc=k.enc,
-                 claim=CLAIM_EXACT_SET, values=(ctx.q_mul(k.enc, d[0]),))
+            emit("cor4.i", KIND_NUM_K_SUBFIELD, k.enc, CLAIM_EXACT_SET,
+                 (ctx.q_mul(k.enc, d[0]),))
             if at_zero:
-                emit(basis="cor4.i", scope=KIND_NUM0_PRIME_SUBFIELD, k_enc=0,
-                     claim=CLAIM_MEMBER, member_enc=0, member_in=True)
+                emit("cor4.i", KIND_NUM0_PRIME_SUBFIELD, 0, CLAIM_MEMBER, True)
         elif at_zero:
-            emit(basis="cor4.ii", scope=KIND_NUM_K_SUBFIELD, k_enc=0,
-                 claim=CLAIM_LOWER_BOUND, count=(q - 1) // 2,
-                 nonzero_only=True)
+            emit("cor4.ii", KIND_NUM_K_SUBFIELD, 0, CLAIM_LOWER_BOUND,
+                 (q - 1) // 2, True)
 
     if q % 2 == 1 and n >= 5 and at_zero:
-        emit(basis="cor3", scope=KIND_NUM0_PRIME_SUBFIELD, k_enc=0,
-             claim=CLAIM_MEMBER, member_enc=0, member_in=True)
+        emit("cor3", KIND_NUM0_PRIME_SUBFIELD, 0, CLAIM_MEMBER, True)
 
     if all_s_zero and all_d_equal and d[0] != 0 and at_zero:
-        emit(basis="prop7", scope=SCOPE_FIBER_ZERO, k_enc=0,
-             claim=CLAIM_EXACT_CARD, count=scalar_fiber_formula(q, n))
+        emit("prop7", SCOPE_FIBER_ZERO, 0, CLAIM_EXACT_CARD,
+             scalar_fiber_formula(q, n))
         if q % 2 == 0 or n >= 3 or qmod4 == 1:
-            emit(basis="prop7", scope=KIND_NUM0_PRIME_SUBFIELD, k_enc=0,
-                 claim=CLAIM_EXACT_SET, values=(0,))
+            emit("prop7", KIND_NUM0_PRIME_SUBFIELD, 0, CLAIM_EXACT_SET, (0,))
         else:
-            emit(basis="prop7", scope=KIND_NUM0_PRIME_SUBFIELD, k_enc=0,
-                 claim=CLAIM_EMPTY)
+            emit("prop7", KIND_NUM0_PRIME_SUBFIELD, 0, CLAIM_EMPTY)
 
     if qmod4 == 3 and n >= 3 and at_zero:
-        emit(basis="prop8", scope=KIND_NUM0_PRIME_SUBFIELD, k_enc=0,
-             claim=CLAIM_LOWER_BOUND, count=1)
+        emit("prop8", KIND_NUM0_PRIME_SUBFIELD, 0, CLAIM_LOWER_BOUND, 1)
 
     if (q % 2 == 1 and (n >= 3 or qmod4 == 1) and all_s_zero
             and d[0] != d[1] and all(x == d[1] for x in d[1:])):
         if at_zero:
-            emit(basis="prop9", scope=KIND_NUM_K_SUBFIELD, k_enc=0,
-                 claim=CLAIM_EXACT_CARD, count=(q + 1) // 2)
+            emit("prop9", KIND_NUM_K_SUBFIELD, 0, CLAIM_EXACT_CARD,
+                 (q + 1) // 2)
             diff = ctx.q_sub(d[1], d[0])
             inv = ctx.q_inv(diff)
             members = [0] + [a for a in range(1, q)
                              if ctx.q_is_square(ctx.q_mul(ctx.q_neg(a), inv))]
-            emit(basis="prop9", scope=KIND_NUM_K_SUBFIELD, k_enc=0,
-                 claim=CLAIM_EXACT_SET, values=tuple(sorted(members)))
-            emit(basis="prop9", scope=KIND_NUM0_PRIME_SUBFIELD, k_enc=0,
-                 claim=CLAIM_MEMBER, member_enc=0,
-                 member_in=n >= 4 or (n == 3 and qmod4 == 1))
+            emit("prop9", KIND_NUM_K_SUBFIELD, 0, CLAIM_EXACT_SET,
+                 tuple(sorted(members)))
+            emit("prop9", KIND_NUM0_PRIME_SUBFIELD, 0, CLAIM_MEMBER,
+                 n >= 4 or (n == 3 and qmod4 == 1))
 
     if (q % 2 == 1 and n >= 3 and all_s_zero and not all_d_equal and at_zero
             and not (q == 3 and n == 3 and len(set(d)) == 3)):
         # q=3 with three distinct diagonal values is excluded: there the
         # nonzero part of the level-0 cone forces every square to 1, the
         # values collapse to d1+d2+d3 = 0, and the bound fails
-        emit(basis="prop10", scope=KIND_NUM_K_SUBFIELD, k_enc=0,
-             claim=CLAIM_LOWER_BOUND, count=(q + 1) // 2)
+        emit("prop10", KIND_NUM_K_SUBFIELD, 0, CLAIM_LOWER_BOUND,
+             (q + 1) // 2)
 
     if q % 2 == 1 and n >= 3 and _bounded_skew_triple(ctx, d, s, k.enc):
-        emit(basis="prop11", scope=KIND_NUM_K_SUBFIELD, k_enc=k.enc,
-             claim=CLAIM_LOWER_BOUND, count=(q + 1) // 2)
+        emit("prop11", KIND_NUM_K_SUBFIELD, k.enc, CLAIM_LOWER_BOUND,
+             (q + 1) // 2)
 
     return preds
 
@@ -558,25 +523,45 @@ def scalar_fiber_formula(q: int, n: int) -> int:
     return q ** (2 * s - 1) - q ** s + q ** (s - 1)
 
 
-def _check_line(pred: Prediction, ctx: FieldCtx, values: set[int]) -> str:
-    if pred.direction_enc is not None:
-        candidates = [pred.direction_enc]
-    else:
-        candidates = [v for v in values if v]
-    for o in candidates:
-        if values == set(_line_values(ctx, o, pred.line_full)):
-            return PASS
-    return FAIL
+def _holds(pred: Prediction, ctx: FieldCtx, values: set[int]) -> bool:
+    """Whether the claim is true of the observed value set."""
+    claim, target = pred.claim, pred.target
+    if claim == CLAIM_LOWER_BOUND:
+        return len(values - {0} if pred.nonzero_only else values) >= target
+    if claim == CLAIM_MEMBER:
+        return (0 in values) == target
+    if claim == CLAIM_EXACT_SET:
+        return values == set(target)
+    if claim == CLAIM_EXACT_CARD:
+        return len(values) == target
+    if claim == CLAIM_UPPER_BOUND:
+        return len(values) <= target
+    if claim == CLAIM_EMPTY:
+        return not values
+    if claim == CLAIM_SUPERSET:
+        return set(target) <= values
+    if claim == CLAIM_LINE:
+        # any nonzero value of a line through 0 spans it
+        o = next((v for v in values if v), None)
+        return o is not None and values == set(_line_values(ctx, o, True))
+    raise ValueError(f"unknown claim {claim!r}")
 
 
 def check_prediction(pred: Prediction, observed) -> str:
-    """Compare one claim against a computed range or fiber count."""
+    """Compare one claim against a computed range or fiber count.
+
+    On an exhaustive range the verdict is pass or fail.  A sampled range
+    is a subset of the true range: it passes a claim that every superset
+    keeps (lower_bound, superset, 0 in the range) and fails one that
+    every superset breaks (empty, 0 not in the range); every other
+    sampled case is inapplicable.
+    """
     if isinstance(observed, FiberCount):
         if pred.scope != SCOPE_FIBER_ZERO or observed.value.enc != pred.k_enc:
             raise ValueError("prediction does not describe this fiber count")
         if pred.claim != CLAIM_EXACT_CARD:
             raise ValueError(f"fiber claims must be exact counts, got {pred.claim}")
-        return PASS if observed.count == pred.count else FAIL
+        return PASS if observed.count == pred.target else FAIL
 
     if not isinstance(observed, RangeSet):
         raise ValueError(f"cannot check against {type(observed).__name__}")
@@ -585,41 +570,14 @@ def check_prediction(pred: Prediction, observed) -> str:
             f"prediction for {pred.scope}@k={pred.k_enc} paired with "
             f"{observed.kind}@k={observed.k_enc}")
 
-    exhaustive = observed.mode == EXHAUSTIVE
-    values = set(observed.values)
+    holds = _holds(pred, observed.ctx, set(observed.values))
+    if observed.mode == EXHAUSTIVE:
+        return PASS if holds else FAIL
     claim = pred.claim
-
-    if not exhaustive and claim in _NEEDS_EXHAUSTIVE:
-        return INAPPLICABLE
-
-    if claim == CLAIM_EXACT_SET:
-        return PASS if values == set(pred.values) else FAIL
-    if claim == CLAIM_EXACT_CARD:
-        return PASS if len(values) == pred.count else FAIL
-    if claim == CLAIM_UPPER_BOUND:
-        return PASS if len(values) <= pred.count else FAIL
-    if claim == CLAIM_LINE:
-        return _check_line(pred, observed.ctx, values)
-    if claim == CLAIM_LOWER_BOUND:
-        relevant = len(values - {0}) if pred.nonzero_only else len(values)
-        if relevant >= pred.count:
-            return PASS
-        return FAIL if exhaustive else INAPPLICABLE
-    if claim == CLAIM_MEMBER:
-        present = pred.member_enc in values
-        if pred.member_in:
-            if present:
-                return PASS
-            return FAIL if exhaustive else INAPPLICABLE
-        if present:
-            return FAIL
-        return PASS if exhaustive else INAPPLICABLE
-    if claim == CLAIM_EMPTY:
-        if values:
-            return FAIL
-        return PASS if exhaustive else INAPPLICABLE
-    if claim == CLAIM_SUPERSET:
-        if set(pred.values) <= values:
-            return PASS
-        return FAIL if exhaustive else INAPPLICABLE
-    raise ValueError(f"unknown claim {claim!r}")
+    if holds and (claim in (CLAIM_LOWER_BOUND, CLAIM_SUPERSET)
+                  or claim == CLAIM_MEMBER and pred.target):
+        return PASS
+    if not holds and (claim == CLAIM_EMPTY
+                      or claim == CLAIM_MEMBER and not pred.target):
+        return FAIL
+    return INAPPLICABLE

@@ -6,7 +6,8 @@ the null fibers of a subfield matrix.  All output is deterministic for
 a fixed argument list, including the seed of randomized sweeps.
 
 Exit codes: 0 success, 1 verification found a failing claim, 2 bad
-usage or input, 3 enumeration over capacity.
+usage or input (an output file that cannot be written included), 3
+enumeration over capacity, 4 internal error.
 """
 
 from __future__ import annotations
@@ -96,11 +97,14 @@ def _load_matrix(args) -> tuple[FieldCtx, HermMatrix]:
 
 
 def _write(cfg: RunConfig, text: str) -> None:
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    try:
+        if cfg.out:
+            with open(cfg.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {cfg.out or 'stdout'}: {exc}") from exc
 
 
 def _json_bytes(payload) -> str:
@@ -223,21 +227,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        if args.command == "range":
+        if args.command == "verify":
+            ctx, m = _resolve_ctx(args, None), None
+        else:
             ctx, m = _load_matrix(args)
-            cfg = RunConfig(ctx=ctx, capacity=args.capacity,
-                            sample_budget=args.sample_budget, seed=args.seed,
-                            fmt=args.fmt, out=args.out)
+        cfg = RunConfig(ctx=ctx, capacity=args.capacity,
+                        sample_budget=getattr(args, "sample_budget", None),
+                        seed=args.seed, fmt=args.fmt, out=args.out)
+        if args.command == "range":
             return cmd_range(cfg, m, args.kind, args.k)
         if args.command == "verify":
-            ctx = _resolve_ctx(args, None)
-            cfg = RunConfig(ctx=ctx, capacity=args.capacity,
-                            sample_budget=None, seed=args.seed,
-                            fmt=args.fmt, out=args.out)
             return cmd_verify(cfg, args)
-        ctx, m = _load_matrix(args)
-        cfg = RunConfig(ctx=ctx, capacity=args.capacity, sample_budget=None,
-                        seed=args.seed, fmt=args.fmt, out=args.out)
         return cmd_fibers(cfg, m)
     except CapacityError as exc:
         print(f"hermrange: {exc}", file=sys.stderr)
@@ -245,6 +245,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"hermrange: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # exit 1 is reserved for failing claims
+        print(f"hermrange: internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 4
 
 
 def entry() -> None:

@@ -235,7 +235,6 @@ def range_of(m: HermMatrix, kind: str, k: FieldElem, **kw) -> RangeSet:
     return _ENTRY_POINTS[kind](m, **kw)
 
 
-
 def range_naive(m: HermMatrix, kind: str, k: FieldElem) -> RangeSet:
     """Full-space filter oracle for any of the range kinds."""
     ctx = m.ctx
@@ -248,16 +247,11 @@ def range_naive(m: HermMatrix, kind: str, k: FieldElem) -> RangeSet:
 
 def fiber_count(m: HermMatrix, a: FieldElem, *,
                 capacity: int = DEFAULT_CAPACITY) -> FiberCount:
-    """How many subfield null vectors (zero included) pair to the value a."""
-    ctx = m.ctx
-    if not m.has_subfield_coeffs:
-        raise ValueError("fiber counting needs a matrix with F_q entries")
-    if a.ctx is not ctx or not a.in_subfield:
+    """How many subfield null vectors (zero included) pair to the value a:
+    the entry of fiber_table(m) at a."""
+    if a.ctx is not m.ctx or not a.in_subfield:
         raise ValueError(f"fiber value must lie in F_q, got {a!r}")
-    classes, _ = gram_classes(ctx, m.n, 0, SUBFIELD, False, capacity)
-    values = _values(m, (g for g, _ in classes))
-    count = sum(c for (_, c), v in zip(classes, values) if v == a.enc)
-    return FiberCount(value=a, count=count)
+    return fiber_table(m, capacity=capacity)[a.enc]
 
 
 def fiber_table(m: HermMatrix, *,

@@ -15,8 +15,11 @@ their predictions, observed values and verdicts exactly; the first
 matrix of a class is evaluated and every matrix, the first included,
 still gets its own tally and report rows.  Random sweeps evaluate every
 draw: their draws rarely repeat a class, so a memo there would only
-hold memory.  The full-field and direct-sum sweeps have no such
-reduction (m_ij x + m_ji x^q determines both entries).
+hold memory.  The full-field and direct-sum sweeps evaluate every
+matrix.  No symmetrized class exists there (m_ij x + m_ji x^q
+determines both entries), but the level-0 ranges of a full-field 2 by 2
+matrix depend only on (m11 - m22, N(m12), m12 m21), or on
+(m11 - m22, 0, N(m21)) when m12 = 0; that key is not used yet.
 """
 
 from __future__ import annotations
@@ -44,30 +47,28 @@ COLLECT_ALL = "all"
 COLLECT_FAILS = "fails"
 
 
-def _observe(m: HermMatrix, pred, capacity: int, cache: dict):
-    key = (pred.scope, pred.k_enc)
-    if key not in cache:
-        ctx = m.ctx
-        if pred.scope == SCOPE_FIBER_ZERO:
-            obs = fiber_count(m, ctx.zero, capacity=capacity)
-        else:
-            obs = range_of(m, pred.scope, ctx.elem(pred.k_enc),
-                           capacity=capacity)
-        cache[key] = obs
-    return cache[key]
-
-
-def _evaluate(m: HermMatrix, preds, capacity: int) -> tuple:
-    """Predictions to observed ranges to verdicts.
+def evaluate(m: HermMatrix, preds,
+             capacity: int = DEFAULT_CAPACITY) -> tuple:
+    """Observe each prediction's range (or fiber count) and check it.
 
     Each outcome is (basis, k_enc, claim, observed, verdict), observed
-    being the RangeSet or FiberCount.  Neither holds the matrix, so a
-    class of matrices can share outcomes.
+    being the RangeSet or FiberCount; predictions on one scope and level
+    share one observation.  Neither holds the matrix, so a class of
+    matrices can share outcomes.
     """
+    ctx = m.ctx
     cache: dict = {}
     outcomes = []
     for pred in preds:
-        obs = _observe(m, pred, capacity, cache)
+        key = (pred.scope, pred.k_enc)
+        obs = cache.get(key)
+        if obs is None:
+            if pred.scope == SCOPE_FIBER_ZERO:
+                obs = fiber_count(m, ctx.zero, capacity=capacity)
+            else:
+                obs = range_of(m, pred.scope, ctx.elem(pred.k_enc),
+                               capacity=capacity)
+            cache[key] = obs
         outcomes.append((pred.basis, pred.k_enc, pred.claim, obs,
                          check_prediction(pred, obs)))
     return tuple(outcomes)
@@ -102,7 +103,7 @@ class _Tally:
         self.by_citation: dict[str, dict] = {}
 
     def run(self, m: HermMatrix, preds, capacity: int) -> None:
-        self.record(m.encs(), _evaluate(m, preds, capacity))
+        self.record(m.encs(), evaluate(m, preds, capacity))
 
     def record(self, rows, outcomes) -> None:
         """Count one matrix's outcomes and collect its rows."""
@@ -177,7 +178,7 @@ def run_exhaustive_2x2(ctx: FieldCtx, *, space: str = "auto",
                 key = symmetrized(ctx, rows)
                 if key not in classes:
                     m = HermMatrix.from_encs(ctx, rows)
-                    classes[key] = _evaluate(m, _subfield_preds(m), capacity)
+                    classes[key] = evaluate(m, _subfield_preds(m), capacity)
                 tally.record(rows, classes[key])
 
     # settle how the level enters the range of a shifted matrix; only a

@@ -8,15 +8,13 @@ import contextlib
 import itertools
 import random
 
-from hermrange import (FULL_FIELD, SUBFIELD, HermMatrix, PASS,
-                       check_prediction, cone_encs, dagger, fiber_count,
-                       naive_cone_encs, norm_minus_one_roots, norm_preimages,
-                       num0_prime, num0_prime_subfield, num_k_subfield,
-                       predict_subfield, random_unitary_2x2, range_of,
-                       resolve_affine_shift, run_exhaustive_2x2,
-                       scalar_fiber_formula, scaling_law_check,
-                       two_square_rep)
-from hermrange.classify import SCOPE_FIBER_ZERO
+from hermrange import (FULL_FIELD, SUBFIELD, HermMatrix, PASS, cone_encs,
+                       dagger, evaluate, fiber_count, naive_cone_encs,
+                       norm_minus_one_roots, norm_preimages, num0_prime,
+                       num0_prime_subfield, num_k_subfield, predict_subfield,
+                       random_unitary_2x2, resolve_affine_shift,
+                       run_exhaustive_2x2, scalar_fiber_formula,
+                       scaling_law_check, two_square_rep)
 
 
 @contextlib.contextmanager
@@ -55,13 +53,8 @@ def _pattern(ctx, d, s):
 
 def _verify_preds(m, preds):
     """Check each prediction against the matching engine; return tags."""
-    for pred in preds:
-        k = m.ctx.elem(pred.k_enc)
-        if pred.scope == SCOPE_FIBER_ZERO:
-            obs = fiber_count(m, k)
-        else:
-            obs = range_of(m, pred.scope, k)
-        assert check_prediction(pred, obs) == PASS, pred
+    for pred, outcome in zip(preds, evaluate(m, preds)):
+        assert outcome[-1] == PASS, pred
     return {p.basis for p in preds}
 
 

@@ -14,7 +14,8 @@ import pytest
 
 from hermrange.classify import (CLAIM_EMPTY, CLAIM_EXACT_CARD,
                                 CLAIM_EXACT_SET, CLAIM_LINE,
-                                CLAIM_LOWER_BOUND, CLAIM_MEMBER, FAIL,
+                                CLAIM_LOWER_BOUND, CLAIM_MEMBER,
+                                CLAIM_SUPERSET, CLAIM_UPPER_BOUND, FAIL,
                                 INAPPLICABLE, IRREDUCIBLE, PASS, REPEATED,
                                 SCOPE_FIBER_ZERO, TWO_DISTINCT, Prediction,
                                 check_prediction, eigen2, predict_direct_sum,
@@ -24,11 +25,13 @@ from hermrange.classify import (CLAIM_EMPTY, CLAIM_EXACT_CARD,
                                 unitarily_diagonalizable_2x2)
 from hermrange.fields import build_tower
 from hermrange.hermitian import HermMatrix, Vector, block_diag, inner
-from hermrange.ranges import (KIND_NUM0_PRIME, KIND_NUM0_PRIME_SUBFIELD,
-                              KIND_NUM_K, KIND_NUM_K_SUBFIELD, SAMPLED,
+from hermrange.ranges import (EXHAUSTIVE, KIND_NUM0_PRIME,
+                              KIND_NUM0_PRIME_SUBFIELD, KIND_NUM_K,
+                              KIND_NUM_K_SUBFIELD, SAMPLED,
                               RangeSet, fiber_count, fiber_table,
                               num0_prime_subfield, num_k, num_k_subfield,
-                              range_naive, range_of)
+                              range_naive)
+from hermrange.verify import evaluate
 
 from conftest import TOWER_PARAMS
 
@@ -43,18 +46,10 @@ def _diag(ctx, encs):
                     for i in range(n)])
 
 
-def _observe(m, pred):
-    k = m.ctx.elem(pred.k_enc)
-    if pred.scope == SCOPE_FIBER_ZERO:
-        return fiber_count(m, k)
-    return range_of(m, pred.scope, k)
-
-
 def _check_all(m, preds):
     """Assert every prediction passes; return the set of rule tags."""
-    for pred in preds:
-        verdict = check_prediction(pred, _observe(m, pred))
-        assert verdict == PASS, (pred, verdict)
+    for pred, outcome in zip(preds, evaluate(m, preds)):
+        assert outcome[-1] == PASS, (pred, outcome)
     return {p.basis for p in preds}
 
 
@@ -177,7 +172,7 @@ def test_orthogonal_eigenbasis_gives_a_punctured_line(f2):
     bases = _check_all(m, predict_full_field(m))
     assert "prop1d" in bases
     [p] = [p for p in predict_full_field(m) if p.basis == "prop1d"]
-    assert p.values == (1,)
+    assert p.target == (1,)
 
 
 def test_nonisotropic_jordan_block_misses_zero(f2):
@@ -206,7 +201,7 @@ def test_offdiagonal_norm_condition(f3):
     bases = _check_all(m, preds)
     assert "prop4.ii" in bases
     [p] = [p_ for p_ in preds if p_.basis == "prop4.ii"]
-    assert p.count == 4
+    assert p.target == 4
 
 
 def test_full_field_sweep_never_contradicts(towers):
@@ -239,7 +234,7 @@ def test_two_eigenvalues_with_multiplicity(f3):
     bases = _check_all(m, preds)
     assert "prop1c" in bases
     [p] = [p_ for p_ in preds if p_.basis == "prop1c"]
-    assert p.values == (0, 1, 2)  # the whole F_3-line through the gap
+    assert p.target == (0, 1, 2)  # the whole F_3-line through the gap
 
 
 def test_three_collinear_eigenvalues_decline_the_full_set(f3):
@@ -252,7 +247,7 @@ def test_three_collinear_eigenvalues_decline_the_full_set(f3):
     assert "prop1a" not in bases
     assert num_k(m, f3.zero).values == (0, 1, 2)
     [p] = [p_ for p_ in preds if p_.basis == "prop1b"]
-    assert p.member_in is True
+    assert p.target is True
 
 
 def test_three_spanning_eigenvalues_fill_the_zero_level(f3):
@@ -262,7 +257,7 @@ def test_three_spanning_eigenvalues_fill_the_zero_level(f3):
     bases = _check_all(m, preds)
     assert "prop1a" in bases
     [p] = [p_ for p_ in preds if p_.basis == "prop1b"]
-    assert p.member_in is False
+    assert p.target is False
 
 
 def test_zero_membership_ratio_table(f2, f3):
@@ -273,12 +268,12 @@ def test_zero_membership_ratio_table(f2, f3):
         pairs = [(ctx.elem(c), 1) for c in encs]
         [p] = [p_ for p_ in predict_unitary_diagonal(ctx, pairs)
                if p_.basis == "prop1b"]
-        assert p.member_in is expect
+        assert p.target is expect
         _check_all(_diag(ctx, encs), predict_unitary_diagonal(ctx, pairs))
     pairs4 = [(f3.elem(c), 1) for c in (0, 1, 2, 3)]
     [p] = [p_ for p_ in predict_unitary_diagonal(f3, pairs4)
            if p_.basis == "prop1b"]
-    assert p.member_in is True
+    assert p.target is True
     _check_all(_diag(f3, (0, 1, 2, 3)), predict_unitary_diagonal(f3, pairs4))
 
 
@@ -308,7 +303,7 @@ def test_direct_sum_zero_membership_needs_a_shared_value(f3):
     preds = predict_direct_sum(a, b, num_k(a, f3.one), num_k(b, f3.one),
                                num_k(a, f3.zero), num_k(b, f3.zero))
     member = next(p for p in preds if p.claim == CLAIM_MEMBER)
-    assert member.member_in is True
+    assert member.target is True
     _check_all(block_diag(a, b), preds)
 
 
@@ -334,13 +329,13 @@ def test_even_q_trace_dichotomy(f2):
     preds = predict_subfield(nil, f2.zero)
     _check_all(nil, preds)
     assert (KIND_NUM0_PRIME_SUBFIELD, (1,)) in {
-        (p.scope, p.values) for p in preds if p.basis == "prop5.ii"}
+        (p.scope, p.target) for p in preds if p.basis == "prop5.ii"}
 
     bal = _m(f2, [[1, 1], [0, 0]])  # d1 + d2 + s12 = 0
     preds = predict_subfield(bal, f2.zero)
     _check_all(bal, preds)
     assert (KIND_NUM0_PRIME_SUBFIELD, (0,)) in {
-        (p.scope, p.values) for p in preds if p.basis == "prop5.ii"}
+        (p.scope, p.target) for p in preds if p.basis == "prop5.ii"}
 
 
 def test_even_q_full_level_for_split_diagonal(f2):
@@ -348,7 +343,7 @@ def test_even_q_full_level_for_split_diagonal(f2):
     preds = predict_subfield(m, f2.one)
     _check_all(m, preds)
     assert any(p.basis == "prop5.ii" and p.claim == CLAIM_EXACT_SET
-               and p.values == (0, 1) for p in preds)
+               and p.target == (0, 1) for p in preds)
 
 
 def test_one_mod_four_plane_rules(f5):
@@ -360,12 +355,12 @@ def test_one_mod_four_plane_rules(f5):
     split = _diag(f5, (0, 1))  # s12 = 0, d1 != d2
     preds = predict_subfield(split, f5.zero)
     _check_all(split, preds)
-    cards = {(p.scope, p.count) for p in preds if p.basis == "prop5.iii2"}
+    cards = {(p.scope, p.target) for p in preds if p.basis == "prop5.iii2"}
     assert (KIND_NUM_K_SUBFIELD, 3) in cards
     assert (KIND_NUM0_PRIME_SUBFIELD, 2) in cards
     preds = predict_subfield(split, f5.elem(2))
     _check_all(split, preds)
-    assert any(p.basis == "remark10" and p.count == 3 for p in preds)
+    assert any(p.basis == "remark10" and p.target == 3 for p in preds)
 
 
 def test_even_q_balance_dichotomy(f2, f4):
@@ -392,8 +387,8 @@ def test_scalar_matrix_fiber_and_null_range(f3, f5):
     preds = predict_subfield(scal5, f5.zero)
     _check_all(scal5, preds)
     assert any(p.basis == "prop7" and p.scope == SCOPE_FIBER_ZERO
-               and p.count == 9 for p in preds)
-    assert any(p.basis == "prop7" and p.values == (0,) for p in preds)
+               and p.target == 9 for p in preds)
+    assert any(p.basis == "prop7" and p.target == (0,) for p in preds)
 
 
 def test_odd_dimension_attains_a_nonzero_value(f3):
@@ -408,16 +403,16 @@ def test_two_valued_diagonal_exact_sets(f3, f5):
     preds = predict_subfield(m5, f5.zero)
     _check_all(m5, preds)
     by_claim = {p.claim: p for p in preds if p.basis == "prop9"}
-    assert by_claim[CLAIM_EXACT_CARD].count == 3
-    assert by_claim[CLAIM_EXACT_SET].values == (0, 1, 4)
-    assert by_claim[CLAIM_MEMBER].member_in is True
+    assert by_claim[CLAIM_EXACT_CARD].target == 3
+    assert by_claim[CLAIM_EXACT_SET].target == (0, 1, 4)
+    assert by_claim[CLAIM_MEMBER].target is True
 
     m3 = _diag(f3, (0, 1, 1))
     preds = predict_subfield(m3, f3.zero)
     _check_all(m3, preds)
     member = next(p for p in preds if p.basis == "prop9"
                   and p.claim == CLAIM_MEMBER)
-    assert member.member_in is False
+    assert member.target is False
 
 
 def test_distinct_diagonal_bound_declines_the_collapsing_case(f3, f5):
@@ -473,7 +468,7 @@ def test_one_mod_four_scalar_and_general_bounds(f5):
     _check_all(scal, preds)
     [p] = [p_ for p_ in preds if p_.basis == "cor4.i"
            and p_.scope == KIND_NUM_K_SUBFIELD]
-    assert p.values == (f5.q_mul(3, 2),)
+    assert p.target == (f5.q_mul(3, 2),)
 
     m = _m(f5, [[0, 1], [2, 3]])
     preds = predict_subfield(m, f5.zero)
@@ -568,34 +563,147 @@ def _sampled(ctx, values, kind=KIND_NUM_K, k_enc=0):
 
 def test_verdicts_on_sampled_ranges(f3):
     obs = _sampled(f3, (0, 2, 5))
-    pred = lambda **kw: Prediction(basis="x", scope=KIND_NUM_K, k_enc=0, **kw)
-    assert check_prediction(pred(claim=CLAIM_EXACT_SET, values=(0, 2, 5)),
+    pred = lambda *a, **kw: Prediction("x", KIND_NUM_K, 0, *a, **kw)
+    assert check_prediction(pred(CLAIM_EXACT_SET, (0, 2, 5)),
                             obs) == INAPPLICABLE
-    assert check_prediction(pred(claim=CLAIM_LOWER_BOUND, count=2),
-                            obs) == PASS
-    assert check_prediction(pred(claim=CLAIM_LOWER_BOUND, count=7),
-                            obs) == INAPPLICABLE
-    assert check_prediction(pred(claim=CLAIM_MEMBER, member_enc=2,
-                                 member_in=True), obs) == PASS
-    assert check_prediction(pred(claim=CLAIM_MEMBER, member_enc=4,
-                                 member_in=True), obs) == INAPPLICABLE
-    assert check_prediction(pred(claim=CLAIM_MEMBER, member_enc=2,
-                                 member_in=False), obs) == FAIL
-    assert check_prediction(pred(claim=CLAIM_EMPTY), obs) == FAIL
+    assert check_prediction(pred(CLAIM_LOWER_BOUND, 2), obs) == PASS
+    assert check_prediction(pred(CLAIM_LOWER_BOUND, 7), obs) == INAPPLICABLE
+    missing = _sampled(f3, (2, 5))
+    assert check_prediction(pred(CLAIM_MEMBER, True), obs) == PASS
+    assert check_prediction(pred(CLAIM_MEMBER, True), missing) == INAPPLICABLE
+    assert check_prediction(pred(CLAIM_MEMBER, False), obs) == FAIL
+    assert check_prediction(pred(CLAIM_MEMBER, False), missing) == INAPPLICABLE
+    assert check_prediction(pred(CLAIM_EMPTY), obs) == FAIL
+
+
+# One case per claim shape, at q = 3: (name, claim, target, nonzero_only,
+# values where the claim holds, values where it fails).  The expected
+# verdicts were recorded from the previous verdict ladder.
+_VERDICT_CASES = (
+    ("exact_set", CLAIM_EXACT_SET, (0, 2, 5), False, (0, 2, 5), (0, 2)),
+    ("exact_card", CLAIM_EXACT_CARD, 3, False, (0, 2, 5), (0, 2)),
+    ("lower_bound", CLAIM_LOWER_BOUND, 3, False, (0, 2, 5), (0, 2)),
+    ("lower_bound_nonzero", CLAIM_LOWER_BOUND, 2, True, (0, 2, 5), (0, 2)),
+    ("upper_bound", CLAIM_UPPER_BOUND, 2, False, (0, 2), (0, 2, 5)),
+    ("member_in", CLAIM_MEMBER, True, False, (0, 2, 5), (2, 5)),
+    ("member_out", CLAIM_MEMBER, False, False, (2, 5), (0, 2, 5)),
+    ("empty", CLAIM_EMPTY, None, False, (), (2,)),
+    ("superset", CLAIM_SUPERSET, (2, 5), False, (0, 2, 5), (0, 2)),
+    ("line", CLAIM_LINE, None, False, (0, 1, 2), (0, 2, 5)),
+)
+_SAMPLED_VERDICTS = {
+    "exact_set": (INAPPLICABLE, INAPPLICABLE),
+    "exact_card": (INAPPLICABLE, INAPPLICABLE),
+    "lower_bound": (PASS, INAPPLICABLE),
+    "lower_bound_nonzero": (PASS, INAPPLICABLE),
+    "upper_bound": (INAPPLICABLE, INAPPLICABLE),
+    "member_in": (PASS, INAPPLICABLE),
+    "member_out": (INAPPLICABLE, FAIL),
+    "empty": (INAPPLICABLE, FAIL),
+    "superset": (PASS, INAPPLICABLE),
+    "line": (INAPPLICABLE, INAPPLICABLE),
+}
+
+
+@pytest.mark.parametrize("holds", (True, False), ids=("holds", "fails"))
+@pytest.mark.parametrize("mode", (EXHAUSTIVE, SAMPLED))
+@pytest.mark.parametrize("case", _VERDICT_CASES, ids=lambda c: c[0])
+def test_verdict_table(f3, case, mode, holds):
+    name, claim, target, nonzero_only, good, bad = case
+    values = good if holds else bad
+    obs = RangeSet(kind=KIND_NUM_K, k_enc=0, values=values, mode=mode,
+                   witness_count=len(values), ctx=f3)
+    pred = Prediction("x", KIND_NUM_K, 0, claim, target, nonzero_only)
+    if mode == EXHAUSTIVE:
+        expect = PASS if holds else FAIL
+    else:
+        expect = _SAMPLED_VERDICTS[name][0 if holds else 1]
+    assert check_prediction(pred, obs) == expect
 
 
 def test_verdict_pairing_is_strict(f3):
     obs = num_k(_diag(f3, (0, 1)), f3.zero)
-    wrong_scope = Prediction(basis="x", scope=KIND_NUM0_PRIME, k_enc=0,
-                             claim=CLAIM_EMPTY)
+    wrong_scope = Prediction("x", KIND_NUM0_PRIME, 0, CLAIM_EMPTY)
     with pytest.raises(ValueError):
         check_prediction(wrong_scope, obs)
-    wrong_level = Prediction(basis="x", scope=KIND_NUM_K, k_enc=1,
-                             claim=CLAIM_EMPTY)
+    wrong_level = Prediction("x", KIND_NUM_K, 1, CLAIM_EMPTY)
     with pytest.raises(ValueError):
         check_prediction(wrong_level, obs)
     fiber = fiber_count(_diag(f3, (0, 1)), f3.zero)
-    not_a_card = Prediction(basis="x", scope=SCOPE_FIBER_ZERO, k_enc=0,
-                            claim=CLAIM_MEMBER, member_enc=0, member_in=True)
+    not_a_card = Prediction("x", SCOPE_FIBER_ZERO, 0, CLAIM_MEMBER, True)
     with pytest.raises(ValueError):
         check_prediction(not_a_card, fiber)
+
+
+# payload types of every predictor
+
+
+_SET_CLAIMS = (CLAIM_EXACT_SET, CLAIM_SUPERSET)
+_INT_CLAIMS = (CLAIM_EXACT_CARD, CLAIM_LOWER_BOUND, CLAIM_UPPER_BOUND)
+
+
+def _assert_payload(ctx, pred):
+    claim, target = pred.claim, pred.target
+    if claim in _SET_CLAIMS:
+        assert type(target) is tuple, pred
+        assert all(type(v) is int for v in target), pred
+        assert list(target) == sorted(set(target)), pred
+        assert all(0 <= v < ctx.q2 for v in target), pred
+    elif claim in _INT_CLAIMS:
+        assert type(target) is int, pred
+    elif claim == CLAIM_MEMBER:
+        assert type(target) is bool, pred
+    else:
+        assert claim in (CLAIM_EMPTY, CLAIM_LINE), pred
+        assert target is None, pred
+    assert not pred.nonzero_only or claim == CLAIM_LOWER_BOUND, pred
+
+
+def _direct_sum_preds(ctx, a, b):
+    return predict_direct_sum(a, b, num_k(a, ctx.one), num_k(b, ctx.one),
+                              num_k(a, ctx.zero), num_k(b, ctx.zero))
+
+
+def test_prediction_payload_types(towers, f3):
+    claims = set()
+
+    def check(ctx, preds):
+        for pred in preds:
+            _assert_payload(ctx, pred)
+            claims.add(pred.claim)
+
+    for q in (2, 3):
+        ctx = towers[q]
+        for encs in itertools.product(range(ctx.q2), repeat=4):
+            check(ctx, predict_full_field(_m(ctx, [encs[0:2], encs[2:4]])))
+    for q in (2, 3, 4, 5):
+        ctx = towers[q]
+        for encs in itertools.product(range(ctx.q), repeat=4):
+            m = _m(ctx, [encs[0:2], encs[2:4]])
+            for ke in range(ctx.q):
+                check(ctx, predict_subfield(m, ctx.elem(ke)))
+    rng = random.Random(101)
+    for q in (2, 3, 4, 5):
+        ctx = towers[q]
+        for _ in range(20):
+            m = _m(ctx, [[rng.randrange(ctx.q) for _ in range(3)]
+                         for _ in range(3)])
+            for ke in range(ctx.q):
+                check(ctx, predict_subfield(m, ctx.elem(ke)))
+    for ctx, encs in ((f3, (0, 1, 2)), (f3, (0, 1, 3)), (f3, (0, 1, 2, 3)),
+                      (towers[2], (0, 1, 2))):
+        check(ctx, predict_unitary_diagonal(
+            ctx, [(ctx.elem(c), 1) for c in encs]))
+    check(f3, predict_unitary_diagonal(f3, [(f3.zero, 1), (f3.one, 2)]))
+    check(f3, predict_unitary_diagonal(f3, [(f3.one, 2)]))
+    for q in (2, 3):
+        ctx = towers[q]
+        for na, nb in ((1, 1), (1, 2), (2, 1), (2, 2)):
+            a = _m(ctx, [[rng.randrange(ctx.q2) for _ in range(na)]
+                         for _ in range(na)])
+            b = _m(ctx, [[rng.randrange(ctx.q2) for _ in range(nb)]
+                         for _ in range(nb)])
+            check(ctx, _direct_sum_preds(ctx, a, b))
+    check(f3, _direct_sum_preds(f3, _m(f3, [[4]]), _m(f3, [[0, 4], [7, 6]])))
+    assert claims == set(_SET_CLAIMS + _INT_CLAIMS) | {
+        CLAIM_MEMBER, CLAIM_EMPTY, CLAIM_LINE}

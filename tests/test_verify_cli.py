@@ -323,3 +323,28 @@ def test_cli_verify_rejects_sizes_below_two(capsys, scope, n):
     assert main(["verify", "--p", "3", "--scope", scope, "--n", n,
                  "--count", "1"]) == 2
     assert f"dimension must be at least 2, got {n}" in capsys.readouterr().err
+
+
+def test_cli_unwritable_out_exits_two(capsys, tmp_path):
+    # exit 1 means only "a sweep found a failing claim"
+    missing = tmp_path / "absent" / "x.json"
+    assert main(["range", "--p", "3", "--matrix", "0,1;2,0",
+                 "--out", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"hermrange: cannot write {missing}:")
+    assert "Traceback" not in err
+    assert main(["verify", "--p", "2", "--scope", "scalar-fibers",
+                 "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"hermrange: cannot write {tmp_path}:")
+
+
+def test_cli_unexpected_exception_exits_four(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("hermrange.cli.run_scope", broken)
+    assert main(["verify", "--p", "2", "--scope", "direct-sums",
+                 "--count", "1"]) == 4
+    assert capsys.readouterr().err == \
+        "hermrange: internal error: RuntimeError: boom\n"
