@@ -6,8 +6,9 @@ the null fibers of a subfield matrix.  All output is deterministic for
 a fixed argument list, including the seed of randomized sweeps.
 
 Exit codes: 0 success, 1 verification found a failing claim, 2 bad
-usage or input (an output file that cannot be written included), 3
-enumeration over capacity, 4 internal error.
+usage or input (an output file that cannot be written, and a field
+above MAX_FIELD_SIZE elements, included), 3 enumeration over capacity,
+4 internal error.
 """
 
 from __future__ import annotations
@@ -20,10 +21,15 @@ import random
 import sys
 from dataclasses import dataclass
 
-from .fields import FieldCtx, FieldSpec, build_tower, ctx_from_spec
+from .fields import (FieldCtx, FieldSpec, _is_prime, build_tower,
+                     ctx_from_spec)
 from .hermitian import DEFAULT_CAPACITY, CapacityError, HermMatrix
 from .ranges import KIND_NUM_K, RANGE_KINDS, fiber_table, range_of
 from .verify import VERIFY_SCOPES, run_scope
+
+# Largest F_q the command line builds: a tower tabulates up to q^2
+# elements up front.  build_tower itself is unbounded.
+MAX_FIELD_SIZE = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -38,6 +44,20 @@ class RunConfig:
     out: str | None
 
 
+def _check_field_size(p: int, m: int) -> None:
+    """Refuse q = p^m above MAX_FIELD_SIZE before any table is built; the
+    product stops once past the bound, so a huge m is cheap.  An m below 1
+    or a small non-prime p is left to the tower's own message."""
+    if m < 1 or (p <= MAX_FIELD_SIZE and not _is_prime(p)):
+        return
+    q = 1
+    for _ in range(m):
+        q *= p
+        if q > MAX_FIELD_SIZE:
+            raise ValueError(f"q = {p}^{m} exceeds the field-size bound "
+                             f"{MAX_FIELD_SIZE} = 2^20")
+
+
 def _resolve_ctx(args, file_spec: FieldSpec | None) -> FieldCtx:
     # a field block in a matrix file must agree with any -p/-m flags
     if file_spec is not None:
@@ -45,10 +65,12 @@ def _resolve_ctx(args, file_spec: FieldSpec | None) -> FieldCtx:
             raise ValueError(
                 f"field flags p={args.p} m={args.m} disagree with the "
                 f"matrix file's p={file_spec.p} m={file_spec.m}")
+        _check_field_size(file_spec.p, file_spec.m)
         return ctx_from_spec(file_spec)
     if args.p is None:
         raise ValueError("no field given: pass --p (and --m) or a matrix "
                          "file with a field block")
+    _check_field_size(args.p, args.m)
     return build_tower(args.p, args.m)
 
 
@@ -65,8 +87,6 @@ def _parse_inline(text: str) -> tuple[tuple[int, ...], ...]:
 
 def _load_matrix(args) -> tuple[FieldCtx, HermMatrix]:
     text = args.matrix
-    if text is None:
-        raise ValueError("this command needs --matrix")
     if "," in text or ";" in text:
         ctx = _resolve_ctx(args, None)
         return ctx, HermMatrix.from_encs(ctx, _parse_inline(text))
@@ -183,7 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--m", type=int, default=1,
                         help="degree of F_q over F_p (default 1)")
         sp.add_argument("--capacity", type=int, default=DEFAULT_CAPACITY,
-                        help="max vectors to enumerate exhaustively")
+                        help="max vectors or matrices to enumerate "
+                             "exhaustively")
         sp.add_argument("--seed", type=int, default=0,
                         help="seed for any randomized step")
         sp.add_argument("--format", dest="fmt", choices=("json", "csv"),

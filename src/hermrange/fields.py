@@ -22,10 +22,12 @@ and larger towers:
 * larger F_{q^2} multiplies coordinate pairs over F_q and reduces by the
   quadratic modulus, and ``dot_encs`` sums products term by term instead
   of folding through table rows;
-* up to ``table_threshold`` elements of F_{q^2}, negation, Frobenius and
-  norm are tabulated, and norm preimages come from buckets built on
-  first use; above it, from a q-length discrete-log table of the norm
-  of a generator, built on first use;
+* the Frobenius maps t to the conjugate root -e1 - t of the modulus
+  t^2 + e1 t + e0, so it costs two F_q operations; up to
+  ``table_threshold`` elements of F_{q^2}, negation, Frobenius and norm
+  are also tabulated;
+* on every tower, norm preimages come from a q-length discrete-log table
+  of the norm of a generator, built on first use;
 * with pairwise tables, square roots and Artin-Schreier roots come from
   buckets built on first use, and otherwise from formulas;
 * F_q inverses are cached in a q-length table only up to
@@ -191,8 +193,9 @@ def _first_irreducible_fp(p: int, m: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Serializable description of a tower: moduli included so that a
-    context can be rebuilt bit for bit from the wire form."""
+    """Serializable description of a tower.  The moduli follow from
+    (p, m); they are written out so that the wire form names its tower
+    bit for bit, and a rebuild checks them."""
 
     p: int
     m: int
@@ -227,7 +230,7 @@ class FieldCtx:
     contexts never mix even when the towers are mathematically equal.
     """
 
-    def __init__(self, p: int, m: int, base_modulus=None, ext_modulus=None,
+    def __init__(self, p: int, m: int,
                  table_threshold: int = DEFAULT_TABLE_THRESHOLD):
         if not _is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
@@ -239,37 +242,11 @@ class FieldCtx:
         self.q2 = self.q * self.q
         self.table_threshold = table_threshold
 
-        canon_base = _first_irreducible_fp(p, m)
-        if base_modulus is None:
-            base_modulus = canon_base
-        else:
-            base_modulus = tuple(int(c) for c in base_modulus)
-            if base_modulus != canon_base:
-                raise ValueError(
-                    f"base modulus {base_modulus} is not the canonical choice {canon_base}")
-        self._base_mod = list(base_modulus)
-
+        self._base_mod = _first_irreducible_fp(p, m)
         self._init_q_level()
-
-        canon_ext = self._find_ext_modulus()
-        if ext_modulus is None:
-            ext_enc = canon_ext
-        else:
-            vecs = tuple(tuple(int(c) for c in v) for v in ext_modulus)
-            if len(vecs) != 3 or any(len(v) != m for v in vecs):
-                raise ValueError("ext modulus must be three F_q coefficient vectors")
-            ext_enc = tuple(_undigits(v, p) for v in vecs)
-            if ext_enc != canon_ext:
-                raise ValueError(
-                    f"ext modulus {ext_enc} is not the canonical choice {canon_ext}")
-        self._e0, self._e1 = ext_enc[0], ext_enc[1]
-        if ext_enc[2] != 1:
-            raise ValueError("ext modulus must be monic")
-
-        self.spec = FieldSpec(
-            p=p, m=m, base_modulus=tuple(base_modulus),
-            ext_modulus=tuple(tuple(_digits(e, p, m)) for e in ext_enc),
-        )
+        self._e0, self._e1 = self._find_ext_modulus()
+        self.spec = FieldSpec(p, m, self._base_mod, tuple(
+            tuple(_digits(e, p, m)) for e in (self._e0, self._e1, 1)))
 
         self._init_q2_level()
 
@@ -361,8 +338,9 @@ class FieldCtx:
 
     # -- canonical quadratic modulus over F_q ------------------------------
 
-    def _find_ext_modulus(self) -> tuple[int, int, int]:
-        """First irreducible t^2 + e1 t + e0 in the order of e0 + q * e1."""
+    def _find_ext_modulus(self) -> tuple[int, int]:
+        """(e0, e1) of the first irreducible t^2 + e1 t + e0 in the order
+        of e0 + q * e1."""
         if self.p == 2:
             # e1 = 0 gives a perfect square, so the scan reaches e1 = 1,
             # where t^2 + t + e0 is irreducible exactly when Tr(e0) = 1.
@@ -374,20 +352,17 @@ class FieldCtx:
                     tr = self.q_add(tr, acc)
                     acc = self.q_mul(acc, acc)
                 if tr == 1:
-                    return (1 << j, 1, 1)
+                    return (1 << j, 1)
         else:
             four = 4 % self.p
             for v in range(self.q2):
                 e0, e1 = v % self.q, v // self.q
                 disc = self.q_sub(self.q_mul(e1, e1), self.q_mul(four, e0))
                 if disc != 0 and not self.q_is_square(disc):
-                    return (e0, e1, 1)
+                    return (e0, e1)
         raise RuntimeError("no irreducible quadratic found")  # pragma: no cover
 
     # -- F_{q^2} layer -----------------------------------------------------
-
-    def _split(self, x: int) -> tuple[int, int]:
-        return x % self.q, x // self.q
 
     def _mul2_poly(self, x: int, y: int) -> int:
         q = self.q
@@ -409,20 +384,8 @@ class FieldCtx:
         q = self.q
         return self.q_neg(x % q) + q * self.q_neg(x // q)
 
-    def _pow2_poly(self, x: int, e: int) -> int:
-        result, acc = 1, x
-        while e:
-            if e & 1:
-                result = self._mul2_poly(result, acc)
-            acc = self._mul2_poly(acc, acc)
-            e >>= 1
-        return result
-
     def _init_q2_level(self) -> None:
         q, q2 = self.q, self.q2
-        # image of t under the q-power map, used for the cheap Frobenius
-        self._tau = self._pow2_poly(q, self.q)
-
         tables_on = q2 <= self.table_threshold
         if q2 <= _Q2_PAIRWISE_LIMIT and tables_on:
             add_t = [[self._add2_poly(a, b) for b in range(q2)] for a in range(q2)]
@@ -455,7 +418,6 @@ class FieldCtx:
             self._frob_t = self._norm_t = None
 
         self._gen_enc: int | None = None
-        self._norm_buckets: list[tuple[int, ...]] | None = None
         self._norm_log: list[int | None] | None = None
         self._root_buckets: dict[int, list[tuple[int, ...]]] = {}
 
@@ -487,10 +449,14 @@ class FieldCtx:
         return out
 
     def _frob_poly(self, x: int) -> int:
-        a0, a1 = self._split(x)
+        # t^q is the other root -e1 - t of the modulus, so
+        # (a0 + a1 t)^q = (a0 - e1 a1) - a1 t
+        q = self.q
+        a0, a1 = x % q, x // q
         if a1 == 0:
             return x
-        return self._add2_poly(a0, self._mul2_poly(a1, self._tau))
+        na1 = self.q_neg(a1)
+        return self.q_add(a0, self.q_mul(self._e1, na1)) + q * na1
 
     def _norm_poly(self, x: int) -> int:
         nx = self._mul2_poly(x, self._frob_poly(x))
@@ -542,15 +508,8 @@ class FieldCtx:
             raise ValueError(f"norm preimages only defined over F_q, got code {a}")
         if a == 0:
             return (0,)
-        if self.q2 <= self.table_threshold:
-            if self._norm_buckets is None:
-                buckets: list[list[int]] = [[] for _ in range(self.q)]
-                for x in range(self.q2):
-                    buckets[self.norm_enc(x)].append(x)
-                self._norm_buckets = [tuple(b) for b in buckets]
-            return self._norm_buckets[a]
-        # large field path: a = delta^j for delta the norm of a generator g,
-        # so g^j is one preimage and the rest differ by norm-one factors
+        # a = delta^j for delta the norm of a generator g, so g^j is one
+        # preimage and the rest differ by the norm-one factors g^((q-1)i)
         g = self.multiplicative_generator_enc()
         if self._norm_log is None:
             # delta generates F_q^*, so j is unique mod q - 1
@@ -755,7 +714,8 @@ class FieldElem:
     @property
     def coeffs(self) -> tuple[int, int]:
         """Codes (a0, a1) of the F_q coordinates in the basis (1, t)."""
-        return self.ctx._split(self.enc)
+        q = self.ctx.q
+        return self.enc % q, self.enc // q
 
     def poly_str(self) -> str:
         a0, a1 = self.coeffs
@@ -788,9 +748,16 @@ def build_tower(p: int, m: int = 1, *,
 
 def ctx_from_spec(spec: FieldSpec, *,
                   table_threshold: int = DEFAULT_TABLE_THRESHOLD) -> FieldCtx:
-    """Rebuild a context from its serialized description."""
-    return FieldCtx(spec.p, spec.m, base_modulus=spec.base_modulus,
-                    ext_modulus=spec.ext_modulus, table_threshold=table_threshold)
+    """Rebuild a context from its serialized description.
+
+    The tower follows from (p, m) alone, so the spec must name the
+    canonical moduli of that tower.
+    """
+    ctx = build_tower(spec.p, spec.m, table_threshold=table_threshold)
+    if spec != ctx.spec:
+        raise ValueError(f"field spec {spec.to_json_dict()} does not name the "
+                         f"canonical tower {ctx.spec.to_json_dict()}")
+    return ctx
 
 
 def frobenius(x: FieldElem) -> FieldElem:

@@ -316,6 +316,8 @@ def _walk_cone(ctx: FieldCtx, n: int, k_enc: int, mode: str,
     space = ctx.q2 if mode == FULL_FIELD else ctx.q
     norm_of, complete = _level_maps(ctx, mode)
     q_sub, q_add = ctx.q_sub, ctx.q_add
+    # at most q distinct residuals, each completed once per walk
+    completions: dict[int, tuple[int, ...]] = {}
     for prefix in itertools.product(range(space), repeat=n - 1):
         acc = 0
         for x in prefix:
@@ -323,7 +325,10 @@ def _walk_cone(ctx: FieldCtx, n: int, k_enc: int, mode: str,
         residual = q_sub(k_enc, acc)
         if residual >= ctx.q:
             raise RuntimeError("cone residual landed outside the subfield")
-        for last in complete(residual):
+        options = completions.get(residual)
+        if options is None:
+            options = completions[residual] = complete(residual)
+        for last in options:
             if exclude_zero and last == 0 and not any(prefix):
                 continue
             yield prefix + (last,)

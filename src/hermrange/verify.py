@@ -31,7 +31,7 @@ from .classify import (FAIL, SCOPE_FIBER_ZERO, check_prediction,
                        predict_direct_sum, predict_full_field,
                        predict_subfield, symmetrized)
 from .fields import FieldCtx
-from .hermitian import DEFAULT_CAPACITY, HermMatrix, block_diag
+from .hermitian import DEFAULT_CAPACITY, CapacityError, HermMatrix, block_diag
 from .ranges import (FiberCount, fiber_count, num_k, range_of,
                      resolve_affine_shift)
 
@@ -153,7 +153,9 @@ def run_exhaustive_2x2(ctx: FieldCtx, *, space: str = "auto",
 
     space "full" sweeps all matrices over the big field, "subfield"
     sweeps F_q entries with every level k, "both" does both and "auto"
-    picks both for q <= 3 and subfield only above that.
+    picks both for q <= 3 and subfield only above that.  A sweep whose
+    spaces hold more than capacity matrices (q^8 full, q^4 subfield)
+    raises CapacityError before its first matrix.
     """
     if space == "auto":
         spaces = ("full", "subfield") if ctx.q <= 3 else ("subfield",)
@@ -163,6 +165,10 @@ def run_exhaustive_2x2(ctx: FieldCtx, *, space: str = "auto",
         spaces = (space,)
     else:
         raise ValueError(f"unknown space {space!r}")
+    total = sum(ctx.q2 ** 4 if sp == "full" else ctx.q ** 4 for sp in spaces)
+    if total > capacity:
+        raise CapacityError(f"exhaustive 2x2 sweep over {'+'.join(spaces)} "
+                            f"holds {total} matrices, capacity is {capacity}")
 
     tally = _Tally(collect)
     for sp in spaces:

@@ -1,5 +1,6 @@
 """Tower construction and element arithmetic."""
 
+import inspect
 import random
 
 import pytest
@@ -217,10 +218,44 @@ def test_prime_residue_tier_matches_the_digit_routines(monkeypatch):
 
 
 @pytest.mark.parametrize("p", [3, 5, 67])
-def test_norm_log_table_matches_the_buckets(p):
-    buckets, logs = build_tower(p), build_tower(p, table_threshold=0)
-    for a in range(p):
-        assert logs.norm_preimage_encs(a) == buckets.norm_preimage_encs(a)
+def test_norm_preimages_match_a_brute_force_filter(p):
+    # the norm as the power x^(q+1), independent of the Frobenius and of
+    # the log table; both tiers take preimages from the same log path
+    for ctx in (build_tower(p), build_tower(p, table_threshold=0)):
+        fibres = [[] for _ in range(ctx.q)]
+        for x in range(ctx.q2):
+            fibres[ctx.pow_enc(x, ctx.q + 1)].append(x)
+        for a in range(ctx.q):
+            assert ctx.norm_preimage_encs(a) == tuple(fibres[a]), (p, a)
+
+
+def test_frobenius_matches_the_q_power(towers):
+    # the closed form (a0 - e1 a1) - a1 t against repeated squaring
+    for q, (p, m) in TOWER_PARAMS.items():
+        for ctx in (towers[q], build_tower(p, m, table_threshold=0)):
+            for x in range(ctx.q2):
+                assert ctx.frob_enc(x) == ctx.pow_enc(x, q), (q, x)
+    for q in (23, 67, 1031):
+        ctx = build_tower(q)
+        rng = random.Random(q)
+        for _ in range(2000):
+            x = rng.randrange(ctx.q2)
+            assert ctx.frob_enc(x) == ctx.pow_enc(x, q), (q, x)
+
+
+def test_spec_must_name_the_canonical_tower(f5):
+    # FieldCtx takes (p, m) alone; a spec only names the tower they give
+    assert list(inspect.signature(FieldCtx).parameters) == [
+        "p", "m", "table_threshold"]
+    good = f5.spec.to_json_dict()
+    for key, value in (("base_modulus", [1, 1]),
+                       ("ext_modulus", [[3], [0], [1]]),
+                       ("ext_modulus", [[2], [0]])):
+        bad = FieldSpec.from_json_dict(dict(good, **{key: value}))
+        with pytest.raises(ValueError, match="canonical tower"):
+            ctx_from_spec(bad)
+    with pytest.raises(ValueError, match="malformed field spec"):
+        FieldSpec.from_json_dict({"p": 5, "m": 1})
 
 
 def test_large_field_norm_preimages():
@@ -346,3 +381,4 @@ def test_context_stays_under_the_shared_key_limit():
         ctx.q_inv(1)
         ctx.multiplicative_generator_enc()
         assert len(vars(ctx)) < 29, sorted(vars(ctx))
+    assert len(vars(build_tower(23))) == 26

@@ -146,6 +146,28 @@ def test_cone_matches_naive_filter(towers):
                 assert sub == tuple(naive_cone_encs(ctx, n, k, SUBFIELD))
 
 
+@pytest.mark.parametrize("mode,name", [(FULL_FIELD, "norm_preimage_encs"),
+                                       (SUBFIELD, "q_sqrt_encs")])
+def test_walk_completes_each_residual_once(monkeypatch, mode, name):
+    # a walk over q^2 (or q) prefixes per coordinate asks its completion
+    # map once per distinct residual, of which F_q holds at most q
+    ctx = build_tower(3)
+    calls = []
+    complete = getattr(ctx, name)
+
+    def counting(a):
+        calls.append(a)
+        return complete(a)
+
+    monkeypatch.setattr(ctx, name, counting)
+    for n in (2, 3):
+        for k in range(ctx.q):
+            calls.clear()
+            walked = tuple(iter_cone_encs(ctx, n, k, mode))
+            assert walked == tuple(naive_cone_encs(ctx, n, k, mode))
+            assert len(calls) == len(set(calls)) <= ctx.q, (n, k)
+
+
 def test_cone_partition_and_bounds(f3):
     for n in (2, 3):
         sizes = [len(cone_encs(f3, n, k, FULL_FIELD)) for k in range(3)]

@@ -7,11 +7,13 @@ from collections import Counter
 
 import pytest
 
-from hermrange import verify
+from hermrange import cli, verify
+from hermrange.classify import CLAIM_MEMBER, Prediction
 from hermrange.cli import build_parser, main
 from hermrange.fields import build_tower
+from hermrange.hermitian import CapacityError
 from hermrange.ranges import (KIND_NUM0_PRIME, KIND_NUM0_PRIME_SUBFIELD,
-                              RANGE_KINDS)
+                              KIND_NUM_K, RANGE_KINDS)
 from hermrange.verify import (COLLECT_FAILS, SCOPE_SCALAR_FIBERS,
                               run_direct_sums, run_exhaustive_2x2,
                               run_random_nxn, run_scalar_fibers, run_scope)
@@ -348,3 +350,113 @@ def test_cli_unexpected_exception_exits_four(capsys, monkeypatch):
                  "--count", "1"]) == 4
     assert capsys.readouterr().err == \
         "hermrange: internal error: RuntimeError: boom\n"
+
+
+def test_exhaustive_sweep_over_capacity_raises_before_work(monkeypatch, f2):
+    # q = 2: the full space holds 2^8 matrices, the subfield space 2^4,
+    # and "auto" sweeps both
+    def no_work(*args, **kwargs):
+        raise AssertionError("a matrix was evaluated")
+
+    monkeypatch.setattr(verify, "evaluate", no_work)
+    for space, total in (("auto", 272), ("both", 272), ("full", 256),
+                         ("subfield", 16)):
+        with pytest.raises(CapacityError, match=f"holds {total} matrices"):
+            run_exhaustive_2x2(f2, space=space, capacity=total - 1)
+    monkeypatch.undo()
+    assert run_exhaustive_2x2(f2, capacity=272)["summary"]["total"] == 840
+
+
+@pytest.mark.parametrize("argv,total", [
+    ("--p 1031", 1031 ** 4),
+    ("--p 101 --space full", 101 ** 8),
+], ids=["q1031-auto", "q101-full"])
+def test_cli_exhaustive_over_capacity_exits_three(capsys, argv, total):
+    assert main(["verify", *argv.split(), "--scope", "exhaustive-2x2"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("hermrange: exhaustive 2x2 sweep")
+    assert f"holds {total} matrices, capacity is 16777216" in err
+
+
+@pytest.mark.parametrize("argv", [
+    "range --p 1000000007 --matrix 1,2;3,4 --kind num0_prime "
+    "--sample-budget 3",
+    "range --p 2 --m 30 --matrix 1,2;3,4 --kind num0_prime "
+    "--sample-budget 3",
+    "verify --p 2 --m 30 --scope random-nxn --count 1",
+    "verify --p 3 --m 1000000000 --scope random-nxn --count 1",
+], ids=["large-p", "large-m", "verify-large-m", "huge-m"])
+def test_cli_field_size_bound_exits_two(capsys, argv):
+    assert main(argv.split()) == 2
+    assert "exceeds the field-size bound 1048576 = 2^20" \
+        in capsys.readouterr().err
+
+
+def test_cli_field_size_bound_keeps_the_tower_messages(capsys, tmp_path):
+    # an invalid p or m is named as such, whatever the size of p^m
+    for argv, msg in ((["--p", "4", "--m", "30"], "p must be prime, got 4"),
+                      (["--p", "1"], "p must be prime, got 1"),
+                      (["--p", "3", "--m", "0"], "m must be at least 1, got 0")):
+        assert main(["verify", *argv, "--scope", "random-nxn"]) == 2
+        assert capsys.readouterr().err == f"hermrange: {msg}\n"
+    # 2^20 itself is allowed, and the bound covers a file's field block
+    cli._check_field_size(2, 20)
+    cli._check_field_size(1000003, 1)
+    src = tmp_path / "m.json"
+    src.write_text(json.dumps({
+        "field": {"p": 2, "m": 21, "base_modulus": [], "ext_modulus": []},
+        "entries": [[1]]}), encoding="utf-8")
+    assert main(["range", "--matrix", str(src)]) == 2
+    assert "q = 2^21 exceeds" in capsys.readouterr().err
+
+
+def test_failing_claim_reaches_the_report(monkeypatch, tmp_path, f2):
+    # a false claim: 0 is not in the level-0 range, which always holds
+    # <0, M 0> = 0
+    predict = verify.predict_full_field
+
+    def with_false_claim(m):
+        return list(predict(m)) + [
+            Prediction("false-claim", KIND_NUM_K, 0, CLAIM_MEMBER, False)]
+
+    monkeypatch.setattr(verify, "predict_full_field", with_false_claim)
+    report = run_scope(f2, "exhaustive-2x2")
+    rows = [c for c in report["checks"] if c["citation"] == "false-claim"]
+    assert len(rows) == 256  # every full-field matrix at q = 2
+    assert all(c["verdict"] == "fail" and 0 in c["observed"]["values"]
+               for c in rows)
+    assert report["summary"]["fail"] == 256
+    assert report["summary"]["by_citation"]["false-claim"] == {
+        "pass": 0, "fail": 256, "inapplicable": 0}
+    passing = [c for c in report["checks"] if c["verdict"] != "fail"]
+    assert passing and all("values" not in c["observed"] for c in passing)
+
+    dest = tmp_path / "report.json"
+    assert main(["verify", "--p", "2", "--scope", "exhaustive-2x2",
+                 "--out", str(dest)]) == 1
+    text = json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+    assert dest.read_bytes() == text.encode("utf-8")
+
+
+@pytest.mark.parametrize("content,msg", [
+    (None, "bad inline matrix '1,x;2,3'"),
+    ("not json", "is not JSON"),
+    ('{"n": 2}', "lacks an entries table"),
+    ('{"field": {"p": 3, "m": 1}, "entries": [[1]]}',
+     "malformed field spec"),
+    ('{"field": {"p": 3, "m": 1, "base_modulus": [0, 1], '
+     '"ext_modulus": [[2], [0], [1]]}, "entries": [[1]]}',
+     "does not name the canonical tower"),
+], ids=["inline-non-integer", "not-json", "no-entries", "field-missing-keys",
+        "non-canonical-modulus"])
+def test_cli_matrix_input_refusals_exit_two(capsys, tmp_path, content, msg):
+    if content is None:
+        argv = ["--p", "3", "--matrix", "1,x;2,3"]
+    else:
+        src = tmp_path / "m.json"
+        src.write_text(content, encoding="utf-8")
+        argv = ["--matrix", str(src)]
+    assert main(["range", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("hermrange: ") and msg in err
+    assert "Traceback" not in err
