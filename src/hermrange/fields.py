@@ -212,13 +212,16 @@ class FieldSpec:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "FieldSpec":
+        def ints(values) -> tuple[int, ...]:
+            values = tuple(values)
+            if any(type(v) is not int for v in values):
+                raise TypeError(f"expected JSON integers, got {list(values)}")
+            return values
+
         try:
-            return cls(
-                p=int(d["p"]),
-                m=int(d["m"]),
-                base_modulus=tuple(int(c) for c in d["base_modulus"]),
-                ext_modulus=tuple(tuple(int(c) for c in v) for v in d["ext_modulus"]),
-            )
+            p, m = ints((d["p"], d["m"]))
+            return cls(p=p, m=m, base_modulus=ints(d["base_modulus"]),
+                       ext_modulus=tuple(ints(v) for v in d["ext_modulus"]))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed field spec: {exc}") from exc
 

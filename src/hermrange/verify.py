@@ -6,20 +6,21 @@ exhaustively, and aggregates verdicts into a serializable report.  A
 failing check names the matrix, the rule tag, and the observed values,
 so a single failure pinpoints the rule it contradicts.
 
-The exhaustive subfield sweep evaluates once per symmetrized class.
-For u in F_q^n the pairing is
+All runners share one loop, _sweep; a runner only yields cases, each
+the code rows of a matrix, its predictor and a key.  Cases with one key
+share the first one's outcomes, which is exact when the predictions and
+observations are functions of the key, and every matrix still gets its
+own tally and report rows.  The exhaustive subfield sweep keys on the
+symmetrized class: for u in F_q^n the pairing is
 <u, M u> = sum m_ii u_i^2 + sum_{i<j} (m_ij + m_ji) u_i u_j, so every
 subfield range, fiber count and subfield rule depends on M only through
-its diagonal and the sums m_ij + m_ji.  Matrices sharing that data share
-their predictions, observed values and verdicts exactly; the first
-matrix of a class is evaluated and every matrix, the first included,
-still gets its own tally and report rows.  Random sweeps evaluate every
-draw: their draws rarely repeat a class, so a memo there would only
-hold memory.  The full-field and direct-sum sweeps evaluate every
-matrix.  No symmetrized class exists there (m_ij x + m_ji x^q
-determines both entries), but the level-0 ranges of a full-field 2 by 2
-matrix depend only on (m11 - m22, N(m12), m12 m21), or on
-(m11 - m22, 0, N(m21)) when m12 = 0; that key is not used yet.
+its diagonal and the sums m_ij + m_ji.  Random draws rarely repeat a
+class, so a key there would only hold memory.  No symmetrized class
+exists over the full field (m_ij x + m_ji x^q determines both entries).
+The level-0 ranges of a full-field 2 by 2 matrix depend only on
+(m11 - m22, N(m12), m12 m21), or on (m11 - m22, 0, N(m21)) when
+m12 = 0, but its predictions do not: that triple can share ranges, not
+whole outcomes.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from .classify import (FAIL, SCOPE_FIBER_ZERO, check_prediction,
                        predict_direct_sum, predict_full_field,
                        predict_subfield, symmetrized)
 from .fields import FieldCtx
-from .hermitian import DEFAULT_CAPACITY, CapacityError, HermMatrix, block_diag
+from .hermitian import (DEFAULT_CAPACITY, SUBFIELD, CapacityError, HermMatrix,
+                        block_diag, cone_upper_bound)
 from .ranges import (FiberCount, fiber_count, num_k, range_of,
                      resolve_affine_shift)
 
@@ -91,47 +93,10 @@ def _subfield_preds(m: HermMatrix) -> list:
     return preds
 
 
-class _Tally:
-    """Row collection plus verdict counters shared by all runners."""
-
-    def __init__(self, collect: str):
-        if collect not in (COLLECT_ALL, COLLECT_FAILS):
-            raise ValueError(f"unknown collect policy {collect!r}")
-        self.collect = collect
-        self.checks: list[dict] = []
-        self.counts = {"total": 0, "pass": 0, "fail": 0, "inapplicable": 0}
-        self.by_citation: dict[str, dict] = {}
-
-    def run(self, m: HermMatrix, preds, capacity: int) -> None:
-        self.record(m.encs(), evaluate(m, preds, capacity))
-
-    def record(self, rows, outcomes) -> None:
-        """Count one matrix's outcomes and collect its rows."""
-        for basis, k_enc, claim, observed, verdict in outcomes:
-            self.counts["total"] += 1
-            self.counts[verdict] += 1
-            per = self.by_citation.setdefault(
-                basis, {"pass": 0, "fail": 0, "inapplicable": 0})
-            per[verdict] += 1
-            if self.collect == COLLECT_ALL or verdict == FAIL:
-                self.checks.append({
-                    "matrix": [list(r) for r in rows],
-                    "k": k_enc,
-                    "citation": basis,
-                    "claim": claim,
-                    "observed": _observed_json(observed, verdict),
-                    "verdict": verdict,
-                })
-
-    def report(self, config: dict, extra: dict | None = None) -> dict:
-        out = {
-            "config": config,
-            "checks": self.checks,
-            "summary": dict(self.counts, by_citation=self.by_citation),
-        }
-        if extra:
-            out.update(extra)
-        return out
+def _draw(rng: random.Random, limit: int, n: int) -> tuple:
+    """Code rows of an n by n matrix with entries drawn below limit."""
+    return tuple(tuple(rng.randrange(limit) for _ in range(n))
+                 for _ in range(n))
 
 
 def _check_count(count: int) -> None:
@@ -139,10 +104,45 @@ def _check_count(count: int) -> None:
         raise ValueError(f"matrix count must not be negative, got {count}")
 
 
-def _base_config(ctx: FieldCtx, scope: str, **kw) -> dict:
-    cfg = {"p": ctx.p, "m": ctx.m, "q": ctx.q, "q2": ctx.q2, "scope": scope}
-    cfg.update(kw)
-    return cfg
+def _sweep(ctx: FieldCtx, scope: str, cases, collect: str, capacity: int,
+           config: dict) -> dict:
+    """The one loop of every runner: build, evaluate, tally and report.
+
+    cases yields (rows, predict, key): the code rows of one matrix, a
+    function listing the predictions of the built matrix, and a key or
+    None.  A case whose key an earlier case had takes that case's
+    outcomes instead of being built and evaluated; this is exact when
+    the predictions and the observations are functions of the key.
+    Every case still gets its own tally and report rows.
+    """
+    if collect not in (COLLECT_ALL, COLLECT_FAILS):
+        raise ValueError(f"unknown collect policy {collect!r}")
+    checks: list[dict] = []
+    counts = {"total": 0, "pass": 0, "fail": 0, "inapplicable": 0}
+    by_citation: dict[str, dict] = {}
+    shared: dict = {}
+    for rows, predict, key in cases:
+        if key is None or key not in shared:
+            m = HermMatrix.from_encs(ctx, rows)
+            shared[key] = evaluate(m, predict(m), capacity)
+        for basis, k_enc, claim, observed, verdict in shared[key]:
+            counts["total"] += 1
+            counts[verdict] += 1
+            per = by_citation.setdefault(
+                basis, {"pass": 0, "fail": 0, "inapplicable": 0})
+            per[verdict] += 1
+            if collect == COLLECT_ALL or verdict == FAIL:
+                checks.append({
+                    "matrix": [list(r) for r in rows],
+                    "k": k_enc,
+                    "citation": basis,
+                    "claim": claim,
+                    "observed": _observed_json(observed, verdict),
+                    "verdict": verdict,
+                })
+    return {"config": {"p": ctx.p, "m": ctx.m, "q": ctx.q, "q2": ctx.q2,
+                       "scope": scope, **config},
+            "checks": checks, "summary": dict(counts, by_citation=by_citation)}
 
 
 def run_exhaustive_2x2(ctx: FieldCtx, *, space: str = "auto",
@@ -170,42 +170,41 @@ def run_exhaustive_2x2(ctx: FieldCtx, *, space: str = "auto",
         raise CapacityError(f"exhaustive 2x2 sweep over {'+'.join(spaces)} "
                             f"holds {total} matrices, capacity is {capacity}")
 
-    tally = _Tally(collect)
-    for sp in spaces:
-        if sp == "full":
-            for encs in itertools.product(range(ctx.q2), repeat=4):
-                m = HermMatrix.from_encs(ctx, (encs[0:2], encs[2:4]))
-                tally.run(m, predict_full_field(m), capacity)
-        else:
-            # each of the q^3 classes recurs q times, once per split of its sum
-            classes: dict = {}
-            for encs in itertools.product(range(ctx.q), repeat=4):
-                rows = (encs[0:2], encs[2:4])
-                key = symmetrized(ctx, rows)
-                if key not in classes:
-                    m = HermMatrix.from_encs(ctx, rows)
-                    classes[key] = evaluate(m, _subfield_preds(m), capacity)
-                tally.record(rows, classes[key])
+    def cases():
+        for sp in spaces:
+            if sp == "full":
+                for encs in itertools.product(range(ctx.q2), repeat=4):
+                    yield (encs[0:2], encs[2:4]), predict_full_field, None
+            else:
+                # q^3 classes, each met q times: once per split of its sum
+                for encs in itertools.product(range(ctx.q), repeat=4):
+                    rows = (encs[0:2], encs[2:4])
+                    yield rows, _subfield_preds, symmetrized(ctx, rows)
 
+    report = _sweep(ctx, SCOPE_EXHAUSTIVE_2X2, cases(), collect, capacity,
+                    {"space": space, "seed": seed})
     # settle how the level enters the range of a shifted matrix; only a
     # level outside {0, 1} can separate the two candidate laws
     if ctx.q > 2:
         form = resolve_affine_shift(ctx, k=ctx.elem(2), trials=20,
                                     rng=random.Random(seed),
                                     capacity=capacity)
-        affine = {"form": form, "decidable": True}
+        report["affine_law"] = {"form": form, "decidable": True}
     else:
-        affine = {"form": "tie", "decidable": False}
-
-    config = _base_config(ctx, SCOPE_EXHAUSTIVE_2X2, space=space, seed=seed)
-    return tally.report(config, {"affine_law": affine})
+        report["affine_law"] = {"form": "tie", "decidable": False}
+    return report
 
 
 def run_random_nxn(ctx: FieldCtx, *, n: int = 3, count: int = 50,
                    seed: int = 0, space: str = "subfield",
                    collect: str = COLLECT_ALL,
                    capacity: int = DEFAULT_CAPACITY) -> dict:
-    """Check rules on seeded random n by n matrices."""
+    """Check rules on seeded random n by n matrices.
+
+    A subfield draw is checked at all q levels, so a sweep whose level
+    cones may hold more than capacity vectors in all raises
+    CapacityError before its first draw.
+    """
     _check_count(count)
     if n < 2:
         raise ValueError(f"dimension must be at least 2, got {n}")
@@ -213,19 +212,18 @@ def run_random_nxn(ctx: FieldCtx, *, n: int = 3, count: int = 50,
         raise ValueError(f"unknown space {space!r}")
     if space == "full" and n != 2:
         raise ValueError("full-field rules cover n=2 only")
+    if space == "subfield":
+        total = ctx.q * cone_upper_bound(ctx, n, SUBFIELD)
+        if total > capacity:
+            raise CapacityError(
+                f"random {n}x{n} subfield sweep enumerates up to {total} "
+                f"vectors a matrix, capacity is {capacity}")
     rng = random.Random(seed)
-    tally = _Tally(collect)
-    limit = ctx.q2 if space == "full" else ctx.q
-    for _ in range(count):
-        m = HermMatrix.from_encs(ctx, tuple(
-            tuple(rng.randrange(limit) for _ in range(n)) for _ in range(n)))
-        if space == "full":
-            tally.run(m, predict_full_field(m), capacity)
-        else:
-            tally.run(m, _subfield_preds(m), capacity)
-    config = _base_config(ctx, SCOPE_RANDOM_NXN, n=n, count=count, seed=seed,
-                          space=space)
-    return tally.report(config)
+    limit, predict = ((ctx.q2, predict_full_field) if space == "full"
+                      else (ctx.q, _subfield_preds))
+    cases = ((_draw(rng, limit, n), predict, None) for _ in range(count))
+    return _sweep(ctx, SCOPE_RANDOM_NXN, cases, collect, capacity,
+                  {"n": n, "count": count, "seed": seed, "space": space})
 
 
 def run_scalar_fibers(ctx: FieldCtx, *, n_values=(2, 3, 4, 5),
@@ -237,14 +235,12 @@ def run_scalar_fibers(ctx: FieldCtx, *, n_values=(2, 3, 4, 5),
             raise ValueError(f"dimension must be at least 2, got {n}")
     if c_encs is None:
         c_encs = tuple(range(1, ctx.q)) if ctx.q <= 5 else (1, 2)
-    tally = _Tally(collect)
-    for n in n_values:
-        for c in c_encs:
-            m = HermMatrix.scalar(ctx, n, ctx.elem(c))
-            tally.run(m, predict_subfield(m, ctx.zero), capacity)
-    config = _base_config(ctx, SCOPE_SCALAR_FIBERS, n_values=list(n_values),
-                          c_encs=list(c_encs))
-    return tally.report(config)
+    cases = ((tuple(tuple(c if i == j else 0 for j in range(n))
+                    for i in range(n)),
+              lambda m: predict_subfield(m, ctx.zero), None)
+             for n in n_values for c in c_encs)
+    return _sweep(ctx, SCOPE_SCALAR_FIBERS, cases, collect, capacity,
+                  {"n_values": list(n_values), "c_encs": list(c_encs)})
 
 
 def run_direct_sums(ctx: FieldCtx, *, count: int = 50, seed: int = 0,
@@ -254,23 +250,23 @@ def run_direct_sums(ctx: FieldCtx, *, count: int = 50, seed: int = 0,
     _check_count(count)
     rng = random.Random(seed)
     splits = ((1, 1), (1, 2), (2, 1))
-    tally = _Tally(collect)
-    for i in range(count):
-        xa, xb = splits[i % len(splits)]
-        a = HermMatrix.from_encs(ctx, tuple(
-            tuple(rng.randrange(ctx.q2) for _ in range(xa)) for _ in range(xa)))
-        b = HermMatrix.from_encs(ctx, tuple(
-            tuple(rng.randrange(ctx.q2) for _ in range(xb)) for _ in range(xb)))
-        preds = predict_direct_sum(
-            a, b,
-            num_k(a, ctx.one, capacity=capacity),
-            num_k(b, ctx.one, capacity=capacity),
-            num_k(a, ctx.zero, capacity=capacity),
-            num_k(b, ctx.zero, capacity=capacity),
-            capacity=capacity)
-        tally.run(block_diag(a, b), preds, capacity)
-    config = _base_config(ctx, SCOPE_DIRECT_SUMS, count=count, seed=seed)
-    return tally.report(config)
+
+    def cases():
+        for i in range(count):
+            xa, xb = splits[i % len(splits)]
+            a = HermMatrix.from_encs(ctx, _draw(rng, ctx.q2, xa))
+            b = HermMatrix.from_encs(ctx, _draw(rng, ctx.q2, xb))
+
+            def predict(m, a=a, b=b):
+                return predict_direct_sum(
+                    a, b, num_k(a, ctx.one, capacity=capacity),
+                    num_k(b, ctx.one, capacity=capacity),
+                    num_k(a, ctx.zero, capacity=capacity),
+                    num_k(b, ctx.zero, capacity=capacity), capacity=capacity)
+            yield block_diag(a, b).encs(), predict, None
+
+    return _sweep(ctx, SCOPE_DIRECT_SUMS, cases(), collect, capacity,
+                  {"count": count, "seed": seed})
 
 
 def run_scope(ctx: FieldCtx, scope: str, *, n: int | None = None,

@@ -367,6 +367,45 @@ def test_exhaustive_sweep_over_capacity_raises_before_work(monkeypatch, f2):
     assert run_exhaustive_2x2(f2, capacity=272)["summary"]["total"] == 840
 
 
+def test_random_subfield_sweep_over_capacity_raises_before_work(monkeypatch,
+                                                              f3):
+    # q = 3, n = 3: three level cones of at most 2 * 3^2 = 18 vectors
+    def no_work(*args, **kwargs):
+        raise AssertionError("a matrix was evaluated")
+
+    monkeypatch.setattr(verify, "evaluate", no_work)
+    with pytest.raises(CapacityError,
+                       match="up to 54 vectors a matrix, capacity is 53"):
+        run_random_nxn(f3, n=3, count=5, capacity=53)
+    monkeypatch.undo()
+    assert run_random_nxn(f3, n=3, count=5, capacity=54)["summary"]["total"]
+
+
+@pytest.mark.parametrize("argv,total", [
+    ("--p 2 --m 20", 2 ** 40),
+    ("--p 3 --m 12", 3 ** 12 * 2 * 3 ** 12),
+], ids=["q2^20", "q3^12"])
+def test_cli_random_subfield_over_capacity_exits_three(capsys, argv, total):
+    assert main(["verify", *argv.split(), "--scope", "random-nxn", "--n", "2",
+                 "--count", "1"]) == 3
+    assert capsys.readouterr().err == (
+        f"hermrange: random 2x2 subfield sweep enumerates up to {total} "
+        "vectors a matrix, capacity is 16777216\n")
+
+
+@pytest.mark.parametrize("runner", [run_exhaustive_2x2, run_random_nxn,
+                                    run_scalar_fibers, run_direct_sums],
+                         ids=lambda r: r.__name__)
+def test_runners_refuse_an_unknown_collect_policy_before_work(monkeypatch, f2,
+                                                              runner):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a matrix was evaluated")
+
+    monkeypatch.setattr(verify, "evaluate", no_work)
+    with pytest.raises(ValueError, match="unknown collect policy 'some'"):
+        runner(f2, collect="some")
+
+
 @pytest.mark.parametrize("argv,total", [
     ("--p 1031", 1031 ** 4),
     ("--p 101 --space full", 101 ** 8),
@@ -447,8 +486,14 @@ def test_failing_claim_reaches_the_report(monkeypatch, tmp_path, f2):
     ('{"field": {"p": 3, "m": 1, "base_modulus": [0, 1], '
      '"ext_modulus": [[2], [0], [1]]}, "entries": [[1]]}',
      "does not name the canonical tower"),
+    ('{"field": {"p": 3.9, "m": 1.2, "base_modulus": "01", '
+     '"ext_modulus": ["1", "0", "1"]}, "entries": [[1]]}',
+     "malformed field spec"),
+    ('{"field": {"p": "3", "m": 1, "base_modulus": [0, 1], '
+     '"ext_modulus": [[1], [0], [1]]}, "entries": [[1]]}',
+     "malformed field spec"),
 ], ids=["inline-non-integer", "not-json", "no-entries", "field-missing-keys",
-        "non-canonical-modulus"])
+        "non-canonical-modulus", "field-non-integers", "field-string-p"])
 def test_cli_matrix_input_refusals_exit_two(capsys, tmp_path, content, msg):
     if content is None:
         argv = ["--p", "3", "--matrix", "1,x;2,3"]
