@@ -16,6 +16,7 @@ the only input those ranges depend on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .fields import FieldCtx, FieldElem
 from .hermitian import HermMatrix, Vector, inner_encs
@@ -154,6 +155,30 @@ def _half_up(x: int) -> int:
 
 _ZERO_IN_NUM0 = Prediction("zero-in-num0", KIND_NUM_K, 0, CLAIM_MEMBER, True)
 _REMARK4 = Prediction("remark4", KIND_NUM0_PRIME, 0, CLAIM_EXACT_SET, (0,))
+_PROP3 = Prediction("prop3", KIND_NUM0_PRIME, 0, CLAIM_LINE)
+
+
+@lru_cache(maxsize=None)
+def _q_claims(q: int) -> dict:
+    """The full-field claims whose payload depends on q alone, by tag,
+    built once per q."""
+    q2 = q * q
+    even = q % 2 == 0
+    prop2 = (Prediction("prop2", KIND_NUM0_PRIME, 0, CLAIM_MEMBER, False),
+             Prediction("prop2", KIND_NUM0_PRIME, 0, CLAIM_EXACT_CARD,
+                        q2 - 1 if even else (q2 - 1) // 2))
+    if even:
+        prop2 += (Prediction("prop2", KIND_NUM0_PRIME, 0, CLAIM_EXACT_SET,
+                             tuple(range(1, q2))),)
+    return {
+        "cor1": Prediction("cor1", KIND_NUM_K, 0, CLAIM_LOWER_BOUND,
+                           _half_up(q + 1)),
+        "prop2": prop2,
+        "prop4.i": Prediction("prop4.i", KIND_NUM0_PRIME, 0,
+                              CLAIM_LOWER_BOUND, _half_up(q + 1)),
+        "prop4.ii": Prediction("prop4.ii", KIND_NUM0_PRIME, 0,
+                               CLAIM_LOWER_BOUND, q + 1),
+    }
 
 
 def _level0_header(q: int, scalar: bool) -> list[Prediction]:
@@ -162,8 +187,7 @@ def _level0_header(q: int, scalar: bool) -> list[Prediction]:
     least ceil((q+1)/2) level-0 values."""
     if scalar:
         return [_ZERO_IN_NUM0, _REMARK4]
-    return [_ZERO_IN_NUM0, Prediction("cor1", KIND_NUM_K, 0,
-                                      CLAIM_LOWER_BOUND, _half_up(q + 1))]
+    return [_ZERO_IN_NUM0, _q_claims(q)["cor1"]]
 
 
 def predict_full_field(m: HermMatrix) -> list[Prediction]:
@@ -171,12 +195,13 @@ def predict_full_field(m: HermMatrix) -> list[Prediction]:
     if m.n != 2:
         raise ValueError(f"full-field rules cover n=2, got n={m.n}")
     ctx = m.ctx
-    q, q2 = ctx.q, ctx.q2
+    q = ctx.q
 
     preds = _level0_header(q, m.is_scalar)
     if m.is_scalar:
         return preds
 
+    fixed = _q_claims(q)
     e = eigen2(m)
     if e.orthogonal_eigenbasis:
         c1, c2 = e.eigenvalue_encs
@@ -184,26 +209,17 @@ def predict_full_field(m: HermMatrix) -> list[Prediction]:
             "prop1d", KIND_NUM0_PRIME, 0, CLAIM_EXACT_SET,
             _line_values(ctx, ctx.sub_enc(c2, c1), False)))
     elif e.status == TWO_DISTINCT and all(e.isotropic):
-        preds.append(Prediction("prop3", KIND_NUM0_PRIME, 0, CLAIM_LINE))
+        preds.append(_PROP3)
     elif (e.status == REPEATED and e.eigenspace_dims == (1,)
           and not e.isotropic[0]):
-        preds.append(Prediction("prop2", KIND_NUM0_PRIME, 0, CLAIM_MEMBER,
-                                False))
-        card = q2 - 1 if q % 2 == 0 else (q2 - 1) // 2
-        preds.append(Prediction("prop2", KIND_NUM0_PRIME, 0, CLAIM_EXACT_CARD,
-                                card))
-        if q % 2 == 0:
-            preds.append(Prediction("prop2", KIND_NUM0_PRIME, 0,
-                                    CLAIM_EXACT_SET, tuple(range(1, q2))))
+        preds.extend(fixed["prop2"])
 
     (_, m12), (m21, _) = m.encs()
     if m12 and m21:
-        preds.append(Prediction("prop4.i", KIND_NUM0_PRIME, 0,
-                                CLAIM_LOWER_BOUND, _half_up(q + 1)))
+        preds.append(fixed["prop4.i"])
         ratio = ctx.div_enc(ctx.neg_enc(m12), m21)
         if ctx.norm_enc(ratio) != 1:
-            preds.append(Prediction("prop4.ii", KIND_NUM0_PRIME, 0,
-                                    CLAIM_LOWER_BOUND, q + 1))
+            preds.append(fixed["prop4.ii"])
     return preds
 
 
@@ -325,6 +341,28 @@ def symmetrized(ctx: FieldCtx, rows):
     sums = tuple(((i, j), ctx.q_add(rows[i][j], rows[j][i]))
                  for i in range(n) for j in range(i + 1, n))
     return diag, sums
+
+
+# the range kinds a null class determines, both at level 0 only
+NULL_CLASS_KINDS = (KIND_NUM_K, KIND_NUM0_PRIME)
+
+
+def null_class(ctx: FieldCtx, rows):
+    """Key of the level-0 ranges (NULL_CLASS_KINDS) of a full-field 2 by 2
+    matrix, given as code rows.
+
+    On the null cone <u, (M + aI) u> = <u, M u> + a <u, u> = <u, M u>,
+    and conjugating by the unitary diag(1, mu), N(mu) = 1, maps the cone
+    onto itself while sending (m12, m21) to (m12 mu, m21 mu^q).  So
+    Num_0(M) and the null-range depend on M only through
+    (m11 - m22, N(m12), m12 m21), or (m11 - m22, 0, N(m21)) when
+    m12 = 0: the orbit of (m12, m21) under the unit circle.  There are
+    q^3 (q^2 - q + 1) keys.  Predictions are not functions of the key.
+    """
+    (a, b), (c, d) = rows
+    if b:
+        return ctx.sub_enc(a, d), ctx.norm_enc(b), ctx.mul_enc(b, c)
+    return ctx.sub_enc(a, d), 0, ctx.norm_enc(c)
 
 
 def predict_subfield(m: HermMatrix, k: FieldElem) -> list[Prediction]:
@@ -547,14 +585,36 @@ def _holds(pred: Prediction, ctx: FieldCtx, values: set[int]) -> bool:
     raise ValueError(f"unknown claim {claim!r}")
 
 
+def _refuted_by_sample(pred: Prediction, ctx: FieldCtx,
+                       values: set[int]) -> bool:
+    """Whether every superset of the values breaks the claim, so that a
+    sample of the range already refutes it."""
+    claim, target = pred.claim, pred.target
+    if claim in (CLAIM_UPPER_BOUND, CLAIM_EXACT_CARD):
+        return len(values) > target
+    if claim == CLAIM_EXACT_SET:
+        return not values <= set(target)
+    if claim == CLAIM_EMPTY:
+        return bool(values)
+    if claim == CLAIM_MEMBER:
+        return not target and 0 in values
+    if claim == CLAIM_LINE:
+        # the nonzero values must lie on the one line any of them spans
+        o = next((v for v in values if v), None)
+        return o is not None and not values <= set(_line_values(ctx, o, True))
+    return False
+
+
 def check_prediction(pred: Prediction, observed) -> str:
     """Compare one claim against a computed range or fiber count.
 
     On an exhaustive range the verdict is pass or fail.  A sampled range
     is a subset of the true range: it passes a claim that every superset
     keeps (lower_bound, superset, 0 in the range) and fails one that
-    every superset breaks (empty, 0 not in the range); every other
-    sampled case is inapplicable.
+    every superset breaks (a bound or exact cardinality already
+    exceeded, a value outside an exact set, nonzero values off one
+    F_q-line through 0, any value for empty, 0 for 0 not in the range);
+    every other sampled case is inapplicable.
     """
     if isinstance(observed, FiberCount):
         if pred.scope != SCOPE_FIBER_ZERO or observed.value.enc != pred.k_enc:
@@ -570,14 +630,14 @@ def check_prediction(pred: Prediction, observed) -> str:
             f"prediction for {pred.scope}@k={pred.k_enc} paired with "
             f"{observed.kind}@k={observed.k_enc}")
 
-    holds = _holds(pred, observed.ctx, set(observed.values))
+    values = set(observed.values)
+    holds = _holds(pred, observed.ctx, values)
     if observed.mode == EXHAUSTIVE:
         return PASS if holds else FAIL
     claim = pred.claim
     if holds and (claim in (CLAIM_LOWER_BOUND, CLAIM_SUPERSET)
                   or claim == CLAIM_MEMBER and pred.target):
         return PASS
-    if not holds and (claim == CLAIM_EMPTY
-                      or claim == CLAIM_MEMBER and not pred.target):
+    if _refuted_by_sample(pred, observed.ctx, values):
         return FAIL
     return INAPPLICABLE

@@ -7,20 +7,29 @@ failing check names the matrix, the rule tag, and the observed values,
 so a single failure pinpoints the rule it contradicts.
 
 All runners share one loop, _sweep; a runner only yields cases, each
-the code rows of a matrix, its predictor and a key.  Cases with one key
-share the first one's outcomes, which is exact when the predictions and
-observations are functions of the key, and every matrix still gets its
-own tally and report rows.  The exhaustive subfield sweep keys on the
+the code rows of a matrix, its predictor, an outcome key and a range
+class.  Every matrix gets its own tally and report rows; the two keys
+only let matrices share work.
+
+Cases with one outcome key share the first one's outcomes (observations
+and verdicts), which is exact when the predictions and observations are
+functions of the key.  The exhaustive subfield sweep keys on the
 symmetrized class: for u in F_q^n the pairing is
 <u, M u> = sum m_ii u_i^2 + sum_{i<j} (m_ij + m_ji) u_i u_j, so every
 subfield range, fiber count and subfield rule depends on M only through
-its diagonal and the sums m_ij + m_ji.  Random draws rarely repeat a
-class, so a key there would only hold memory.  No symmetrized class
-exists over the full field (m_ij x + m_ji x^q determines both entries).
-The level-0 ranges of a full-field 2 by 2 matrix depend only on
-(m11 - m22, N(m12), m12 m21), or on (m11 - m22, 0, N(m21)) when
-m12 = 0, but its predictions do not: that triple can share ranges, not
-whole outcomes.
+its diagonal and the sums m_ij + m_ji.  Random subfield draws rarely
+repeat a class, so a key there would only hold memory.
+
+No symmetrized class exists over the full field (m_ij x + m_ji x^q
+determines both entries), but every full-field rule is about level 0,
+and the level-0 ranges of a 2 by 2 matrix depend only on its null class
+(classify.null_class): (m11 - m22, N(m12), m12 m21), or
+(m11 - m22, 0, N(m21)) when m12 = 0.  Its predictions do not, so a
+full-field case is predicted and checked on its own and shares only its
+ranges, through one cache per sweep keyed by (class, scope, level).
+The exhaustive full space always carries the class; a random full-field
+sweep carries it only when count reaches the q^3 (q^2 - q + 1) classes,
+so the cache never grows past the class count.
 """
 
 from __future__ import annotations
@@ -28,9 +37,9 @@ from __future__ import annotations
 import itertools
 import random
 
-from .classify import (FAIL, SCOPE_FIBER_ZERO, check_prediction,
-                       predict_direct_sum, predict_full_field,
-                       predict_subfield, symmetrized)
+from .classify import (FAIL, NULL_CLASS_KINDS, SCOPE_FIBER_ZERO,
+                       check_prediction, null_class, predict_direct_sum,
+                       predict_full_field, predict_subfield, symmetrized)
 from .fields import FieldCtx
 from .hermitian import (DEFAULT_CAPACITY, SUBFIELD, CapacityError, HermMatrix,
                         block_diag, cone_upper_bound)
@@ -49,20 +58,32 @@ COLLECT_ALL = "all"
 COLLECT_FAILS = "fails"
 
 
-def evaluate(m: HermMatrix, preds,
-             capacity: int = DEFAULT_CAPACITY) -> tuple:
+def evaluate(m: HermMatrix, preds, capacity: int = DEFAULT_CAPACITY,
+             cache: dict | None = None, cls=None) -> tuple:
     """Observe each prediction's range (or fiber count) and check it.
 
     Each outcome is (basis, k_enc, claim, observed, verdict), observed
     being the RangeSet or FiberCount; predictions on one scope and level
     share one observation.  Neither holds the matrix, so a class of
     matrices can share outcomes.
+
+    Observations are kept in cache under (cls, scope, k_enc); without a
+    cache each call keeps its own.  A cache passed in is shared by every
+    matrix of the range class cls (classify.null_class), which fixes
+    only the level-0 ranges, so any other prediction raises
+    RuntimeError rather than read another matrix's range.
     """
     ctx = m.ctx
-    cache: dict = {}
+    shared = cache is not None
+    if not shared:
+        cache = {}
     outcomes = []
     for pred in preds:
-        key = (pred.scope, pred.k_enc)
+        if shared and (pred.k_enc or pred.scope not in NULL_CLASS_KINDS):
+            raise RuntimeError(
+                f"{pred.basis} claims {pred.scope}@k={pred.k_enc}, which "
+                f"its range class does not determine")
+        key = (cls, pred.scope, pred.k_enc)
         obs = cache.get(key)
         if obs is None:
             if pred.scope == SCOPE_FIBER_ZERO:
@@ -108,12 +129,16 @@ def _sweep(ctx: FieldCtx, scope: str, cases, collect: str, capacity: int,
            config: dict) -> dict:
     """The one loop of every runner: build, evaluate, tally and report.
 
-    cases yields (rows, predict, key): the code rows of one matrix, a
-    function listing the predictions of the built matrix, and a key or
-    None.  A case whose key an earlier case had takes that case's
-    outcomes instead of being built and evaluated; this is exact when
-    the predictions and the observations are functions of the key.
-    Every case still gets its own tally and report rows.
+    cases yields (rows, predict, key, cls): the code rows of one matrix,
+    a function listing the predictions of the built matrix, an outcome
+    key or None, and a range class or None.  A case whose key an
+    earlier case had takes that case's outcomes instead of being built
+    and evaluated; this is exact when the predictions and the
+    observations are functions of the key.  A case with a range class
+    is built, predicted and checked on its own, but reads its ranges
+    from one cache for the whole sweep, keyed by (cls, scope, k_enc),
+    which is exact when the ranges are functions of the class.  Every
+    case still gets its own tally and report rows.
     """
     if collect not in (COLLECT_ALL, COLLECT_FAILS):
         raise ValueError(f"unknown collect policy {collect!r}")
@@ -121,10 +146,12 @@ def _sweep(ctx: FieldCtx, scope: str, cases, collect: str, capacity: int,
     counts = {"total": 0, "pass": 0, "fail": 0, "inapplicable": 0}
     by_citation: dict[str, dict] = {}
     shared: dict = {}
-    for rows, predict, key in cases:
+    ranges: dict = {}
+    for rows, predict, key, cls in cases:
         if key is None or key not in shared:
             m = HermMatrix.from_encs(ctx, rows)
-            shared[key] = evaluate(m, predict(m), capacity)
+            shared[key] = evaluate(m, predict(m), capacity,
+                                   None if cls is None else ranges, cls)
         for basis, k_enc, claim, observed, verdict in shared[key]:
             counts["total"] += 1
             counts[verdict] += 1
@@ -174,12 +201,14 @@ def run_exhaustive_2x2(ctx: FieldCtx, *, space: str = "auto",
         for sp in spaces:
             if sp == "full":
                 for encs in itertools.product(range(ctx.q2), repeat=4):
-                    yield (encs[0:2], encs[2:4]), predict_full_field, None
+                    rows = (encs[0:2], encs[2:4])
+                    yield (rows, predict_full_field, None,
+                           null_class(ctx, rows))
             else:
                 # q^3 classes, each met q times: once per split of its sum
                 for encs in itertools.product(range(ctx.q), repeat=4):
                     rows = (encs[0:2], encs[2:4])
-                    yield rows, _subfield_preds, symmetrized(ctx, rows)
+                    yield rows, _subfield_preds, symmetrized(ctx, rows), None
 
     report = _sweep(ctx, SCOPE_EXHAUSTIVE_2X2, cases(), collect, capacity,
                     {"space": space, "seed": seed})
@@ -221,7 +250,11 @@ def run_random_nxn(ctx: FieldCtx, *, n: int = 3, count: int = 50,
     rng = random.Random(seed)
     limit, predict = ((ctx.q2, predict_full_field) if space == "full"
                       else (ctx.q, _subfield_preds))
-    cases = ((_draw(rng, limit, n), predict, None) for _ in range(count))
+    # full-field draws share ranges only when they can repeat a class, so
+    # the cache never outgrows the class count
+    keyed = space == "full" and ctx.q ** 3 * (ctx.q ** 2 - ctx.q + 1) <= count
+    cases = ((rows, predict, None, null_class(ctx, rows) if keyed else None)
+             for rows in (_draw(rng, limit, n) for _ in range(count)))
     return _sweep(ctx, SCOPE_RANDOM_NXN, cases, collect, capacity,
                   {"n": n, "count": count, "seed": seed, "space": space})
 
@@ -237,7 +270,7 @@ def run_scalar_fibers(ctx: FieldCtx, *, n_values=(2, 3, 4, 5),
         c_encs = tuple(range(1, ctx.q)) if ctx.q <= 5 else (1, 2)
     cases = ((tuple(tuple(c if i == j else 0 for j in range(n))
                     for i in range(n)),
-              lambda m: predict_subfield(m, ctx.zero), None)
+              lambda m: predict_subfield(m, ctx.zero), None, None)
              for n in n_values for c in c_encs)
     return _sweep(ctx, SCOPE_SCALAR_FIBERS, cases, collect, capacity,
                   {"n_values": list(n_values), "c_encs": list(c_encs)})
@@ -263,7 +296,7 @@ def run_direct_sums(ctx: FieldCtx, *, count: int = 50, seed: int = 0,
                     num_k(b, ctx.one, capacity=capacity),
                     num_k(a, ctx.zero, capacity=capacity),
                     num_k(b, ctx.zero, capacity=capacity), capacity=capacity)
-            yield block_diag(a, b).encs(), predict, None
+            yield block_diag(a, b).encs(), predict, None, None
 
     return _sweep(ctx, SCOPE_DIRECT_SUMS, cases(), collect, capacity,
                   {"count": count, "seed": seed})

@@ -18,8 +18,9 @@ from hermrange.classify import (CLAIM_EMPTY, CLAIM_EXACT_CARD,
                                 CLAIM_SUPERSET, CLAIM_UPPER_BOUND, FAIL,
                                 INAPPLICABLE, IRREDUCIBLE, PASS, REPEATED,
                                 SCOPE_FIBER_ZERO, TWO_DISTINCT, Prediction,
-                                check_prediction, eigen2, predict_direct_sum,
-                                predict_full_field, predict_subfield,
+                                check_prediction, eigen2, null_class,
+                                predict_direct_sum, predict_full_field,
+                                predict_subfield,
                                 predict_unitary_diagonal,
                                 scalar_fiber_formula, symmetrized,
                                 unitarily_diagonalizable_2x2)
@@ -28,7 +29,7 @@ from hermrange.hermitian import HermMatrix, Vector, block_diag, inner
 from hermrange.ranges import (EXHAUSTIVE, KIND_NUM0_PRIME,
                               KIND_NUM0_PRIME_SUBFIELD, KIND_NUM_K,
                               KIND_NUM_K_SUBFIELD, SAMPLED,
-                              RangeSet, fiber_count, fiber_table,
+                              RangeSet, fiber_count, fiber_table, num0_prime,
                               num0_prime_subfield, num_k, num_k_subfield,
                               range_naive)
 from hermrange.verify import evaluate
@@ -536,6 +537,41 @@ def test_subfield_data_depends_only_on_the_symmetrized_class(towers):
         assert fiber_table(m) == fiber_table(rep), m
 
 
+def _level0_values(ctx, rows):
+    m = _m(ctx, rows)
+    return num_k(m, ctx.zero).values, num0_prime(m).values
+
+
+def _assert_level0_shared_by_class(ctx, rows_seq):
+    """Every matrix has the level-0 range values of the first matrix of
+    its null class; returns the number of classes met."""
+    first = {}
+    for rows in rows_seq:
+        got = _level0_values(ctx, rows)
+        assert first.setdefault(null_class(ctx, rows), got) == got, rows
+    return len(first)
+
+
+@pytest.mark.parametrize("q", (2, 3))
+def test_level0_ranges_depend_only_on_the_null_class(towers, q):
+    # the invariance full-field sweeps rely on to share level-0 ranges,
+    # on every matrix of the space; the key takes q^3 (q^2 - q + 1) values
+    ctx = towers[q]
+    spaces = itertools.product(range(ctx.q2), repeat=4)
+    classes = _assert_level0_shared_by_class(
+        ctx, ((e[0:2], e[2:4]) for e in spaces))
+    assert classes == q ** 3 * (q * q - q + 1)
+
+
+@pytest.mark.parametrize("q", (4, 5))
+def test_level0_ranges_depend_only_on_the_null_class_sampled(towers, q):
+    ctx = towers[q]
+    rng = random.Random(q)
+    draws = [tuple(tuple(rng.randrange(ctx.q2) for _ in range(2))
+                   for _ in range(2)) for _ in range(6000)]
+    assert _assert_level0_shared_by_class(ctx, draws) < len(draws)
+
+
 # verdict semantics and the fiber formula
 
 
@@ -576,9 +612,40 @@ def test_verdicts_on_sampled_ranges(f3):
     assert check_prediction(pred(CLAIM_EMPTY), obs) == FAIL
 
 
+# A sample is a subset of the true range, so it refutes a claim exactly
+# when no superset of it could satisfy the claim; any other sample is
+# inapplicable.  At q = 3 the F_3-line through 1 (or 2) is {0, 1, 2}.
+_SAMPLED_REFUTATIONS = (
+    (CLAIM_UPPER_BOUND, 2, (0, 2, 5), FAIL),
+    (CLAIM_UPPER_BOUND, 2, (0, 2), INAPPLICABLE),
+    (CLAIM_EXACT_CARD, 2, (0, 2, 5), FAIL),
+    (CLAIM_EXACT_CARD, 2, (0, 2), INAPPLICABLE),
+    (CLAIM_EXACT_CARD, 3, (0, 2), INAPPLICABLE),
+    (CLAIM_EXACT_SET, (0, 2, 5), (0, 7), FAIL),
+    (CLAIM_EXACT_SET, (0, 2, 5), (2, 5), INAPPLICABLE),
+    (CLAIM_EXACT_SET, (0, 2, 5), (0, 2, 5), INAPPLICABLE),
+    (CLAIM_LINE, None, (2, 5), FAIL),
+    (CLAIM_LINE, None, (0, 1, 5), FAIL),
+    (CLAIM_LINE, None, (0, 1, 2), INAPPLICABLE),
+    (CLAIM_LINE, None, (1, 2), INAPPLICABLE),
+    (CLAIM_LINE, None, (0,), INAPPLICABLE),
+    (CLAIM_LINE, None, (), INAPPLICABLE),
+)
+
+
+@pytest.mark.parametrize("claim,target,values,expect", _SAMPLED_REFUTATIONS)
+def test_sampled_ranges_fail_claims_no_superset_keeps(f3, claim, target,
+                                                      values, expect):
+    pred = Prediction("x", KIND_NUM_K, 0, claim, target)
+    assert check_prediction(pred, _sampled(f3, values)) == expect
+
+
 # One case per claim shape, at q = 3: (name, claim, target, nonzero_only,
 # values where the claim holds, values where it fails).  The expected
-# verdicts were recorded from the previous verdict ladder.
+# verdicts were recorded from the previous verdict ladder, except the
+# sampled failures of upper_bound and line: both samples already break
+# their claim (three values against a bound of 2; 5 off the line {0, 1,
+# 2} that 2 spans), so every superset does too.
 _VERDICT_CASES = (
     ("exact_set", CLAIM_EXACT_SET, (0, 2, 5), False, (0, 2, 5), (0, 2)),
     ("exact_card", CLAIM_EXACT_CARD, 3, False, (0, 2, 5), (0, 2)),
@@ -596,12 +663,12 @@ _SAMPLED_VERDICTS = {
     "exact_card": (INAPPLICABLE, INAPPLICABLE),
     "lower_bound": (PASS, INAPPLICABLE),
     "lower_bound_nonzero": (PASS, INAPPLICABLE),
-    "upper_bound": (INAPPLICABLE, INAPPLICABLE),
+    "upper_bound": (INAPPLICABLE, FAIL),
     "member_in": (PASS, INAPPLICABLE),
     "member_out": (INAPPLICABLE, FAIL),
     "empty": (INAPPLICABLE, FAIL),
     "superset": (PASS, INAPPLICABLE),
-    "line": (INAPPLICABLE, INAPPLICABLE),
+    "line": (INAPPLICABLE, FAIL),
 }
 
 

@@ -2,7 +2,7 @@
 
 Each digest is over the canonical report bytes (sorted keys, compact
 separators, trailing newline, as the CLI writes them) for the default
-arguments and collect="all".  A refactor or optimisation that keeps
+arguments and collect="all", unless a case names its own policy.  A refactor or optimisation that keeps
 every report byte-identical keeps these digests; a deliberate change to
 the report must update them and say why.
 """
@@ -65,6 +65,11 @@ PINNED = (
     ("random-full-q23", run_random_nxn, (23, 1),
      {"n": 2, "space": "full", "count": 20, "seed": 0},
      "62ce210fcbdf4ddf75fb38ca91df23b6bc9d7bdf298c81230fa8077ff6af102a"),
+    # the whole full-field space at q = 4, 65,536 matrices in 832 null
+    # classes; rows of failing checks only
+    ("exhaustive-2x2-full-q4", run_exhaustive_2x2, (2, 2),
+     {"space": "full", "collect": "fails"},
+     "ad7f57043d131cd73bf63b08047fa3522e0cf258b01dd61090318d0b9b711359"),
 )
 
 
@@ -76,7 +81,7 @@ def _digest(report: dict) -> str:
 @pytest.mark.parametrize("runner,pm,kw,expect",
                          [p[1:] for p in PINNED], ids=[p[0] for p in PINNED])
 def test_report_digest(runner, pm, kw, expect):
-    report = runner(build_tower(*pm), collect="all", **kw)
+    report = runner(build_tower(*pm), **{"collect": "all", **kw})
     assert _digest(report) == expect
 
 

@@ -8,10 +8,12 @@ from collections import Counter
 import pytest
 
 from hermrange import cli, verify
-from hermrange.classify import CLAIM_MEMBER, Prediction
+from hermrange.classify import (CLAIM_EXACT_CARD, CLAIM_MEMBER,
+                                SCOPE_FIBER_ZERO, Prediction, null_class,
+                                predict_full_field)
 from hermrange.cli import build_parser, main
 from hermrange.fields import build_tower
-from hermrange.hermitian import CapacityError
+from hermrange.hermitian import CapacityError, HermMatrix
 from hermrange.ranges import (KIND_NUM0_PRIME, KIND_NUM0_PRIME_SUBFIELD,
                               KIND_NUM_K, RANGE_KINDS)
 from hermrange.verify import (COLLECT_FAILS, SCOPE_SCALAR_FIBERS,
@@ -107,6 +109,82 @@ def test_exhaustive_subfield_sweep_evaluates_each_class_once(monkeypatch, f3):
     assert report["summary"]["total"] == 93
     assert len(report["checks"]) == 93
     assert calls["check"] < 93
+
+
+def _count_range_calls(monkeypatch):
+    calls = Counter()
+    range_of = verify.range_of
+
+    def counting_range_of(m, kind, k, **kw):
+        calls[kind] += 1
+        return range_of(m, kind, k, **kw)
+
+    monkeypatch.setattr(verify, "range_of", counting_range_of)
+    return calls
+
+
+def _unshared(monkeypatch, runner, *args, **kw):
+    """The report of a runner whose cases carry no range class."""
+    with monkeypatch.context() as mp:
+        mp.setattr(verify, "null_class", lambda ctx, rows: None)
+        return runner(*args, **kw)
+
+
+def test_full_field_sweep_shares_ranges_by_null_class(monkeypatch, f3):
+    calls = _count_range_calls(monkeypatch)
+    report = _clean(run_exhaustive_2x2(f3, space="full"))
+    # 6,561 matrices, 189 null classes, two level-0 kinds at most
+    assert sum(calls.values()) <= 2 * 189
+    assert set(calls) <= {KIND_NUM_K, KIND_NUM0_PRIME}
+    # predictions and verdicts still come from each matrix: the report is
+    # the one of a sweep that evaluates every matrix on its own
+    shared_calls = sum(calls.values())
+    assert report == _unshared(monkeypatch, run_exhaustive_2x2, f3,
+                               space="full")
+    assert sum(calls.values()) - shared_calls >= 6561
+
+
+@pytest.mark.parametrize("count,keyed", [(188, False), (189, True)])
+def test_random_full_sweep_keys_draws_only_past_the_class_count(
+        monkeypatch, f3, count, keyed):
+    caches = []
+    evaluate = verify.evaluate
+
+    def spying_evaluate(m, preds, capacity, cache=None, cls=None):
+        caches.append(cache)
+        return evaluate(m, preds, capacity, cache, cls)
+
+    monkeypatch.setattr(verify, "evaluate", spying_evaluate)
+    report = _clean(run_random_nxn(f3, n=2, space="full", count=count))
+    assert len(caches) == count
+    if keyed:
+        # one cache for the sweep, never larger than the two level-0
+        # ranges of each of the 189 classes
+        assert all(c is caches[0] for c in caches)
+        assert 0 < len(caches[0]) <= 2 * 189
+    else:
+        assert caches == [None] * count
+    monkeypatch.setattr(verify, "evaluate", evaluate)
+    assert report == _unshared(monkeypatch, run_random_nxn, f3, n=2,
+                               space="full", count=count)
+
+
+def test_shared_range_cache_refuses_claims_its_class_does_not_fix(f3):
+    m = HermMatrix.from_encs(f3, ((1, 2), (0, 1)))
+    cls = null_class(f3, m.encs())
+    preds = predict_full_field(m)
+    cache = {}
+    assert (verify.evaluate(m, preds, cache=cache, cls=cls)
+            == verify.evaluate(m, preds))
+    assert {key[0] for key in cache} == {cls}
+    # a claim off level 0, or on a kind the class does not fix, must not
+    # read (or store) a range another matrix of its class left behind
+    for pred in (Prediction("x", KIND_NUM_K, 1, CLAIM_MEMBER, True),
+                 Prediction("x", KIND_NUM0_PRIME_SUBFIELD, 0, CLAIM_MEMBER,
+                            True),
+                 Prediction("x", SCOPE_FIBER_ZERO, 0, CLAIM_EXACT_CARD, 1)):
+        with pytest.raises(RuntimeError, match="range class"):
+            verify.evaluate(m, preds + [pred], cache=cache, cls=cls)
 
 
 def test_scope_dispatch(f2):
