@@ -561,6 +561,13 @@ def scalar_fiber_formula(q: int, n: int) -> int:
     return q ** (2 * s - 1) - q ** s + q ** (s - 1)
 
 
+def _spanned_line(ctx: FieldCtx, values: set[int]) -> set[int] | None:
+    """The F_q-line through 0 that a nonzero value of values spans, or
+    None if there is none; any nonzero value of a line spans it."""
+    o = next((v for v in values if v), None)
+    return None if o is None else set(_line_values(ctx, o, True))
+
+
 def _holds(pred: Prediction, ctx: FieldCtx, values: set[int]) -> bool:
     """Whether the claim is true of the observed value set."""
     claim, target = pred.claim, pred.target
@@ -579,9 +586,8 @@ def _holds(pred: Prediction, ctx: FieldCtx, values: set[int]) -> bool:
     if claim == CLAIM_SUPERSET:
         return set(target) <= values
     if claim == CLAIM_LINE:
-        # any nonzero value of a line through 0 spans it
-        o = next((v for v in values if v), None)
-        return o is not None and values == set(_line_values(ctx, o, True))
+        line = _spanned_line(ctx, values)
+        return line is not None and values == line
     raise ValueError(f"unknown claim {claim!r}")
 
 
@@ -599,9 +605,8 @@ def _refuted_by_sample(pred: Prediction, ctx: FieldCtx,
     if claim == CLAIM_MEMBER:
         return not target and 0 in values
     if claim == CLAIM_LINE:
-        # the nonzero values must lie on the one line any of them spans
-        o = next((v for v in values if v), None)
-        return o is not None and not values <= set(_line_values(ctx, o, True))
+        line = _spanned_line(ctx, values)
+        return line is not None and not values <= line
     return False
 
 

@@ -26,10 +26,10 @@ and the level-0 ranges of a 2 by 2 matrix depend only on its null class
 (classify.null_class): (m11 - m22, N(m12), m12 m21), or
 (m11 - m22, 0, N(m21)) when m12 = 0.  Its predictions do not, so a
 full-field case is predicted and checked on its own and shares only its
-ranges, through one cache per sweep keyed by (class, scope, level).
-The exhaustive full space always carries the class; a random full-field
-sweep carries it only when count reaches the q^3 (q^2 - q + 1) classes,
-so the cache never grows past the class count.
+ranges, through one cache per class.  A sweep keeps those caches only
+when they fit in RANGE_CACHE_VALUES range values even if it meets every
+class (q <= 7); past that a random draw rarely repeats a class, and the
+caches would grow with the draw count.
 """
 
 from __future__ import annotations
@@ -54,12 +54,19 @@ SCOPE_DIRECT_SUMS = "direct-sums"
 VERIFY_SCOPES = (SCOPE_EXHAUSTIVE_2X2, SCOPE_RANDOM_NXN, SCOPE_SCALAR_FIBERS,
                  SCOPE_DIRECT_SUMS)
 
+# Range values a sweep may cache by null class: two level-0 ranges of at
+# most q^2 values for each of the q^3 (q^2 - q + 1) classes must fit.
+# 2^21 admits q <= 7 (at most 1.45 M values at q = 7; 60,000 random
+# draws there meet 98 % of the classes and raise peak RSS from 21 to
+# 38 MB under CPython 3.11) and no larger q.
+RANGE_CACHE_VALUES = 1 << 21
+
 COLLECT_ALL = "all"
 COLLECT_FAILS = "fails"
 
 
 def evaluate(m: HermMatrix, preds, capacity: int = DEFAULT_CAPACITY,
-             cache: dict | None = None, cls=None) -> tuple:
+             cache: dict | None = None) -> tuple:
     """Observe each prediction's range (or fiber count) and check it.
 
     Each outcome is (basis, k_enc, claim, observed, verdict), observed
@@ -67,10 +74,10 @@ def evaluate(m: HermMatrix, preds, capacity: int = DEFAULT_CAPACITY,
     share one observation.  Neither holds the matrix, so a class of
     matrices can share outcomes.
 
-    Observations are kept in cache under (cls, scope, k_enc); without a
-    cache each call keeps its own.  A cache passed in is shared by every
-    matrix of the range class cls (classify.null_class), which fixes
-    only the level-0 ranges, so any other prediction raises
+    Observations are kept in cache under (scope, k_enc); without a cache
+    each call keeps its own.  A cache passed in belongs to one range
+    class (classify.null_class) and is shared by all its matrices; the
+    class fixes only the level-0 ranges, so any other prediction raises
     RuntimeError rather than read another matrix's range.
     """
     ctx = m.ctx
@@ -83,7 +90,7 @@ def evaluate(m: HermMatrix, preds, capacity: int = DEFAULT_CAPACITY,
             raise RuntimeError(
                 f"{pred.basis} claims {pred.scope}@k={pred.k_enc}, which "
                 f"its range class does not determine")
-        key = (cls, pred.scope, pred.k_enc)
+        key = (pred.scope, pred.k_enc)
         obs = cache.get(key)
         if obs is None:
             if pred.scope == SCOPE_FIBER_ZERO:
@@ -120,6 +127,13 @@ def _draw(rng: random.Random, limit: int, n: int) -> tuple:
                  for _ in range(n))
 
 
+def _shares_ranges(ctx: FieldCtx) -> bool:
+    """Whether a full-field 2 by 2 sweep caches ranges by null class: the
+    caches of every class must fit in RANGE_CACHE_VALUES values."""
+    classes = ctx.q ** 3 * (ctx.q2 - ctx.q + 1)
+    return 2 * ctx.q2 * classes <= RANGE_CACHE_VALUES
+
+
 def _check_count(count: int) -> None:
     if count < 0:
         raise ValueError(f"matrix count must not be negative, got {count}")
@@ -136,9 +150,9 @@ def _sweep(ctx: FieldCtx, scope: str, cases, collect: str, capacity: int,
     and evaluated; this is exact when the predictions and the
     observations are functions of the key.  A case with a range class
     is built, predicted and checked on its own, but reads its ranges
-    from one cache for the whole sweep, keyed by (cls, scope, k_enc),
-    which is exact when the ranges are functions of the class.  Every
-    case still gets its own tally and report rows.
+    from the one cache of its class, which is exact when the ranges are
+    functions of the class.  Every case still gets its own tally and
+    report rows.
     """
     if collect not in (COLLECT_ALL, COLLECT_FAILS):
         raise ValueError(f"unknown collect policy {collect!r}")
@@ -150,8 +164,8 @@ def _sweep(ctx: FieldCtx, scope: str, cases, collect: str, capacity: int,
     for rows, predict, key, cls in cases:
         if key is None or key not in shared:
             m = HermMatrix.from_encs(ctx, rows)
-            shared[key] = evaluate(m, predict(m), capacity,
-                                   None if cls is None else ranges, cls)
+            cache = None if cls is None else ranges.setdefault(cls, {})
+            shared[key] = evaluate(m, predict(m), capacity, cache)
         for basis, k_enc, claim, observed, verdict in shared[key]:
             counts["total"] += 1
             counts[verdict] += 1
@@ -197,13 +211,15 @@ def run_exhaustive_2x2(ctx: FieldCtx, *, space: str = "auto",
         raise CapacityError(f"exhaustive 2x2 sweep over {'+'.join(spaces)} "
                             f"holds {total} matrices, capacity is {capacity}")
 
+    keyed = _shares_ranges(ctx)
+
     def cases():
         for sp in spaces:
             if sp == "full":
                 for encs in itertools.product(range(ctx.q2), repeat=4):
                     rows = (encs[0:2], encs[2:4])
                     yield (rows, predict_full_field, None,
-                           null_class(ctx, rows))
+                           null_class(ctx, rows) if keyed else None)
             else:
                 # q^3 classes, each met q times: once per split of its sum
                 for encs in itertools.product(range(ctx.q), repeat=4):
@@ -250,9 +266,7 @@ def run_random_nxn(ctx: FieldCtx, *, n: int = 3, count: int = 50,
     rng = random.Random(seed)
     limit, predict = ((ctx.q2, predict_full_field) if space == "full"
                       else (ctx.q, _subfield_preds))
-    # full-field draws share ranges only when they can repeat a class, so
-    # the cache never outgrows the class count
-    keyed = space == "full" and ctx.q ** 3 * (ctx.q ** 2 - ctx.q + 1) <= count
+    keyed = space == "full" and _shares_ranges(ctx)
     cases = ((rows, predict, None, null_class(ctx, rows) if keyed else None)
              for rows in (_draw(rng, limit, n) for _ in range(count)))
     return _sweep(ctx, SCOPE_RANDOM_NXN, cases, collect, capacity,

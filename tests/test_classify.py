@@ -612,43 +612,21 @@ def test_verdicts_on_sampled_ranges(f3):
     assert check_prediction(pred(CLAIM_EMPTY), obs) == FAIL
 
 
-# A sample is a subset of the true range, so it refutes a claim exactly
-# when no superset of it could satisfy the claim; any other sample is
-# inapplicable.  At q = 3 the F_3-line through 1 (or 2) is {0, 1, 2}.
-_SAMPLED_REFUTATIONS = (
-    (CLAIM_UPPER_BOUND, 2, (0, 2, 5), FAIL),
-    (CLAIM_UPPER_BOUND, 2, (0, 2), INAPPLICABLE),
-    (CLAIM_EXACT_CARD, 2, (0, 2, 5), FAIL),
-    (CLAIM_EXACT_CARD, 2, (0, 2), INAPPLICABLE),
-    (CLAIM_EXACT_CARD, 3, (0, 2), INAPPLICABLE),
-    (CLAIM_EXACT_SET, (0, 2, 5), (0, 7), FAIL),
-    (CLAIM_EXACT_SET, (0, 2, 5), (2, 5), INAPPLICABLE),
-    (CLAIM_EXACT_SET, (0, 2, 5), (0, 2, 5), INAPPLICABLE),
-    (CLAIM_LINE, None, (2, 5), FAIL),
-    (CLAIM_LINE, None, (0, 1, 5), FAIL),
-    (CLAIM_LINE, None, (0, 1, 2), INAPPLICABLE),
-    (CLAIM_LINE, None, (1, 2), INAPPLICABLE),
-    (CLAIM_LINE, None, (0,), INAPPLICABLE),
-    (CLAIM_LINE, None, (), INAPPLICABLE),
-)
-
-
-@pytest.mark.parametrize("claim,target,values,expect", _SAMPLED_REFUTATIONS)
-def test_sampled_ranges_fail_claims_no_superset_keeps(f3, claim, target,
-                                                      values, expect):
-    pred = Prediction("x", KIND_NUM_K, 0, claim, target)
-    assert check_prediction(pred, _sampled(f3, values)) == expect
-
-
 # One case per claim shape, at q = 3: (name, claim, target, nonzero_only,
-# values where the claim holds, values where it fails).  The expected
-# verdicts were recorded from the previous verdict ladder, except the
-# sampled failures of upper_bound and line: both samples already break
-# their claim (three values against a bound of 2; 5 off the line {0, 1,
-# 2} that 2 spans), so every superset does too.
+# values where the claim holds, values where it fails).  A sample is a
+# subset of the true range, so it fails a claim exactly when no superset
+# of it could satisfy the claim.  The expected verdicts were recorded
+# from the previous verdict ladder, except the sampled failures of
+# upper_bound, exact_card_over, exact_set_outside, line and line_no_zero:
+# each sample already breaks its claim (three values against 2; 7
+# outside the set; 5 off the line {0, 1, 2} that 2 spans), so every
+# superset does too.
 _VERDICT_CASES = (
     ("exact_set", CLAIM_EXACT_SET, (0, 2, 5), False, (0, 2, 5), (0, 2)),
+    ("exact_set_outside", CLAIM_EXACT_SET, (0, 2, 5), False, (0, 2, 5),
+     (0, 7)),
     ("exact_card", CLAIM_EXACT_CARD, 3, False, (0, 2, 5), (0, 2)),
+    ("exact_card_over", CLAIM_EXACT_CARD, 2, False, (0, 2), (0, 2, 5)),
     ("lower_bound", CLAIM_LOWER_BOUND, 3, False, (0, 2, 5), (0, 2)),
     ("lower_bound_nonzero", CLAIM_LOWER_BOUND, 2, True, (0, 2, 5), (0, 2)),
     ("upper_bound", CLAIM_UPPER_BOUND, 2, False, (0, 2), (0, 2, 5)),
@@ -657,10 +635,13 @@ _VERDICT_CASES = (
     ("empty", CLAIM_EMPTY, None, False, (), (2,)),
     ("superset", CLAIM_SUPERSET, (2, 5), False, (0, 2, 5), (0, 2)),
     ("line", CLAIM_LINE, None, False, (0, 1, 2), (0, 2, 5)),
+    ("line_no_zero", CLAIM_LINE, None, False, (0, 1, 2), (2, 5)),
 )
 _SAMPLED_VERDICTS = {
     "exact_set": (INAPPLICABLE, INAPPLICABLE),
+    "exact_set_outside": (INAPPLICABLE, FAIL),
     "exact_card": (INAPPLICABLE, INAPPLICABLE),
+    "exact_card_over": (INAPPLICABLE, FAIL),
     "lower_bound": (PASS, INAPPLICABLE),
     "lower_bound_nonzero": (PASS, INAPPLICABLE),
     "upper_bound": (INAPPLICABLE, FAIL),
@@ -669,6 +650,7 @@ _SAMPLED_VERDICTS = {
     "empty": (INAPPLICABLE, FAIL),
     "superset": (PASS, INAPPLICABLE),
     "line": (INAPPLICABLE, FAIL),
+    "line_no_zero": (INAPPLICABLE, FAIL),
 }
 
 
@@ -686,6 +668,14 @@ def test_verdict_table(f3, case, mode, holds):
     else:
         expect = _SAMPLED_VERDICTS[name][0 if holds else 1]
     assert check_prediction(pred, obs) == expect
+
+
+@pytest.mark.parametrize("values", ((1, 2), (0,), ()))
+def test_sampled_line_subsets_stay_inapplicable(f3, values):
+    # on the line {0, 1, 2}, or with no nonzero value to span one, so a
+    # superset could still be a line
+    pred = Prediction("x", KIND_NUM_K, 0, CLAIM_LINE)
+    assert check_prediction(pred, _sampled(f3, values)) == INAPPLICABLE
 
 
 def test_verdict_pairing_is_strict(f3):

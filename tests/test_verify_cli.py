@@ -4,12 +4,13 @@ import argparse
 import hashlib
 import json
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
 from hermrange import cli, verify
 from hermrange.classify import (CLAIM_EXACT_CARD, CLAIM_MEMBER,
-                                SCOPE_FIBER_ZERO, Prediction, null_class,
+                                SCOPE_FIBER_ZERO, Prediction,
                                 predict_full_field)
 from hermrange.cli import build_parser, main
 from hermrange.fields import build_tower
@@ -124,9 +125,9 @@ def _count_range_calls(monkeypatch):
 
 
 def _unshared(monkeypatch, runner, *args, **kw):
-    """The report of a runner whose cases carry no range class."""
+    """The report of a runner that caches no range by class."""
     with monkeypatch.context() as mp:
-        mp.setattr(verify, "null_class", lambda ctx, rows: None)
+        mp.setattr(verify, "RANGE_CACHE_VALUES", 0)
         return runner(*args, **kw)
 
 
@@ -144,39 +145,41 @@ def test_full_field_sweep_shares_ranges_by_null_class(monkeypatch, f3):
     assert sum(calls.values()) - shared_calls >= 6561
 
 
-@pytest.mark.parametrize("count,keyed", [(188, False), (189, True)])
-def test_random_full_sweep_keys_draws_only_past_the_class_count(
-        monkeypatch, f3, count, keyed):
+# at q = 3 the caches of all 189 classes hold at most 189 * 2 * 9 values
+@pytest.mark.parametrize("limit,keyed", [(3401, False), (3402, True)])
+def test_random_full_sweep_shares_ranges_when_every_class_fits(
+        monkeypatch, f3, limit, keyed):
     caches = []
     evaluate = verify.evaluate
 
-    def spying_evaluate(m, preds, capacity, cache=None, cls=None):
+    def spying_evaluate(m, preds, capacity, cache=None):
         caches.append(cache)
-        return evaluate(m, preds, capacity, cache, cls)
+        return evaluate(m, preds, capacity, cache)
 
+    monkeypatch.setattr(verify, "RANGE_CACHE_VALUES", limit)
     monkeypatch.setattr(verify, "evaluate", spying_evaluate)
-    report = _clean(run_random_nxn(f3, n=2, space="full", count=count))
-    assert len(caches) == count
+    report = _clean(run_random_nxn(f3, n=2, space="full", count=400))
+    assert len(caches) == 400
     if keyed:
-        # one cache for the sweep, never larger than the two level-0
-        # ranges of each of the 189 classes
-        assert all(c is caches[0] for c in caches)
-        assert 0 < len(caches[0]) <= 2 * 189
+        # one cache per class met, each holding at most the two level-0
+        # ranges; 400 draws repeat some of the 189 classes
+        classes = {id(c): c for c in caches}
+        assert len(classes) < 400
+        assert all(0 < len(c) <= 2 for c in classes.values())
     else:
-        assert caches == [None] * count
+        assert caches == [None] * 400
     monkeypatch.setattr(verify, "evaluate", evaluate)
     assert report == _unshared(monkeypatch, run_random_nxn, f3, n=2,
-                               space="full", count=count)
+                               space="full", count=400)
 
 
-def test_shared_range_cache_refuses_claims_its_class_does_not_fix(f3):
+def test_a_shared_range_cache_refuses_claims_its_class_does_not_fix(f3):
     m = HermMatrix.from_encs(f3, ((1, 2), (0, 1)))
-    cls = null_class(f3, m.encs())
     preds = predict_full_field(m)
     cache = {}
-    assert (verify.evaluate(m, preds, cache=cache, cls=cls)
+    assert (verify.evaluate(m, preds, cache=cache)
             == verify.evaluate(m, preds))
-    assert {key[0] for key in cache} == {cls}
+    assert set(cache) <= {(KIND_NUM_K, 0), (KIND_NUM0_PRIME, 0)}
     # a claim off level 0, or on a kind the class does not fix, must not
     # read (or store) a range another matrix of its class left behind
     for pred in (Prediction("x", KIND_NUM_K, 1, CLAIM_MEMBER, True),
@@ -184,7 +187,13 @@ def test_shared_range_cache_refuses_claims_its_class_does_not_fix(f3):
                             True),
                  Prediction("x", SCOPE_FIBER_ZERO, 0, CLAIM_EXACT_CARD, 1)):
         with pytest.raises(RuntimeError, match="range class"):
-            verify.evaluate(m, preds + [pred], cache=cache, cls=cls)
+            verify.evaluate(m, preds + [pred], cache=cache)
+
+
+def test_only_small_fields_share_ranges_by_class():
+    # the whole class cache fits up to q = 7 and not from q = 8
+    sizes = [SimpleNamespace(q=q, q2=q * q) for q in (2, 3, 4, 5, 7, 8, 9)]
+    assert [verify._shares_ranges(c) for c in sizes] == [True] * 5 + [False] * 2
 
 
 def test_scope_dispatch(f2):
