@@ -348,8 +348,8 @@ NULL_CLASS_KINDS = (KIND_NUM_K, KIND_NUM0_PRIME)
 
 
 def null_class(ctx: FieldCtx, rows):
-    """Key of the level-0 ranges (NULL_CLASS_KINDS) of a full-field 2 by 2
-    matrix, given as code rows.
+    """Key of the level-0 ranges (NULL_CLASS_KINDS) and of the full-field
+    predictions of a 2 by 2 matrix, given as code rows.
 
     On the null cone <u, (M + aI) u> = <u, M u> + a <u, u> = <u, M u>,
     and conjugating by the unitary diag(1, mu), N(mu) = 1, maps the cone
@@ -357,7 +357,11 @@ def null_class(ctx: FieldCtx, rows):
     Num_0(M) and the null-range depend on M only through
     (m11 - m22, N(m12), m12 m21), or (m11 - m22, 0, N(m21)) when
     m12 = 0: the orbit of (m12, m21) under the unit circle.  There are
-    q^3 (q^2 - q + 1) keys.  Predictions are not functions of the key.
+    q^3 (q^2 - q + 1) keys.  Both operations also preserve every
+    hypothesis predict_full_field reads (scalarity, the eigenvalue gap up
+    to sign, eigenvector isotropy and orthogonality, eigenspace
+    dimensions, whether m12 m21 != 0, and N(-m12/m21)), so its ordered
+    predictions are functions of the key too.
     """
     (a, b), (c, d) = rows
     if b:

@@ -25,7 +25,7 @@ from .fields import (FieldCtx, FieldSpec, _is_prime, build_tower,
                      ctx_from_spec)
 from .hermitian import DEFAULT_CAPACITY, CapacityError, HermMatrix
 from .ranges import KIND_NUM_K, RANGE_KINDS, fiber_table, range_of
-from .verify import VERIFY_SCOPES, run_scope
+from .verify import COLLECT_ALL, COLLECT_FAILS, VERIFY_SCOPES, run_scope
 
 # Largest F_q the command line builds: a tower tabulates up to q^2
 # elements up front.  build_tower itself is unbounded.
@@ -158,7 +158,8 @@ def cmd_range(cfg: RunConfig, m: HermMatrix, kind: str, k_enc: int) -> int:
 
 def cmd_verify(cfg: RunConfig, args) -> int:
     report = run_scope(cfg.ctx, args.scope, n=args.n, count=args.count,
-                       space=args.space, seed=cfg.seed, capacity=cfg.capacity)
+                       space=args.space, seed=cfg.seed, collect=args.collect,
+                       capacity=cfg.capacity)
     if cfg.fmt == "json":
         _write(cfg, _json_bytes(report))
     else:
@@ -232,6 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="matrix size for sized sweeps")
     sp.add_argument("--count", type=int, default=50,
                     help="matrices per randomized sweep")
+    sp.add_argument("--collect", choices=(COLLECT_ALL, COLLECT_FAILS),
+                    default=COLLECT_ALL,
+                    help="report rows of every check, or of failing ones")
 
     sp = sub.add_parser("fibers", help="null fiber table of a subfield matrix")
     common(sp)

@@ -7,29 +7,35 @@ failing check names the matrix, the rule tag, and the observed values,
 so a single failure pinpoints the rule it contradicts.
 
 All runners share one loop, _sweep; a runner only yields cases, each
-the code rows of a matrix, its predictor, an outcome key and a range
-class.  Every matrix gets its own tally and report rows; the two keys
-only let matrices share work.
+the code rows of a matrix, its predictor and an outcome key.  Cases with
+one outcome key share the first one's outcomes (observations and
+verdicts), which is exact when the predictions and observations are
+functions of the key.  Every matrix still gets its own tally and report
+rows; the key only lets matrices share work.
 
-Cases with one outcome key share the first one's outcomes (observations
-and verdicts), which is exact when the predictions and observations are
-functions of the key.  The exhaustive subfield sweep keys on the
-symmetrized class: for u in F_q^n the pairing is
+The exhaustive subfield sweep keys on the symmetrized class: for u in
+F_q^n the pairing is
 <u, M u> = sum m_ii u_i^2 + sum_{i<j} (m_ij + m_ji) u_i u_j, so every
 subfield range, fiber count and subfield rule depends on M only through
 its diagonal and the sums m_ij + m_ji.  Random subfield draws rarely
 repeat a class, so a key there would only hold memory.
 
-No symmetrized class exists over the full field (m_ij x + m_ji x^q
-determines both entries), but every full-field rule is about level 0,
-and the level-0 ranges of a 2 by 2 matrix depend only on its null class
-(classify.null_class): (m11 - m22, N(m12), m12 m21), or
-(m11 - m22, 0, N(m21)) when m12 = 0.  Its predictions do not, so a
-full-field case is predicted and checked on its own and shares only its
-ranges, through one cache per class.  A sweep keeps those caches only
-when they fit in RANGE_CACHE_VALUES range values even if it meets every
-class (q <= 7); past that a random draw rarely repeats a class, and the
-caches would grow with the draw count.
+Full-field 2 by 2 sweeps key on the null class (classify.null_class):
+(m11 - m22, N(m12), m12 m21), or (m11 - m22, 0, N(m21)) when m12 = 0.
+A class is one orbit of the shifts M -> M + aI and of conjugation by
+diag(1, mu), N(mu) = 1.  Both fix the null cone and the values on it,
+so they fix both level-0 ranges, and they preserve every hypothesis
+predict_full_field reads: scalarity, the eigenvalue gap up to sign,
+eigenvector isotropy and orthogonality, eigenspace dimensions, whether
+m12 m21 != 0, and N(-m12/m21).  So the predictions are functions of the
+class too.  One guard, _null_class_preds, runs once per class on the
+representative's predictions and raises RuntimeError on any claim off
+level 0 or outside NULL_CLASS_KINDS, so a future rule the class does not
+fix fails loudly instead of taking another matrix's outcome.  The
+exhaustive full space always keys (its memo holds one outcome per class,
+and the capacity check on its q^8 matrices bounds that); a random draw
+keys only while every class fits MEMO_RANGE_VALUES (q <= 7), so its
+memo cannot grow with the draw count.
 """
 
 from __future__ import annotations
@@ -54,51 +60,39 @@ SCOPE_DIRECT_SUMS = "direct-sums"
 VERIFY_SCOPES = (SCOPE_EXHAUSTIVE_2X2, SCOPE_RANDOM_NXN, SCOPE_SCALAR_FIBERS,
                  SCOPE_DIRECT_SUMS)
 
-# Range values a sweep may cache by null class: two level-0 ranges of at
-# most q^2 values for each of the q^3 (q^2 - q + 1) classes must fit.
-# 2^21 admits q <= 7 (at most 1.45 M values at q = 7; 60,000 random
-# draws there meet 98 % of the classes and raise peak RSS from 21 to
-# 38 MB under CPython 3.11) and no larger q.
-RANGE_CACHE_VALUES = 1 << 21
+# Range values the outcome memo of a random full-field sweep may hold:
+# two level-0 ranges of at most q^2 values for each of the
+# q^3 (q^2 - q + 1) null classes must fit.  2^21 admits q <= 7 (at most
+# 1.45 M values at q = 7; 60,000 random draws there meet 98 % of the
+# classes, raise peak RSS from 17 to 36 MB under CPython 3.11 and run
+# 3.5 times faster) and no larger q.
+MEMO_RANGE_VALUES = 1 << 21
 
 COLLECT_ALL = "all"
 COLLECT_FAILS = "fails"
 
 
-def evaluate(m: HermMatrix, preds, capacity: int = DEFAULT_CAPACITY,
-             cache: dict | None = None) -> tuple:
+def evaluate(m: HermMatrix, preds, capacity: int = DEFAULT_CAPACITY) -> tuple:
     """Observe each prediction's range (or fiber count) and check it.
 
     Each outcome is (basis, k_enc, claim, observed, verdict), observed
     being the RangeSet or FiberCount; predictions on one scope and level
     share one observation.  Neither holds the matrix, so a class of
     matrices can share outcomes.
-
-    Observations are kept in cache under (scope, k_enc); without a cache
-    each call keeps its own.  A cache passed in belongs to one range
-    class (classify.null_class) and is shared by all its matrices; the
-    class fixes only the level-0 ranges, so any other prediction raises
-    RuntimeError rather than read another matrix's range.
     """
     ctx = m.ctx
-    shared = cache is not None
-    if not shared:
-        cache = {}
+    observed = {}
     outcomes = []
     for pred in preds:
-        if shared and (pred.k_enc or pred.scope not in NULL_CLASS_KINDS):
-            raise RuntimeError(
-                f"{pred.basis} claims {pred.scope}@k={pred.k_enc}, which "
-                f"its range class does not determine")
         key = (pred.scope, pred.k_enc)
-        obs = cache.get(key)
+        obs = observed.get(key)
         if obs is None:
             if pred.scope == SCOPE_FIBER_ZERO:
                 obs = fiber_count(m, ctx.zero, capacity=capacity)
             else:
                 obs = range_of(m, pred.scope, ctx.elem(pred.k_enc),
                                capacity=capacity)
-            cache[key] = obs
+            observed[key] = obs
         outcomes.append((pred.basis, pred.k_enc, pred.claim, obs,
                          check_prediction(pred, obs)))
     return tuple(outcomes)
@@ -127,11 +121,24 @@ def _draw(rng: random.Random, limit: int, n: int) -> tuple:
                  for _ in range(n))
 
 
-def _shares_ranges(ctx: FieldCtx) -> bool:
-    """Whether a full-field 2 by 2 sweep caches ranges by null class: the
-    caches of every class must fit in RANGE_CACHE_VALUES values."""
+def _null_class_preds(m: HermMatrix) -> list:
+    """predict_full_field of a null-class representative, whose outcomes
+    its whole class takes; raises RuntimeError on any claim the class
+    does not fix (off level 0, or outside NULL_CLASS_KINDS)."""
+    preds = predict_full_field(m)
+    for pred in preds:
+        if pred.k_enc or pred.scope not in NULL_CLASS_KINDS:
+            raise RuntimeError(
+                f"{pred.basis} claims {pred.scope}@k={pred.k_enc}, which "
+                f"its null class does not determine")
+    return preds
+
+
+def _memo_fits(ctx: FieldCtx) -> bool:
+    """Whether a random full-field 2 by 2 sweep keys on the null class:
+    the outcomes of every class must fit in MEMO_RANGE_VALUES values."""
     classes = ctx.q ** 3 * (ctx.q2 - ctx.q + 1)
-    return 2 * ctx.q2 * classes <= RANGE_CACHE_VALUES
+    return 2 * ctx.q2 * classes <= MEMO_RANGE_VALUES
 
 
 def _check_count(count: int) -> None:
@@ -143,44 +150,54 @@ def _sweep(ctx: FieldCtx, scope: str, cases, collect: str, capacity: int,
            config: dict) -> dict:
     """The one loop of every runner: build, evaluate, tally and report.
 
-    cases yields (rows, predict, key, cls): the code rows of one matrix,
-    a function listing the predictions of the built matrix, an outcome
-    key or None, and a range class or None.  A case whose key an
-    earlier case had takes that case's outcomes instead of being built
-    and evaluated; this is exact when the predictions and the
-    observations are functions of the key.  A case with a range class
-    is built, predicted and checked on its own, but reads its ranges
-    from the one cache of its class, which is exact when the ranges are
-    functions of the class.  Every case still gets its own tally and
-    report rows.
+    cases yields (rows, predict, key): the code rows of one matrix, a
+    function listing the predictions of the built matrix, and an outcome
+    key or None.  A case whose key an earlier case had takes that case's
+    outcomes instead of being built, predicted and evaluated; this is
+    exact when the predictions and the observations are functions of
+    the key.  Every case still gets its own tally and report rows; the
+    tally of a key is taken once, times the cases that met it.
     """
     if collect not in (COLLECT_ALL, COLLECT_FAILS):
         raise ValueError(f"unknown collect policy {collect!r}")
     checks: list[dict] = []
     counts = {"total": 0, "pass": 0, "fail": 0, "inapplicable": 0}
     by_citation: dict[str, dict] = {}
-    shared: dict = {}
-    ranges: dict = {}
-    for rows, predict, key, cls in cases:
-        if key is None or key not in shared:
-            m = HermMatrix.from_encs(ctx, rows)
-            cache = None if cls is None else ranges.setdefault(cls, {})
-            shared[key] = evaluate(m, predict(m), capacity, cache)
-        for basis, k_enc, claim, observed, verdict in shared[key]:
-            counts["total"] += 1
-            counts[verdict] += 1
+
+    def tally(outcomes, times):
+        for basis, _, _, _, verdict in outcomes:
+            counts["total"] += times
+            counts[verdict] += times
             per = by_citation.setdefault(
                 basis, {"pass": 0, "fail": 0, "inapplicable": 0})
-            per[verdict] += 1
-            if collect == COLLECT_ALL or verdict == FAIL:
-                checks.append({
-                    "matrix": [list(r) for r in rows],
-                    "k": k_enc,
-                    "citation": basis,
-                    "claim": claim,
-                    "observed": _observed_json(observed, verdict),
-                    "verdict": verdict,
-                })
+            per[verdict] += times
+
+    # key -> [outcomes, whether one fails, cases met]; None is never stored
+    shared: dict = {}
+    for rows, predict, key in cases:
+        entry = shared.get(key)
+        if entry is None:
+            m = HermMatrix.from_encs(ctx, rows)
+            outcomes = evaluate(m, predict(m), capacity)
+            entry = [outcomes, any(o[4] == FAIL for o in outcomes), 0]
+            if key is None:
+                tally(outcomes, 1)
+            else:
+                shared[key] = entry
+        entry[2] += 1
+        if collect == COLLECT_ALL or entry[1]:
+            for basis, k_enc, claim, observed, verdict in entry[0]:
+                if collect == COLLECT_ALL or verdict == FAIL:
+                    checks.append({
+                        "matrix": [list(r) for r in rows],
+                        "k": k_enc,
+                        "citation": basis,
+                        "claim": claim,
+                        "observed": _observed_json(observed, verdict),
+                        "verdict": verdict,
+                    })
+    for outcomes, _, times in shared.values():
+        tally(outcomes, times)
     return {"config": {"p": ctx.p, "m": ctx.m, "q": ctx.q, "q2": ctx.q2,
                        "scope": scope, **config},
             "checks": checks, "summary": dict(counts, by_citation=by_citation)}
@@ -196,7 +213,11 @@ def run_exhaustive_2x2(ctx: FieldCtx, *, space: str = "auto",
     sweeps F_q entries with every level k, "both" does both and "auto"
     picks both for q <= 3 and subfield only above that.  A sweep whose
     spaces hold more than capacity matrices (q^8 full, q^4 subfield)
-    raises CapacityError before its first matrix.
+    raises CapacityError before its first matrix.  Each space predicts
+    and evaluates once per class and keeps one outcome per class in
+    memory: q^3 (q^2 - q + 1) null classes on the full space (about
+    65 MB peak RSS at q = 8 and 109 MB at q = 9 under CPython 3.11), q^3
+    symmetrized classes on the subfield space.
     """
     if space == "auto":
         spaces = ("full", "subfield") if ctx.q <= 3 else ("subfield",)
@@ -211,20 +232,20 @@ def run_exhaustive_2x2(ctx: FieldCtx, *, space: str = "auto",
         raise CapacityError(f"exhaustive 2x2 sweep over {'+'.join(spaces)} "
                             f"holds {total} matrices, capacity is {capacity}")
 
-    keyed = _shares_ranges(ctx)
-
     def cases():
+        # the two key shapes differ (three codes, or two tuples), so the
+        # spaces of a "both" sweep never share an outcome
         for sp in spaces:
             if sp == "full":
+                # q^3 (q^2 - q + 1) classes of q^2 to q^2 (q + 1) matrices
                 for encs in itertools.product(range(ctx.q2), repeat=4):
                     rows = (encs[0:2], encs[2:4])
-                    yield (rows, predict_full_field, None,
-                           null_class(ctx, rows) if keyed else None)
+                    yield rows, _null_class_preds, null_class(ctx, rows)
             else:
                 # q^3 classes, each met q times: once per split of its sum
                 for encs in itertools.product(range(ctx.q), repeat=4):
                     rows = (encs[0:2], encs[2:4])
-                    yield rows, _subfield_preds, symmetrized(ctx, rows), None
+                    yield rows, _subfield_preds, symmetrized(ctx, rows)
 
     report = _sweep(ctx, SCOPE_EXHAUSTIVE_2X2, cases(), collect, capacity,
                     {"space": space, "seed": seed})
@@ -264,11 +285,15 @@ def run_random_nxn(ctx: FieldCtx, *, n: int = 3, count: int = 50,
                 f"random {n}x{n} subfield sweep enumerates up to {total} "
                 f"vectors a matrix, capacity is {capacity}")
     rng = random.Random(seed)
-    limit, predict = ((ctx.q2, predict_full_field) if space == "full"
-                      else (ctx.q, _subfield_preds))
-    keyed = space == "full" and _shares_ranges(ctx)
-    cases = ((rows, predict, None, null_class(ctx, rows) if keyed else None)
-             for rows in (_draw(rng, limit, n) for _ in range(count)))
+    draws = (_draw(rng, ctx.q2 if space == "full" else ctx.q, n)
+             for _ in range(count))
+    if space == "subfield":
+        cases = ((rows, _subfield_preds, None) for rows in draws)
+    elif _memo_fits(ctx):
+        cases = ((rows, _null_class_preds, null_class(ctx, rows))
+                 for rows in draws)
+    else:
+        cases = ((rows, predict_full_field, None) for rows in draws)
     return _sweep(ctx, SCOPE_RANDOM_NXN, cases, collect, capacity,
                   {"n": n, "count": count, "seed": seed, "space": space})
 
@@ -284,7 +309,7 @@ def run_scalar_fibers(ctx: FieldCtx, *, n_values=(2, 3, 4, 5),
         c_encs = tuple(range(1, ctx.q)) if ctx.q <= 5 else (1, 2)
     cases = ((tuple(tuple(c if i == j else 0 for j in range(n))
                     for i in range(n)),
-              lambda m: predict_subfield(m, ctx.zero), None, None)
+              lambda m: predict_subfield(m, ctx.zero), None)
              for n in n_values for c in c_encs)
     return _sweep(ctx, SCOPE_SCALAR_FIBERS, cases, collect, capacity,
                   {"n_values": list(n_values), "c_encs": list(c_encs)})
@@ -310,7 +335,7 @@ def run_direct_sums(ctx: FieldCtx, *, count: int = 50, seed: int = 0,
                     num_k(b, ctx.one, capacity=capacity),
                     num_k(a, ctx.zero, capacity=capacity),
                     num_k(b, ctx.zero, capacity=capacity), capacity=capacity)
-            yield block_diag(a, b).encs(), predict, None, None
+            yield block_diag(a, b).encs(), predict, None
 
     return _sweep(ctx, SCOPE_DIRECT_SUMS, cases(), collect, capacity,
                   {"count": count, "seed": seed})

@@ -70,6 +70,11 @@ PINNED = (
     ("exhaustive-2x2-full-q4", run_exhaustive_2x2, (2, 2),
      {"space": "full", "collect": "fails"},
      "ad7f57043d131cd73bf63b08047fa3522e0cf258b01dd61090318d0b9b711359"),
+    # the whole full-field space at q = 5: 390,625 matrices in 2,625 null
+    # classes, 1,450,250 checks
+    ("exhaustive-2x2-full-q5", run_exhaustive_2x2, (5, 1),
+     {"space": "full", "collect": "fails"},
+     "c2dd8582731fd7c625a038f5892bf73f5730408acca953c3186b9cef8f5459b6"),
 )
 
 

@@ -2,7 +2,9 @@
 
 import argparse
 import hashlib
+import itertools
 import json
+import random
 from collections import Counter
 from types import SimpleNamespace
 
@@ -10,7 +12,7 @@ import pytest
 
 from hermrange import cli, verify
 from hermrange.classify import (CLAIM_EXACT_CARD, CLAIM_MEMBER,
-                                SCOPE_FIBER_ZERO, Prediction,
+                                SCOPE_FIBER_ZERO, Prediction, null_class,
                                 predict_full_field)
 from hermrange.cli import build_parser, main
 from hermrange.fields import build_tower
@@ -112,88 +114,133 @@ def test_exhaustive_subfield_sweep_evaluates_each_class_once(monkeypatch, f3):
     assert calls["check"] < 93
 
 
-def _count_range_calls(monkeypatch):
+def _class_member(ctx, rows, rng):
+    """A random member of the null class of rows: rows shifted by a I and
+    conjugated by diag(1, mu) with N(mu) = 1."""
+    (a, b), (c, d) = rows
+    shift = rng.randrange(ctx.q2)
+    mu = rng.choice(ctx.norm_preimage_encs(1))
+    return ((ctx.add_enc(a, shift), ctx.mul_enc(b, mu)),
+            (ctx.mul_enc(c, ctx.frob_enc(mu)), ctx.add_enc(d, shift)))
+
+
+@pytest.mark.parametrize("q", (2, 3, 4))
+def test_full_field_predictions_are_functions_of_the_null_class(towers, q):
+    # what lets a full-field sweep predict once per class: every matrix
+    # of the space gets the ordered predictions of the first of its class
+    ctx = towers[q]
+    first = {}
+    for e in itertools.product(range(ctx.q2), repeat=4):
+        rows = (e[0:2], e[2:4])
+        got = predict_full_field(HermMatrix.from_encs(ctx, rows))
+        assert first.setdefault(null_class(ctx, rows), got) == got, rows
+    assert len(first) == q ** 3 * (q * q - q + 1)
+
+
+@pytest.mark.parametrize("q", (5, 7, 8, 9))
+def test_full_field_predictions_are_functions_of_the_null_class_sampled(
+        towers, q):
+    # both characteristics, so eigen2's even and odd root paths; every
+    # fourth draw has m12 = 0 and every fifth m21 = 0, so both branches
+    # of the key and the m12 m21 = 0 side of prop4 are met too
+    ctx = towers[q]
+    rng = random.Random(q)
+    for i in range(400):
+        (a, b), (c, d) = verify._draw(rng, ctx.q2, 2)
+        rows = ((a, 0 if i % 4 == 0 else b), (0 if i % 5 == 0 else c, d))
+        want = predict_full_field(HermMatrix.from_encs(ctx, rows))
+        for _ in range(3):
+            member = _class_member(ctx, rows, rng)
+            assert null_class(ctx, member) == null_class(ctx, rows)
+            assert (predict_full_field(HermMatrix.from_encs(ctx, member))
+                    == want), (rows, member)
+
+
+@pytest.mark.parametrize("pred", [
+    Prediction("x", KIND_NUM_K, 1, CLAIM_MEMBER, True),
+    Prediction("x", KIND_NUM0_PRIME_SUBFIELD, 0, CLAIM_MEMBER, True),
+    Prediction("x", SCOPE_FIBER_ZERO, 0, CLAIM_EXACT_CARD, 1),
+], ids=["level-1", "subfield-kind", "fiber"])
+def test_a_null_class_key_refuses_claims_its_class_does_not_fix(
+        monkeypatch, f3, pred):
+    # a claim off level 0, or on a kind the class does not fix, must not
+    # hand its outcome to the other matrices of its class
+    predict = verify.predict_full_field
+    monkeypatch.setattr(verify, "predict_full_field",
+                        lambda m: predict(m) + [pred])
+    with pytest.raises(RuntimeError, match="null class"):
+        run_exhaustive_2x2(f3, space="full")
+    with pytest.raises(RuntimeError, match="null class"):
+        run_random_nxn(f3, n=2, space="full", count=5)
+
+
+def _unkeyed(monkeypatch, runner, *args, **kw):
+    """The report of a runner whose full-field cases carry no key, so that
+    every matrix is built, predicted and evaluated on its own."""
+    sweep = verify._sweep
+
+    def unkeyed_sweep(ctx, scope, cases, *rest):
+        return sweep(ctx, scope, ((rows, verify.predict_full_field, None)
+                                  for rows, _, _ in cases), *rest)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(verify, "_sweep", unkeyed_sweep)
+        return runner(*args, **kw)
+
+
+def _count_full_field_calls(monkeypatch):
     calls = Counter()
-    range_of = verify.range_of
+    predict, range_of = verify.predict_full_field, verify.range_of
+
+    def counting_predict(m):
+        calls["predict"] += 1
+        return predict(m)
 
     def counting_range_of(m, kind, k, **kw):
         calls[kind] += 1
         return range_of(m, kind, k, **kw)
 
+    monkeypatch.setattr(verify, "predict_full_field", counting_predict)
     monkeypatch.setattr(verify, "range_of", counting_range_of)
     return calls
 
 
-def _unshared(monkeypatch, runner, *args, **kw):
-    """The report of a runner that caches no range by class."""
-    with monkeypatch.context() as mp:
-        mp.setattr(verify, "RANGE_CACHE_VALUES", 0)
-        return runner(*args, **kw)
-
-
-def test_full_field_sweep_shares_ranges_by_null_class(monkeypatch, f3):
-    calls = _count_range_calls(monkeypatch)
+def test_full_field_sweep_predicts_and_evaluates_once_per_null_class(
+        monkeypatch, f3):
+    calls = _count_full_field_calls(monkeypatch)
     report = _clean(run_exhaustive_2x2(f3, space="full"))
     # 6,561 matrices, 189 null classes, two level-0 kinds at most
-    assert sum(calls.values()) <= 2 * 189
-    assert set(calls) <= {KIND_NUM_K, KIND_NUM0_PRIME}
-    # predictions and verdicts still come from each matrix: the report is
-    # the one of a sweep that evaluates every matrix on its own
-    shared_calls = sum(calls.values())
-    assert report == _unshared(monkeypatch, run_exhaustive_2x2, f3,
-                               space="full")
-    assert sum(calls.values()) - shared_calls >= 6561
+    assert calls["predict"] <= 189
+    assert calls[KIND_NUM_K] + calls[KIND_NUM0_PRIME] <= 2 * 189
+    assert set(calls) <= {"predict", KIND_NUM_K, KIND_NUM0_PRIME}
+    # every matrix is still tallied and reported, as when each matrix
+    # was evaluated on its own
+    assert len(report["checks"]) == report["summary"]["total"]
+    assert report == _unkeyed(monkeypatch, run_exhaustive_2x2, f3,
+                              space="full")
+    assert calls["predict"] >= 189 + 6561
 
 
-# at q = 3 the caches of all 189 classes hold at most 189 * 2 * 9 values
+# at q = 3 the outcomes of all 189 classes hold at most 189 * 2 * 9 values
 @pytest.mark.parametrize("limit,keyed", [(3401, False), (3402, True)])
-def test_random_full_sweep_shares_ranges_when_every_class_fits(
+def test_random_full_sweep_keys_on_the_null_class_when_every_class_fits(
         monkeypatch, f3, limit, keyed):
-    caches = []
-    evaluate = verify.evaluate
-
-    def spying_evaluate(m, preds, capacity, cache=None):
-        caches.append(cache)
-        return evaluate(m, preds, capacity, cache)
-
-    monkeypatch.setattr(verify, "RANGE_CACHE_VALUES", limit)
-    monkeypatch.setattr(verify, "evaluate", spying_evaluate)
+    monkeypatch.setattr(verify, "MEMO_RANGE_VALUES", limit)
+    calls = _count_full_field_calls(monkeypatch)
     report = _clean(run_random_nxn(f3, n=2, space="full", count=400))
-    assert len(caches) == 400
+    # 400 draws repeat some of the 189 classes
     if keyed:
-        # one cache per class met, each holding at most the two level-0
-        # ranges; 400 draws repeat some of the 189 classes
-        classes = {id(c): c for c in caches}
-        assert len(classes) < 400
-        assert all(0 < len(c) <= 2 for c in classes.values())
+        assert calls["predict"] <= 189
     else:
-        assert caches == [None] * 400
-    monkeypatch.setattr(verify, "evaluate", evaluate)
-    assert report == _unshared(monkeypatch, run_random_nxn, f3, n=2,
-                               space="full", count=400)
+        assert calls["predict"] == 400
+    assert report == _unkeyed(monkeypatch, run_random_nxn, f3, n=2,
+                              space="full", count=400)
 
 
-def test_a_shared_range_cache_refuses_claims_its_class_does_not_fix(f3):
-    m = HermMatrix.from_encs(f3, ((1, 2), (0, 1)))
-    preds = predict_full_field(m)
-    cache = {}
-    assert (verify.evaluate(m, preds, cache=cache)
-            == verify.evaluate(m, preds))
-    assert set(cache) <= {(KIND_NUM_K, 0), (KIND_NUM0_PRIME, 0)}
-    # a claim off level 0, or on a kind the class does not fix, must not
-    # read (or store) a range another matrix of its class left behind
-    for pred in (Prediction("x", KIND_NUM_K, 1, CLAIM_MEMBER, True),
-                 Prediction("x", KIND_NUM0_PRIME_SUBFIELD, 0, CLAIM_MEMBER,
-                            True),
-                 Prediction("x", SCOPE_FIBER_ZERO, 0, CLAIM_EXACT_CARD, 1)):
-        with pytest.raises(RuntimeError, match="range class"):
-            verify.evaluate(m, preds + [pred], cache=cache)
-
-
-def test_only_small_fields_share_ranges_by_class():
-    # the whole class cache fits up to q = 7 and not from q = 8
+def test_only_small_fields_key_random_draws_on_the_null_class():
+    # the outcomes of every class fit up to q = 7 and not from q = 8
     sizes = [SimpleNamespace(q=q, q2=q * q) for q in (2, 3, 4, 5, 7, 8, 9)]
-    assert [verify._shares_ranges(c) for c in sizes] == [True] * 5 + [False] * 2
+    assert [verify._memo_fits(c) for c in sizes] == [True] * 5 + [False] * 2
 
 
 def test_scope_dispatch(f2):
@@ -330,6 +377,19 @@ def test_cli_verify(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "citation,claim,k,matrix,verdict,observed"
     assert len(lines) == 13
+
+
+def test_cli_verify_can_collect_failing_rows_only(tmp_path):
+    argv = ["verify", "--p", "3", "--scope", "exhaustive-2x2"]
+    docs = {}
+    for collect in ("all", "fails"):
+        dest = tmp_path / f"{collect}.json"
+        assert main([*argv, "--collect", collect, "--out", str(dest)]) == 0
+        docs[collect] = json.loads(dest.read_bytes())
+    assert docs["fails"]["checks"] == []
+    assert len(docs["all"]["checks"]) == docs["all"]["summary"]["total"]
+    assert docs["fails"]["summary"] == docs["all"]["summary"]
+    assert docs["fails"]["config"] == docs["all"]["config"]
 
 
 def test_cli_output_file(tmp_path, capsys):
