@@ -27,8 +27,9 @@ from .hermitian import DEFAULT_CAPACITY, CapacityError, HermMatrix
 from .ranges import KIND_NUM_K, RANGE_KINDS, fiber_table, range_of
 from .verify import COLLECT_ALL, COLLECT_FAILS, VERIFY_SCOPES, run_scope
 
-# Largest F_q the command line builds: a tower tabulates up to q^2
-# elements up front.  build_tower itself is unbounded.
+# Largest F_q the command line builds: it bounds the q-length tables
+# (norm log, F_q square roots) that a tower builds on first use.
+# build_tower itself is unbounded.
 MAX_FIELD_SIZE = 1 << 20
 
 
@@ -252,6 +253,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        # capacity 0 is valid: with a sample budget it forces sampling
+        if args.capacity < 0:
+            raise ValueError(f"--capacity must be at least 0, got {args.capacity}")
         if args.command == "verify":
             ctx, m = _resolve_ctx(args, None), None
         else:

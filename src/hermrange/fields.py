@@ -12,37 +12,35 @@ a0 + a1*t has code a0 + q*a1, and F_q elements are themselves encoded by
 their base-p digit vectors.  Code 0 is the zero element, code 1 the
 identity, and the codes below q are exactly the subfield F_q.
 
-Arithmetic comes in tiers, so one context class serves both desk-size
-and larger towers:
+Arithmetic comes in two tiers, chosen by one test, q^2 <= 512:
 
-* F_q with q <= 64, and F_{q^2} with q^2 <= 512 within
-  ``table_threshold``, use dense pairwise add/mul tables;
-* larger prime F_q (m = 1) computes on integer residues mod p, which are
-  its codes, and any other larger F_q on polynomial digit vectors;
-* larger F_{q^2} multiplies coordinate pairs over F_q and reduces by the
-  quadratic modulus, and ``dot_encs`` sums products term by term instead
-  of folding through table rows;
-* the Frobenius maps t to the conjugate root -e1 - t of the modulus
-  t^2 + e1 t + e0, so it costs two F_q operations; up to
-  ``table_threshold`` elements of F_{q^2}, negation, Frobenius and norm
-  are also tabulated;
-* on every tower, norm preimages come from a q-length discrete-log table
-  of the norm of a generator, built on first use;
-* with pairwise tables, square roots and Artin-Schreier roots come from
-  buckets built on first use, and otherwise from formulas;
-* F_q inverses are cached in a q-length table only up to
-  ``table_threshold``.
+* the table tier tabulates addition, multiplication, negation,
+  Frobenius and norm of F_{q^2} up front, and ``dot_encs`` folds sums
+  through table rows;
+* the formula tier computes all five: products multiply coordinate
+  pairs over F_q and reduce by the quadratic modulus, the Frobenius maps
+  t to the conjugate root -e1 - t of the modulus t^2 + e1 t + e0, so it
+  costs two F_q operations, the norm is x * x^q, and ``dot_encs`` sums
+  products term by term.
+
+Below them, F_q with q <= 64 uses dense pairwise add/mul tables and
+caches inverses in a q-length table on first use; larger prime F_q
+(m = 1) computes on integer residues mod p, which are its codes, and any
+other larger F_q on polynomial digit vectors.  On every tower, norm
+preimages come from a q-length discrete-log table of the norm of a
+generator and F_q square roots from a q-length table, both built on
+first use, while square roots and Artin-Schreier roots in F_{q^2} come
+from formulas.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-DEFAULT_TABLE_THRESHOLD = 1 << 20
-
-# Dense pairwise add/mul tables are only worth the memory for very small
-# fields; larger prime F_q computes on residues mod p, and everything else
-# on polynomial digit vectors.
+# Dense tables are only worth the memory for very small fields: F_q
+# tabulates add/mul and caches inverses up to _Q_PAIRWISE_LIMIT elements,
+# and F_{q^2} tabulates all five operations up to _Q2_PAIRWISE_LIMIT
+# elements and computes them by formula above it.
 _Q_PAIRWISE_LIMIT = 64
 _Q2_PAIRWISE_LIMIT = 512
 
@@ -233,8 +231,7 @@ class FieldCtx:
     contexts never mix even when the towers are mathematically equal.
     """
 
-    def __init__(self, p: int, m: int,
-                 table_threshold: int = DEFAULT_TABLE_THRESHOLD):
+    def __init__(self, p: int, m: int):
         if not _is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
         if m < 1:
@@ -243,7 +240,6 @@ class FieldCtx:
         self.m = m
         self.q = p ** m
         self.q2 = self.q * self.q
-        self.table_threshold = table_threshold
 
         self._base_mod = _first_irreducible_fp(p, m)
         self._init_q_level()
@@ -309,7 +305,7 @@ class FieldCtx:
     def q_inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero in F_q")
-        if self.q > self.table_threshold:
+        if self.q > _Q_PAIRWISE_LIMIT:
             return self.q_pow(a, self.q - 2)
         if self._q_inv_t is None:
             # q - 2 never overflows; the scan table pays off after one use
@@ -388,41 +384,29 @@ class FieldCtx:
         return self.q_neg(x % q) + q * self.q_neg(x // q)
 
     def _init_q2_level(self) -> None:
-        q, q2 = self.q, self.q2
-        tables_on = q2 <= self.table_threshold
-        if q2 <= _Q2_PAIRWISE_LIMIT and tables_on:
+        q2 = self.q2
+        if q2 <= _Q2_PAIRWISE_LIMIT:
             add_t = [[self._add2_poly(a, b) for b in range(q2)] for a in range(q2)]
             mul_t = [[self._mul2_poly(a, b) for b in range(q2)] for a in range(q2)]
+            neg_t = [self._neg2_poly(a) for a in range(q2)]
+            frob_t = [self._frob_poly(a) for a in range(q2)]
+            norm_t = [self._norm_poly(a) for a in range(q2)]
             self._add2_t, self._mul2_t = add_t, mul_t
             self.add_enc = lambda a, b: add_t[a][b]
             self.mul_enc = lambda a, b: mul_t[a][b]
+            self.neg_enc = lambda a: neg_t[a]
+            self.frob_enc = lambda a: frob_t[a]
+            self.norm_enc = lambda a: norm_t[a]
         else:
             self._add2_t = self._mul2_t = None
             self.add_enc = self._add2_poly
             self.mul_enc = self._mul2_poly
-
-        if tables_on:
-            neg_t = [self._neg2_poly(a) for a in range(q2)]
-            self.neg_enc = lambda a: neg_t[a]
-            frob_t = [self._frob_poly(a) for a in range(q2)]
-            self.frob_enc = lambda a: frob_t[a]
-            norm_t = []
-            for a in range(q2):
-                na = self.mul_enc(a, frob_t[a])
-                if na >= q:
-                    raise RuntimeError("norm landed outside the subfield")
-                norm_t.append(na)
-            self.norm_enc = lambda a: norm_t[a]
-            self._frob_t, self._norm_t = frob_t, norm_t
-        else:
             self.neg_enc = self._neg2_poly
             self.frob_enc = self._frob_poly
             self.norm_enc = self._norm_poly
-            self._frob_t = self._norm_t = None
 
         self._gen_enc: int | None = None
         self._norm_log: list[int | None] | None = None
-        self._root_buckets: dict[int, list[tuple[int, ...]]] = {}
 
     def dot_encs(self, terms, vectors) -> list[int]:
         """Code of sum c * v[i] over the (i, c) of terms, for each vector v.
@@ -558,22 +542,7 @@ class FieldCtx:
         return tuple(sorted(self.mul_enc(b, y) for y in ys))
 
     def _monic_roots(self, e: int, a: int) -> tuple[int, ...]:
-        """Roots of y^2 + e y = a for e in {0, 1}, sorted by code.
-
-        With pairwise tables they come from q^2-length buckets built on
-        first use, which repay their build within a few hundred calls;
-        otherwise from formulas, as a bucket would take about 1.6 q^2
-        calls to repay its polynomial arithmetic.
-        """
-        if self._mul2_t is not None:
-            buckets = self._root_buckets.get(e)
-            if buckets is None:
-                lists: list[list[int]] = [[] for _ in range(self.q2)]
-                for y in range(self.q2):
-                    lists[self.add_enc(self.mul_enc(y, y),
-                                       self.mul_enc(e, y))].append(y)
-                buckets = self._root_buckets[e] = [tuple(r) for r in lists]
-            return buckets[a]
+        """Roots of y^2 + e y = a for e in {0, 1}, sorted by code."""
         if e == 1:
             return self._artin_schreier_roots(a)
         if self.p == 2:
@@ -743,20 +712,18 @@ class FieldElem:
 # module level operations
 
 
-def build_tower(p: int, m: int = 1, *,
-                table_threshold: int = DEFAULT_TABLE_THRESHOLD) -> FieldCtx:
+def build_tower(p: int, m: int = 1) -> FieldCtx:
     """Construct the tower F_p < F_q < F_{q^2} with canonical moduli."""
-    return FieldCtx(p, m, table_threshold=table_threshold)
+    return FieldCtx(p, m)
 
 
-def ctx_from_spec(spec: FieldSpec, *,
-                  table_threshold: int = DEFAULT_TABLE_THRESHOLD) -> FieldCtx:
+def ctx_from_spec(spec: FieldSpec) -> FieldCtx:
     """Rebuild a context from its serialized description.
 
     The tower follows from (p, m) alone, so the spec must name the
     canonical moduli of that tower.
     """
-    ctx = build_tower(spec.p, spec.m, table_threshold=table_threshold)
+    ctx = build_tower(spec.p, spec.m)
     if spec != ctx.spec:
         raise ValueError(f"field spec {spec.to_json_dict()} does not name the "
                          f"canonical tower {ctx.spec.to_json_dict()}")

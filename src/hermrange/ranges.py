@@ -111,8 +111,9 @@ def _gram(ctx: FieldCtx, u: tuple[int, ...]) -> tuple[int, ...]:
     On F_q coordinates the Frobenius is the identity and F_{q^2}
     arithmetic agrees with F_q arithmetic, so both modes share this map.
     """
-    mul, frob = ctx.mul_enc, ctx.frob_enc
-    return tuple(mul(frob(ui), uj) for ui in u for uj in u)
+    mul = ctx.mul_enc
+    conj = [ctx.frob_enc(ui) for ui in u]
+    return tuple(mul(ci, uj) for ci in conj for uj in u)
 
 
 def _values(m: HermMatrix, grams) -> list[int]:

@@ -1,5 +1,6 @@
 import pytest
 
+from hermrange import fields
 from hermrange.fields import build_tower
 
 # q -> (p, m); every tower the suite touches, built once per session
@@ -47,3 +48,14 @@ def f7(towers):
 @pytest.fixture(scope="session")
 def f9(towers):
     return towers[9]
+
+
+@pytest.fixture
+def formula_tower(monkeypatch):
+    """Builder of towers on the formula tier whatever their size, so a
+    small field's formulas can be checked against its own tables."""
+    def build(p, m=1):
+        with monkeypatch.context() as mp:
+            mp.setattr(fields, "_Q2_PAIRWISE_LIMIT", 0)
+            return build_tower(p, m)
+    return build

@@ -24,7 +24,6 @@ from hermrange.classify import (CLAIM_EMPTY, CLAIM_EXACT_CARD,
                                 predict_unitary_diagonal,
                                 scalar_fiber_formula, symmetrized,
                                 unitarily_diagonalizable_2x2)
-from hermrange.fields import build_tower
 from hermrange.hermitian import HermMatrix, Vector, block_diag, inner
 from hermrange.ranges import (EXHAUSTIVE, KIND_NUM0_PRIME,
                               KIND_NUM0_PRIME_SUBFIELD, KIND_NUM_K,
@@ -134,11 +133,11 @@ def _eigen2_scan(m):
             tuple(inner(v, v).is_zero for v in vectors), tuple(dims))
 
 
-def test_eigen2_matches_the_root_scan(towers):
-    # both tiers: root buckets on the pairwise tables, and formulas on a
-    # table_threshold=0 tower
+def test_eigen2_matches_the_root_scan(towers, formula_tower):
+    # both tiers: root formulas on the pairwise tables, and on a
+    # formula-tier tower of the same field
     for q, table in towers.items():
-        for ctx in (table, build_tower(*TOWER_PARAMS[q], table_threshold=0)):
+        for ctx in (table, formula_tower(*TOWER_PARAMS[q])):
             rng = random.Random(q)
             for _ in range(200):
                 m = _m(ctx, [[rng.randrange(ctx.q2) for _ in range(2)]

@@ -176,7 +176,7 @@ def test_pow_and_inverse(f9):
         f9.inv_enc(0)
 
 
-def test_broken_invariants_raise_without_asserts(monkeypatch):
+def test_broken_invariants_raise_without_asserts(monkeypatch, formula_tower):
     # explicit raises, so python -O keeps these checks
     ctx = build_tower(5)
     monkeypatch.setattr(ctx, "q_sqrt_encs", lambda a: (1,))
@@ -186,7 +186,7 @@ def test_broken_invariants_raise_without_asserts(monkeypatch):
     monkeypatch.setattr(FieldCtx, "_frob_poly", lambda self, x: x)
     with pytest.raises(RuntimeError):
         build_tower(3)  # the table tier checks every norm up front
-    poly = build_tower(3, table_threshold=0)
+    poly = formula_tower(3)
     with pytest.raises(RuntimeError):
         for x in range(poly.q2):
             poly.norm_enc(x)
@@ -213,15 +213,15 @@ def test_prime_residue_tier_matches_the_digit_routines(monkeypatch):
 
     for name in ("_q_add_poly", "_q_mul_poly", "_q_neg_poly"):
         monkeypatch.setattr(FieldCtx, name, digits_called)
-    ctx = build_tower(67, table_threshold=0)
+    ctx = build_tower(67)
     assert len(ctx.norm_preimage_encs(ctx.q_neg(1))) == 68
 
 
 @pytest.mark.parametrize("p", [3, 5, 67])
-def test_norm_preimages_match_a_brute_force_filter(p):
+def test_norm_preimages_match_a_brute_force_filter(p, formula_tower):
     # the norm as the power x^(q+1), independent of the Frobenius and of
     # the log table; both tiers take preimages from the same log path
-    for ctx in (build_tower(p), build_tower(p, table_threshold=0)):
+    for ctx in (build_tower(p), formula_tower(p)):
         fibres = [[] for _ in range(ctx.q)]
         for x in range(ctx.q2):
             fibres[ctx.pow_enc(x, ctx.q + 1)].append(x)
@@ -229,10 +229,10 @@ def test_norm_preimages_match_a_brute_force_filter(p):
             assert ctx.norm_preimage_encs(a) == tuple(fibres[a]), (p, a)
 
 
-def test_frobenius_matches_the_q_power(towers):
+def test_frobenius_matches_the_q_power(towers, formula_tower):
     # the closed form (a0 - e1 a1) - a1 t against repeated squaring
     for q, (p, m) in TOWER_PARAMS.items():
-        for ctx in (towers[q], build_tower(p, m, table_threshold=0)):
+        for ctx in (towers[q], formula_tower(p, m)):
             for x in range(ctx.q2):
                 assert ctx.frob_enc(x) == ctx.pow_enc(x, q), (q, x)
     for q in (23, 67, 1031):
@@ -244,9 +244,11 @@ def test_frobenius_matches_the_q_power(towers):
 
 
 def test_spec_must_name_the_canonical_tower(f5):
-    # FieldCtx takes (p, m) alone; a spec only names the tower they give
-    assert list(inspect.signature(FieldCtx).parameters) == [
-        "p", "m", "table_threshold"]
+    # FieldCtx takes (p, m) alone, and no constructor takes a tuning
+    # option; a spec only names the tower they give
+    for func, params in ((FieldCtx, ["p", "m"]), (build_tower, ["p", "m"]),
+                         (ctx_from_spec, ["spec"])):
+        assert list(inspect.signature(func).parameters) == params, func
     good = f5.spec.to_json_dict()
     for key, value in (("base_modulus", [1, 1]),
                        ("ext_modulus", [[3], [0], [1]]),
@@ -270,7 +272,7 @@ def test_large_field_norm_preimages():
 
 
 def test_broken_norm_log_raises():
-    ctx = build_tower(67, table_threshold=0)
+    ctx = build_tower(67)
     ctx.norm_preimage_encs(1)  # builds the log table
     ctx._norm_log = [None] * ctx.q
     with pytest.raises(RuntimeError):
@@ -301,10 +303,10 @@ def _scan_roots(ctx, pairs):
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 23])
-def test_quadratic_roots_match_the_scan(towers, q):
-    # towers with pairwise tables (q <= 19) read buckets, the others the
-    # formulas (Frobenius square root and trace formula for even q,
-    # square roots through the norm for odd q); codes agree across tiers
+def test_quadratic_roots_match_the_scan(towers, formula_tower, q):
+    # every tower takes roots from the formulas (Frobenius square root
+    # and trace formula for even q, square roots through the norm for
+    # odd q); they agree with a scan on the tables and across tiers
     p, m = TOWER_PARAMS.get(q, (q, 1))
     table = towers[q] if q in towers else build_tower(p, m)
     if q <= 8:
@@ -314,22 +316,10 @@ def test_quadratic_roots_match_the_scan(towers, q):
         pairs = [(rng.randrange(q * q), rng.randrange(q * q))
                  for _ in range(2000)]
     expect = _scan_roots(table, pairs)
-    for ctx in (table, build_tower(p, m, table_threshold=0)):
+    for ctx in (table, formula_tower(p, m)):
         for b, c in pairs:
             assert ctx.quadratic_roots_enc(b, c) == expect[(b, c)], (b, c)
 
-
-
-def test_root_buckets_stay_on_the_pairwise_tier():
-    # without pairwise tables a q^2-length bucket costs q^2 polynomial
-    # products, so those towers answer from the formulas alone
-    for ctx in (build_tower(23), build_tower(3, table_threshold=0)):
-        ctx.quadratic_roots_enc(1, 1)
-        ctx.quadratic_roots_enc(0, 1)
-        assert ctx._root_buckets == {}
-    small = build_tower(3)
-    small.quadratic_roots_enc(0, 1)
-    assert len(small._root_buckets[0]) == small.q2
 
 def _first_irreducible_char2(ctx):
     """The full scan over e0 + q * e1: t^2 + e1 t + e0 is irreducible
@@ -347,7 +337,7 @@ def _first_irreducible_char2(ctx):
 
 def test_char2_modulus_is_the_first_irreducible_quadratic():
     for m in range(1, 15):
-        ctx = build_tower(2, m, table_threshold=0)
+        ctx = build_tower(2, m)
         e0, e1, e2 = (int("".join(map(str, reversed(v))), 2)
                       for v in ctx.spec.ext_modulus)
         assert (e0, e1, e2) == _first_irreducible_char2(ctx), m
@@ -357,28 +347,47 @@ def test_char2_modulus_is_the_first_irreducible_quadratic():
                                  e0) for x in range(ctx.q))
 
 
-def test_towers_past_the_table_threshold_tabulate_no_inverses():
-    ctx = build_tower(2, 6, table_threshold=16)
-    assert ctx.q > ctx.table_threshold and ctx._q_inv_t is None
-    for a in range(1, ctx.q):
-        assert ctx.q_mul(a, ctx.q_inv(a)) == 1
-    assert ctx._q_inv_t is None
+def test_only_pairwise_subfields_tabulate_inverses():
+    # F_q inverses are cached on the pairwise F_q tier (q <= 64) and
+    # computed as a^(q-2) above it
+    for ctx in (build_tower(2, 7), build_tower(67)):
+        for a in range(1, ctx.q):
+            assert ctx.q_mul(a, ctx.q_inv(a)) == 1
+        assert ctx._q_inv_t is None, ctx
     small = build_tower(2, 6)
     small.q_inv(5)
     assert small._q_inv_t is not None
 
 
-def test_context_stays_under_the_shared_key_limit():
+def test_building_a_tower_past_the_table_tier_makes_no_extension_arithmetic(
+        monkeypatch):
+    # the formula tier computes F_{q^2} operations when asked, so a tower
+    # makes no q^2-length pass before any work
+    calls = []
+    for name in ("_mul2_poly", "_neg2_poly", "_frob_poly"):
+        def counted(self, *args, _real=getattr(FieldCtx, name), _name=name):
+            calls.append(_name)
+            return _real(self, *args)
+        monkeypatch.setattr(FieldCtx, name, counted)
+    for p, m in ((2, 7), (1021, 1)):
+        ctx = build_tower(p, m)
+        assert calls == [], (p, m)
+    # the counters are live: the tower's own operations go through them
+    ctx.norm_enc(ctx.q + 1)
+    assert calls == ["_frob_poly", "_mul2_poly"]
+
+
+def test_context_stays_under_the_shared_key_limit(formula_tower):
     # from 30 instance attributes on, CPython 3.11 stops specializing
     # attribute reads on the context, which slows every arithmetic call.
     # Lazy state is declared in __init__, so using the tower adds none,
     # and one slot stays free for perfbench's traced norm_preimage_encs.
-    for ctx in (build_tower(2, 2), build_tower(23), build_tower(3, 2,
-                table_threshold=0), build_tower(1031)):
+    for ctx in (build_tower(2, 2), build_tower(23), formula_tower(3, 2),
+                build_tower(1031)):
         ctx.norm_preimage_encs(1)
         ctx.quadratic_roots_enc(1, 1)
         ctx.q_sqrt_encs(1)
         ctx.q_inv(1)
         ctx.multiplicative_generator_enc()
         assert len(vars(ctx)) < 29, sorted(vars(ctx))
-    assert len(vars(build_tower(23))) == 26
+    assert len(vars(build_tower(23))) == 22

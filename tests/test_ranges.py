@@ -320,13 +320,13 @@ def _tier_results(ctx, full_rows, sub_rows):
     return out
 
 
-def test_polynomial_tier_matches_the_tables(towers):
-    # table_threshold=0 switches every F_{q^2} table off, so this tower
-    # runs the polynomial arithmetic otherwise used only past 2^20 codes
+def test_polynomial_tier_matches_the_tables(towers, formula_tower):
+    # a formula-tier tower runs the polynomial arithmetic otherwise used
+    # only past q^2 = 512, on the same small fields as the tables
     rng = random.Random(83)
     for q, (p, deg) in TOWER_PARAMS.items():
-        poly = build_tower(p, deg, table_threshold=0)
-        assert poly._mul2_t is None and poly._frob_t is None
+        poly = formula_tower(p, deg)
+        assert poly._mul2_t is None and poly.frob_enc == poly._frob_poly
         for n in (2, 3):
             full_rows = None
             if q ** (2 * n) <= 1 << 12:  # full 3x3 cones only for q <= 4

@@ -453,6 +453,10 @@ def test_negative_sizes_exit_two(capsys, f3):
         assert main(["range", "--p", "3", "--matrix", "0,1;2,0",
                      "--capacity", "1", "--sample-budget", budget]) == 2
     capsys.readouterr()
+    for extra in ([], ["--sample-budget", "3"]):
+        assert main(["range", "--p", "3", "--matrix", "1,0;0,1", "--k", "1",
+                     "--capacity", "-5"] + extra) == 2
+        assert "--capacity" in capsys.readouterr().err
 
 
 def test_cli_sampled_empty_level_set_exits_two(capsys, tmp_path):
