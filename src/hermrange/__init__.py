@@ -22,8 +22,8 @@ from .fields import (FieldCtx, FieldElem, FieldSpec, build_tower,
 from .hermitian import (DEFAULT_CAPACITY, FULL_FIELD, SUBFIELD, CapacityError,
                         HermMatrix, Vector, block_diag, cone_encs,
                         cone_upper_bound, conj_by_unitary, dagger, inner,
-                        is_unitary, iter_cone_encs, naive_cone_encs,
-                        random_unitary_2x2, sample_cone_encs)
+                        is_unitary, naive_cone_encs, random_unitary_2x2,
+                        sample_cone_encs)
 from .ranges import (EXHAUSTIVE, KIND_NUM0_PRIME, KIND_NUM0_PRIME_SUBFIELD,
                      KIND_NUM_K, KIND_NUM_K_SUBFIELD, RANGE_KINDS, SAMPLED,
                      FiberCount, RangeSet, fiber_count, fiber_table,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .fields import FieldCtx, FieldElem
-from .hermitian import HermMatrix, Vector, inner_encs
+from .hermitian import DEFAULT_CAPACITY, HermMatrix, Vector, inner_encs
 from .ranges import (EXHAUSTIVE, KIND_NUM0_PRIME, KIND_NUM0_PRIME_SUBFIELD,
                      KIND_NUM_K, KIND_NUM_K_SUBFIELD, FiberCount, RangeSet,
                      num0_prime)
@@ -286,7 +286,7 @@ def predict_unitary_diagonal(ctx: FieldCtx,
 def predict_direct_sum(a: HermMatrix, b: HermMatrix,
                        num1_a: RangeSet, num1_b: RangeSet,
                        num0_a: RangeSet, num0_b: RangeSet,
-                       *, capacity: int | None = None) -> list[Prediction]:
+                       *, capacity: int = DEFAULT_CAPACITY) -> list[Prediction]:
     """Assemble the zero-level range of a block-diagonal matrix.
 
     Inputs are the exhaustive level-one and level-zero ranges of the two
@@ -310,16 +310,11 @@ def predict_direct_sum(a: HermMatrix, b: HermMatrix,
             for y in num1_b.values:
                 assembled.add(ctx.mul_enc(k, ctx.sub_enc(x, y)))
 
-    kwargs = {} if capacity is None else {"capacity": capacity}
-    zero_in = False
-    if a.n >= 2 and 0 in num0_prime(a, **kwargs).values:
-        zero_in = True
-    if not zero_in and b.n >= 2 and 0 in num0_prime(b, **kwargs).values:
-        zero_in = True
-    if not zero_in:
-        # 0 = k*(x - y) with k != 0 needs a level-one value shared by
-        # both blocks, mirroring the difference in the assembled union
-        zero_in = bool(set(num1_a.values) & set(num1_b.values))
+    # besides a block's own null range, 0 = k*(x - y) with k != 0 needs a
+    # level-one value shared by both blocks, mirroring the assembled union
+    zero_in = (any(blk.n >= 2 and 0 in num0_prime(blk, capacity=capacity).values
+                   for blk in (a, b))
+               or bool(set(num1_a.values) & set(num1_b.values)))
 
     return [
         Prediction("lemma2", KIND_NUM_K, 0, CLAIM_EXACT_SET,

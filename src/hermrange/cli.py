@@ -19,7 +19,6 @@ import io
 import json
 import random
 import sys
-from dataclasses import dataclass
 
 from .fields import (FieldCtx, FieldSpec, _is_prime, build_tower,
                      ctx_from_spec)
@@ -31,18 +30,6 @@ from .verify import COLLECT_ALL, COLLECT_FAILS, VERIFY_SCOPES, run_scope
 # (norm log, F_q square roots) that a tower builds on first use.
 # build_tower itself is unbounded.
 MAX_FIELD_SIZE = 1 << 20
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a command needs besides its own positional inputs."""
-
-    ctx: FieldCtx
-    capacity: int
-    sample_budget: int | None
-    seed: int
-    fmt: str
-    out: str | None
 
 
 def _check_field_size(p: int, m: int) -> None:
@@ -117,15 +104,15 @@ def _load_matrix(args) -> tuple[FieldCtx, HermMatrix]:
     return ctx, HermMatrix.from_encs(ctx, entries)
 
 
-def _write(cfg: RunConfig, text: str) -> None:
+def _write(args, text: str) -> None:
     try:
-        if cfg.out:
-            with open(cfg.out, "w", encoding="utf-8") as fh:
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         else:
             sys.stdout.write(text)
     except OSError as exc:
-        raise ValueError(f"cannot write {cfg.out or 'stdout'}: {exc}") from exc
+        raise ValueError(f"cannot write {args.out or 'stdout'}: {exc}") from exc
 
 
 def _json_bytes(payload) -> str:
@@ -140,53 +127,52 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
-def cmd_range(cfg: RunConfig, m: HermMatrix, kind: str, k_enc: int) -> int:
-    ctx = cfg.ctx
-    kw = {"capacity": cfg.capacity}
-    if cfg.sample_budget is not None:
-        kw["sample_budget"] = cfg.sample_budget
-        kw["rng"] = random.Random(cfg.seed)
-    rs = range_of(m, kind, ctx.elem(k_enc), **kw)
-    if cfg.fmt == "json":
+def cmd_range(args, ctx: FieldCtx, m: HermMatrix) -> int:
+    kw = {"capacity": args.capacity}
+    if args.sample_budget is not None:
+        kw["sample_budget"] = args.sample_budget
+        kw["rng"] = random.Random(args.seed)
+    rs = range_of(m, args.kind, ctx.elem(args.k), **kw)
+    if args.fmt == "json":
         payload = dict(rs.to_json_dict(), field=ctx.spec.to_json_dict(),
                        matrix=[list(r) for r in m.encs()])
-        _write(cfg, _json_bytes(payload))
+        _write(args, _json_bytes(payload))
     else:
-        _write(cfg, _csv_text(("kind", "k", "value", "value_poly"),
-                              rs.csv_rows()))
+        _write(args, _csv_text(("kind", "k", "value", "value_poly"),
+                               rs.csv_rows()))
     return 0
 
 
-def cmd_verify(cfg: RunConfig, args) -> int:
-    report = run_scope(cfg.ctx, args.scope, n=args.n, count=args.count,
-                       space=args.space, seed=cfg.seed, collect=args.collect,
-                       capacity=cfg.capacity)
-    if cfg.fmt == "json":
-        _write(cfg, _json_bytes(report))
+def cmd_verify(args, ctx: FieldCtx) -> int:
+    report = run_scope(ctx, args.scope, n=args.n, count=args.count,
+                       space=args.space, seed=args.seed, collect=args.collect,
+                       capacity=args.capacity)
+    if args.fmt == "json":
+        _write(args, _json_bytes(report))
     else:
         rows = [(c["citation"], c["claim"], c["k"],
                  ";".join(",".join(str(e) for e in r) for r in c["matrix"]),
                  c["verdict"],
                  c["observed"].get("cardinality", c["observed"].get("count")))
                 for c in report["checks"]]
-        _write(cfg, _csv_text(
+        _write(args, _csv_text(
             ("citation", "claim", "k", "matrix", "verdict", "observed"), rows))
     return 1 if report["summary"]["fail"] else 0
 
 
-def cmd_fibers(cfg: RunConfig, m: HermMatrix) -> int:
-    table = fiber_table(m, capacity=cfg.capacity)
-    if cfg.fmt == "json":
+def cmd_fibers(args, ctx: FieldCtx, m: HermMatrix) -> int:
+    table = fiber_table(m, capacity=args.capacity)
+    if args.fmt == "json":
         payload = {
-            "field": cfg.ctx.spec.to_json_dict(),
+            "field": ctx.spec.to_json_dict(),
             "matrix": [list(r) for r in m.encs()],
             "fibers": [{"value": fc.value.enc, "count": fc.count}
                        for fc in table],
             "total": sum(fc.count for fc in table),
         }
-        _write(cfg, _json_bytes(payload))
+        _write(args, _json_bytes(payload))
     else:
-        _write(cfg, _csv_text(
+        _write(args, _csv_text(
             ("value", "value_poly", "count"),
             [(fc.value.enc, fc.value.poly_str(), fc.count) for fc in table]))
     return 0
@@ -257,17 +243,11 @@ def main(argv=None) -> int:
         if args.capacity < 0:
             raise ValueError(f"--capacity must be at least 0, got {args.capacity}")
         if args.command == "verify":
-            ctx, m = _resolve_ctx(args, None), None
-        else:
-            ctx, m = _load_matrix(args)
-        cfg = RunConfig(ctx=ctx, capacity=args.capacity,
-                        sample_budget=getattr(args, "sample_budget", None),
-                        seed=args.seed, fmt=args.fmt, out=args.out)
+            return cmd_verify(args, _resolve_ctx(args, None))
+        ctx, m = _load_matrix(args)
         if args.command == "range":
-            return cmd_range(cfg, m, args.kind, args.k)
-        if args.command == "verify":
-            return cmd_verify(cfg, args)
-        return cmd_fibers(cfg, m)
+            return cmd_range(args, ctx, m)
+        return cmd_fibers(args, ctx, m)
     except CapacityError as exc:
         print(f"hermrange: {exc}", file=sys.stderr)
         return 3

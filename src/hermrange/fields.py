@@ -260,6 +260,11 @@ class FieldCtx:
         p, m = self.p, self.m
         return _undigits([(-x) % p for x in _digits(a, p, m)], p)
 
+    def _q_sub_poly(self, a: int, b: int) -> int:
+        p, m = self.p, self.m
+        da, db = _digits(a, p, m), _digits(b, p, m)
+        return _undigits([(x - y) % p for x, y in zip(da, db)], p)
+
     def _q_mul_poly(self, a: int, b: int) -> int:
         p, m = self.p, self.m
         prod = _pmod(_pmul(_digits(a, p, m), _digits(b, p, m), p), self._base_mod, p)
@@ -274,6 +279,7 @@ class FieldCtx:
             self.q_mul = lambda a, b: mul_t[a][b]
             neg_t = [self._q_neg_poly(a) for a in range(q)]
             self.q_neg = lambda a: neg_t[a]
+            self.q_sub = lambda a, b: add_t[a][neg_t[b]]
         elif self.m == 1:
             # the modulus is x, so codes are residues and the digit
             # routines reduce to integer arithmetic mod p
@@ -281,15 +287,14 @@ class FieldCtx:
             self.q_add = lambda a, b: (a + b) % p
             self.q_mul = lambda a, b: a * b % p
             self.q_neg = lambda a: -a % p
+            self.q_sub = lambda a, b: (a - b) % p
         else:
             self.q_add = self._q_add_poly
             self.q_mul = self._q_mul_poly
             self.q_neg = self._q_neg_poly
+            self.q_sub = self._q_sub_poly
         self._q_inv_t: list[int | None] | None = None
         self._q_sqrt_t: list[tuple[int, ...]] | None = None
-
-    def q_sub(self, a: int, b: int) -> int:
-        return self.q_add(a, self.q_neg(b))
 
     def q_pow(self, a: int, e: int) -> int:
         if e < 0:
@@ -383,6 +388,10 @@ class FieldCtx:
         q = self.q
         return self.q_neg(x % q) + q * self.q_neg(x // q)
 
+    def _sub2_poly(self, x: int, y: int) -> int:
+        q = self.q
+        return self.q_sub(x % q, y % q) + q * self.q_sub(x // q, y // q)
+
     def _init_q2_level(self) -> None:
         q2 = self.q2
         if q2 <= _Q2_PAIRWISE_LIMIT:
@@ -395,6 +404,7 @@ class FieldCtx:
             self.add_enc = lambda a, b: add_t[a][b]
             self.mul_enc = lambda a, b: mul_t[a][b]
             self.neg_enc = lambda a: neg_t[a]
+            self.sub_enc = lambda a, b: add_t[a][neg_t[b]]
             self.frob_enc = lambda a: frob_t[a]
             self.norm_enc = lambda a: norm_t[a]
         else:
@@ -402,6 +412,7 @@ class FieldCtx:
             self.add_enc = self._add2_poly
             self.mul_enc = self._mul2_poly
             self.neg_enc = self._neg2_poly
+            self.sub_enc = self._sub2_poly
             self.frob_enc = self._frob_poly
             self.norm_enc = self._norm_poly
 
@@ -450,9 +461,6 @@ class FieldCtx:
         if nx >= self.q:
             raise RuntimeError("norm landed outside the subfield")
         return nx
-
-    def sub_enc(self, a: int, b: int) -> int:
-        return self.add_enc(a, self.neg_enc(b))
 
     def pow_enc(self, x: int, e: int) -> int:
         if e < 0:
@@ -535,21 +543,13 @@ class FieldCtx:
             disc = self.sub_enc(self.mul_enc(b, b), self.mul_enc(4 % self.p, c))
             nb, half = self.neg_enc(b), self.inv_enc(2)
             return tuple(sorted(self.mul_enc(self.add_enc(nb, s), half)
-                                for s in self._monic_roots(0, disc)))
+                                for s in self._sqrt2_odd(disc)))
         if b == 0:
-            return self._monic_roots(0, c)
-        ys = self._monic_roots(1, self.div_enc(c, self.mul_enc(b, b)))
-        return tuple(sorted(self.mul_enc(b, y) for y in ys))
-
-    def _monic_roots(self, e: int, a: int) -> tuple[int, ...]:
-        """Roots of y^2 + e y = a for e in {0, 1}, sorted by code."""
-        if e == 1:
-            return self._artin_schreier_roots(a)
-        if self.p == 2:
             # squaring is the Frobenius of F_{q^2}, so its inverse is the
             # power q^2 / 2
-            return (self.pow_enc(a, self.q2 // 2),)
-        return self._sqrt2_odd(a)
+            return (self.pow_enc(c, self.q2 // 2),)
+        ys = self._artin_schreier_roots(self.div_enc(c, self.mul_enc(b, b)))
+        return tuple(sorted(self.mul_enc(b, y) for y in ys))
 
     def _sqrt2_odd(self, a: int) -> tuple[int, ...]:
         """Square roots of a in F_{q^2} for odd q, from F_q square roots.
@@ -600,6 +600,9 @@ class FieldCtx:
     # -- element construction ---------------------------------------------
 
     def elem(self, enc: int) -> "FieldElem":
+        # bool is a subclass of int, but True is not a code
+        if type(enc) is not int:
+            raise ValueError(f"element code {enc!r} is not an integer")
         if not 0 <= enc < self.q2:
             raise ValueError(f"element code {enc} out of range [0, {self.q2})")
         return FieldElem(self, enc)

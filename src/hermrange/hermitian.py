@@ -45,7 +45,7 @@ class Vector:
 
     @classmethod
     def from_encs(cls, ctx: FieldCtx, encs) -> "Vector":
-        return cls(ctx, tuple(ctx.elem(int(e)) for e in encs))
+        return cls(ctx, tuple(ctx.elem(e) for e in encs))
 
     def encs(self) -> tuple[int, ...]:
         return tuple(e.enc for e in self.entries)
@@ -124,9 +124,11 @@ class HermMatrix:
     @classmethod
     def from_encs(cls, ctx: FieldCtx, rows) -> "HermMatrix":
         q2 = ctx.q2
-        encs = tuple(tuple(int(e) for e in r) for r in rows)
+        encs = tuple(tuple(r) for r in rows)
         for r in encs:
             for e in r:
+                if type(e) is not int:
+                    raise ValueError(f"element code {e!r} is not an integer")
                 if not 0 <= e < q2:
                     raise ValueError(f"element code {e} out of range [0, {q2})")
         _check_square(encs)
@@ -301,37 +303,15 @@ def _check_cone(ctx: FieldCtx, n: int, k_enc: int, mode: str) -> None:
                          f"got {k_enc}")
 
 
-def iter_cone_encs(ctx: FieldCtx, n: int, k_enc: int, mode: str,
-                   exclude_zero: bool = False) -> Iterator[tuple[int, ...]]:
-    """Stream cone vectors as code tuples, in lexicographic code order.
-
-    Arguments are checked on the call, before the first vector is made.
-    """
-    _check_cone(ctx, n, k_enc, mode)
-    return _walk_cone(ctx, n, k_enc, mode, exclude_zero)
-
-
-def _walk_cone(ctx: FieldCtx, n: int, k_enc: int, mode: str,
-               exclude_zero: bool) -> Iterator[tuple[int, ...]]:
-    space = ctx.q2 if mode == FULL_FIELD else ctx.q
-    norm_of, complete = _level_maps(ctx, mode)
-    q_sub, q_add = ctx.q_sub, ctx.q_add
-    # at most q distinct residuals, each completed once per walk
-    completions: dict[int, tuple[int, ...]] = {}
-    for prefix in itertools.product(range(space), repeat=n - 1):
-        acc = 0
-        for x in prefix:
-            acc = q_add(acc, norm_of(x))
-        residual = q_sub(k_enc, acc)
-        if residual >= ctx.q:
-            raise RuntimeError("cone residual landed outside the subfield")
-        options = completions.get(residual)
-        if options is None:
-            options = completions[residual] = complete(residual)
-        for last in options:
-            if exclude_zero and last == 0 and not any(prefix):
-                continue
-            yield prefix + (last,)
+def _residual(ctx: FieldCtx, norm_of, k_enc: int, prefix) -> int:
+    """The self-pairing the last coordinate must add to prefix's to reach k."""
+    acc = 0
+    for x in prefix:
+        acc = ctx.q_add(acc, norm_of(x))
+    residual = ctx.q_sub(k_enc, acc)
+    if residual >= ctx.q:
+        raise RuntimeError("cone residual landed outside the subfield")
+    return residual
 
 
 def naive_cone_encs(ctx: FieldCtx, n: int, k_enc: int, mode: str,
@@ -357,13 +337,26 @@ def naive_cone_encs(ctx: FieldCtx, n: int, k_enc: int, mode: str,
 def cone_encs(ctx: FieldCtx, n: int, k_enc: int, mode: str,
               exclude_zero: bool = False,
               capacity: int = DEFAULT_CAPACITY) -> tuple[tuple[int, ...], ...]:
-    """Materialized cone, cached per context and arguments."""
+    """Cone vectors in lexicographic code order, cached per context and
+    arguments."""
     _check_cone(ctx, n, k_enc, mode)
     bound = cone_upper_bound(ctx, n, mode)
     if bound > capacity:
         raise CapacityError(
             f"cone may hold up to {bound} vectors, capacity is {capacity}")
-    return tuple(_walk_cone(ctx, n, k_enc, mode, exclude_zero))
+    space = ctx.q2 if mode == FULL_FIELD else ctx.q
+    norm_of, complete = _level_maps(ctx, mode)
+    # at most q distinct residuals, each completed once per walk
+    completions: dict[int, tuple[int, ...]] = {}
+    out = []
+    for prefix in itertools.product(range(space), repeat=n - 1):
+        residual = _residual(ctx, norm_of, k_enc, prefix)
+        options = completions.get(residual)
+        if options is None:
+            options = completions[residual] = complete(residual)
+        out.extend(prefix + (last,) for last in options
+                   if not (exclude_zero and last == 0 and not any(prefix)))
+    return tuple(out)
 
 
 def sample_cone_encs(ctx: FieldCtx, n: int, k_enc: int, mode: str,
@@ -389,10 +382,7 @@ def _draw_cone(ctx: FieldCtx, n: int, k_enc: int, mode: str,
     produced = 0
     while produced < count:
         prefix = tuple(rng.randrange(space) for _ in range(n - 1))
-        acc = 0
-        for x in prefix:
-            acc = ctx.q_add(acc, norm_of(x))
-        options = complete(ctx.q_sub(k_enc, acc))
+        options = complete(_residual(ctx, norm_of, k_enc, prefix))
         if not options:
             continue
         last = options[rng.randrange(len(options))]

@@ -299,14 +299,13 @@ def run_random_nxn(ctx: FieldCtx, *, n: int = 3, count: int = 50,
 
 
 def run_scalar_fibers(ctx: FieldCtx, *, n_values=(2, 3, 4, 5),
-                      c_encs=None, collect: str = COLLECT_ALL,
+                      collect: str = COLLECT_ALL,
                       capacity: int = DEFAULT_CAPACITY) -> dict:
     """Fiber-size formula versus counted null fibers for scalar matrices."""
     for n in n_values:
         if n < 2:
             raise ValueError(f"dimension must be at least 2, got {n}")
-    if c_encs is None:
-        c_encs = tuple(range(1, ctx.q)) if ctx.q <= 5 else (1, 2)
+    c_encs = tuple(range(1, ctx.q)) if ctx.q <= 5 else (1, 2)
     cases = ((tuple(tuple(c if i == j else 0 for j in range(n))
                     for i in range(n)),
               lambda m: predict_subfield(m, ctx.zero), None)

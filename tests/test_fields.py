@@ -198,6 +198,7 @@ def test_prime_residue_tier_matches_the_digit_routines(monkeypatch):
         assert f67.q_neg(a) == f67._q_neg_poly(a)
         for b in range(67):
             assert f67.q_add(a, b) == f67._q_add_poly(a, b)
+            assert f67.q_sub(a, b) == f67._q_sub_poly(a, b)
             assert f67.q_mul(a, b) == f67._q_mul_poly(a, b)
     f1031 = build_tower(1031)
     rng = random.Random(5)
@@ -205,16 +206,42 @@ def test_prime_residue_tier_matches_the_digit_routines(monkeypatch):
         a, b = rng.randrange(1031), rng.randrange(1031)
         assert f1031.q_neg(a) == f1031._q_neg_poly(a)
         assert f1031.q_add(a, b) == f1031._q_add_poly(a, b)
+        assert f1031.q_sub(a, b) == f1031._q_sub_poly(a, b)
         assert f1031.q_mul(a, b) == f1031._q_mul_poly(a, b)
 
     # the residue tier never falls back to the digit routines
     def digits_called(*args):
         raise AssertionError("digit routine called")
 
-    for name in ("_q_add_poly", "_q_mul_poly", "_q_neg_poly"):
+    for name in ("_q_add_poly", "_q_mul_poly", "_q_neg_poly", "_q_sub_poly"):
         monkeypatch.setattr(FieldCtx, name, digits_called)
     ctx = build_tower(67)
     assert len(ctx.norm_preimage_encs(ctx.q_neg(1))) == 68
+
+
+def test_each_tier_subtracts_as_add_of_the_negation(formula_tower):
+    # q = 4 on both table tiers, q = 67 on residues with F_{q^2} formulas,
+    # q = 81 on digit vectors, q = 1031 on residues, and a small tower on
+    # the F_{q^2} formulas over F_q tables
+    def check(ctx, pairs, pairs2):
+        for a, b in pairs:
+            assert ctx.q_sub(a, b) == ctx.q_add(a, ctx.q_neg(b)), (ctx, a, b)
+        for a, b in pairs2:
+            assert ctx.sub_enc(a, b) == ctx.add_enc(a, ctx.neg_enc(b)), \
+                (ctx, a, b)
+
+    def every(n):
+        return [(a, b) for a in range(n) for b in range(n)]
+
+    def seeded(n, rng):
+        return [(rng.randrange(n), rng.randrange(n)) for _ in range(2000)]
+
+    rng = random.Random(13)
+    f4, f67 = build_tower(2, 2), build_tower(67)
+    check(f4, every(4), every(16))
+    check(f67, every(67), seeded(f67.q2, rng))
+    for ctx in (build_tower(3, 4), build_tower(1031), formula_tower(3, 2)):
+        check(ctx, seeded(ctx.q, rng), seeded(ctx.q2, rng))
 
 
 @pytest.mark.parametrize("p", [3, 5, 67])
@@ -364,7 +391,7 @@ def test_building_a_tower_past_the_table_tier_makes_no_extension_arithmetic(
     # the formula tier computes F_{q^2} operations when asked, so a tower
     # makes no q^2-length pass before any work
     calls = []
-    for name in ("_mul2_poly", "_neg2_poly", "_frob_poly"):
+    for name in ("_mul2_poly", "_neg2_poly", "_sub2_poly", "_frob_poly"):
         def counted(self, *args, _real=getattr(FieldCtx, name), _name=name):
             calls.append(_name)
             return _real(self, *args)
@@ -390,4 +417,9 @@ def test_context_stays_under_the_shared_key_limit(formula_tower):
         ctx.q_inv(1)
         ctx.multiplicative_generator_enc()
         assert len(vars(ctx)) < 29, sorted(vars(ctx))
-    assert len(vars(build_tower(23))) == 22
+    assert len(vars(build_tower(23))) == 24
+    # every tier binds its operations in one order, so all contexts share
+    # one key layout
+    assert len({tuple(vars(ctx)) for ctx in (
+        build_tower(2, 2), build_tower(23), build_tower(3, 4),
+        formula_tower(3, 2), build_tower(1031))}) == 1

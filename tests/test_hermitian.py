@@ -10,8 +10,8 @@ from hermrange.hermitian import (FULL_FIELD, SUBFIELD, CapacityError,
                                  HermMatrix, Vector, _level_set_is_empty,
                                  block_diag, cone_encs, cone_upper_bound,
                                  conj_by_unitary, dagger, inner, is_unitary,
-                                 iter_cone_encs, naive_cone_encs,
-                                 random_unitary_2x2, sample_cone_encs)
+                                 naive_cone_encs, random_unitary_2x2,
+                                 sample_cone_encs)
 
 
 def _rand_matrix(ctx, rng, n, limit=None):
@@ -83,6 +83,17 @@ def test_from_encs_rejects_bad_codes_and_shapes(f3, rows, message):
         HermMatrix.from_encs(f3, rows)
 
 
+@pytest.mark.parametrize("rows", [((2.9, True), (0, 0)), ((0, 1.0), (1, 0)),
+                                  (("2", 0), (0, 0)), ((0, False), (0, 0))])
+def test_from_encs_refuses_codes_that_are_not_integers(f3, rows):
+    # codes are never truncated or coerced; bool is not a code either
+    with pytest.raises(ValueError, match="is not an integer"):
+        HermMatrix.from_encs(f3, rows)
+    with pytest.raises(ValueError, match="is not an integer"):
+        Vector.from_encs(f3, [e for r in rows for e in r])
+    assert Vector.from_encs(f3, [1, 2]).encs() == (1, 2)
+
+
 def test_block_diag_layout(f3):
     a = HermMatrix.from_encs(f3, ((1, 2), (3, 4)))
     b = HermMatrix.from_encs(f3, ((5,),))
@@ -105,7 +116,6 @@ def test_unitary_conjugation(f4):
 
 _CONE_FUNCS = {
     "cone_encs": cone_encs,
-    "iter_cone_encs": iter_cone_encs,
     "sample_cone_encs": lambda ctx, n, k, mode: sample_cone_encs(
         ctx, n, k, mode, False, 1, random.Random(0)),
 }
@@ -163,7 +173,7 @@ def test_walk_completes_each_residual_once(monkeypatch, mode, name):
     for n in (2, 3):
         for k in range(ctx.q):
             calls.clear()
-            walked = tuple(iter_cone_encs(ctx, n, k, mode))
+            walked = cone_encs(ctx, n, k, mode)
             assert walked == tuple(naive_cone_encs(ctx, n, k, mode))
             assert len(calls) == len(set(calls)) <= ctx.q, (n, k)
 
@@ -202,6 +212,22 @@ def test_sampling_is_seeded_and_sound(f5):
     assert set(a) <= truth
 
 
+def test_sampler_redraws_prefixes_without_an_admissible_completion(towers):
+    # q = 3, subfield, level 2: the prefix 0 leaves the nonsquare 2, which
+    # has no completion; q = 5, subfield, level 0 with exclude_zero: the
+    # prefix 0 completes only to the excluded zero vector
+    for q, k, exclude_zero in ((3, 2, False), (5, 0, True)):
+        ctx = towers[q]
+        truth = set(naive_cone_encs(ctx, 2, k, SUBFIELD, exclude_zero))
+        draws = tuple(sample_cone_encs(ctx, 2, k, SUBFIELD, exclude_zero,
+                                       200, random.Random(3)))
+        assert len(draws) == 200
+        assert set(draws) <= truth
+        assert (0, 0) not in draws
+        assert draws == tuple(sample_cone_encs(
+            ctx, 2, k, SUBFIELD, exclude_zero, 200, random.Random(3)))
+
+
 def test_level_set_emptiness_matches_naive_filter(towers):
     # q = 3 and 7 have -1 a nonsquare, q = 5 and 9 a square
     for q in (2, 3, 4, 5, 7, 9):
@@ -222,8 +248,12 @@ def test_broken_invariants_raise_without_asserts(monkeypatch):
     # explicit raises, so python -O keeps these checks
     ctx = build_tower(3)
     monkeypatch.setattr(ctx, "q_sub", lambda a, b: ctx.q)
-    with pytest.raises(RuntimeError):
-        list(iter_cone_encs(ctx, 2, 1, FULL_FIELD))
+    with pytest.raises(RuntimeError, match="residual landed outside"):
+        cone_encs(ctx, 2, 1, FULL_FIELD)
+    # the sampler checks its residual with the walk's code
+    for mode in (FULL_FIELD, SUBFIELD):
+        with pytest.raises(RuntimeError, match="residual landed outside"):
+            list(sample_cone_encs(ctx, 2, 1, mode, False, 5, random.Random(0)))
     monkeypatch.setattr(hermitian, "is_unitary", lambda u: False)
     with pytest.raises(RuntimeError):
         random_unitary_2x2(build_tower(3), random.Random(0))
