@@ -27,14 +27,18 @@ Below them, F_q with q <= 64 uses dense pairwise add/mul tables and
 caches inverses in a q-length table on first use; larger prime F_q
 (m = 1) computes on integer residues mod p, which are its codes, and any
 other larger F_q on polynomial digit vectors.  On every tower, norm
-preimages come from a q-length discrete-log table of the norm of a
-generator and F_q square roots from a q-length table, both built on
-first use, while square roots and Artin-Schreier roots in F_{q^2} come
-from formulas.
+preimages come from a walk over the second coordinate x1 of x0 + x1 t in
+code order: N(x0 + x1 t) = x1^2 N(x0 / x1 + t), so each x1 != 0 takes
+its first coordinates from a q-length fiber table of y -> N(y + t),
+looked up through the discrete-log table of the norm of a generator.
+These tables and the F_q square-root table hold q entries each and are
+built on first use, while square roots and Artin-Schreier roots in
+F_{q^2} come from formulas.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 # Dense tables are only worth the memory for very small fields: F_q
@@ -328,6 +332,8 @@ class FieldCtx:
 
     def q_sqrt_encs(self, a: int) -> tuple[int, ...]:
         """All square roots of a in F_q, sorted by code."""
+        if not 0 <= a < self.q:
+            raise ValueError(f"square roots only defined over F_q, got code {a}")
         if self.p == 2:
             # squaring is the Frobenius of F_q, hence a bijection
             return (self.q_pow(a, self.q // 2),)
@@ -417,7 +423,7 @@ class FieldCtx:
             self.norm_enc = self._norm_poly
 
         self._gen_enc: int | None = None
-        self._norm_log: list[int | None] | None = None
+        self._norm_tables: tuple[list, list, list] | None = None
 
     def dot_encs(self, terms, vectors) -> list[int]:
         """Code of sum c * v[i] over the (i, c) of terms, for each vector v.
@@ -497,36 +503,95 @@ class FieldCtx:
                 raise RuntimeError("no generator found")
         return self._gen_enc
 
-    def norm_preimage_encs(self, a: int) -> tuple[int, ...]:
-        """Codes of all solutions of t^(q+1) = a, for a in F_q."""
-        if a >= self.q:
+    # -- norm preimages -----------------------------------------------------
+
+    def _norm_walk(self, a: int):
+        """The steps (x1, ys) of a walk over the preimages of a in code
+        order, x1 = 0, ..., q - 1: the preimages with second coordinate x1
+        are ys itself for x1 = 0 and the x1 * y + q * x1 over y in ys
+        otherwise.  Checks a on the call; the walk itself is lazy.
+
+        N(x0 + x1 t) = x1^2 f(x0 / x1) for x1 != 0, with
+        f(y) = N(y + t) = y^2 - e1 y + e0, so x0 / x1 lies in the f-fiber
+        of a / x1^2 = delta^(log a - 2 log x1), for delta the norm of a
+        generator of F_{q^2}^*, which generates F_q^*.  The log, exp and
+        fiber tables are built on first use.
+        """
+        if not 0 <= a < self.q:
             raise ValueError(f"norm preimages only defined over F_q, got code {a}")
-        if a == 0:
-            return (0,)
-        # a = delta^j for delta the norm of a generator g, so g^j is one
-        # preimage and the rest differ by the norm-one factors g^((q-1)i)
-        g = self.multiplicative_generator_enc()
-        if self._norm_log is None:
-            # delta generates F_q^*, so j is unique mod q - 1
-            delta = self.pow_enc(g, self.q + 1)
-            log: list[int | None] = [None] * self.q
+        q = self.q
+        if self._norm_tables is None:
+            delta = self.pow_enc(self.multiplicative_generator_enc(), q + 1)
+            log: list[int | None] = [None] * q
+            exp = []
             acc = 1
-            for j in range(self.q - 1):
+            for j in range(q - 1):
                 log[acc] = j
+                exp.append(acc)
                 acc = self.q_mul(acc, delta)
-            self._norm_log = log
-        j = self._norm_log[a]
-        if j is None:
+            fibers: list[list[int]] = [[] for _ in range(q)]
+            for y in range(q):
+                fibers[self.q_add(self.q_mul(self.q_sub(y, self._e1), y),
+                                  self._e0)].append(y)
+            self._norm_tables = (log, exp, [tuple(f) for f in fibers])
+        first = [(0, self.q_sqrt_encs(a))]
+        if a == 0:
+            return iter(first)
+        log, exp, fibers = self._norm_tables
+        la = log[a]
+        if la is None:
             raise RuntimeError(f"no discrete log of the norm value {a}")
-        base = self.pow_enc(g, j)
-        if self.norm_enc(base) != a:
-            raise RuntimeError("norm preimage base has the wrong norm")
-        step = self.pow_enc(g, self.q - 1)
-        out = []
-        for _ in range(self.q + 1):
-            out.append(base)
-            base = self.mul_enc(base, step)
-        return tuple(sorted(out))
+        return itertools.chain(first, (
+            (x1, fibers[exp[(la - 2 * log[x1]) % (q - 1)]])
+            for x1 in range(1, q)))
+
+    def _walk_codes(self, x1: int, ys) -> tuple[int, ...]:
+        """The codes of one step of _norm_walk, in code order."""
+        if x1 == 0:
+            return ys
+        base = self.q * x1
+        if len(ys) < 2:
+            return tuple(self.q_mul(x1, y) + base for y in ys)
+        u, v = self.q_mul(x1, ys[0]), self.q_mul(x1, ys[1])
+        return (u + base, v + base) if u < v else (v + base, u + base)
+
+    def norm_preimage_encs(self, a: int) -> tuple[int, ...]:
+        """Codes of all solutions of x^(q+1) = a, for a in F_q, sorted.
+
+        Zero has the single preimage zero and any other value q + 1,
+        listed by a walk over the second coordinate x1 of x0 + x1 t in
+        code order, with at most two first coordinates x0 for each x1.
+        """
+        out: list[int] = []
+        for x1, ys in self._norm_walk(a):
+            out.extend(self._walk_codes(x1, ys))
+        if len(out) != (1 if a == 0 else self.q + 1):
+            raise RuntimeError(f"norm value {a} has {len(out)} preimages")
+        if self.norm_enc(out[0]) != a:
+            raise RuntimeError("listed norm preimage has the wrong norm")
+        return tuple(out)
+
+    def norm_preimage_enc(self, a: int, r: int) -> int:
+        """norm_preimage_encs(a)[r] without listing the others.
+
+        The walk counts preimages until it reaches the step that holds
+        the r-th one and computes codes only there.
+        """
+        walk = self._norm_walk(a)
+        count = 1 if a == 0 else self.q + 1
+        if not 0 <= r < count:
+            raise ValueError(f"preimage index {r} out of range [0, {count}) "
+                             f"for the norm value {a}")
+        for x1, ys in walk:
+            if r < len(ys):
+                break
+            r -= len(ys)
+        else:
+            raise RuntimeError(f"norm value {a} has fewer than {count} preimages")
+        x = self._walk_codes(x1, ys)[r]
+        if self.norm_enc(x) != a:
+            raise RuntimeError("picked norm preimage has the wrong norm")
+        return x
 
     # -- quadratic equations over F_{q^2} ---------------------------------
 

@@ -382,10 +382,17 @@ def _draw_cone(ctx: FieldCtx, n: int, k_enc: int, mode: str,
     produced = 0
     while produced < count:
         prefix = tuple(rng.randrange(space) for _ in range(n - 1))
-        options = complete(_residual(ctx, norm_of, k_enc, prefix))
-        if not options:
-            continue
-        last = options[rng.randrange(len(options))]
+        residual = _residual(ctx, norm_of, k_enc, prefix)
+        if mode == FULL_FIELD:
+            # zero has one norm preimage and every other value q + 1, so
+            # the pick draws the index a listing would
+            r = rng.randrange(1 if residual == 0 else ctx.q + 1)
+            last = ctx.norm_preimage_enc(residual, r)
+        else:
+            options = complete(residual)
+            if not options:
+                continue
+            last = options[rng.randrange(len(options))]
         if exclude_zero and last == 0 and not any(prefix):
             continue
         produced += 1
@@ -400,13 +407,12 @@ def random_unitary_2x2(ctx: FieldCtx, rng) -> HermMatrix:
         s = ctx.q_add(ctx.norm_enc(a), ctx.norm_enc(b))
         if s != 0:
             break
-    # rescale (a, b) to a unit vector
-    t_opts = ctx.norm_preimage_encs(ctx.q_inv(s))
-    t = t_opts[rng.randrange(len(t_opts))]
+    # rescale (a, b) to a unit vector; each nonzero norm value has q + 1
+    # preimages
+    t = ctx.norm_preimage_enc(ctx.q_inv(s), rng.randrange(ctx.q + 1))
     a, b = ctx.mul_enc(a, t), ctx.mul_enc(b, t)
     # orthogonal completion (-b^q s', a^q s') with s' of norm one
-    s_opts = ctx.norm_preimage_encs(1)
-    sp = s_opts[rng.randrange(len(s_opts))]
+    sp = ctx.norm_preimage_enc(1, rng.randrange(ctx.q + 1))
     w0 = ctx.mul_enc(ctx.neg_enc(ctx.frob_enc(b)), sp)
     w1 = ctx.mul_enc(ctx.frob_enc(a), sp)
     u = HermMatrix.from_encs(ctx, ((a, w0), (b, w1)))

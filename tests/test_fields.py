@@ -244,16 +244,50 @@ def test_each_tier_subtracts_as_add_of_the_negation(formula_tower):
         check(ctx, seeded(ctx.q, rng), seeded(ctx.q2, rng))
 
 
-@pytest.mark.parametrize("p", [3, 5, 67])
-def test_norm_preimages_match_a_brute_force_filter(p, formula_tower):
+@pytest.mark.parametrize("p,m", [(3, 1), (5, 1), (67, 1), (2, 5), (3, 3)],
+                         ids=["3", "5", "67", "2^5", "3^3"])
+def test_norm_preimages_match_a_brute_force_filter(p, m, formula_tower):
     # the norm as the power x^(q+1), independent of the Frobenius and of
-    # the log table; both tiers take preimages from the same log path
-    for ctx in (build_tower(p), formula_tower(p)):
+    # the walk's tables; both tiers take preimages from the same walk,
+    # and 2^5 and 3^3 reach the formula tier with even q and with m > 1
+    for ctx in (build_tower(p, m), formula_tower(p, m)):
         fibres = [[] for _ in range(ctx.q)]
         for x in range(ctx.q2):
             fibres[ctx.pow_enc(x, ctx.q + 1)].append(x)
         for a in range(ctx.q):
-            assert ctx.norm_preimage_encs(a) == tuple(fibres[a]), (p, a)
+            assert ctx.norm_preimage_encs(a) == tuple(fibres[a]), (p, m, a)
+
+
+def test_norm_preimage_pick_matches_the_listing(towers):
+    for ctx in towers.values():
+        for a in range(ctx.q):
+            pre = ctx.norm_preimage_encs(a)
+            assert [ctx.norm_preimage_enc(a, r) for r in range(len(pre))] \
+                == list(pre), (ctx, a)
+    ctx = build_tower(1031)
+    rng = random.Random(17)
+    for a in rng.sample(range(1, 1031), 6):
+        pre = ctx.norm_preimage_encs(a)
+        for r in (0, 1, ctx.q):
+            assert ctx.norm_preimage_enc(a, r) == pre[r], (a, r)
+
+
+def test_subfield_arguments_out_of_range_are_refused(f7):
+    # -3 once passed for 4, and 9 raised IndexError
+    for code in (-3, -1, 7, 9):
+        for call, what in ((f7.q_sqrt_encs, "square roots"),
+                           (f7.norm_preimage_encs, "norm preimages"),
+                           (lambda a: f7.norm_preimage_enc(a, 0),
+                            "norm preimages")):
+            with pytest.raises(ValueError,
+                               match=f"^{what} only defined over F_q, "
+                                     f"got code {code}$"):
+                call(code)
+    for a, r in ((0, 1), (0, -1), (1, -1), (1, 8), (6, 8)):
+        with pytest.raises(ValueError, match=f"index {r} out of range"):
+            f7.norm_preimage_enc(a, r)
+    assert f7.norm_preimage_enc(0, 0) == 0
+    assert f7.norm_preimage_enc(6, 7) == f7.norm_preimage_encs(6)[7]
 
 
 def test_frobenius_matches_the_q_power(towers, formula_tower):
@@ -299,15 +333,28 @@ def test_large_field_norm_preimages():
 
 
 def test_broken_norm_log_raises():
+    # 2 is a nonsquare mod 67, so every preimage of 2 has x1 != 0 and
+    # comes through the log and fiber tables
     ctx = build_tower(67)
-    ctx.norm_preimage_encs(1)  # builds the log table
-    ctx._norm_log = [None] * ctx.q
-    with pytest.raises(RuntimeError):
-        ctx.norm_preimage_encs(2)
-    # a wrong logarithm yields a base of the wrong norm
-    ctx._norm_log = [0] * ctx.q
-    with pytest.raises(RuntimeError):
-        ctx.norm_preimage_encs(2)
+    ctx.norm_preimage_encs(1)  # builds the walk's tables
+    log, exp, fibers = ctx._norm_tables
+    d2 = exp[2]
+    broken = (
+        # a missing logarithm
+        ([None] * ctx.q, exp, fibers),
+        # each value takes the fiber of d2 times it, so the walk lists the
+        # q + 1 preimages of 2 * d2 instead
+        (log, exp, [fibers[ctx.q_mul(c, d2)] for c in range(ctx.q)]),
+        # no fiber holds anything, so the walk finds no preimage
+        (log, exp, [()] * ctx.q),
+    )
+    for tables in broken:
+        ctx._norm_tables = tables
+        for call in (ctx.norm_preimage_encs,
+                     lambda a: ctx.norm_preimage_enc(a, 0),
+                     lambda a: ctx.norm_preimage_enc(a, ctx.q)):
+            with pytest.raises(RuntimeError):
+                call(2)
 
 
 def _scan_roots(ctx, pairs):

@@ -212,6 +212,26 @@ def test_sampling_is_seeded_and_sound(f5):
     assert set(a) <= truth
 
 
+def test_full_field_draws_pick_without_listing(monkeypatch):
+    # the sampler and random_unitary_2x2 take one norm preimage each
+    # through norm_preimage_enc; the q + 1 listing is never built
+    ctx = build_tower(1031)
+
+    def listing(a):
+        raise AssertionError("norm preimages listed")
+
+    monkeypatch.setattr(ctx, "norm_preimage_encs", listing)
+    rng = random.Random(4)
+    for k, exclude_zero in ((0, True), (5, False)):
+        for u in sample_cone_encs(ctx, 3, k, FULL_FIELD, exclude_zero, 30, rng):
+            total = 0
+            for x in u:
+                total = ctx.add_enc(total, ctx.pow_enc(x, ctx.q + 1))
+            assert total == k and any(u), u
+    for _ in range(5):
+        assert is_unitary(random_unitary_2x2(ctx, rng))
+
+
 def test_sampler_redraws_prefixes_without_an_admissible_completion(towers):
     # q = 3, subfield, level 2: the prefix 0 leaves the nonsquare 2, which
     # has no completion; q = 5, subfield, level 0 with exclude_zero: the

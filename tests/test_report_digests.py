@@ -13,8 +13,9 @@ import random
 
 import pytest
 
+from hermrange.cli import main
 from hermrange.fields import build_tower
-from hermrange.hermitian import HermMatrix
+from hermrange.hermitian import HermMatrix, random_unitary_2x2
 from hermrange.ranges import num0_prime
 from hermrange.verify import (run_direct_sums, run_exhaustive_2x2,
                               run_random_nxn, run_scalar_fibers)
@@ -101,3 +102,32 @@ def test_sampled_range_digest():
                    matrix=rows)
     assert _digest(payload) == (
         "957ba02ce236bfca3dfa1c3f15a210ed89f0e4b104025cb89bf774257b7a3af4")
+
+
+_SAMPLE = ("range", "--capacity", "0", "--sample-budget", "200", "--seed", "3")
+
+
+@pytest.mark.parametrize("argv,expect", [
+    (("--kind", "num0_prime", "--matrix", "5,7;11,13", "--p", "1031"),
+     "086b93089ecc0e07718c36bb8f388ebf045596af943638f606c69826b6bee69e"),
+    # an even q on the formula tier
+    (("--kind", "num0_prime", "--matrix", "5,7;11,13", "--p", "2", "--m", "6"),
+     "e270980088cf97661e983dc688e3a0ee931396d1ff8328850067090fda53cad3"),
+    (("--kind", "num_k", "--k", "1", "--matrix", "5,7,11;13,17,19;23,29,31",
+      "--p", "1031"),
+     "85767864fa93172fce0ce238c1955152d8d9ee7a318e3d74cfa9a040a34d5740"),
+], ids=["num0-q1031", "num0-q64", "num_k-3x3-q1031"])
+def test_sampled_draw_stream_digest(capsys, argv, expect):
+    # a full-field draw takes its last coordinate as the r-th norm
+    # preimage of the residual for r = randrange(count), so any change
+    # to the preimage order or to the rng calls moves these bytes
+    assert main([*_SAMPLE, *argv]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expect
+
+
+def test_random_unitary_stream_digest():
+    ctx = build_tower(1031)
+    mats = [random_unitary_2x2(ctx, random.Random(s)).encs() for s in range(5)]
+    assert _digest({"unitaries": mats}) == (
+        "391082394d96e359713caaac5f03551afafe1c8e626039b4a0f9e040614ba374")
