@@ -16,7 +16,6 @@ the only input those ranges depend on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .fields import FieldCtx, FieldElem
 from .hermitian import DEFAULT_CAPACITY, HermMatrix, Vector, inner_encs
@@ -153,41 +152,16 @@ def _half_up(x: int) -> int:
     return (x + 1) // 2
 
 
-_ZERO_IN_NUM0 = Prediction("zero-in-num0", KIND_NUM_K, 0, CLAIM_MEMBER, True)
-_REMARK4 = Prediction("remark4", KIND_NUM0_PRIME, 0, CLAIM_EXACT_SET, (0,))
-_PROP3 = Prediction("prop3", KIND_NUM0_PRIME, 0, CLAIM_LINE)
-
-
-@lru_cache(maxsize=None)
-def _q_claims(q: int) -> dict:
-    """The full-field claims whose payload depends on q alone, by tag,
-    built once per q."""
-    q2 = q * q
-    even = q % 2 == 0
-    prop2 = (Prediction("prop2", KIND_NUM0_PRIME, 0, CLAIM_MEMBER, False),
-             Prediction("prop2", KIND_NUM0_PRIME, 0, CLAIM_EXACT_CARD,
-                        q2 - 1 if even else (q2 - 1) // 2))
-    if even:
-        prop2 += (Prediction("prop2", KIND_NUM0_PRIME, 0, CLAIM_EXACT_SET,
-                             tuple(range(1, q2))),)
-    return {
-        "cor1": Prediction("cor1", KIND_NUM_K, 0, CLAIM_LOWER_BOUND,
-                           _half_up(q + 1)),
-        "prop2": prop2,
-        "prop4.i": Prediction("prop4.i", KIND_NUM0_PRIME, 0,
-                              CLAIM_LOWER_BOUND, _half_up(q + 1)),
-        "prop4.ii": Prediction("prop4.ii", KIND_NUM0_PRIME, 0,
-                               CLAIM_LOWER_BOUND, q + 1),
-    }
-
-
 def _level0_header(q: int, scalar: bool) -> list[Prediction]:
     """The universal level-0 facts: 0 is in the level-0 range, and a
     scalar matrix has null-range {0} while any other matrix has at
     least ceil((q+1)/2) level-0 values."""
+    zero = Prediction("zero-in-num0", KIND_NUM_K, 0, CLAIM_MEMBER, True)
     if scalar:
-        return [_ZERO_IN_NUM0, _REMARK4]
-    return [_ZERO_IN_NUM0, _q_claims(q)["cor1"]]
+        return [zero, Prediction("remark4", KIND_NUM0_PRIME, 0,
+                                 CLAIM_EXACT_SET, (0,))]
+    return [zero, Prediction("cor1", KIND_NUM_K, 0, CLAIM_LOWER_BOUND,
+                             _half_up(q + 1))]
 
 
 def predict_full_field(m: HermMatrix) -> list[Prediction]:
@@ -195,13 +169,12 @@ def predict_full_field(m: HermMatrix) -> list[Prediction]:
     if m.n != 2:
         raise ValueError(f"full-field rules cover n=2, got n={m.n}")
     ctx = m.ctx
-    q = ctx.q
+    q, q2 = ctx.q, ctx.q2
 
     preds = _level0_header(q, m.is_scalar)
     if m.is_scalar:
         return preds
 
-    fixed = _q_claims(q)
     e = eigen2(m)
     if e.orthogonal_eigenbasis:
         c1, c2 = e.eigenvalue_encs
@@ -209,17 +182,25 @@ def predict_full_field(m: HermMatrix) -> list[Prediction]:
             "prop1d", KIND_NUM0_PRIME, 0, CLAIM_EXACT_SET,
             _line_values(ctx, ctx.sub_enc(c2, c1), False)))
     elif e.status == TWO_DISTINCT and all(e.isotropic):
-        preds.append(_PROP3)
+        preds.append(Prediction("prop3", KIND_NUM0_PRIME, 0, CLAIM_LINE))
     elif (e.status == REPEATED and e.eigenspace_dims == (1,)
           and not e.isotropic[0]):
-        preds.extend(fixed["prop2"])
+        even = q % 2 == 0
+        preds.append(Prediction("prop2", KIND_NUM0_PRIME, 0, CLAIM_MEMBER, False))
+        preds.append(Prediction("prop2", KIND_NUM0_PRIME, 0, CLAIM_EXACT_CARD,
+                                q2 - 1 if even else (q2 - 1) // 2))
+        if even:
+            preds.append(Prediction("prop2", KIND_NUM0_PRIME, 0,
+                                    CLAIM_EXACT_SET, tuple(range(1, q2))))
 
     (_, m12), (m21, _) = m.encs()
     if m12 and m21:
-        preds.append(fixed["prop4.i"])
+        preds.append(Prediction("prop4.i", KIND_NUM0_PRIME, 0,
+                                CLAIM_LOWER_BOUND, _half_up(q + 1)))
         ratio = ctx.div_enc(ctx.neg_enc(m12), m21)
         if ctx.norm_enc(ratio) != 1:
-            preds.append(fixed["prop4.ii"])
+            preds.append(Prediction("prop4.ii", KIND_NUM0_PRIME, 0,
+                                    CLAIM_LOWER_BOUND, q + 1))
     return preds
 
 

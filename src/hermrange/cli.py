@@ -27,7 +27,7 @@ from .ranges import KIND_NUM_K, RANGE_KINDS, fiber_table, range_of
 from .verify import COLLECT_ALL, COLLECT_FAILS, VERIFY_SCOPES, run_scope
 
 # Largest F_q the command line builds: it bounds the q-length tables
-# (norm log, F_q square roots) that a tower builds on first use.
+# (the F_q log/exp and the walk's fibers) that a tower builds on first use.
 # build_tower itself is unbounded.
 MAX_FIELD_SIZE = 1 << 20
 

@@ -23,17 +23,17 @@ Arithmetic comes in two tiers, chosen by one test, q^2 <= 512:
   costs two F_q operations, the norm is x * x^q, and ``dot_encs`` sums
   products term by term.
 
-Below them, F_q with q <= 64 uses dense pairwise add/mul tables and
-caches inverses in a q-length table on first use; larger prime F_q
-(m = 1) computes on integer residues mod p, which are its codes, and any
-other larger F_q on polynomial digit vectors.  On every tower, norm
-preimages come from a walk over the second coordinate x1 of x0 + x1 t in
-code order: N(x0 + x1 t) = x1^2 N(x0 / x1 + t), so each x1 != 0 takes
-its first coordinates from a q-length fiber table of y -> N(y + t),
-looked up through the discrete-log table of the norm of a generator.
-These tables and the F_q square-root table hold q entries each and are
-built on first use, while square roots and Artin-Schreier roots in
-F_{q^2} come from formulas.
+Below them, F_q with q <= 64 uses dense pairwise add/mul tables; larger
+prime F_q (m = 1) computes on integer residues mod p, which are its
+codes, and any other larger F_q on polynomial digit vectors.  Inverses
+are a^(q-2) and squareness is Euler's criterion.  One discrete-log table
+of F_q^* serves both nonlinear maps that complete null vectors: an odd-q
+square root is +-exp[log a / 2], and norm preimages come from a walk
+over the second coordinate x1 of x0 + x1 t in code order.  There
+N(x0 + x1 t) = x1^2 N(x0 / x1 + t), so each x1 != 0 takes its first
+coordinates from a fiber table of y -> N(y + t) at a / x1^2.  The
+log/exp and fiber tables hold q entries each and are built on first
+use; square roots and Artin-Schreier roots in F_{q^2} come from formulas.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import itertools
 from dataclasses import dataclass
 
 # Dense tables are only worth the memory for very small fields: F_q
-# tabulates add/mul and caches inverses up to _Q_PAIRWISE_LIMIT elements,
+# tabulates add/mul up to _Q_PAIRWISE_LIMIT elements,
 # and F_{q^2} tabulates all five operations up to _Q2_PAIRWISE_LIMIT
 # elements and computes them by formula above it.
 _Q_PAIRWISE_LIMIT = 64
@@ -297,8 +297,7 @@ class FieldCtx:
             self.q_mul = self._q_mul_poly
             self.q_neg = self._q_neg_poly
             self.q_sub = self._q_sub_poly
-        self._q_inv_t: list[int | None] | None = None
-        self._q_sqrt_t: list[tuple[int, ...]] | None = None
+        self._log_exp: tuple[list, list] | None = None
 
     def q_pow(self, a: int, e: int) -> int:
         if e < 0:
@@ -314,21 +313,38 @@ class FieldCtx:
     def q_inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero in F_q")
-        if self.q > _Q_PAIRWISE_LIMIT:
-            return self.q_pow(a, self.q - 2)
-        if self._q_inv_t is None:
-            # q - 2 never overflows; the scan table pays off after one use
-            self._q_inv_t = [None] * self.q
-        cached = self._q_inv_t[a]
-        if cached is None:
-            cached = self.q_pow(a, self.q - 2)
-            self._q_inv_t[a] = cached
-        return cached
+        return self.q_pow(a, self.q - 2)
 
     def q_is_square(self, a: int) -> bool:
         if a == 0 or self.p == 2:
             return True
         return self.q_pow(a, (self.q - 1) // 2) == 1
+
+    def _logs(self) -> tuple[list, list]:
+        """(log, exp) of F_q^* to its least generator g: exp[j] = g^j
+        for 0 <= j < q - 1 and log[exp[j]] = j, with log[0] None.  Built
+        on first use."""
+        if self._log_exp is None:
+            q = self.q
+            factors = _prime_factors(q - 1)
+            # the group is cyclic, so some code below q generates it
+            gen = next(g for g in range(1, q) if all(
+                self.q_pow(g, (q - 1) // r) != 1 for r in factors))
+            log: list[int | None] = [None] * q
+            exp = []
+            acc = 1
+            for j in range(q - 1):
+                log[acc] = j
+                exp.append(acc)
+                acc = self.q_mul(acc, gen)
+            self._log_exp = (log, exp)
+        return self._log_exp
+
+    def _log(self, a: int) -> int:
+        la = self._logs()[0][a]
+        if la is None:
+            raise RuntimeError(f"no discrete log of {a} in F_q")
+        return la
 
     def q_sqrt_encs(self, a: int) -> tuple[int, ...]:
         """All square roots of a in F_q, sorted by code."""
@@ -339,12 +355,12 @@ class FieldCtx:
             return (self.q_pow(a, self.q // 2),)
         if a == 0:
             return (0,)
-        if self._q_sqrt_t is None:
-            roots: list[list[int]] = [[] for _ in range(self.q)]
-            for x in range(self.q):
-                roots[self.q_mul(x, x)].append(x)
-            self._q_sqrt_t = [tuple(r) for r in roots]
-        return self._q_sqrt_t[a]
+        la = self._log(a)
+        if la % 2:
+            return ()
+        r = self._logs()[1][la // 2]
+        nr = self.q_neg(r)
+        return (r, nr) if r < nr else (nr, r)
 
     # -- canonical quadratic modulus over F_q ------------------------------
 
@@ -422,8 +438,7 @@ class FieldCtx:
             self.frob_enc = self._frob_poly
             self.norm_enc = self._norm_poly
 
-        self._gen_enc: int | None = None
-        self._norm_tables: tuple[list, list, list] | None = None
+        self._fibers: list[tuple[int, ...]] | None = None
 
     def dot_encs(self, terms, vectors) -> list[int]:
         """Code of sum c * v[i] over the (i, c) of terms, for each vector v.
@@ -489,20 +504,6 @@ class FieldCtx:
     def div_enc(self, x: int, y: int) -> int:
         return self.mul_enc(x, self.inv_enc(y))
 
-    def multiplicative_generator_enc(self) -> int:
-        """Smallest code generating the cyclic group of nonzero elements."""
-        if self._gen_enc is None:
-            order = self.q2 - 1
-            factors = _prime_factors(order)
-            # codes below q lie in F_q, whose orders divide q - 1
-            for cand in range(self.q, self.q2):
-                if all(self.pow_enc(cand, order // r) != 1 for r in factors):
-                    self._gen_enc = cand
-                    break
-            else:  # pragma: no cover - the group is always cyclic
-                raise RuntimeError("no generator found")
-        return self._gen_enc
-
     # -- norm preimages -----------------------------------------------------
 
     def _norm_walk(self, a: int):
@@ -513,34 +514,26 @@ class FieldCtx:
 
         N(x0 + x1 t) = x1^2 f(x0 / x1) for x1 != 0, with
         f(y) = N(y + t) = y^2 - e1 y + e0, so x0 / x1 lies in the f-fiber
-        of a / x1^2 = delta^(log a - 2 log x1), for delta the norm of a
-        generator of F_{q^2}^*, which generates F_q^*.  The log, exp and
-        fiber tables are built on first use.
+        of a / x1^2 = exp[(log a - 2 log x1) mod (q - 1)], read from the
+        F_q log table that square roots use too; the value does not
+        depend on the generator behind the table.  The fiber table is
+        built on first use.
         """
         if not 0 <= a < self.q:
             raise ValueError(f"norm preimages only defined over F_q, got code {a}")
+        first = [(0, self.q_sqrt_encs(a))]
+        if a == 0:
+            return iter(first)
         q = self.q
-        if self._norm_tables is None:
-            delta = self.pow_enc(self.multiplicative_generator_enc(), q + 1)
-            log: list[int | None] = [None] * q
-            exp = []
-            acc = 1
-            for j in range(q - 1):
-                log[acc] = j
-                exp.append(acc)
-                acc = self.q_mul(acc, delta)
+        if self._fibers is None:
             fibers: list[list[int]] = [[] for _ in range(q)]
             for y in range(q):
                 fibers[self.q_add(self.q_mul(self.q_sub(y, self._e1), y),
                                   self._e0)].append(y)
-            self._norm_tables = (log, exp, [tuple(f) for f in fibers])
-        first = [(0, self.q_sqrt_encs(a))]
-        if a == 0:
-            return iter(first)
-        log, exp, fibers = self._norm_tables
-        la = log[a]
-        if la is None:
-            raise RuntimeError(f"no discrete log of the norm value {a}")
+            self._fibers = [tuple(f) for f in fibers]
+        la = self._log(a)
+        log, exp = self._logs()
+        fibers = self._fibers
         return itertools.chain(first, (
             (x1, fibers[exp[(la - 2 * log[x1]) % (q - 1)]])
             for x1 in range(1, q)))

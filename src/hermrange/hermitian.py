@@ -80,11 +80,8 @@ class Vector:
 
 def inner_encs(ctx: FieldCtx, u, v) -> int:
     """Hermitian pairing of two code tuples of equal length."""
-    add, mul, frob = ctx.add_enc, ctx.mul_enc, ctx.frob_enc
-    total = 0
-    for x, y in zip(u, v):
-        total = add(total, mul(frob(x), y))
-    return total
+    frob = ctx.frob_enc
+    return ctx.dot_encs([(i, frob(x)) for i, x in enumerate(u)], (v,))[0]
 
 
 def inner(u: Vector, v: Vector) -> FieldElem:
@@ -177,30 +174,16 @@ class HermMatrix:
         if v.ctx is not self.ctx or len(v) != self.n:
             raise ValueError("vector does not match matrix shape or context")
         ctx = self.ctx
-        u = v.encs()
-        out = []
-        for row in self._encs:
-            s = 0
-            for e, x in zip(row, u):
-                s = ctx.add_enc(s, ctx.mul_enc(e, x))
-            out.append(ctx.elem(s))
-        return Vector(ctx, out)
+        sums = ctx.dot_encs(list(enumerate(v.encs())), self._encs)
+        return Vector(ctx, [ctx.elem(s) for s in sums])
 
     def __matmul__(self, other: "HermMatrix") -> "HermMatrix":
         if other.ctx is not self.ctx or other.n != self.n:
             raise ValueError("matrix shapes or contexts differ")
         ctx = self.ctx
         cols = tuple(zip(*other._encs))
-        rows = []
-        for r in self._encs:
-            row = []
-            for c in cols:
-                s = 0
-                for x, y in zip(r, c):
-                    s = ctx.add_enc(s, ctx.mul_enc(x, y))
-                row.append(s)
-            rows.append(tuple(row))
-        return HermMatrix._of(ctx, tuple(rows))
+        return HermMatrix._of(ctx, tuple(
+            tuple(ctx.dot_encs(list(enumerate(r)), cols)) for r in self._encs))
 
     def __add__(self, other: "HermMatrix") -> "HermMatrix":
         if other.ctx is not self.ctx or other.n != self.n:

@@ -116,13 +116,20 @@ def test_norm_minus_one_roots(towers):
         assert all(ctx.norm_enc(r.enc) == minus_one for r in roots)
 
 
-def test_subfield_squares(towers):
-    for ctx in towers.values():
+def test_subfield_squares(towers, formula_tower):
+    # roots come from the log table for odd q; they must match a filter
+    rng = random.Random(5)
+    cases = [(ctx, range(ctx.q)) for ctx in
+             (*towers.values(), formula_tower(3, 2))]
+    cases.append((build_tower(1031),
+                  [0, 1, 1030] + rng.sample(range(2, 1030), 12)))
+    for ctx, values in cases:
         squares = {ctx.q_mul(x, x) for x in range(ctx.q)}
-        for a in range(ctx.q):
+        for a in values:
             assert ctx.q_is_square(a) == (a in squares)
             roots = ctx.q_sqrt_encs(a)
-            assert all(ctx.q_mul(r, r) == a for r in roots)
+            assert roots == tuple(x for x in range(ctx.q)
+                                  if ctx.q_mul(x, x) == a), (ctx, a)
             if ctx.p == 2:
                 assert len(roots) == 1
             else:
@@ -145,24 +152,30 @@ def test_two_square_rep(towers):
                         == ctx.elem(k)
 
 
-def _brute_force_generator(ctx):
-    # the smallest code whose powers reach 1 only after q^2 - 1 steps
-    for cand in range(2, ctx.q2):
+def _least_generator(ctx):
+    # the smallest code whose powers reach 1 only after q - 1 steps
+    for cand in range(1, ctx.q):
         acc, order = cand, 1
         while acc != 1:
-            acc = ctx.mul_enc(acc, cand)
+            acc = ctx.q_mul(acc, cand)
             order += 1
-        if order == ctx.q2 - 1:
+        if order == ctx.q - 1:
             return cand
     raise AssertionError("no generator")
 
 
-def test_generator_order(towers):
-    for ctx in towers.values():
-        assert ctx.multiplicative_generator_enc() == _brute_force_generator(ctx)
-    f67 = build_tower(67)
-    assert f67.multiplicative_generator_enc() == _brute_force_generator(f67)
-    assert f67.multiplicative_generator_enc() == 74
+def test_log_and_exp_are_inverse_bijections(towers):
+    # the one F_q log table behind square roots and norm preimages
+    for ctx in (*towers.values(), build_tower(67), build_tower(3, 4),
+                build_tower(1031)):
+        log, exp = ctx._logs()
+        q = ctx.q
+        assert sorted(exp) == list(range(1, q)), ctx
+        assert log[0] is None
+        assert all(log[exp[j]] == j for j in range(q - 1)), ctx
+        assert all(exp[log[a]] == a for a in range(1, q)), ctx
+        gen = _least_generator(ctx)
+        assert all(exp[j] == ctx.q_pow(gen, j) for j in range(q - 1)), ctx
 
 
 def test_pow_and_inverse(f9):
@@ -174,6 +187,20 @@ def test_pow_and_inverse(f9):
         assert f9.pow_enc(a, 80) == 1
     with pytest.raises(ZeroDivisionError):
         f9.inv_enc(0)
+    for a in range(1, f9.q):
+        assert f9.q_mul(a, f9.q_inv(a)) == 1
+    with pytest.raises(ZeroDivisionError):
+        f9.q_inv(0)
+
+
+def test_only_pairwise_subfields_tabulate_inverses():
+    # F_q inverses are a^(q-2) on every tier: the pairwise tier (q <= 64)
+    # reads them through its multiplication table, the digit and residue
+    # tiers compute them, and no tier builds a q-length table to invert
+    for ctx in (build_tower(2, 6), build_tower(2, 7), build_tower(67)):
+        for a in range(1, ctx.q):
+            assert ctx.q_mul(a, ctx.q_inv(a)) == 1
+        assert ctx._log_exp is None, ctx
 
 
 def test_broken_invariants_raise_without_asserts(monkeypatch, formula_tower):
@@ -337,24 +364,28 @@ def test_broken_norm_log_raises():
     # comes through the log and fiber tables
     ctx = build_tower(67)
     ctx.norm_preimage_encs(1)  # builds the walk's tables
-    log, exp, fibers = ctx._norm_tables
+    (log, exp), fibers = ctx._log_exp, ctx._fibers
     d2 = exp[2]
     broken = (
         # a missing logarithm
-        ([None] * ctx.q, exp, fibers),
+        (([None] * ctx.q, exp), fibers),
         # each value takes the fiber of d2 times it, so the walk lists the
         # q + 1 preimages of 2 * d2 instead
-        (log, exp, [fibers[ctx.q_mul(c, d2)] for c in range(ctx.q)]),
+        ((log, exp), [fibers[ctx.q_mul(c, d2)] for c in range(ctx.q)]),
         # no fiber holds anything, so the walk finds no preimage
-        (log, exp, [()] * ctx.q),
+        ((log, exp), [()] * ctx.q),
     )
     for tables in broken:
-        ctx._norm_tables = tables
+        ctx._log_exp, ctx._fibers = tables
         for call in (ctx.norm_preimage_encs,
                      lambda a: ctx.norm_preimage_enc(a, 0),
                      lambda a: ctx.norm_preimage_enc(a, ctx.q)):
             with pytest.raises(RuntimeError):
                 call(2)
+    # square roots read the same log table
+    ctx._log_exp = broken[0][0]
+    with pytest.raises(RuntimeError):
+        ctx.q_sqrt_encs(4)
 
 
 def _scan_roots(ctx, pairs):
@@ -421,18 +452,6 @@ def test_char2_modulus_is_the_first_irreducible_quadratic():
                                  e0) for x in range(ctx.q))
 
 
-def test_only_pairwise_subfields_tabulate_inverses():
-    # F_q inverses are cached on the pairwise F_q tier (q <= 64) and
-    # computed as a^(q-2) above it
-    for ctx in (build_tower(2, 7), build_tower(67)):
-        for a in range(1, ctx.q):
-            assert ctx.q_mul(a, ctx.q_inv(a)) == 1
-        assert ctx._q_inv_t is None, ctx
-    small = build_tower(2, 6)
-    small.q_inv(5)
-    assert small._q_inv_t is not None
-
-
 def test_building_a_tower_past_the_table_tier_makes_no_extension_arithmetic(
         monkeypatch):
     # the formula tier computes F_{q^2} operations when asked, so a tower
@@ -462,9 +481,8 @@ def test_context_stays_under_the_shared_key_limit(formula_tower):
         ctx.quadratic_roots_enc(1, 1)
         ctx.q_sqrt_encs(1)
         ctx.q_inv(1)
-        ctx.multiplicative_generator_enc()
         assert len(vars(ctx)) < 29, sorted(vars(ctx))
-    assert len(vars(build_tower(23))) == 24
+    assert len(vars(build_tower(23))) == 22
     # every tier binds its operations in one order, so all contexts share
     # one key layout
     assert len({tuple(vars(ctx)) for ctx in (
