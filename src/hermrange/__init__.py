@@ -3,8 +3,9 @@
 The library enumerates constrained vector cones to compute the exact
 range sets, predicts the same sets from closed-form rules keyed by
 matrix shape, and cross-checks the two answers over whole matrix
-spaces.  Everything runs on plain integers through lookup-table field
-contexts; no third-party packages are needed.
+spaces.  Field elements are integer codes throughout, and each field
+context computes on them with pairwise tables for small towers and
+formulas above them; no third-party packages are needed.
 """
 
 from .classify import (CLAIM_EMPTY, CLAIM_EXACT_CARD, CLAIM_EXACT_SET,
@@ -14,14 +15,10 @@ from .classify import (CLAIM_EMPTY, CLAIM_EXACT_CARD, CLAIM_EXACT_SET,
                        TWO_DISTINCT, EigenData2, Prediction, check_prediction,
                        eigen2, predict_direct_sum, predict_full_field,
                        predict_subfield, predict_unitary_diagonal,
-                       scalar_fiber_formula, unitarily_diagonalizable_2x2)
-from .fields import (FieldCtx, FieldElem, FieldSpec, build_tower,
-                     ctx_from_spec, frobenius, is_square, norm,
-                     norm_minus_one_roots, norm_preimages, sqrt_subfield,
-                     two_square_rep)
+                       scalar_fiber_formula)
+from .fields import FieldCtx, FieldSpec, build_tower, ctx_from_spec
 from .hermitian import (DEFAULT_CAPACITY, FULL_FIELD, SUBFIELD, CapacityError,
-                        HermMatrix, Vector, block_diag, cone_encs,
-                        cone_upper_bound, conj_by_unitary, dagger, inner,
+                        HermMatrix, block_diag, cone_encs, cone_upper_bound,
                         is_unitary, naive_cone_encs, random_unitary_2x2,
                         sample_cone_encs)
 from .ranges import (EXHAUSTIVE, KIND_NUM0_PRIME, KIND_NUM0_PRIME_SUBFIELD,

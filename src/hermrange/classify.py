@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .fields import FieldCtx, FieldElem
-from .hermitian import DEFAULT_CAPACITY, HermMatrix, Vector, inner_encs
+from .fields import FieldCtx
+from .hermitian import DEFAULT_CAPACITY, HermMatrix, check_level, inner_encs
 from .ranges import (EXHAUSTIVE, KIND_NUM0_PRIME, KIND_NUM0_PRIME_SUBFIELD,
                      KIND_NUM_K, KIND_NUM_K_SUBFIELD, FiberCount, RangeSet,
                      num0_prime)
@@ -50,8 +50,7 @@ class EigenData2:
     One representative eigenvector (a code pair) is kept per eigenvalue,
     eigenvalues sorted by code; isotropic flags record whether its
     self-pairing vanishes.  When the characteristic polynomial has no
-    root in F_{q^2} all tuples are empty.  eigenvalues and eigenvectors
-    build FieldElem and Vector objects when read.
+    root in F_{q^2} all tuples are empty.
     """
 
     status: str
@@ -60,15 +59,6 @@ class EigenData2:
     isotropic: tuple[bool, ...]
     eigenspace_dims: tuple[int, ...]
     ctx: FieldCtx = field(repr=False)
-
-    @property
-    def eigenvalues(self) -> tuple[FieldElem, ...]:
-        return tuple(FieldElem(self.ctx, v) for v in self.eigenvalue_encs)
-
-    @property
-    def eigenvectors(self) -> tuple[Vector, ...]:
-        return tuple(Vector.from_encs(self.ctx, v)
-                     for v in self.eigenvector_encs)
 
     @property
     def orthogonal_eigenbasis(self) -> bool:
@@ -137,11 +127,6 @@ def eigen2(m: HermMatrix) -> EigenData2:
                       tuple(dims), ctx)
 
 
-def unitarily_diagonalizable_2x2(m: HermMatrix) -> bool:
-    """Gram test: an orthogonal eigenbasis of non-isotropic vectors."""
-    return m.is_scalar or eigen2(m).orthogonal_eigenbasis
-
-
 def _line_values(ctx: FieldCtx, direction: int, full: bool) -> tuple[int, ...]:
     start = 0 if full else 1
     return tuple(sorted(ctx.mul_enc(t, direction)
@@ -208,19 +193,21 @@ def predict_unitary_diagonal(ctx: FieldCtx,
                              eigen_pairs) -> list[Prediction]:
     """Rules for a matrix known unitarily equivalent to a diagonal one.
 
-    eigen_pairs lists (eigenvalue, multiplicity); eigenvalues must be
-    distinct and multiplicities positive.  Works for any dimension
-    n = sum of multiplicities >= 2.
+    eigen_pairs lists (eigenvalue code, multiplicity); eigenvalues must
+    be distinct codes of F_{q^2} and multiplicities positive integers.
+    Works for any dimension n = sum of multiplicities >= 2.
     """
-    pairs = [(c, int(x)) for c, x in eigen_pairs]
+    pairs = [(c, x) for c, x in eigen_pairs]
     if not pairs:
         raise ValueError("at least one eigenvalue required")
     for c, x in pairs:
-        if c.ctx is not ctx:
-            raise ValueError("eigenvalue from a different field context")
-        if x < 1:
-            raise ValueError("multiplicities must be positive")
-    encs = [c.enc for c, _ in pairs]
+        if type(c) is not int or not 0 <= c < ctx.q2:
+            raise ValueError(f"eigenvalue code must lie in [0, {ctx.q2}), "
+                             f"got {c!r}")
+        if type(x) is not int or x < 1:
+            raise ValueError(f"multiplicities must be positive integers, "
+                             f"got {x!r}")
+    encs = [c for c, _ in pairs]
     if len(set(encs)) != len(encs):
         raise ValueError("eigenvalues must be distinct")
     n = sum(x for _, x in pairs)
@@ -235,7 +222,7 @@ def predict_unitary_diagonal(ctx: FieldCtx,
     if kdist == 2:
         # n = 2 punctures the line through the eigenvalue gap (prop1d);
         # a repeated eigenvalue fills it (prop1c)
-        diff = (pairs[1][0] - pairs[0][0]).enc
+        diff = ctx.sub_enc(encs[1], encs[0])
         basis = "prop1d" if n == 2 else "prop1c"
         preds.append(Prediction(basis, KIND_NUM0_PRIME, 0, CLAIM_EXACT_SET,
                                 _line_values(ctx, diff, n > 2)))
@@ -245,11 +232,10 @@ def predict_unitary_diagonal(ctx: FieldCtx,
     # some pair of eigenvalue gaps is F_q-independent.  When every gap
     # lies on one F_q-line the filled set is only that line (witness:
     # diag(0, 1, 2) for q = 3), so no exact-set claim is made.
-    c0 = pairs[0][0]
-    base_gap = pairs[1][0] - c0
-    spanning = any(not ((c - c0) / base_gap).in_subfield
-                   for c, _ in pairs[2:])
-    if spanning:
+    # a gap ratio lies in F_q exactly when its two gaps are F_q-proportional
+    c0, gap = encs[0], ctx.sub_enc(encs[1], encs[0])
+    ratios = [ctx.div_enc(ctx.sub_enc(c, c0), gap) for c in encs[2:]]
+    if any(r >= q for r in ratios):
         preds.append(Prediction("prop1a", KIND_NUM_K, 0, CLAIM_EXACT_SET,
                                 tuple(range(q2))))
     if kdist >= 4 or n >= 4:
@@ -257,8 +243,7 @@ def predict_unitary_diagonal(ctx: FieldCtx,
     else:
         # n = kdist = 3: decided by whether the two eigenvalue gaps are
         # F_q-proportional
-        c1, c2, c3 = (c for c, _ in pairs)
-        zero_in = ((c3 - c1) / (c2 - c1)).in_subfield
+        zero_in = ratios[0] < q
     preds.append(Prediction("prop1b", KIND_NUM0_PRIME, 0, CLAIM_MEMBER,
                             zero_in))
     return preds
@@ -345,8 +330,8 @@ def null_class(ctx: FieldCtx, rows):
     return ctx.sub_enc(a, d), 0, ctx.norm_enc(c)
 
 
-def predict_subfield(m: HermMatrix, k: FieldElem) -> list[Prediction]:
-    """All applicable subfield-range rules for M at level k.
+def predict_subfield(m: HermMatrix, k: int) -> list[Prediction]:
+    """All applicable subfield-range rules for M at the level code k.
 
     Claims about the punctured zero level are emitted only when k = 0,
     so sweeping over every k yields each claim exactly once.
@@ -356,13 +341,12 @@ def predict_subfield(m: HermMatrix, k: FieldElem) -> list[Prediction]:
         raise ValueError("subfield rules need dimension at least 2")
     if not m.has_subfield_coeffs:
         raise ValueError("subfield rules need a matrix with F_q entries")
-    if k.ctx is not ctx or not k.in_subfield:
-        raise ValueError(f"level value must lie in F_q, got {k!r}")
+    check_level(ctx, k)
 
     q, n = ctx.q, m.n
     d, sums = symmetrized(ctx, m.encs())
     s = dict(sums)
-    at_zero = k.enc == 0
+    at_zero = k == 0
     qmod4 = q % 4
     all_s_zero = all(v == 0 for v in s.values())
     all_d_equal = all(x == d[0] for x in d)
@@ -383,21 +367,21 @@ def predict_subfield(m: HermMatrix, k: FieldElem) -> list[Prediction]:
                     emit("prop5.ii", KIND_NUM0_PRIME_SUBFIELD, 0,
                          CLAIM_EXACT_SET, tuple(range(1, q)))
                 else:
-                    emit("prop5.ii", KIND_NUM_K_SUBFIELD, k.enc,
+                    emit("prop5.ii", KIND_NUM_K_SUBFIELD, k,
                          CLAIM_LOWER_BOUND, q // 2)
             elif at_zero:
                 emit("prop5.ii", KIND_NUM0_PRIME_SUBFIELD, 0, CLAIM_EXACT_SET,
                      (0,))
             if s12 == 0 and d1 != d2 and not at_zero:
-                emit("prop5.ii", KIND_NUM_K_SUBFIELD, k.enc, CLAIM_EXACT_SET,
+                emit("prop5.ii", KIND_NUM_K_SUBFIELD, k, CLAIM_EXACT_SET,
                      tuple(range(q)))
         if qmod4 == 1:
             if s12 != 0 and at_zero:
                 emit("prop5.iii1", KIND_NUM_K_SUBFIELD, 0, CLAIM_LOWER_BOUND,
                      (q - 1) // 2, True)
             if s12 == 0 and d1 == d2:
-                emit("prop5.iii2", KIND_NUM_K_SUBFIELD, k.enc, CLAIM_EXACT_SET,
-                     (ctx.q_mul(k.enc, d1),))
+                emit("prop5.iii2", KIND_NUM_K_SUBFIELD, k, CLAIM_EXACT_SET,
+                     (ctx.q_mul(k, d1),))
                 if at_zero:
                     emit("prop5.iii2", KIND_NUM0_PRIME_SUBFIELD, 0,
                          CLAIM_MEMBER, True)
@@ -408,7 +392,7 @@ def predict_subfield(m: HermMatrix, k: FieldElem) -> list[Prediction]:
                     emit("prop5.iii2", KIND_NUM0_PRIME_SUBFIELD, 0,
                          CLAIM_EXACT_CARD, (q - 1) // 2)
                 else:
-                    emit("remark10", KIND_NUM_K_SUBFIELD, k.enc,
+                    emit("remark10", KIND_NUM_K_SUBFIELD, k,
                          CLAIM_UPPER_BOUND, (q + 1) // 2)
 
     if q % 2 == 0 and at_zero:
@@ -431,8 +415,8 @@ def predict_subfield(m: HermMatrix, k: FieldElem) -> list[Prediction]:
 
     if qmod4 == 1:
         if all_s_zero and all_d_equal:
-            emit("cor4.i", KIND_NUM_K_SUBFIELD, k.enc, CLAIM_EXACT_SET,
-                 (ctx.q_mul(k.enc, d[0]),))
+            emit("cor4.i", KIND_NUM_K_SUBFIELD, k, CLAIM_EXACT_SET,
+                 (ctx.q_mul(k, d[0]),))
             if at_zero:
                 emit("cor4.i", KIND_NUM0_PRIME_SUBFIELD, 0, CLAIM_MEMBER, True)
         elif at_zero:
@@ -475,8 +459,8 @@ def predict_subfield(m: HermMatrix, k: FieldElem) -> list[Prediction]:
         emit("prop10", KIND_NUM_K_SUBFIELD, 0, CLAIM_LOWER_BOUND,
              (q + 1) // 2)
 
-    if q % 2 == 1 and n >= 3 and _bounded_skew_triple(ctx, d, s, k.enc):
-        emit("prop11", KIND_NUM_K_SUBFIELD, k.enc, CLAIM_LOWER_BOUND,
+    if q % 2 == 1 and n >= 3 and _bounded_skew_triple(ctx, d, s, k):
+        emit("prop11", KIND_NUM_K_SUBFIELD, k, CLAIM_LOWER_BOUND,
              (q + 1) // 2)
 
     return preds
@@ -602,7 +586,7 @@ def check_prediction(pred: Prediction, observed) -> str:
     every other sampled case is inapplicable.
     """
     if isinstance(observed, FiberCount):
-        if pred.scope != SCOPE_FIBER_ZERO or observed.value.enc != pred.k_enc:
+        if pred.scope != SCOPE_FIBER_ZERO or observed.value != pred.k_enc:
             raise ValueError("prediction does not describe this fiber count")
         if pred.claim != CLAIM_EXACT_CARD:
             raise ValueError(f"fiber claims must be exact counts, got {pred.claim}")

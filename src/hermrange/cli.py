@@ -132,7 +132,7 @@ def cmd_range(args, ctx: FieldCtx, m: HermMatrix) -> int:
     if args.sample_budget is not None:
         kw["sample_budget"] = args.sample_budget
         kw["rng"] = random.Random(args.seed)
-    rs = range_of(m, args.kind, ctx.elem(args.k), **kw)
+    rs = range_of(m, args.kind, args.k, **kw)
     if args.fmt == "json":
         payload = dict(rs.to_json_dict(), field=ctx.spec.to_json_dict(),
                        matrix=[list(r) for r in m.encs()])
@@ -166,7 +166,7 @@ def cmd_fibers(args, ctx: FieldCtx, m: HermMatrix) -> int:
         payload = {
             "field": ctx.spec.to_json_dict(),
             "matrix": [list(r) for r in m.encs()],
-            "fibers": [{"value": fc.value.enc, "count": fc.count}
+            "fibers": [{"value": fc.value, "count": fc.count}
                        for fc in table],
             "total": sum(fc.count for fc in table),
         }
@@ -174,7 +174,7 @@ def cmd_fibers(args, ctx: FieldCtx, m: HermMatrix) -> int:
     else:
         _write(args, _csv_text(
             ("value", "value_poly", "count"),
-            [(fc.value.enc, fc.value.poly_str(), fc.count) for fc in table]))
+            [(fc.value, ctx.poly_str(fc.value), fc.count) for fc in table]))
     return 0
 
 
@@ -206,10 +206,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kind", choices=tuple(RANGE_KINDS),
                     default=KIND_NUM_K)
     sp.add_argument("--k", type=int, default=0,
-                    help="level as an element code (default 0; the null "
-                         "kinds take only 0)")
+                    help="level as a code of F_q, below q (default 0; the "
+                         "null kinds take only 0)")
     sp.add_argument("--sample-budget", type=int, default=None,
-                    help="fall back to this many sampled vectors over capacity")
+                    help="fall back to this many sampled vectors over "
+                         "capacity; at most the larger of --capacity and "
+                         "2^24")
 
     sp = sub.add_parser("verify", help="run a prediction sweep preset")
     common(sp)

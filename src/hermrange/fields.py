@@ -7,10 +7,11 @@ both cases the canonical modulus is the first irreducible candidate when
 the non-leading coefficients are read as positional digits, low degree
 first, so the construction is reproducible across runs and machines.
 
-Elements of F_{q^2} are encoded as integers in [0, q^2): the element
-a0 + a1*t has code a0 + q*a1, and F_q elements are themselves encoded by
-their base-p digit vectors.  Code 0 is the zero element, code 1 the
-identity, and the codes below q are exactly the subfield F_q.
+Elements of F_{q^2} are integer codes in [0, q^2), the only element
+representation: the element a0 + a1*t has code a0 + q*a1, and F_q
+elements are themselves encoded by their base-p digit vectors.  Code 0
+is the zero element, code 1 the identity, and the codes below q are
+exactly the subfield F_q.  poly_str spells a code in that reading.
 
 Arithmetic comes in two tiers, chosen by one test, q^2 <= 512:
 
@@ -231,8 +232,8 @@ class FieldSpec:
 class FieldCtx:
     """Immutable context holding the tower F_p < F_q < F_{q^2}.
 
-    Contexts compare by identity; elements belonging to different
-    contexts never mix even when the towers are mathematically equal.
+    Contexts compare by identity.  Every operation takes and returns
+    integer codes, which carry no context of their own.
     """
 
     def __init__(self, p: int, m: int):
@@ -655,118 +656,18 @@ class FieldCtx:
             return ()
         return tuple(sorted((y, add(y, 1))))
 
-    # -- element construction ---------------------------------------------
-
-    def elem(self, enc: int) -> "FieldElem":
-        # bool is a subclass of int, but True is not a code
-        if type(enc) is not int:
-            raise ValueError(f"element code {enc!r} is not an integer")
-        if not 0 <= enc < self.q2:
-            raise ValueError(f"element code {enc} out of range [0, {self.q2})")
-        return FieldElem(self, enc)
-
-    @property
-    def zero(self) -> "FieldElem":
-        return FieldElem(self, 0)
-
-    @property
-    def one(self) -> "FieldElem":
-        return FieldElem(self, 1)
-
-    @property
-    def ext_t(self) -> "FieldElem":
-        """The adjoined root of the quadratic modulus."""
-        return FieldElem(self, self.q)
-
-    def elements(self):
-        for enc in range(self.q2):
-            yield FieldElem(self, enc)
-
-    def subfield_elements(self):
-        for enc in range(self.q):
-            yield FieldElem(self, enc)
-
-    def __repr__(self) -> str:
-        return f"FieldCtx(p={self.p}, m={self.m}, q={self.q}, q2={self.q2})"
-
-
-class FieldElem:
-    """One element of F_{q^2}, identified by its integer code."""
-
-    __slots__ = ("ctx", "enc")
-
-    def __init__(self, ctx: FieldCtx, enc: int):
-        self.ctx = ctx
-        self.enc = enc
-
-    def _check(self, other: "FieldElem") -> None:
-        if not isinstance(other, FieldElem):
-            raise TypeError(f"expected FieldElem, got {type(other).__name__}")
-        if other.ctx is not self.ctx:
-            raise ValueError("elements belong to different field contexts")
-
-    def __add__(self, other: "FieldElem") -> "FieldElem":
-        self._check(other)
-        return FieldElem(self.ctx, self.ctx.add_enc(self.enc, other.enc))
-
-    def __sub__(self, other: "FieldElem") -> "FieldElem":
-        self._check(other)
-        return FieldElem(self.ctx, self.ctx.sub_enc(self.enc, other.enc))
-
-    def __mul__(self, other: "FieldElem") -> "FieldElem":
-        self._check(other)
-        return FieldElem(self.ctx, self.ctx.mul_enc(self.enc, other.enc))
-
-    def __truediv__(self, other: "FieldElem") -> "FieldElem":
-        self._check(other)
-        return FieldElem(self.ctx, self.ctx.div_enc(self.enc, other.enc))
-
-    def __neg__(self) -> "FieldElem":
-        return FieldElem(self.ctx, self.ctx.neg_enc(self.enc))
-
-    def __pow__(self, e: int) -> "FieldElem":
-        return FieldElem(self.ctx, self.ctx.pow_enc(self.enc, e))
-
-    def inverse(self) -> "FieldElem":
-        return FieldElem(self.ctx, self.ctx.inv_enc(self.enc))
-
-    def frobenius(self) -> "FieldElem":
-        return FieldElem(self.ctx, self.ctx.frob_enc(self.enc))
-
-    def norm(self) -> "FieldElem":
-        return FieldElem(self.ctx, self.ctx.norm_enc(self.enc))
-
-    @property
-    def in_subfield(self) -> bool:
-        return self.enc < self.ctx.q
-
-    @property
-    def is_zero(self) -> bool:
-        return self.enc == 0
-
-    @property
-    def coeffs(self) -> tuple[int, int]:
-        """Codes (a0, a1) of the F_q coordinates in the basis (1, t)."""
-        q = self.ctx.q
-        return self.enc % q, self.enc // q
-
-    def poly_str(self) -> str:
-        a0, a1 = self.coeffs
+    def poly_str(self, enc: int) -> str:
+        """The code a0 + q * a1 spelled as a0, a1*t or a0+a1*t, with the
+        F_q coordinates a0 and a1 written as their own codes."""
+        a0, a1 = enc % self.q, enc // self.q
         if a1 == 0:
             return str(a0)
         if a0 == 0:
             return f"{a1}*t"
         return f"{a0}+{a1}*t"
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, FieldElem)
-                and other.ctx is self.ctx and other.enc == self.enc)
-
-    def __hash__(self) -> int:
-        return hash((id(self.ctx), self.enc))
-
     def __repr__(self) -> str:
-        return f"FieldElem({self.poly_str()})"
+        return f"FieldCtx(p={self.p}, m={self.m}, q={self.q}, q2={self.q2})"
 
 
 # ---------------------------------------------------------------------------
@@ -790,82 +691,3 @@ def ctx_from_spec(spec: FieldSpec) -> FieldCtx:
                          f"canonical tower {ctx.spec.to_json_dict()}")
     return ctx
 
-
-def frobenius(x: FieldElem) -> FieldElem:
-    """The involution a -> a^q; it fixes exactly the subfield F_q."""
-    return x.frobenius()
-
-
-def norm(x: FieldElem) -> FieldElem:
-    """The multiplicative map a -> a^(q+1), landing in F_q."""
-    return x.norm()
-
-
-def norm_preimages(a: FieldElem) -> tuple[FieldElem, ...]:
-    """All t with t^(q+1) = a, sorted by code.
-
-    The argument must lie in F_q.  Zero has the single preimage zero and
-    every nonzero value has exactly q + 1.
-    """
-    ctx = a.ctx
-    if not a.in_subfield:
-        raise ValueError(f"norm preimages only defined for F_q values, got {a!r}")
-    return tuple(FieldElem(ctx, e) for e in ctx.norm_preimage_encs(a.enc))
-
-
-def norm_minus_one_roots(ctx: FieldCtx) -> tuple[FieldElem, ...]:
-    """The q + 1 solutions of t^(q+1) = -1, sorted by code."""
-    return norm_preimages(FieldElem(ctx, ctx.neg_enc(1)))
-
-
-def sqrt_subfield(a: FieldElem) -> tuple[FieldElem, ...]:
-    """Square roots of a inside F_q, sorted by code.
-
-    For even q the root is unique (squaring is a bijection); for odd q
-    the result has zero or two entries, except that zero has one root.
-    """
-    ctx = a.ctx
-    if not a.in_subfield:
-        raise ValueError(f"square root only defined for F_q values, got {a!r}")
-    return tuple(FieldElem(ctx, e) for e in ctx.q_sqrt_encs(a.enc))
-
-
-def is_square(a: FieldElem) -> bool:
-    """Whether a is a square inside F_q.  Always true for even q."""
-    if not a.in_subfield:
-        raise ValueError(f"squareness only defined for F_q values, got {a!r}")
-    return a.ctx.q_is_square(a.enc)
-
-
-def two_square_rep(a1: FieldElem, a2: FieldElem, k: FieldElem) -> tuple[FieldElem, FieldElem]:
-    """The first (x1, x2) in F_q x F_q with a1*x1^2 + a2*x2^2 = k.
-
-    Requires odd q and nonzero a1, a2; a solution always exists.  The
-    scan takes the smallest x1 code admitting a solution, then the
-    smallest matching x2, so the output is deterministic.
-    """
-    ctx = a1.ctx
-    if ctx.p == 2:
-        raise ValueError("two square representation requires odd q")
-    for v in (a1, a2, k):
-        if v.ctx is not ctx:
-            raise ValueError("elements belong to different field contexts")
-        if not v.in_subfield:
-            raise ValueError(f"two square representation works inside F_q, got {v!r}")
-    if a1.enc == 0 or a2.enc == 0:
-        raise ValueError("coefficients must be nonzero")
-    if k.enc == 0:
-        return (ctx.zero, ctx.zero)
-    inv_a2 = ctx.q_inv(a2.enc)
-    for x1 in range(ctx.q):
-        r = ctx.q_mul(inv_a2, ctx.q_sub(k.enc, ctx.q_mul(a1.enc, ctx.q_mul(x1, x1))))
-        roots = ctx.q_sqrt_encs(r)
-        if roots:
-            x2 = roots[0]
-            lhs = ctx.q_add(ctx.q_mul(a1.enc, ctx.q_mul(x1, x1)),
-                            ctx.q_mul(a2.enc, ctx.q_mul(x2, x2)))
-            if lhs != k.enc:
-                raise RuntimeError(
-                    "two square representation failed its own check")
-            return (FieldElem(ctx, x1), FieldElem(ctx, x2))
-    raise RuntimeError("no representation found")  # pragma: no cover

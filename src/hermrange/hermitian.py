@@ -18,7 +18,7 @@ import itertools
 from functools import lru_cache
 from typing import Iterator
 
-from .fields import FieldCtx, FieldElem
+from .fields import FieldCtx
 
 FULL_FIELD = "full_field"
 SUBFIELD = "subfield"
@@ -30,93 +30,20 @@ class CapacityError(RuntimeError):
     """An exhaustive enumeration would exceed its configured budget."""
 
 
-class Vector:
-    """Tuple of field elements with the Hermitian self-pairing attached."""
-
-    __slots__ = ("ctx", "entries")
-
-    def __init__(self, ctx: FieldCtx, entries):
-        entries = tuple(entries)
-        for e in entries:
-            if not isinstance(e, FieldElem) or e.ctx is not ctx:
-                raise ValueError("vector entries must belong to the given context")
-        self.ctx = ctx
-        self.entries = entries
-
-    @classmethod
-    def from_encs(cls, ctx: FieldCtx, encs) -> "Vector":
-        return cls(ctx, tuple(ctx.elem(e) for e in encs))
-
-    def encs(self) -> tuple[int, ...]:
-        return tuple(e.enc for e in self.entries)
-
-    @property
-    def is_zero(self) -> bool:
-        return all(e.enc == 0 for e in self.entries)
-
-    @property
-    def in_subfield(self) -> bool:
-        return all(e.in_subfield for e in self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __getitem__(self, i: int) -> FieldElem:
-        return self.entries[i]
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Vector) and other.ctx is self.ctx
-                and other.entries == self.entries)
-
-    def __hash__(self) -> int:
-        return hash((id(self.ctx),) + self.encs())
-
-    def __repr__(self) -> str:
-        return f"Vector({', '.join(e.poly_str() for e in self.entries)})"
-
-
 def inner_encs(ctx: FieldCtx, u, v) -> int:
     """Hermitian pairing of two code tuples of equal length."""
     frob = ctx.frob_enc
     return ctx.dot_encs([(i, frob(x)) for i, x in enumerate(u)], (v,))[0]
 
 
-def inner(u: Vector, v: Vector) -> FieldElem:
-    """Hermitian pairing <u, v> = sum of u_i^q * v_i."""
-    if u.ctx is not v.ctx:
-        raise ValueError("vectors belong to different field contexts")
-    if len(u) != len(v):
-        raise ValueError(f"length mismatch: {len(u)} vs {len(v)}")
-    return u.ctx.elem(inner_encs(u.ctx, u.encs(), v.encs()))
-
-
-def _check_square(rows) -> None:
-    n = len(rows)
-    if n == 0 or any(len(r) != n for r in rows):
-        raise ValueError("matrix must be square and nonempty")
-
-
 class HermMatrix:
     """Square matrix over F_{q^2} with the conjugate-transpose involution.
 
-    Entries are stored as rows of codes; rows and entry build FieldElems
-    for callers that want them.
+    Entries are stored as rows of codes.  from_encs is the public
+    constructor and checks them.
     """
 
     __slots__ = ("ctx", "_encs")
-
-    def __init__(self, ctx: FieldCtx, rows):
-        rows = tuple(tuple(r) for r in rows)
-        _check_square(rows)
-        for r in rows:
-            for e in r:
-                if not isinstance(e, FieldElem) or e.ctx is not ctx:
-                    raise ValueError("matrix entries must belong to the given context")
-        self.ctx = ctx
-        self._encs = tuple(tuple(e.enc for e in r) for r in rows)
 
     @classmethod
     def from_encs(cls, ctx: FieldCtx, rows) -> "HermMatrix":
@@ -128,7 +55,8 @@ class HermMatrix:
                     raise ValueError(f"element code {e!r} is not an integer")
                 if not 0 <= e < q2:
                     raise ValueError(f"element code {e} out of range [0, {q2})")
-        _check_square(encs)
+        if not encs or any(len(r) != len(encs) for r in encs):
+            raise ValueError("matrix must be square and nonempty")
         return cls._of(ctx, encs)
 
     @classmethod
@@ -140,25 +68,18 @@ class HermMatrix:
 
     @classmethod
     def identity(cls, ctx: FieldCtx, n: int) -> "HermMatrix":
-        return cls.scalar(ctx, n, ctx.one)
+        return cls.scalar(ctx, n, 1)
 
     @classmethod
-    def scalar(cls, ctx: FieldCtx, n: int, c: FieldElem) -> "HermMatrix":
-        z = ctx.zero
-        return cls(ctx, tuple(tuple(c if i == j else z for j in range(n))
-                              for i in range(n)))
+    def scalar(cls, ctx: FieldCtx, n: int, c: int) -> "HermMatrix":
+        """c times the n by n identity, for the code c."""
+        return cls.from_encs(ctx, tuple(tuple(c if i == j else 0
+                                              for j in range(n))
+                                        for i in range(n)))
 
     @property
     def n(self) -> int:
         return len(self._encs)
-
-    @property
-    def rows(self) -> tuple[tuple[FieldElem, ...], ...]:
-        ctx = self.ctx
-        return tuple(tuple(FieldElem(ctx, e) for e in r) for r in self._encs)
-
-    def entry(self, i: int, j: int) -> FieldElem:
-        return FieldElem(self.ctx, self._encs[i][j])
 
     def encs(self) -> tuple[tuple[int, ...], ...]:
         return self._encs
@@ -170,12 +91,13 @@ class HermMatrix:
         return HermMatrix._of(self.ctx, tuple(tuple(frob(e) for e in c)
                                               for c in cols))
 
-    def apply(self, v: Vector) -> Vector:
-        if v.ctx is not self.ctx or len(v) != self.n:
-            raise ValueError("vector does not match matrix shape or context")
-        ctx = self.ctx
-        sums = ctx.dot_encs(list(enumerate(v.encs())), self._encs)
-        return Vector(ctx, [ctx.elem(s) for s in sums])
+    def apply(self, v) -> tuple[int, ...]:
+        """Codes of M v, for the code tuple v."""
+        q2 = self.ctx.q2
+        if len(v) != self.n or any(type(x) is not int or not 0 <= x < q2
+                                   for x in v):
+            raise ValueError(f"vector {v!r} is not {self.n} codes below {q2}")
+        return tuple(self.ctx.dot_encs(list(enumerate(v)), self._encs))
 
     def __matmul__(self, other: "HermMatrix") -> "HermMatrix":
         if other.ctx is not self.ctx or other.n != self.n:
@@ -212,24 +134,14 @@ class HermMatrix:
         return hash((id(self.ctx), self._encs))
 
     def __repr__(self) -> str:
-        body = "; ".join(", ".join(e.poly_str() for e in r) for r in self.rows)
+        poly = self.ctx.poly_str
+        body = "; ".join(", ".join(poly(e) for e in r) for r in self._encs)
         return f"HermMatrix([{body}])"
-
-
-def dagger(m: HermMatrix) -> HermMatrix:
-    return m.dagger()
 
 
 def is_unitary(u: HermMatrix) -> bool:
     """Whether u^dagger u is the identity."""
     return (u.dagger() @ u) == HermMatrix.identity(u.ctx, u.n)
-
-
-def conj_by_unitary(m: HermMatrix, u: HermMatrix) -> HermMatrix:
-    """u^dagger m u, after checking that u is unitary."""
-    if not is_unitary(u):
-        raise ValueError("conjugating matrix is not unitary")
-    return (u.dagger() @ m) @ u
 
 
 def block_diag(a: HermMatrix, b: HermMatrix) -> HermMatrix:
@@ -276,14 +188,20 @@ def _level_set_is_empty(ctx: FieldCtx, n: int, k_enc: int, mode: str,
     return n == 2 and not ctx.q_is_square(ctx.q_neg(1))
 
 
+def check_level(ctx: FieldCtx, k) -> None:
+    """Refuse a level that is not a code of F_q; bool is a subclass of
+    int, but True is not a code."""
+    if type(k) is not int or not 0 <= k < ctx.q:
+        raise ValueError(f"level code must lie in F_q = [0, {ctx.q}), "
+                         f"got {k!r}")
+
+
 def _check_cone(ctx: FieldCtx, n: int, k_enc: int, mode: str) -> None:
     if n < 1:
         raise ValueError(f"dimension must be at least 1, got {n}")
     if mode not in (FULL_FIELD, SUBFIELD):
         raise ValueError(f"unknown mode {mode!r}")
-    if not 0 <= k_enc < ctx.q:
-        raise ValueError(f"level code must lie in F_q = [0, {ctx.q}), "
-                         f"got {k_enc}")
+    check_level(ctx, k_enc)
 
 
 def _residual(ctx: FieldCtx, norm_of, k_enc: int, prefix) -> int:

@@ -28,9 +28,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .fields import FieldCtx, FieldElem
+from .fields import FieldCtx
 from .hermitian import (DEFAULT_CAPACITY, FULL_FIELD, SUBFIELD, CapacityError,
-                        HermMatrix, cone_encs, cone_upper_bound,
+                        HermMatrix, check_level, cone_encs, cone_upper_bound,
                         naive_cone_encs, sample_cone_encs)
 
 KIND_NUM_K = "num_k"
@@ -72,9 +72,6 @@ class RangeSet:
     def contains_enc(self, enc: int) -> bool:
         return enc in set(self.values)
 
-    def elems(self) -> tuple[FieldElem, ...]:
-        return tuple(self.ctx.elem(v) for v in self.values)
-
     def require_exhaustive(self) -> "RangeSet":
         if self.mode != EXHAUSTIVE:
             raise ValueError(f"operation needs an exhaustive range, got {self.mode}")
@@ -91,15 +88,15 @@ class RangeSet:
         }
 
     def csv_rows(self) -> list[tuple]:
-        return [(self.kind, self.k_enc, v, self.ctx.elem(v).poly_str())
-                for v in self.values]
+        poly = self.ctx.poly_str
+        return [(self.kind, self.k_enc, v, poly(v)) for v in self.values]
 
 
 @dataclass(frozen=True)
 class FiberCount:
-    """Number of subfield null vectors whose pairing hits one value."""
+    """Number of subfield null vectors whose pairing hits one value code."""
 
-    value: FieldElem
+    value: int
     count: int
 
 
@@ -143,21 +140,18 @@ def gram_classes(ctx: FieldCtx, n: int, k_enc: int, mode: str,
 
 
 def _check_range(m: HermMatrix, kind: str, k) -> tuple[str, bool]:
-    """Mode and null flag of a range kind, once m and the level k are
-    checked against it.  k is None from the null entry points, which
+    """Mode and null flag of a range kind, once m and the level code k
+    are checked against it.  k is None from the null entry points, which
     fix the level at zero."""
     if kind not in RANGE_KINDS:
         raise ValueError(f"unknown range kind {kind!r}; expected one of "
                          f"{', '.join(RANGE_KINDS)}")
     mode, null = RANGE_KINDS[kind]
     if k is not None:
-        if k.ctx is not m.ctx:
-            raise ValueError("level value belongs to a different field context")
-        if not k.in_subfield:
-            raise ValueError(f"level value must lie in F_q, got {k!r}")
-        if null and k.enc:
+        check_level(m.ctx, k)
+        if null and k:
             raise ValueError(f"{kind} is a null-range and runs at level zero "
-                             f"only, got level {k.enc}")
+                             f"only, got level {k}")
     if null and m.n < 2:
         raise ValueError("null-range needs dimension at least 2")
     if mode == SUBFIELD and not m.has_subfield_coeffs:
@@ -168,10 +162,18 @@ def _check_range(m: HermMatrix, kind: str, k) -> tuple[str, bool]:
 def _range(m: HermMatrix, kind: str, k, capacity: int, sample_budget,
            rng) -> RangeSet:
     mode, null = _check_range(m, kind, k)
-    k_enc = 0 if null else k.enc
+    k_enc = 0 if null else k
     ctx = m.ctx
-    if sample_budget is not None and sample_budget < 1:
-        raise ValueError(f"sample budget must be at least 1, got {sample_budget}")
+    if sample_budget is not None:
+        if type(sample_budget) is not int or sample_budget < 1:
+            raise ValueError(f"sample budget must be an integer of at "
+                             f"least 1, got {sample_budget!r}")
+        # draws are bounded like enumerations, before the first one
+        limit = max(capacity, DEFAULT_CAPACITY)
+        if sample_budget > limit:
+            raise CapacityError(
+                f"sample budget is {sample_budget}, the bound is {limit} "
+                f"(the larger of the capacity and {DEFAULT_CAPACITY})")
     bound = cone_upper_bound(ctx, m.n, mode)
     if bound <= capacity:
         classes, size = gram_classes(ctx, m.n, k_enc, mode, null, capacity)
@@ -190,7 +192,7 @@ def _range(m: HermMatrix, kind: str, k, capacity: int, sample_budget,
                     mode=SAMPLED, witness_count=sample_budget, ctx=ctx)
 
 
-def num_k(m: HermMatrix, k: FieldElem, *, capacity: int = DEFAULT_CAPACITY,
+def num_k(m: HermMatrix, k: int, *, capacity: int = DEFAULT_CAPACITY,
           sample_budget: int | None = None, rng=None) -> RangeSet:
     """Range of <u, M u> over <u, u> = k, coordinates in the full field."""
     return _range(m, KIND_NUM_K, k, capacity, sample_budget, rng)
@@ -205,7 +207,7 @@ def num0_prime(m: HermMatrix, *, capacity: int = DEFAULT_CAPACITY,
     return _range(m, KIND_NUM0_PRIME, None, capacity, sample_budget, rng)
 
 
-def num_k_subfield(m: HermMatrix, k: FieldElem, *,
+def num_k_subfield(m: HermMatrix, k: int, *,
                    capacity: int = DEFAULT_CAPACITY,
                    sample_budget: int | None = None, rng=None) -> RangeSet:
     """Range at level k with coordinates restricted to F_q."""
@@ -219,9 +221,9 @@ def num0_prime_subfield(m: HermMatrix, *, capacity: int = DEFAULT_CAPACITY,
                   rng)
 
 
-def range_of(m: HermMatrix, kind: str, k: FieldElem, **kw) -> RangeSet:
-    """The range of a kind in RANGE_KINDS at level k, computed by the
-    kind's entry point; keywords go to it unchanged.
+def range_of(m: HermMatrix, kind: str, k: int, **kw) -> RangeSet:
+    """The range of a kind in RANGE_KINDS at the level code k, computed
+    by the kind's entry point; keywords go to it unchanged.
 
     Null kinds take only k = 0.  Their entry points have no level
     argument, so the validator is called here when the level is wrong;
@@ -231,28 +233,27 @@ def range_of(m: HermMatrix, kind: str, k: FieldElem, **kw) -> RangeSet:
         _check_range(m, kind, k)  # raises: unknown kind
     if not RANGE_KINDS[kind][1]:
         return _ENTRY_POINTS[kind](m, k, **kw)
-    if k.enc or k.ctx is not m.ctx:
+    if k or type(k) is not int:
         _check_range(m, kind, k)  # raises: a null-range takes only k = 0
     return _ENTRY_POINTS[kind](m, **kw)
 
 
-def range_naive(m: HermMatrix, kind: str, k: FieldElem) -> RangeSet:
+def range_naive(m: HermMatrix, kind: str, k: int) -> RangeSet:
     """Full-space filter oracle for any of the range kinds."""
     ctx = m.ctx
     mode, null = _check_range(m, kind, k)
     values = _values(m, [_gram(ctx, u) for u in
-                         naive_cone_encs(ctx, m.n, k.enc, mode, null)])
-    return RangeSet(kind=kind, k_enc=k.enc, values=tuple(sorted(set(values))),
+                         naive_cone_encs(ctx, m.n, k, mode, null)])
+    return RangeSet(kind=kind, k_enc=k, values=tuple(sorted(set(values))),
                     mode=EXHAUSTIVE, witness_count=len(values), ctx=ctx)
 
 
-def fiber_count(m: HermMatrix, a: FieldElem, *,
+def fiber_count(m: HermMatrix, a: int, *,
                 capacity: int = DEFAULT_CAPACITY) -> FiberCount:
-    """How many subfield null vectors (zero included) pair to the value a:
-    the entry of fiber_table(m) at a."""
-    if a.ctx is not m.ctx or not a.in_subfield:
-        raise ValueError(f"fiber value must lie in F_q, got {a!r}")
-    return fiber_table(m, capacity=capacity)[a.enc]
+    """How many subfield null vectors (zero included) pair to the value
+    code a: the entry of fiber_table(m) at a."""
+    check_level(m.ctx, a)
+    return fiber_table(m, capacity=capacity)[a]
 
 
 def fiber_table(m: HermMatrix, *,
@@ -265,36 +266,34 @@ def fiber_table(m: HermMatrix, *,
     counts = [0] * ctx.q
     for (_, c), v in zip(classes, _values(m, (g for g, _ in classes))):
         counts[v] += c
-    return tuple(FiberCount(value=ctx.elem(v), count=c)
-                 for v, c in enumerate(counts))
+    return tuple(FiberCount(value=v, count=c) for v, c in enumerate(counts))
 
 
 def scaling_law_check(m: HermMatrix, *, capacity: int = DEFAULT_CAPACITY) -> bool:
     """Whether the level-k range is the level-1 range scaled by k, for
     every nonzero k in F_q."""
     ctx = m.ctx
-    base = num_k(m, ctx.one, capacity=capacity).require_exhaustive()
+    base = num_k(m, 1, capacity=capacity).require_exhaustive()
     for k in range(1, ctx.q):
         scaled = tuple(sorted(ctx.mul_enc(k, v) for v in base.values))
-        got = num_k(m, ctx.elem(k), capacity=capacity).require_exhaustive()
+        got = num_k(m, k, capacity=capacity).require_exhaustive()
         if got.values != scaled:
             return False
     return True
 
 
-def resolve_affine_shift(ctx: FieldCtx, *, k: FieldElem, trials: int = 20,
+def resolve_affine_shift(ctx: FieldCtx, *, k: int, trials: int = 20,
                          rng=None, capacity: int = DEFAULT_CAPACITY) -> str:
     """Decide how the level value enters the range of a shifted matrix.
 
     For random 2 by 2 matrices M, compares the range of I + M at level k
-    against two candidate shifts of the range of M: by k itself and by
-    k squared.  Returns "ck", "ck2", or "tie" when the level value
-    cannot separate them (always the case for k in {0, 1}).
+    against two candidate shifts of the range of M: by the level code k
+    itself and by k squared.  Returns "ck", "ck2", or "tie" when the
+    level value cannot separate them (always the case for k in {0, 1}).
     """
     if rng is None:
         raise ValueError("resolution requires a seeded random generator")
-    if k.ctx is not ctx or not k.in_subfield:
-        raise ValueError("level value must lie in F_q")
+    check_level(ctx, k)
     ident = HermMatrix.identity(ctx, 2)
     ck_ok = ck2_ok = True
     for _ in range(trials):
@@ -303,8 +302,8 @@ def resolve_affine_shift(ctx: FieldCtx, *, k: FieldElem, trials: int = 20,
                        for _ in range(2)))
         base = num_k(m, k, capacity=capacity).require_exhaustive()
         shifted = num_k(ident + m, k, capacity=capacity).require_exhaustive()
-        by_ck = tuple(sorted(ctx.add_enc(k.enc, v) for v in base.values))
-        ksq = ctx.q_mul(k.enc, k.enc)
+        by_ck = tuple(sorted(ctx.add_enc(k, v) for v in base.values))
+        ksq = ctx.q_mul(k, k)
         by_ck2 = tuple(sorted(ctx.add_enc(ksq, v) for v in base.values))
         if shifted.values != by_ck:
             ck_ok = False

@@ -80,7 +80,6 @@ def evaluate(m: HermMatrix, preds, capacity: int = DEFAULT_CAPACITY) -> tuple:
     share one observation.  Neither holds the matrix, so a class of
     matrices can share outcomes.
     """
-    ctx = m.ctx
     observed = {}
     outcomes = []
     for pred in preds:
@@ -88,10 +87,9 @@ def evaluate(m: HermMatrix, preds, capacity: int = DEFAULT_CAPACITY) -> tuple:
         obs = observed.get(key)
         if obs is None:
             if pred.scope == SCOPE_FIBER_ZERO:
-                obs = fiber_count(m, ctx.zero, capacity=capacity)
+                obs = fiber_count(m, 0, capacity=capacity)
             else:
-                obs = range_of(m, pred.scope, ctx.elem(pred.k_enc),
-                               capacity=capacity)
+                obs = range_of(m, pred.scope, pred.k_enc, capacity=capacity)
             observed[key] = obs
         outcomes.append((pred.basis, pred.k_enc, pred.claim, obs,
                          check_prediction(pred, obs)))
@@ -111,7 +109,7 @@ def _subfield_preds(m: HermMatrix) -> list:
     """Subfield predictions of m at every level of F_q."""
     preds = []
     for k in range(m.ctx.q):
-        preds.extend(predict_subfield(m, m.ctx.elem(k)))
+        preds.extend(predict_subfield(m, k))
     return preds
 
 
@@ -252,7 +250,7 @@ def run_exhaustive_2x2(ctx: FieldCtx, *, space: str = "auto",
     # settle how the level enters the range of a shifted matrix; only a
     # level outside {0, 1} can separate the two candidate laws
     if ctx.q > 2:
-        form = resolve_affine_shift(ctx, k=ctx.elem(2), trials=20,
+        form = resolve_affine_shift(ctx, k=2, trials=20,
                                     rng=random.Random(seed),
                                     capacity=capacity)
         report["affine_law"] = {"form": form, "decidable": True}
@@ -308,7 +306,7 @@ def run_scalar_fibers(ctx: FieldCtx, *, n_values=(2, 3, 4, 5),
     c_encs = tuple(range(1, ctx.q)) if ctx.q <= 5 else (1, 2)
     cases = ((tuple(tuple(c if i == j else 0 for j in range(n))
                     for i in range(n)),
-              lambda m: predict_subfield(m, ctx.zero), None)
+              lambda m: predict_subfield(m, 0), None)
              for n in n_values for c in c_encs)
     return _sweep(ctx, SCOPE_SCALAR_FIBERS, cases, collect, capacity,
                   {"n_values": list(n_values), "c_encs": list(c_encs)})
@@ -330,10 +328,10 @@ def run_direct_sums(ctx: FieldCtx, *, count: int = 50, seed: int = 0,
 
             def predict(m, a=a, b=b):
                 return predict_direct_sum(
-                    a, b, num_k(a, ctx.one, capacity=capacity),
-                    num_k(b, ctx.one, capacity=capacity),
-                    num_k(a, ctx.zero, capacity=capacity),
-                    num_k(b, ctx.zero, capacity=capacity), capacity=capacity)
+                    a, b, num_k(a, 1, capacity=capacity),
+                    num_k(b, 1, capacity=capacity),
+                    num_k(a, 0, capacity=capacity),
+                    num_k(b, 0, capacity=capacity), capacity=capacity)
             yield block_diag(a, b).encs(), predict, None
 
     return _sweep(ctx, SCOPE_DIRECT_SUMS, cases(), collect, capacity,

@@ -9,12 +9,11 @@ import itertools
 import random
 
 from hermrange import (FULL_FIELD, SUBFIELD, HermMatrix, PASS, cone_encs,
-                       dagger, evaluate, fiber_count, naive_cone_encs,
-                       norm_minus_one_roots, norm_preimages, num0_prime,
+                       evaluate, fiber_count, naive_cone_encs, num0_prime,
                        num0_prime_subfield, num_k_subfield, predict_subfield,
                        random_unitary_2x2, resolve_affine_shift,
                        run_exhaustive_2x2, scalar_fiber_formula,
-                       scaling_law_check, two_square_rep)
+                       scaling_law_check)
 
 
 @contextlib.contextmanager
@@ -63,9 +62,9 @@ def test_norm_preimage_counts(towers):
         for q in sorted(towers):
             ctx = towers[q]
             for a in range(1, ctx.q):
-                assert len(norm_preimages(ctx.elem(a))) == ctx.q + 1
-            assert len(norm_preimages(ctx.zero)) == 1
-            assert len(norm_minus_one_roots(ctx)) == ctx.q + 1
+                assert len(ctx.norm_preimage_encs(a)) == ctx.q + 1
+            assert len(ctx.norm_preimage_encs(0)) == 1
+            assert len(ctx.norm_preimage_encs(ctx.q_neg(1))) == ctx.q + 1
 
 
 def test_dagger_duality(f2, f3):
@@ -73,13 +72,13 @@ def test_dagger_duality(f2, f3):
         for encs in itertools.product(range(4), repeat=4):
             m = _m(f2, [encs[0:2], encs[2:4]])
             assert num0_prime(m).cardinality \
-                == num0_prime(dagger(m)).cardinality
+                == num0_prime(m.dagger()).cardinality
         rng = random.Random(11)
         for _ in range(500):
             m = _m(f3, [[rng.randrange(f3.q2) for _ in range(2)]
                         for _ in range(2)])
             assert num0_prime(m).cardinality \
-                == num0_prime(dagger(m)).cardinality
+                == num0_prime(m.dagger()).cardinality
 
 
 def test_scaling_law(f2, f3):
@@ -118,7 +117,7 @@ def test_jordan_type_cardinality(towers):
                 c = rng.randrange(ctx.q2)
                 d = rng.randrange(1, ctx.q2)
                 u = random_unitary_2x2(ctx, rng)
-                m = dagger(u) @ _m(ctx, [[c, d], [0, c]]) @ u
+                m = u.dagger() @ _m(ctx, [[c, d], [0, c]]) @ u
                 rs = num0_prime(m)
                 assert not rs.contains_enc(0)
                 assert rs.cardinality == expect
@@ -128,7 +127,7 @@ def test_isotropic_pair_line(f2, f3):
     with criterion(6, "isotropic-pair-line"):
         for ctx, c_pairs in ((f2, ((0, 1), (1, 2), (0, 3))),
                              (f3, ((0, 1), (2, 5), (1, 8)))):
-            th1, th2 = (t.enc for t in norm_minus_one_roots(ctx)[:2])
+            th1, th2 = ctx.norm_preimage_encs(ctx.q_neg(1))[:2]
             p = _m(ctx, [[1, 1], [th1, th2]])  # isotropic columns
             det = ctx.sub_enc(th2, th1)
             p_inv = _m(ctx, [[ctx.div_enc(th2, det),
@@ -179,7 +178,7 @@ def test_plane_trichotomy(towers):
                     assert rs.values == tuple(range(1, ctx.q))
                 if s == 0 and d1 != d2:
                     for k in range(1, ctx.q):
-                        assert num_k_subfield(m, ctx.elem(k)).values \
+                        assert num_k_subfield(m, k).values \
                             == tuple(range(ctx.q))
         # q = 1 mod 4: half bounds and the split-diagonal exact counts
         for q in (5, 9):
@@ -193,12 +192,12 @@ def test_plane_trichotomy(towers):
             for d1, d2, s in itertools.product(range(ctx.q), repeat=3):
                 if s != 0:
                     rs = num_k_subfield(_pattern(ctx, (d1, d2), (s,)),
-                                        ctx.zero)
+                                        0)
                     nonzero = [v for v in rs.values if v]
                     assert len(nonzero) >= (ctx.q - 1) // 2
                 elif d1 != d2:
                     m = _pattern(ctx, (d1, d2), (0,))
-                    assert num_k_subfield(m, ctx.zero).cardinality \
+                    assert num_k_subfield(m, 0).cardinality \
                         == (ctx.q + 1) // 2
                     assert num0_prime_subfield(m).cardinality \
                         == (ctx.q - 1) // 2
@@ -249,8 +248,8 @@ def test_scalar_fiber_counts(towers):
             c_encs = range(1, ctx.q) if ctx.q <= 5 else (1, 2)
             for n in (2, 3, 4, 5):
                 for c in c_encs:
-                    scalar = HermMatrix.scalar(ctx, n, ctx.elem(c))
-                    assert fiber_count(scalar, ctx.zero).count \
+                    scalar = HermMatrix.scalar(ctx, n, c)
+                    assert fiber_count(scalar, 0).count \
                         == scalar_fiber_formula(ctx.q, n)
 
 
@@ -263,50 +262,50 @@ def test_diagonal_pattern_bounds(towers):
             for d in itertools.product(range(ctx.q), repeat=3):
                 m = _pattern(ctx, d, (0, 0, 0))
                 for ke in range(ctx.q):
-                    seen |= _verify_preds(m, predict_subfield(m, ctx.elem(ke)))
+                    seen |= _verify_preds(m, predict_subfield(m, ke))
             for _ in range(200):
                 d = tuple(rng.randrange(ctx.q) for _ in range(3))
                 s = [0, 0, 0]
                 s[rng.randrange(3)] = rng.randrange(1, ctx.q)
                 m = _pattern(ctx, d, tuple(s))
                 for ke in range(ctx.q):
-                    seen |= _verify_preds(m, predict_subfield(m, ctx.elem(ke)))
+                    seen |= _verify_preds(m, predict_subfield(m, ke))
             for _ in range(40):
                 d = tuple(rng.randrange(ctx.q) for _ in range(4))
                 s = tuple(rng.randrange(ctx.q) for _ in range(6))
                 seen |= _verify_preds(_pattern(ctx, d, s),
                                       predict_subfield(_pattern(ctx, d, s),
-                                                       ctx.zero))
+                                                       0))
             for _ in range(20):
                 a, b = rng.sample(range(ctx.q), 2)
                 m = _pattern(ctx, (a, b, b, b), (0,) * 6)
-                seen |= _verify_preds(m, predict_subfield(m, ctx.zero))
+                seen |= _verify_preds(m, predict_subfield(m, 0))
         for q in (3, 5):
             ctx = towers[q]
             for _ in range(20):
                 d = tuple(rng.randrange(ctx.q) for _ in range(5))
                 s = tuple(rng.randrange(ctx.q) for _ in range(10))
                 m = _pattern(ctx, d, s)
-                seen |= _verify_preds(m, predict_subfield(m, ctx.zero))
+                seen |= _verify_preds(m, predict_subfield(m, 0))
         for q in (2, 4):
             ctx = towers[q]
             for _ in range(20):
                 d = tuple(rng.randrange(ctx.q) for _ in range(4))
                 s = tuple(rng.randrange(ctx.q) for _ in range(6))
                 m = _pattern(ctx, d, s)
-                seen |= _verify_preds(m, predict_subfield(m, ctx.zero))
+                seen |= _verify_preds(m, predict_subfield(m, 0))
         assert {"prop8", "prop9", "prop10", "prop11", "cor2", "cor3",
                 "cor4.i", "cor4.ii"} <= seen
-        # every odd level splits across two scaled squares
+        # every odd level splits across two scaled squares: a direct scan
+        # of a1 x1^2 + a2 x2^2 over F_q x F_q reaches all of F_q
         for q in (3, 5, 7):
             ctx = towers[q]
+            squares = [ctx.q_mul(x, x) for x in range(ctx.q)]
             for a1 in range(1, ctx.q):
                 for a2 in range(1, ctx.q):
-                    for ke in range(ctx.q):
-                        x1, x2 = two_square_rep(ctx.elem(a1), ctx.elem(a2),
-                                                ctx.elem(ke))
-                        assert (ctx.elem(a1) * x1 * x1
-                                + ctx.elem(a2) * x2 * x2).enc == ke
+                    assert {ctx.q_add(ctx.q_mul(a1, s1), ctx.q_mul(a2, s2))
+                            for s1 in squares for s2 in squares} \
+                        == set(range(ctx.q))
 
 
 def test_oracle_equivalence(towers):
@@ -327,7 +326,7 @@ def test_oracle_equivalence(towers):
 
 def test_affine_shift_resolution(f3):
     with criterion(13, "affine-shift-resolution"):
-        assert resolve_affine_shift(f3, k=f3.elem(2), trials=20,
+        assert resolve_affine_shift(f3, k=2, trials=20,
                                     rng=random.Random(0)) == "ck"
         report = run_exhaustive_2x2(f3, space="subfield", collect="fails")
         assert report["affine_law"] == {"form": "ck", "decidable": True}

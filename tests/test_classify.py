@@ -22,9 +22,8 @@ from hermrange.classify import (CLAIM_EMPTY, CLAIM_EXACT_CARD,
                                 predict_direct_sum, predict_full_field,
                                 predict_subfield,
                                 predict_unitary_diagonal,
-                                scalar_fiber_formula, symmetrized,
-                                unitarily_diagonalizable_2x2)
-from hermrange.hermitian import HermMatrix, Vector, block_diag, inner
+                                scalar_fiber_formula, symmetrized)
+from hermrange.hermitian import HermMatrix, block_diag, inner_encs
 from hermrange.ranges import (EXHAUSTIVE, KIND_NUM0_PRIME,
                               KIND_NUM0_PRIME_SUBFIELD, KIND_NUM_K,
                               KIND_NUM_K_SUBFIELD, SAMPLED,
@@ -61,13 +60,18 @@ def _inverse2(m):
                     [ctx.div_enc(ctx.neg_enc(c), det), ctx.div_enc(a, det)]])
 
 
+def _direct_sum_preds(a, b):
+    return predict_direct_sum(a, b, num_k(a, 1), num_k(b, 1),
+                              num_k(a, 0), num_k(b, 0))
+
+
 # eigenstructure
 
 
 def test_eigen2_two_distinct(f2):
     e = eigen2(_diag(f2, (0, 1)))
     assert e.status == TWO_DISTINCT
-    assert tuple(c.enc for c in e.eigenvalues) == (0, 1)
+    assert e.eigenvalue_encs == (0, 1)
     assert e.eigenspace_dims == (1, 1)
     assert e.isotropic == (False, False)
 
@@ -81,13 +85,13 @@ def test_eigen2_eigenvectors_really_are(f9):
         if e.status == IRREDUCIBLE:
             continue
         seen += 1
-        for c, v in zip(e.eigenvalues, e.eigenvectors):
-            assert not v.is_zero
-            assert m.apply(v) == Vector(f9, tuple(c * x for x in v))
+        for c, v in zip(e.eigenvalue_encs, e.eigenvector_encs):
+            assert any(v)
+            assert m.apply(v) == tuple(f9.mul_enc(c, x) for x in v)
 
 
 def test_eigen2_repeated_shapes(f4):
-    scalar = eigen2(HermMatrix.scalar(f4, 2, f4.elem(2)))
+    scalar = eigen2(HermMatrix.scalar(f4, 2, 2))
     assert scalar.status == REPEATED
     assert scalar.eigenspace_dims == (2,)
     nil = eigen2(_m(f4, [[0, 1], [0, 0]]))
@@ -100,7 +104,7 @@ def test_eigen2_irreducible(f2):
     # char poly x^2 + x + t has no root in F_4
     e = eigen2(_m(f2, [[0, 2], [1, 1]]))
     assert e.status == IRREDUCIBLE
-    assert e.eigenvalues == ()
+    assert e.eigenvalue_encs == ()
     with pytest.raises(ValueError):
         eigen2(HermMatrix.identity(f2, 3))
 
@@ -126,11 +130,11 @@ def _eigen2_scan(m):
             kv, dim = (s11, ctx.neg_enc(s10)), 1
         else:
             kv, dim = (1, 0), 2
-        vectors.append(Vector.from_encs(ctx, kv))
+        vectors.append(kv)
         dims.append(dim)
     status = TWO_DISTINCT if len(roots) == 2 else REPEATED
-    return (status, tuple(ctx.elem(r) for r in roots), tuple(vectors),
-            tuple(inner(v, v).is_zero for v in vectors), tuple(dims))
+    return (status, tuple(roots), tuple(vectors),
+            tuple(inner_encs(ctx, v, v) == 0 for v in vectors), tuple(dims))
 
 
 def test_eigen2_matches_the_root_scan(towers, formula_tower):
@@ -143,27 +147,27 @@ def test_eigen2_matches_the_root_scan(towers, formula_tower):
                 m = _m(ctx, [[rng.randrange(ctx.q2) for _ in range(2)]
                              for _ in range(2)])
                 e = eigen2(m)
-                assert (e.status, e.eigenvalues, e.eigenvectors, e.isotropic,
-                        e.eigenspace_dims) == _eigen2_scan(m)
+                assert (e.status, e.eigenvalue_encs, e.eigenvector_encs,
+                        e.isotropic, e.eigenspace_dims) == _eigen2_scan(m)
 
 
 def test_unitary_diagonalizability(f2):
-    assert unitarily_diagonalizable_2x2(HermMatrix.scalar(f2, 2, f2.elem(3)))
-    assert unitarily_diagonalizable_2x2(_diag(f2, (0, 1)))
-    assert not unitarily_diagonalizable_2x2(_m(f2, [[0, 1], [0, 0]]))
+    # the Gram test of a non-scalar matrix: an orthogonal eigenbasis of
+    # non-isotropic vectors
+    assert eigen2(_diag(f2, (0, 1))).orthogonal_eigenbasis
+    assert not eigen2(_m(f2, [[0, 1], [0, 0]])).orthogonal_eigenbasis
     # distinct eigenvalues but isotropic eigenvectors
     p = _m(f2, [[1, 1], [1, 2]])
-    m = p @ _diag(f2, (0, 1)) @ _inverse2(p)
-    e = eigen2(m)
+    e = eigen2(p @ _diag(f2, (0, 1)) @ _inverse2(p))
     assert e.status == TWO_DISTINCT and e.isotropic == (True, True)
-    assert not unitarily_diagonalizable_2x2(m)
+    assert not e.orthogonal_eigenbasis
 
 
 # full-field rules, 2 by 2
 
 
 def test_scalar_rule(f4):
-    m = HermMatrix.scalar(f4, 2, f4.elem(5))
+    m = HermMatrix.scalar(f4, 2, 5)
     assert _check_all(m, predict_full_field(m)) == {"zero-in-num0", "remark4"}
 
 
@@ -218,19 +222,22 @@ def test_full_field_sweep_never_contradicts(towers):
 
 
 def test_unitary_diagonal_validation(f3):
-    with pytest.raises(ValueError):
-        predict_unitary_diagonal(f3, [])
-    with pytest.raises(ValueError):
-        predict_unitary_diagonal(f3, [(f3.one, 1), (f3.one, 1)])
-    with pytest.raises(ValueError):
-        predict_unitary_diagonal(f3, [(f3.one, 0)])
-    with pytest.raises(ValueError):
-        predict_unitary_diagonal(f3, [(f3.one, 1)])
+    for pairs in ([], [(1, 1), (1, 1)], [(1, 0)], [(1, 1)]):
+        with pytest.raises(ValueError):
+            predict_unitary_diagonal(f3, pairs)
+    # eigenvalues are codes of F_9
+    for c in (9, -1, True):
+        with pytest.raises(ValueError, match="eigenvalue code must lie in"):
+            predict_unitary_diagonal(f3, [(0, 1), (c, 1)])
+    # a multiplicity is never truncated: 1.9 once claimed prop1d at n = 2
+    for x in (1.9, True):
+        with pytest.raises(ValueError, match="positive integers"):
+            predict_unitary_diagonal(f3, [(0, x), (1, 1)])
 
 
 def test_two_eigenvalues_with_multiplicity(f3):
     m = _diag(f3, (0, 1, 1))
-    preds = predict_unitary_diagonal(f3, [(f3.zero, 1), (f3.one, 2)])
+    preds = predict_unitary_diagonal(f3, [(0, 1), (1, 2)])
     bases = _check_all(m, preds)
     assert "prop1c" in bases
     [p] = [p_ for p_ in preds if p_.basis == "prop1c"]
@@ -241,18 +248,18 @@ def test_three_collinear_eigenvalues_decline_the_full_set(f3):
     # gaps 1 and 2 are F_3-proportional: the zero level is only their
     # line inside F_9, so no rule may promise all of F_9 here
     m = _diag(f3, (0, 1, 2))
-    pairs = [(f3.elem(c), 1) for c in (0, 1, 2)]
+    pairs = [(c, 1) for c in (0, 1, 2)]
     preds = predict_unitary_diagonal(f3, pairs)
     bases = _check_all(m, preds)
     assert "prop1a" not in bases
-    assert num_k(m, f3.zero).values == (0, 1, 2)
+    assert num_k(m, 0).values == (0, 1, 2)
     [p] = [p_ for p_ in preds if p_.basis == "prop1b"]
     assert p.target is True
 
 
 def test_three_spanning_eigenvalues_fill_the_zero_level(f3):
     m = _diag(f3, (0, 1, 3))
-    pairs = [(f3.elem(c), 1) for c in (0, 1, 3)]
+    pairs = [(c, 1) for c in (0, 1, 3)]
     preds = predict_unitary_diagonal(f3, pairs)
     bases = _check_all(m, preds)
     assert "prop1a" in bases
@@ -265,12 +272,12 @@ def test_zero_membership_ratio_table(f2, f3):
     # in the subfield; four or more distinct values always attain it
     for ctx, encs, expect in ((f2, (0, 1, 2), False), (f3, (0, 1, 2), True),
                               (f3, (0, 1, 3), False)):
-        pairs = [(ctx.elem(c), 1) for c in encs]
+        pairs = [(c, 1) for c in encs]
         [p] = [p_ for p_ in predict_unitary_diagonal(ctx, pairs)
                if p_.basis == "prop1b"]
         assert p.target is expect
         _check_all(_diag(ctx, encs), predict_unitary_diagonal(ctx, pairs))
-    pairs4 = [(f3.elem(c), 1) for c in (0, 1, 2, 3)]
+    pairs4 = [(c, 1) for c in (0, 1, 2, 3)]
     [p] = [p_ for p_ in predict_unitary_diagonal(f3, pairs4)
            if p_.basis == "prop1b"]
     assert p.target is True
@@ -289,10 +296,7 @@ def test_direct_sum_assembly(towers):
                          for _ in range(na)])
             b = _m(ctx, [[rng.randrange(ctx.q2) for _ in range(nb)]
                          for _ in range(nb)])
-            preds = predict_direct_sum(
-                a, b, num_k(a, ctx.one), num_k(b, ctx.one),
-                num_k(a, ctx.zero), num_k(b, ctx.zero))
-            _check_all(block_diag(a, b), preds)
+            _check_all(block_diag(a, b), _direct_sum_preds(a, b))
 
 
 def test_direct_sum_zero_membership_needs_a_shared_value(f3):
@@ -300,8 +304,7 @@ def test_direct_sum_zero_membership_needs_a_shared_value(f3):
     # does: both level-one ranges contain 4
     a = _m(f3, [[4]])
     b = _m(f3, [[0, 4], [7, 6]])
-    preds = predict_direct_sum(a, b, num_k(a, f3.one), num_k(b, f3.one),
-                               num_k(a, f3.zero), num_k(b, f3.zero))
+    preds = _direct_sum_preds(a, b)
     member = next(p for p in preds if p.claim == CLAIM_MEMBER)
     assert member.target is True
     _check_all(block_diag(a, b), preds)
@@ -310,8 +313,8 @@ def test_direct_sum_zero_membership_needs_a_shared_value(f3):
 def test_direct_sum_validates_inputs(f3):
     a = _m(f3, [[1]])
     with pytest.raises(ValueError):
-        predict_direct_sum(a, a, num_k(a, f3.zero), num_k(a, f3.one),
-                           num_k(a, f3.zero), num_k(a, f3.zero))
+        predict_direct_sum(a, a, num_k(a, 0), num_k(a, 1),
+                           num_k(a, 0), num_k(a, 0))
 
 
 # subfield rules
@@ -319,20 +322,20 @@ def test_direct_sum_validates_inputs(f3):
 
 def test_three_mod_four_empties_the_plane_null_range(f3):
     m = _diag(f3, (0, 1))
-    preds = predict_subfield(m, f3.zero)
+    preds = predict_subfield(m, 0)
     bases = _check_all(m, preds)
     assert "prop5.i" in bases
 
 
 def test_even_q_trace_dichotomy(f2):
     nil = _m(f2, [[0, 1], [0, 0]])  # d1 + d2 + s12 = 1
-    preds = predict_subfield(nil, f2.zero)
+    preds = predict_subfield(nil, 0)
     _check_all(nil, preds)
     assert (KIND_NUM0_PRIME_SUBFIELD, (1,)) in {
         (p.scope, p.target) for p in preds if p.basis == "prop5.ii"}
 
     bal = _m(f2, [[1, 1], [0, 0]])  # d1 + d2 + s12 = 0
-    preds = predict_subfield(bal, f2.zero)
+    preds = predict_subfield(bal, 0)
     _check_all(bal, preds)
     assert (KIND_NUM0_PRIME_SUBFIELD, (0,)) in {
         (p.scope, p.target) for p in preds if p.basis == "prop5.ii"}
@@ -340,7 +343,7 @@ def test_even_q_trace_dichotomy(f2):
 
 def test_even_q_full_level_for_split_diagonal(f2):
     m = _diag(f2, (0, 1))
-    preds = predict_subfield(m, f2.one)
+    preds = predict_subfield(m, 1)
     _check_all(m, preds)
     assert any(p.basis == "prop5.ii" and p.claim == CLAIM_EXACT_SET
                and p.target == (0, 1) for p in preds)
@@ -348,17 +351,17 @@ def test_even_q_full_level_for_split_diagonal(f2):
 
 def test_one_mod_four_plane_rules(f5):
     crossed = _m(f5, [[0, 1], [1, 0]])  # s12 != 0
-    preds = predict_subfield(crossed, f5.zero)
+    preds = predict_subfield(crossed, 0)
     _check_all(crossed, preds)
     assert any(p.basis == "prop5.iii1" and p.nonzero_only for p in preds)
 
     split = _diag(f5, (0, 1))  # s12 = 0, d1 != d2
-    preds = predict_subfield(split, f5.zero)
+    preds = predict_subfield(split, 0)
     _check_all(split, preds)
     cards = {(p.scope, p.target) for p in preds if p.basis == "prop5.iii2"}
     assert (KIND_NUM_K_SUBFIELD, 3) in cards
     assert (KIND_NUM0_PRIME_SUBFIELD, 2) in cards
-    preds = predict_subfield(split, f5.elem(2))
+    preds = predict_subfield(split, 2)
     _check_all(split, preds)
     assert any(p.basis == "remark10" and p.target == 3 for p in preds)
 
@@ -366,25 +369,25 @@ def test_one_mod_four_plane_rules(f5):
 def test_even_q_balance_dichotomy(f2, f4):
     assert "prop6.b" in _check_all(
         HermMatrix.identity(f2, 2),
-        predict_subfield(HermMatrix.identity(f2, 2), f2.zero))
+        predict_subfield(HermMatrix.identity(f2, 2), 0))
     m3 = _m(f4, [[1, 1, 0], [0, 0, 1], [0, 0, 2]])
-    preds = predict_subfield(m3, f4.zero)
+    preds = predict_subfield(m3, 0)
     bases = _check_all(m3, preds)
     assert "prop6.c" in bases
     m4 = _diag(f2, (0, 1, 1, 0))
-    preds = predict_subfield(m4, f2.zero)
+    preds = predict_subfield(m4, 0)
     bases = _check_all(m4, preds)
     assert "prop6.c" in bases and "cor2" in bases
 
 
 def test_scalar_matrix_fiber_and_null_range(f3, f5):
-    two_i = HermMatrix.scalar(f3, 2, f3.elem(2))
-    preds = predict_subfield(two_i, f3.zero)
+    two_i = HermMatrix.scalar(f3, 2, 2)
+    preds = predict_subfield(two_i, 0)
     _check_all(two_i, preds)
     assert any(p.basis == "prop7" and p.claim == CLAIM_EMPTY for p in preds)
 
-    scal5 = HermMatrix.scalar(f5, 2, f5.elem(3))
-    preds = predict_subfield(scal5, f5.zero)
+    scal5 = HermMatrix.scalar(f5, 2, 3)
+    preds = predict_subfield(scal5, 0)
     _check_all(scal5, preds)
     assert any(p.basis == "prop7" and p.scope == SCOPE_FIBER_ZERO
                and p.target == 9 for p in preds)
@@ -393,14 +396,14 @@ def test_scalar_matrix_fiber_and_null_range(f3, f5):
 
 def test_odd_dimension_attains_a_nonzero_value(f3):
     m = _diag(f3, (0, 1, 2))
-    preds = predict_subfield(m, f3.zero)
+    preds = predict_subfield(m, 0)
     _check_all(m, preds)
     assert any(p.basis == "prop8" for p in preds)
 
 
 def test_two_valued_diagonal_exact_sets(f3, f5):
     m5 = _diag(f5, (0, 1, 1))
-    preds = predict_subfield(m5, f5.zero)
+    preds = predict_subfield(m5, 0)
     _check_all(m5, preds)
     by_claim = {p.claim: p for p in preds if p.basis == "prop9"}
     assert by_claim[CLAIM_EXACT_CARD].target == 3
@@ -408,7 +411,7 @@ def test_two_valued_diagonal_exact_sets(f3, f5):
     assert by_claim[CLAIM_MEMBER].target is True
 
     m3 = _diag(f3, (0, 1, 1))
-    preds = predict_subfield(m3, f3.zero)
+    preds = predict_subfield(m3, 0)
     _check_all(m3, preds)
     member = next(p for p in preds if p.basis == "prop9"
                   and p.claim == CLAIM_MEMBER)
@@ -421,16 +424,16 @@ def test_distinct_diagonal_bound_declines_the_collapsing_case(f3, f5):
     # range collapses to the singleton {d1+d2+d3}; the halved bound is
     # false there and must not be claimed
     m = _diag(f3, (0, 1, 2))
-    assert all(p.basis != "prop10" for p in predict_subfield(m, f3.zero))
-    assert num_k_subfield(m, f3.zero).values == (0,)
+    assert all(p.basis != "prop10" for p in predict_subfield(m, 0))
+    assert num_k_subfield(m, 0).values == (0,)
 
     repeated = _diag(f3, (0, 1, 1))
-    preds = predict_subfield(repeated, f3.zero)
+    preds = predict_subfield(repeated, 0)
     assert any(p.basis == "prop10" for p in preds)
     _check_all(repeated, preds)
 
     wide5 = _diag(f5, (0, 1, 2))
-    preds = predict_subfield(wide5, f5.zero)
+    preds = predict_subfield(wide5, 0)
     assert any(p.basis == "prop10" for p in preds)
     _check_all(wide5, preds)
 
@@ -441,44 +444,44 @@ def test_skew_triple_bound_declines_degenerate_forms(f3, f5):
     m = _m(f3, [[1, 2, 2], [1, 1, 1], [1, 0, 1]])
     for ke in range(3):
         assert all(p.basis != "prop11"
-                   for p in predict_subfield(m, f3.elem(ke)))
-    assert num_k_subfield(m, f3.one).cardinality == 1
+                   for p in predict_subfield(m, ke))
+    assert num_k_subfield(m, 1).cardinality == 1
 
     # q = 1 mod 4 with a perfect-square form: only square levels keep
     # the half bound; nonsquare levels drop to (q-1)/2 values
     deg = _m(f5, [[0, 0, 0], [0, 1, 4], [0, 0, 4]])
     for ke in range(5):
-        preds = predict_subfield(deg, f5.elem(ke))
+        preds = predict_subfield(deg, ke)
         fired = any(p.basis == "prop11" for p in preds)
         assert fired == (ke in (0, 1, 4))
         _check_all(deg, preds)
-        assert num_k_subfield(deg, f5.elem(ke)).cardinality \
+        assert num_k_subfield(deg, ke).cardinality \
             == (3 if ke in (0, 1, 4) else 2)
 
     sound = _diag(f3, (0, 1, 1))
     for ke in range(3):
-        preds = predict_subfield(sound, f3.elem(ke))
+        preds = predict_subfield(sound, ke)
         assert any(p.basis == "prop11" for p in preds)
         _check_all(sound, preds)
 
 
 def test_one_mod_four_scalar_and_general_bounds(f5):
-    scal = HermMatrix.scalar(f5, 3, f5.elem(2))
-    preds = predict_subfield(scal, f5.elem(3))
+    scal = HermMatrix.scalar(f5, 3, 2)
+    preds = predict_subfield(scal, 3)
     _check_all(scal, preds)
     [p] = [p_ for p_ in preds if p_.basis == "cor4.i"
            and p_.scope == KIND_NUM_K_SUBFIELD]
     assert p.target == (f5.q_mul(3, 2),)
 
     m = _m(f5, [[0, 1], [2, 3]])
-    preds = predict_subfield(m, f5.zero)
+    preds = predict_subfield(m, 0)
     _check_all(m, preds)
     assert any(p.basis == "cor4.ii" and p.nonzero_only for p in preds)
 
 
 def test_odd_q_five_dimensions_attain_zero(f3):
     m = _diag(f3, (0, 1, 2, 0, 1))
-    preds = predict_subfield(m, f3.zero)
+    preds = predict_subfield(m, 0)
     bases = _check_all(m, preds)
     assert "cor3" in bases
 
@@ -492,16 +495,16 @@ def test_subfield_sweep_never_contradicts(towers):
                 m = _m(ctx, [[rng.randrange(ctx.q) for _ in range(n)]
                              for _ in range(n)])
                 for ke in range(ctx.q):
-                    _check_all(m, predict_subfield(m, ctx.elem(ke)))
+                    _check_all(m, predict_subfield(m, ke))
 
 
 def test_subfield_validation(f3):
     with pytest.raises(ValueError):
-        predict_subfield(_m(f3, [[1]]), f3.zero)
+        predict_subfield(_m(f3, [[1]]), 0)
     with pytest.raises(ValueError):
-        predict_subfield(_m(f3, [[3, 0], [0, 1]]), f3.zero)
+        predict_subfield(_m(f3, [[3, 0], [0, 1]]), 0)
     with pytest.raises(ValueError):
-        predict_subfield(_diag(f3, (0, 1)), f3.elem(5))
+        predict_subfield(_diag(f3, (0, 1)), 5)
 
 
 def _class_rep(m):
@@ -526,19 +529,18 @@ def test_subfield_data_depends_only_on_the_symmetrized_class(towers):
         m = _m(ctx, [flat[i * n:(i + 1) * n] for i in range(n)])
         rep = _class_rep(m)
         assert symmetrized(ctx, m.encs()) == symmetrized(ctx, rep.encs())
-        for ke in range(ctx.q):
-            k = ctx.elem(ke)
+        for k in range(ctx.q):
             assert (range_naive(m, KIND_NUM_K_SUBFIELD, k)
-                    == num_k_subfield(rep, k)), (m, ke)
-            assert predict_subfield(m, k) == predict_subfield(rep, k), (m, ke)
-        assert (range_naive(m, KIND_NUM0_PRIME_SUBFIELD, ctx.zero)
+                    == num_k_subfield(rep, k)), (m, k)
+            assert predict_subfield(m, k) == predict_subfield(rep, k), (m, k)
+        assert (range_naive(m, KIND_NUM0_PRIME_SUBFIELD, 0)
                 == num0_prime_subfield(rep)), m
         assert fiber_table(m) == fiber_table(rep), m
 
 
 def _level0_values(ctx, rows):
     m = _m(ctx, rows)
-    return num_k(m, ctx.zero).values, num0_prime(m).values
+    return num_k(m, 0).values, num0_prime(m).values
 
 
 def _assert_level0_shared_by_class(ctx, rows_seq):
@@ -588,7 +590,7 @@ def test_scalar_fiber_formula_matches_enumeration(towers):
                  (3, 4)):
         ctx = towers[q]
         ident = HermMatrix.identity(ctx, n)
-        assert fiber_count(ident, ctx.zero).count == scalar_fiber_formula(q, n)
+        assert fiber_count(ident, 0).count == scalar_fiber_formula(q, n)
 
 
 def _sampled(ctx, values, kind=KIND_NUM_K, k_enc=0):
@@ -678,14 +680,14 @@ def test_sampled_line_subsets_stay_inapplicable(f3, values):
 
 
 def test_verdict_pairing_is_strict(f3):
-    obs = num_k(_diag(f3, (0, 1)), f3.zero)
+    obs = num_k(_diag(f3, (0, 1)), 0)
     wrong_scope = Prediction("x", KIND_NUM0_PRIME, 0, CLAIM_EMPTY)
     with pytest.raises(ValueError):
         check_prediction(wrong_scope, obs)
     wrong_level = Prediction("x", KIND_NUM_K, 1, CLAIM_EMPTY)
     with pytest.raises(ValueError):
         check_prediction(wrong_level, obs)
-    fiber = fiber_count(_diag(f3, (0, 1)), f3.zero)
+    fiber = fiber_count(_diag(f3, (0, 1)), 0)
     not_a_card = Prediction("x", SCOPE_FIBER_ZERO, 0, CLAIM_MEMBER, True)
     with pytest.raises(ValueError):
         check_prediction(not_a_card, fiber)
@@ -715,11 +717,6 @@ def _assert_payload(ctx, pred):
     assert not pred.nonzero_only or claim == CLAIM_LOWER_BOUND, pred
 
 
-def _direct_sum_preds(ctx, a, b):
-    return predict_direct_sum(a, b, num_k(a, ctx.one), num_k(b, ctx.one),
-                              num_k(a, ctx.zero), num_k(b, ctx.zero))
-
-
 def test_prediction_payload_types(towers, f3):
     claims = set()
 
@@ -737,7 +734,7 @@ def test_prediction_payload_types(towers, f3):
         for encs in itertools.product(range(ctx.q), repeat=4):
             m = _m(ctx, [encs[0:2], encs[2:4]])
             for ke in range(ctx.q):
-                check(ctx, predict_subfield(m, ctx.elem(ke)))
+                check(ctx, predict_subfield(m, ke))
     rng = random.Random(101)
     for q in (2, 3, 4, 5):
         ctx = towers[q]
@@ -745,13 +742,13 @@ def test_prediction_payload_types(towers, f3):
             m = _m(ctx, [[rng.randrange(ctx.q) for _ in range(3)]
                          for _ in range(3)])
             for ke in range(ctx.q):
-                check(ctx, predict_subfield(m, ctx.elem(ke)))
+                check(ctx, predict_subfield(m, ke))
     for ctx, encs in ((f3, (0, 1, 2)), (f3, (0, 1, 3)), (f3, (0, 1, 2, 3)),
                       (towers[2], (0, 1, 2))):
         check(ctx, predict_unitary_diagonal(
-            ctx, [(ctx.elem(c), 1) for c in encs]))
-    check(f3, predict_unitary_diagonal(f3, [(f3.zero, 1), (f3.one, 2)]))
-    check(f3, predict_unitary_diagonal(f3, [(f3.one, 2)]))
+            ctx, [(c, 1) for c in encs]))
+    check(f3, predict_unitary_diagonal(f3, [(0, 1), (1, 2)]))
+    check(f3, predict_unitary_diagonal(f3, [(1, 2)]))
     for q in (2, 3):
         ctx = towers[q]
         for na, nb in ((1, 1), (1, 2), (2, 1), (2, 2)):
@@ -759,7 +756,7 @@ def test_prediction_payload_types(towers, f3):
                          for _ in range(na)])
             b = _m(ctx, [[rng.randrange(ctx.q2) for _ in range(nb)]
                          for _ in range(nb)])
-            check(ctx, _direct_sum_preds(ctx, a, b))
-    check(f3, _direct_sum_preds(f3, _m(f3, [[4]]), _m(f3, [[0, 4], [7, 6]])))
+            check(ctx, _direct_sum_preds(a, b))
+    check(f3, _direct_sum_preds(_m(f3, [[4]]), _m(f3, [[0, 4], [7, 6]])))
     assert claims == set(_SET_CLAIMS + _INT_CLAIMS) | {
         CLAIM_MEMBER, CLAIM_EMPTY, CLAIM_LINE}

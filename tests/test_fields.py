@@ -1,13 +1,11 @@
-"""Tower construction and element arithmetic."""
+"""Tower construction and arithmetic on element codes."""
 
 import inspect
 import random
 
 import pytest
 
-from hermrange.fields import (FieldCtx, FieldSpec, build_tower, ctx_from_spec,
-                              frobenius, is_square, norm, norm_minus_one_roots,
-                              norm_preimages, sqrt_subfield, two_square_rep)
+from hermrange.fields import FieldCtx, FieldSpec, build_tower, ctx_from_spec
 
 from conftest import TOWER_PARAMS
 
@@ -16,44 +14,34 @@ def test_tower_shapes(towers):
     for q, ctx in towers.items():
         p, m = TOWER_PARAMS[q]
         assert (ctx.p, ctx.m, ctx.q, ctx.q2) == (p, m, q, q * q)
-        assert len(list(ctx.elements())) == q * q
-        subs = [e.enc for e in ctx.subfield_elements()]
-        assert subs == list(range(q))
-        assert all(ctx.elem(e).in_subfield == (e < q) for e in range(q * q))
 
 
 def test_known_extension_tables(f2, f3):
     # p=2: modulus is t^2+t+1, so t*t = 1+t; p=3: t^2+1, so t*t = -1
-    t2 = f2.ext_t
-    assert t2.enc == 2 and (t2 * t2).enc == 3
-    t3 = f3.ext_t
-    assert t3.enc == 3 and (t3 * t3).enc == 2
+    assert f2.mul_enc(2, 2) == 3
+    assert f3.mul_enc(3, 3) == 2
     assert f3.frob_enc(3) == 6  # t^3 = -t
     assert f2.norm_enc(2) == 1
     assert f3.norm_enc(3) == 1  # t * (-t) = -t^2 = 1
+    # code a0 + q * a1 reads a0 + a1*t
+    assert [f3.poly_str(e) for e in (0, 2, 3, 7)] == ["0", "2", "1*t", "1+2*t"]
 
 
 def test_field_axioms_sampled(towers):
     rng = random.Random(101)
     for ctx in towers.values():
+        add, mul = ctx.add_enc, ctx.mul_enc
         for _ in range(60):
-            a, b, c = (ctx.elem(rng.randrange(ctx.q2)) for _ in range(3))
-            assert (a + b) + c == a + (b + c)
-            assert a + b == b + a
-            assert (a * b) * c == a * (b * c)
-            assert a * b == b * a
-            assert a * (b + c) == a * b + a * c
-            assert a + (-a) == ctx.zero
-            if not b.is_zero:
-                assert b * (a / b) == a
-            assert a ** 2 == a * a
-
-
-def test_elem_validation(f3):
-    with pytest.raises(ValueError):
-        f3.elem(9)
-    with pytest.raises(ValueError):
-        f3.elem(-1)
+            a, b, c = (rng.randrange(ctx.q2) for _ in range(3))
+            assert add(add(a, b), c) == add(a, add(b, c))
+            assert add(a, b) == add(b, a)
+            assert mul(mul(a, b), c) == mul(a, mul(b, c))
+            assert mul(a, b) == mul(b, a)
+            assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+            assert add(a, ctx.neg_enc(a)) == 0
+            if b:
+                assert mul(b, ctx.div_enc(a, b)) == a
+            assert ctx.pow_enc(a, 2) == mul(a, a)
 
 
 def test_spec_round_trip(f5):
@@ -78,22 +66,22 @@ def test_frobenius_properties(towers):
         assert not fixed  # involution
         assert {e for e in range(ctx.q2) if ctx.frob_enc(e) == e} \
             == set(range(ctx.q))
+        frob = ctx.frob_enc
         for _ in range(30):
-            a = ctx.elem(rng.randrange(ctx.q2))
-            b = ctx.elem(rng.randrange(ctx.q2))
-            assert frobenius(a + b) == frobenius(a) + frobenius(b)
-            assert frobenius(a * b) == frobenius(a) * frobenius(b)
+            a, b = rng.randrange(ctx.q2), rng.randrange(ctx.q2)
+            assert frob(ctx.add_enc(a, b)) == ctx.add_enc(frob(a), frob(b))
+            assert frob(ctx.mul_enc(a, b)) == ctx.mul_enc(frob(a), frob(b))
 
 
 def test_norm_lands_in_subfield_and_is_multiplicative(towers):
     rng = random.Random(13)
     for ctx in towers.values():
+        norm = ctx.norm_enc
         for _ in range(40):
-            a = ctx.elem(rng.randrange(ctx.q2))
-            b = ctx.elem(rng.randrange(ctx.q2))
-            assert norm(a).in_subfield
-            assert norm(a) == a * frobenius(a)
-            assert norm(a * b) == norm(a) * norm(b)
+            a, b = rng.randrange(ctx.q2), rng.randrange(ctx.q2)
+            assert norm(a) < ctx.q
+            assert norm(a) == ctx.mul_enc(a, ctx.frob_enc(a))
+            assert norm(ctx.mul_enc(a, b)) == ctx.mul_enc(norm(a), norm(b))
 
 
 def test_norm_preimage_counts(towers):
@@ -106,14 +94,6 @@ def test_norm_preimage_counts(towers):
         # preimages partition the field
         assert sum(len(ctx.norm_preimage_encs(a)) for a in range(ctx.q)) \
             == ctx.q2
-
-
-def test_norm_minus_one_roots(towers):
-    for ctx in towers.values():
-        roots = norm_minus_one_roots(ctx)
-        assert len(roots) == ctx.q + 1
-        minus_one = ctx.q_neg(1)
-        assert all(ctx.norm_enc(r.enc) == minus_one for r in roots)
 
 
 def test_subfield_squares(towers, formula_tower):
@@ -134,22 +114,6 @@ def test_subfield_squares(towers, formula_tower):
                 assert len(roots) == 1
             else:
                 assert len(roots) == (1 if a == 0 else 2 if a in squares else 0)
-        a = ctx.elem(ctx.q - 1)
-        assert is_square(a) == ctx.q_is_square(a.enc)
-        assert all(r * r == a for r in sqrt_subfield(a))
-
-
-def test_two_square_rep(towers):
-    for ctx in towers.values():
-        if ctx.p == 2:
-            continue
-        for a1 in range(1, ctx.q):
-            for a2 in range(1, ctx.q):
-                for k in range(ctx.q):
-                    x, y = two_square_rep(ctx.elem(a1), ctx.elem(a2),
-                                          ctx.elem(k))
-                    assert ctx.elem(a1) * x * x + ctx.elem(a2) * y * y \
-                        == ctx.elem(k)
 
 
 def _least_generator(ctx):
@@ -205,10 +169,6 @@ def test_only_pairwise_subfields_tabulate_inverses():
 
 def test_broken_invariants_raise_without_asserts(monkeypatch, formula_tower):
     # explicit raises, so python -O keeps these checks
-    ctx = build_tower(5)
-    monkeypatch.setattr(ctx, "q_sqrt_encs", lambda a: (1,))
-    with pytest.raises(RuntimeError):
-        two_square_rep(ctx.one, ctx.one, ctx.elem(3))
     # with the identity as Frobenius the norm map squares, which leaves F_q
     monkeypatch.setattr(FieldCtx, "_frob_poly", lambda self, x: x)
     with pytest.raises(RuntimeError):

@@ -7,14 +7,16 @@ honest on fresh random inputs.
 
 import dataclasses
 import random
+import re
 
 import pytest
 
 from hermrange import ranges
+from hermrange.classify import predict_subfield
 from hermrange.fields import build_tower
-from hermrange.hermitian import (FULL_FIELD, SUBFIELD, CapacityError,
-                                 HermMatrix, Vector, block_diag, cone_encs,
-                                 inner)
+from hermrange.hermitian import (DEFAULT_CAPACITY, FULL_FIELD, SUBFIELD,
+                                 CapacityError, HermMatrix, block_diag,
+                                 cone_encs, inner_encs)
 from hermrange.ranges import (EXHAUSTIVE, KIND_NUM0_PRIME,
                               KIND_NUM0_PRIME_SUBFIELD, KIND_NUM_K,
                               KIND_NUM_K_SUBFIELD, RANGE_KINDS, SAMPLED,
@@ -39,11 +41,11 @@ def _rand(ctx, rng, n, limit=None):
 def test_frozen_null_ranges(f2, f5):
     assert num0_prime(_m(f2, [[0, 1], [0, 0]])).values == (1, 2, 3)
     assert num0_prime(_m(f2, [[0, 0], [0, 1]])).values == (1,)
-    assert num_k(_m(f2, [[0, 0], [0, 1]]), f2.elem(0)).values == (0, 1)
-    assert num_k(_m(f2, [[0, 0], [0, 1]]), f2.elem(1)).values == (0, 1)
+    assert num_k(_m(f2, [[0, 0], [0, 1]]), 0).values == (0, 1)
+    assert num_k(_m(f2, [[0, 0], [0, 1]]), 1).values == (0, 1)
     assert num0_prime_subfield(_m(f2, [[0, 1], [0, 0]])).values == (1,)
     assert num0_prime_subfield(_m(f5, [[0, 0], [0, 1]])).values == (1, 4)
-    assert num_k_subfield(_m(f5, [[0, 0], [0, 1]]), f5.elem(0)).values \
+    assert num_k_subfield(_m(f5, [[0, 0], [0, 1]]), 0).values \
         == (0, 1, 4)
 
 
@@ -70,15 +72,13 @@ def test_engine_agrees_with_naive_oracle(towers):
         for _ in range(6):
             m = _rand(ctx, rng, 2)
             for k in range(ctx.q):
-                ke = ctx.elem(k)
-                assert num_k(m, ke) == range_naive(m, KIND_NUM_K, ke)
-            assert num0_prime(m) == range_naive(m, KIND_NUM0_PRIME,
-                                                ctx.zero)
+                assert num_k(m, k) == range_naive(m, KIND_NUM_K, k)
+            assert num0_prime(m) == range_naive(m, KIND_NUM0_PRIME, 0)
             ms = _rand(ctx, rng, 2, ctx.q)
-            assert num_k_subfield(ms, ctx.one) \
-                == range_naive(ms, KIND_NUM_K_SUBFIELD, ctx.one)
+            assert num_k_subfield(ms, 1) \
+                == range_naive(ms, KIND_NUM_K_SUBFIELD, 1)
             assert num0_prime_subfield(ms) \
-                == range_naive(ms, KIND_NUM0_PRIME_SUBFIELD, ctx.zero)
+                == range_naive(ms, KIND_NUM0_PRIME_SUBFIELD, 0)
 
 
 def test_level_zero_range_is_null_range_plus_zero(f3, f4):
@@ -86,7 +86,7 @@ def test_level_zero_range_is_null_range_plus_zero(f3, f4):
     for ctx in (f3, f4):
         for _ in range(8):
             m = _rand(ctx, rng, 2)
-            at_zero = set(num_k(m, ctx.zero).values)
+            at_zero = set(num_k(m, 0).values)
             assert at_zero == set(num0_prime(m).values) | {0}
 
 
@@ -108,10 +108,9 @@ def test_nonzero_levels_scale_from_level_one(f2, f3):
 
 def test_dagger_preserves_null_range_size(f2):
     rng = random.Random(67)
-    from hermrange.hermitian import dagger
     for _ in range(15):
         m = _rand(f2, rng, 2)
-        assert num0_prime(m).cardinality == num0_prime(dagger(m)).cardinality
+        assert num0_prime(m).cardinality == num0_prime(m.dagger()).cardinality
 
 
 def test_fiber_table_partitions_the_cone(f3, f5):
@@ -129,15 +128,15 @@ def test_fiber_table_partitions_the_cone(f3, f5):
 def test_scalar_fiber_counts(f2, f3, f5):
     # zero vector included, so these count all subfield null vectors
     for ctx, n, expect in ((f2, 2, 2), (f3, 2, 1), (f5, 2, 9), (f2, 3, 4)):
-        scalar = HermMatrix.scalar(ctx, n, ctx.one)
-        assert fiber_count(scalar, ctx.zero).count == expect
+        scalar = HermMatrix.scalar(ctx, n, 1)
+        assert fiber_count(scalar, 0).count == expect
 
 
 def test_fiber_counting_rejects_bad_inputs(f3):
     with pytest.raises(ValueError):
-        fiber_count(_m(f3, [[3, 0], [0, 0]]), f3.zero)
+        fiber_count(_m(f3, [[3, 0], [0, 0]]), 0)
     with pytest.raises(ValueError):
-        fiber_count(_m(f3, [[1, 0], [0, 1]]), f3.elem(4))
+        fiber_count(_m(f3, [[1, 0], [0, 1]]), 4)
     with pytest.raises(ValueError):
         fiber_table(_m(f3, [[3, 0], [0, 0]]))
 
@@ -145,31 +144,48 @@ def test_fiber_counting_rejects_bad_inputs(f3):
 def test_sampling_modes(f3):
     m = _rand(f3, random.Random(71), 4)
     with pytest.raises(CapacityError):
-        num_k(m, f3.one, capacity=1000)
+        num_k(m, 1, capacity=1000)
     with pytest.raises(ValueError):
-        num_k(m, f3.one, capacity=1000, sample_budget=50)
-    full = num_k(m, f3.one)
+        num_k(m, 1, capacity=1000, sample_budget=50)
+    full = num_k(m, 1)
     assert full.mode == EXHAUSTIVE
-    part = num_k(m, f3.one, capacity=1000, sample_budget=200,
+    part = num_k(m, 1, capacity=1000, sample_budget=200,
                  rng=random.Random(3))
-    again = num_k(m, f3.one, capacity=1000, sample_budget=200,
+    again = num_k(m, 1, capacity=1000, sample_budget=200,
                   rng=random.Random(3))
     assert part.mode == SAMPLED
     assert part == again
     assert set(part.values) <= set(full.values)
     with pytest.raises(ValueError):
         part.require_exhaustive()
-    for budget in (0, -5):
-        with pytest.raises(ValueError):
-            num_k(m, f3.one, capacity=1000, sample_budget=budget,
+    # 2.5 once drew three vectors and reported a witness count of 2.5
+    for budget in (0, -5, 2.5, True):
+        with pytest.raises(ValueError, match="integer of at least 1"):
+            num_k(m, 1, capacity=1000, sample_budget=budget,
                   rng=random.Random(3))
+
+
+def test_sample_budget_is_bounded_before_the_first_draw(f3):
+    # the bound is the larger of the capacity and the default capacity
+    m = _m(f3, [[1, 0], [0, 1]])
+    rng = random.Random(0)
+    state = rng.getstate()
+    for capacity in (0, DEFAULT_CAPACITY):
+        with pytest.raises(CapacityError,
+                           match=f"sample budget is {DEFAULT_CAPACITY + 1}, "
+                                 f"the bound is {DEFAULT_CAPACITY}"):
+            num_k(m, 1, capacity=capacity, sample_budget=DEFAULT_CAPACITY + 1,
+                  rng=rng)
+    assert rng.getstate() == state
+    assert num_k(m, 1, capacity=DEFAULT_CAPACITY + 1,
+                 sample_budget=DEFAULT_CAPACITY + 1, rng=rng).mode == EXHAUSTIVE
 
 
 def test_sampled_range_over_an_empty_level_set_raises(f3):
     # x^2 = 2 has no root in F_3, and x^2 + y^2 = 0 only the zero one:
     # sampling must refuse instead of redrawing prefixes forever
     with pytest.raises(ValueError):
-        num_k_subfield(_m(f3, [[1]]), f3.elem(2), capacity=1,
+        num_k_subfield(_m(f3, [[1]]), 2, capacity=1,
                        sample_budget=3, rng=random.Random(0))
     with pytest.raises(ValueError):
         num0_prime_subfield(_m(f3, [[1, 0], [0, 1]]), capacity=1,
@@ -180,7 +196,6 @@ def test_range_set_shape(f2):
     rs = num0_prime(_m(f2, [[0, 1], [0, 0]]))
     assert rs.cardinality == 3
     assert rs.contains_enc(2) and not rs.contains_enc(0)
-    assert tuple(e.enc for e in rs.elems()) == rs.values
     assert rs.to_json_dict() == {
         "kind": "num0_prime", "k": 0, "mode": "exhaustive",
         "witness_count": 9, "cardinality": 3, "values": [1, 2, 3]}
@@ -195,13 +210,9 @@ def test_validation_errors(f3, f4):
     with pytest.raises(ValueError):
         num0_prime(_m(f4, [[1]]))
     with pytest.raises(ValueError):
-        num_k(_m(f3, [[0, 0], [0, 1]]), f3.elem(3))
+        num_k_subfield(_m(f3, [[3, 0], [0, 1]]), 1)
     with pytest.raises(ValueError):
-        num_k(_m(f3, [[0, 0], [0, 1]]), f4.elem(1))
-    with pytest.raises(ValueError):
-        num_k_subfield(_m(f3, [[3, 0], [0, 1]]), f3.one)
-    with pytest.raises(ValueError):
-        range_naive(_m(f3, [[0, 0], [0, 1]]), KIND_NUM0_PRIME, f3.one)
+        range_naive(_m(f3, [[0, 0], [0, 1]]), KIND_NUM0_PRIME, 1)
 
 
 @pytest.mark.parametrize("kind", list(RANGE_KINDS))
@@ -213,25 +224,50 @@ def test_range_of_matches_the_entry_point_and_the_oracle(towers, kind):
         ctx = towers[q]
         for _ in range(4):
             m = _rand(ctx, rng, 2, ctx.q if mode == SUBFIELD else ctx.q2)
-            for ke in (0,) if null else range(ctx.q):
-                k = ctx.elem(ke)
+            for k in (0,) if null else range(ctx.q):
                 got = range_of(m, kind, k)
-                assert got.kind == kind and got.k_enc == ke
+                assert got.kind == kind and got.k_enc == k
                 assert got == (entry(m) if null else entry(m, k))
                 assert got == range_naive(m, kind, k)
 
 
-def test_range_of_refuses_what_the_table_does_not_allow(f3, f4):
+def test_range_of_refuses_what_the_table_does_not_allow(f3):
     m = _m(f3, [[0, 1], [2, 0]])
     for call in (range_of, range_naive):
         with pytest.raises(ValueError, match="unknown range kind 'nope'"):
-            call(m, "nope", f3.zero)
+            call(m, "nope", 0)
         for kind, (_, null) in RANGE_KINDS.items():
             if null:
                 with pytest.raises(ValueError, match="level zero only"):
-                    call(m, kind, f3.elem(2))
-                with pytest.raises(ValueError, match="different field"):
-                    call(m, kind, f4.zero)
+                    call(m, kind, 2)
+
+
+_LEVEL_CALLS = {
+    "num_k": num_k,
+    "num_k_subfield": num_k_subfield,
+    "range_of": lambda m, k: range_of(m, KIND_NUM_K, k),
+    "range_of-null": lambda m, k: range_of(m, KIND_NUM0_PRIME, k),
+    "range_naive": lambda m, k: range_naive(m, KIND_NUM_K_SUBFIELD, k),
+    "range_naive-null": lambda m, k: range_naive(m, KIND_NUM0_PRIME_SUBFIELD,
+                                                 k),
+    "predict_subfield": predict_subfield,
+    "fiber_count": fiber_count,
+    "resolve_affine_shift": lambda m, k: resolve_affine_shift(
+        m.ctx, k=k, trials=1, rng=random.Random(0)),
+}
+
+
+@pytest.mark.parametrize("call", list(_LEVEL_CALLS))
+def test_one_level_check_refuses_what_is_not_a_code_of_f_q(f3, call):
+    # True is an int but not a code, and 4 is a code of F_9 outside F_3
+    m = _m(f3, [[1, 2], [0, 1]])
+    for k in (True, -1, 3, 4):
+        message = f"level code must lie in F_q = [0, 3), got {k!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _LEVEL_CALLS[call](m, k)
+    if call.endswith("-null"):
+        with pytest.raises(ValueError, match="level zero only, got level 2"):
+            _LEVEL_CALLS[call](m, 2)
 
 
 def test_range_of_reaches_entry_points_replaced_on_the_module(
@@ -246,7 +282,7 @@ def test_range_of_reaches_entry_points_replaced_on_the_module(
         monkeypatch.setattr(ranges, kind, wrapped)
     m = _m(f2, [[0, 1], [1, 0]])
     for kind in RANGE_KINDS:
-        range_of(m, kind, f2.zero)
+        range_of(m, kind, 0)
     assert calls == list(RANGE_KINDS)
 
 
@@ -257,22 +293,22 @@ def test_block_sum_value_sets_union_at_matching_levels(f2):
     a = _rand(f2, rng, 1)
     b = _rand(f2, rng, 1)
     s = block_diag(a, b)
-    lvl1 = set(num_k(s, f2.one).values)
-    assert set(num_k(a, f2.one).values) <= lvl1
-    assert set(num_k(b, f2.one).values) <= lvl1
+    lvl1 = set(num_k(s, 1).values)
+    assert set(num_k(a, 1).values) <= lvl1
+    assert set(num_k(b, 1).values) <= lvl1
 
 
 def test_affine_shift_resolution(f3):
-    assert resolve_affine_shift(f3, k=f3.elem(2), trials=20,
+    assert resolve_affine_shift(f3, k=2, trials=20,
                                 rng=random.Random(0)) == "ck"
-    assert resolve_affine_shift(f3, k=f3.one, trials=5,
+    assert resolve_affine_shift(f3, k=1, trials=5,
                                 rng=random.Random(0)) == "tie"
     with pytest.raises(ValueError):
-        resolve_affine_shift(f3, k=f3.elem(2))
+        resolve_affine_shift(f3, k=2)
 
 
 def test_gram_value_matches_the_pairing(towers):
-    # hermitian.inner and HermMatrix.apply share no code with _gram/_values;
+    # inner_encs and HermMatrix.apply share no code with _gram/_values;
     # q = 23 has no pairwise tables, so its rows are computed
     rng = random.Random(79)
     for q in (2, 3, 4, 9, 23):
@@ -281,12 +317,11 @@ def test_gram_value_matches_the_pairing(towers):
             for limit in (ctx.q2, ctx.q):  # full field, then subfield
                 for _ in range(25):
                     m = _rand(ctx, rng, n, limit)
-                    us = [Vector.from_encs(
-                        ctx, [rng.randrange(limit) for _ in range(n)])
-                        for _ in range(4)]
-                    got = _values(m, [_gram(ctx, u.encs()) for u in us])
-                    assert got == [inner(u, m.apply(u)).enc for u in us]
-                    assert _values(m, [_gram(ctx, us[0].encs())]) == got[:1]
+                    us = [tuple(rng.randrange(limit) for _ in range(n))
+                          for _ in range(4)]
+                    got = _values(m, [_gram(ctx, u) for u in us])
+                    assert got == [inner_encs(ctx, u, m.apply(u)) for u in us]
+                    assert _values(m, [_gram(ctx, us[0])]) == got[:1]
 
 
 def test_gram_classes_are_unit_scalar_orbits(towers):
@@ -310,13 +345,13 @@ def _tier_results(ctx, full_rows, sub_rows):
     out = []
     if full_rows is not None:
         m = _m(ctx, full_rows)
-        out += [num_k(m, ctx.elem(k)) for k in range(ctx.q)]
+        out += [num_k(m, k) for k in range(ctx.q)]
         out.append(num0_prime(m))
     ms = _m(ctx, sub_rows)
-    out += [num_k_subfield(ms, ctx.elem(k)) for k in range(ctx.q)]
+    out += [num_k_subfield(ms, k) for k in range(ctx.q)]
     out.append(num0_prime_subfield(ms))
     out = [rs.to_json_dict() for rs in out]
-    out.append([(fc.value.enc, fc.count) for fc in fiber_table(ms)])
+    out.append([(fc.value, fc.count) for fc in fiber_table(ms)])
     return out
 
 

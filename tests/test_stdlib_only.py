@@ -1,5 +1,6 @@
 """The package stays stdlib-only: every import in src/hermrange is either
-package-relative or names a standard-library module."""
+package-relative or names a standard-library module.  Its sources and
+tests also keep to the grammar of Python 3.10, the oldest it supports."""
 
 import ast
 import sys
@@ -9,6 +10,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hermrange"
 MODULES = sorted(SRC.glob("*.py"))
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def _absolute_imports(path):
@@ -32,3 +34,11 @@ def test_imports_are_relative_or_stdlib(path):
                if name not in sys.stdlib_module_names]
     assert outside == [], f"{path.name} imports outside the stdlib: {outside}"
     assert all(name != "perfbench" for _, name in _absolute_imports(path))
+
+
+def test_sources_and_tests_parse_as_python_3_10():
+    # an interpreter runs only its own grammar, so this pins the 3.10 one
+    # wherever the suite runs
+    for path in MODULES + TESTS:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
+                  feature_version=(3, 10))

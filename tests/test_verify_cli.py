@@ -304,6 +304,24 @@ def test_cli_null_kinds_refuse_a_nonzero_level(capsys, kind):
     assert json.loads(capsys.readouterr().out)["kind"] == kind
 
 
+@pytest.mark.parametrize("kind", [KIND_NUM_K, KIND_NUM0_PRIME])
+@pytest.mark.parametrize("k", ["4", "9", "-1"])
+def test_cli_levels_outside_f_q_exit_two(capsys, kind, k):
+    # 4 is a code of F_9 outside F_3, 9 is no code of F_9 at all
+    argv = ["range", "--p", "3", "--matrix", "1,0;0,1", "--kind", kind]
+    assert main(argv + ["--k", k]) == 2
+    assert capsys.readouterr().err \
+        == f"hermrange: level code must lie in F_q = [0, 3), got {k}\n"
+
+
+def test_cli_sample_budget_over_the_bound_exits_three(capsys):
+    # the bound is the larger of --capacity and 2^24, before any draw
+    assert main(["range", "--p", "3", "--matrix", "1,0;0,1", "--capacity",
+                 "0", "--sample-budget", str(2 ** 24 + 1)]) == 3
+    assert capsys.readouterr().err.startswith(
+        "hermrange: sample budget is 16777217, the bound is 16777216")
+
+
 def test_cli_range_json(capsys):
     rc = main(["range", "--p", "2", "--matrix", "0,1;0,0",
                "--kind", "num0_prime"])
