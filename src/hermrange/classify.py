@@ -330,23 +330,25 @@ def null_class(ctx: FieldCtx, rows):
     return ctx.sub_enc(a, d), 0, ctx.norm_enc(c)
 
 
-def predict_subfield(m: HermMatrix, k: int) -> list[Prediction]:
-    """All applicable subfield-range rules for M at the level code k.
+def predict_subfield(m: HermMatrix, levels) -> list[Prediction]:
+    """All applicable subfield-range rules for M at each level code in
+    levels, in their order; every level is checked before any rule runs.
 
     Claims about the punctured zero level are emitted only when k = 0,
-    so sweeping over every k yields each claim exactly once.
+    so levels = range(q) yields each claim exactly once.
     """
     ctx = m.ctx
     if m.n < 2:
         raise ValueError("subfield rules need dimension at least 2")
     if not m.has_subfield_coeffs:
         raise ValueError("subfield rules need a matrix with F_q entries")
-    check_level(ctx, k)
+    levels = tuple(levels)
+    for k in levels:
+        check_level(ctx, k)
 
     q, n = ctx.q, m.n
     d, sums = symmetrized(ctx, m.encs())
     s = dict(sums)
-    at_zero = k == 0
     qmod4 = q % 4
     all_s_zero = all(v == 0 for v in s.values())
     all_d_equal = all(x == d[0] for x in d)
@@ -355,113 +357,118 @@ def predict_subfield(m: HermMatrix, k: int) -> list[Prediction]:
     def emit(*args):
         preds.append(Prediction(*args))
 
-    if n == 2:
-        d1, d2 = d
-        s12 = s[(0, 1)]
-        if qmod4 == 3 and at_zero:
-            emit("prop5.i", KIND_NUM0_PRIME_SUBFIELD, 0, CLAIM_EMPTY)
-        if q % 2 == 0:
-            t = ctx.q_add(ctx.q_add(d1, d2), s12)
-            if t != 0:
-                if at_zero:
+    for k in levels:
+        at_zero = k == 0
+        if n == 2:
+            d1, d2 = d
+            s12 = s[(0, 1)]
+            if qmod4 == 3 and at_zero:
+                emit("prop5.i", KIND_NUM0_PRIME_SUBFIELD, 0, CLAIM_EMPTY)
+            if q % 2 == 0:
+                t = ctx.q_add(ctx.q_add(d1, d2), s12)
+                if t != 0:
+                    if at_zero:
+                        emit("prop5.ii", KIND_NUM0_PRIME_SUBFIELD, 0,
+                             CLAIM_EXACT_SET, tuple(range(1, q)))
+                    else:
+                        emit("prop5.ii", KIND_NUM_K_SUBFIELD, k,
+                             CLAIM_LOWER_BOUND, q // 2)
+                elif at_zero:
                     emit("prop5.ii", KIND_NUM0_PRIME_SUBFIELD, 0,
-                         CLAIM_EXACT_SET, tuple(range(1, q)))
-                else:
-                    emit("prop5.ii", KIND_NUM_K_SUBFIELD, k,
-                         CLAIM_LOWER_BOUND, q // 2)
-            elif at_zero:
-                emit("prop5.ii", KIND_NUM0_PRIME_SUBFIELD, 0, CLAIM_EXACT_SET,
+                         CLAIM_EXACT_SET, (0,))
+                if s12 == 0 and d1 != d2 and not at_zero:
+                    emit("prop5.ii", KIND_NUM_K_SUBFIELD, k, CLAIM_EXACT_SET,
+                         tuple(range(q)))
+            if qmod4 == 1:
+                if s12 != 0 and at_zero:
+                    emit("prop5.iii1", KIND_NUM_K_SUBFIELD, 0,
+                         CLAIM_LOWER_BOUND, (q - 1) // 2, True)
+                if s12 == 0 and d1 == d2:
+                    emit("prop5.iii2", KIND_NUM_K_SUBFIELD, k, CLAIM_EXACT_SET,
+                         (ctx.q_mul(k, d1),))
+                    if at_zero:
+                        emit("prop5.iii2", KIND_NUM0_PRIME_SUBFIELD, 0,
+                             CLAIM_MEMBER, True)
+                if s12 == 0 and d1 != d2:
+                    if at_zero:
+                        emit("prop5.iii2", KIND_NUM_K_SUBFIELD, 0,
+                             CLAIM_EXACT_CARD, (q + 1) // 2)
+                        emit("prop5.iii2", KIND_NUM0_PRIME_SUBFIELD, 0,
+                             CLAIM_EXACT_CARD, (q - 1) // 2)
+                    else:
+                        emit("remark10", KIND_NUM_K_SUBFIELD, k,
+                             CLAIM_UPPER_BOUND, (q + 1) // 2)
+
+        if q % 2 == 0 and at_zero:
+            emit("prop6.a", KIND_NUM0_PRIME_SUBFIELD, 0, CLAIM_LOWER_BOUND, 1)
+            balanced = all(ctx.q_add(ctx.q_add(d[i], d[j]), s[(i, j)]) == 0
+                           for (i, j) in s)
+            if balanced:
+                emit("prop6.b", KIND_NUM0_PRIME_SUBFIELD, 0, CLAIM_EXACT_SET,
                      (0,))
-            if s12 == 0 and d1 != d2 and not at_zero:
-                emit("prop5.ii", KIND_NUM_K_SUBFIELD, k, CLAIM_EXACT_SET,
+            elif n == 2:
+                emit("prop6.c", KIND_NUM0_PRIME_SUBFIELD, 0, CLAIM_EXACT_SET,
+                     tuple(range(1, q)))
+            elif n == 3:
+                emit("prop6.c", KIND_NUM0_PRIME_SUBFIELD, 0, CLAIM_SUPERSET,
+                     tuple(range(1, q)))
+            else:
+                emit("prop6.c", KIND_NUM0_PRIME_SUBFIELD, 0, CLAIM_EXACT_SET,
                      tuple(range(q)))
+            if n >= 4:
+                emit("cor2", KIND_NUM0_PRIME_SUBFIELD, 0, CLAIM_MEMBER, True)
+
         if qmod4 == 1:
-            if s12 != 0 and at_zero:
-                emit("prop5.iii1", KIND_NUM_K_SUBFIELD, 0, CLAIM_LOWER_BOUND,
+            if all_s_zero and all_d_equal:
+                emit("cor4.i", KIND_NUM_K_SUBFIELD, k, CLAIM_EXACT_SET,
+                     (ctx.q_mul(k, d[0]),))
+                if at_zero:
+                    emit("cor4.i", KIND_NUM0_PRIME_SUBFIELD, 0, CLAIM_MEMBER,
+                         True)
+            elif at_zero:
+                emit("cor4.ii", KIND_NUM_K_SUBFIELD, 0, CLAIM_LOWER_BOUND,
                      (q - 1) // 2, True)
-            if s12 == 0 and d1 == d2:
-                emit("prop5.iii2", KIND_NUM_K_SUBFIELD, k, CLAIM_EXACT_SET,
-                     (ctx.q_mul(k, d1),))
-                if at_zero:
-                    emit("prop5.iii2", KIND_NUM0_PRIME_SUBFIELD, 0,
-                         CLAIM_MEMBER, True)
-            if s12 == 0 and d1 != d2:
-                if at_zero:
-                    emit("prop5.iii2", KIND_NUM_K_SUBFIELD, 0,
-                         CLAIM_EXACT_CARD, (q + 1) // 2)
-                    emit("prop5.iii2", KIND_NUM0_PRIME_SUBFIELD, 0,
-                         CLAIM_EXACT_CARD, (q - 1) // 2)
-                else:
-                    emit("remark10", KIND_NUM_K_SUBFIELD, k,
-                         CLAIM_UPPER_BOUND, (q + 1) // 2)
 
-    if q % 2 == 0 and at_zero:
-        emit("prop6.a", KIND_NUM0_PRIME_SUBFIELD, 0, CLAIM_LOWER_BOUND, 1)
-        balanced = all(ctx.q_add(ctx.q_add(d[i], d[j]), s[(i, j)]) == 0
-                       for (i, j) in s)
-        if balanced:
-            emit("prop6.b", KIND_NUM0_PRIME_SUBFIELD, 0, CLAIM_EXACT_SET, (0,))
-        elif n == 2:
-            emit("prop6.c", KIND_NUM0_PRIME_SUBFIELD, 0, CLAIM_EXACT_SET,
-                 tuple(range(1, q)))
-        elif n == 3:
-            emit("prop6.c", KIND_NUM0_PRIME_SUBFIELD, 0, CLAIM_SUPERSET,
-                 tuple(range(1, q)))
-        else:
-            emit("prop6.c", KIND_NUM0_PRIME_SUBFIELD, 0, CLAIM_EXACT_SET,
-                 tuple(range(q)))
-        if n >= 4:
-            emit("cor2", KIND_NUM0_PRIME_SUBFIELD, 0, CLAIM_MEMBER, True)
+        if q % 2 == 1 and n >= 5 and at_zero:
+            emit("cor3", KIND_NUM0_PRIME_SUBFIELD, 0, CLAIM_MEMBER, True)
 
-    if qmod4 == 1:
-        if all_s_zero and all_d_equal:
-            emit("cor4.i", KIND_NUM_K_SUBFIELD, k, CLAIM_EXACT_SET,
-                 (ctx.q_mul(k, d[0]),))
+        if all_s_zero and all_d_equal and d[0] != 0 and at_zero:
+            emit("prop7", SCOPE_FIBER_ZERO, 0, CLAIM_EXACT_CARD,
+                 scalar_fiber_formula(q, n))
+            if q % 2 == 0 or n >= 3 or qmod4 == 1:
+                emit("prop7", KIND_NUM0_PRIME_SUBFIELD, 0, CLAIM_EXACT_SET,
+                     (0,))
+            else:
+                emit("prop7", KIND_NUM0_PRIME_SUBFIELD, 0, CLAIM_EMPTY)
+
+        if qmod4 == 3 and n >= 3 and at_zero:
+            emit("prop8", KIND_NUM0_PRIME_SUBFIELD, 0, CLAIM_LOWER_BOUND, 1)
+
+        if (q % 2 == 1 and (n >= 3 or qmod4 == 1) and all_s_zero
+                and d[0] != d[1] and all(x == d[1] for x in d[1:])):
             if at_zero:
-                emit("cor4.i", KIND_NUM0_PRIME_SUBFIELD, 0, CLAIM_MEMBER, True)
-        elif at_zero:
-            emit("cor4.ii", KIND_NUM_K_SUBFIELD, 0, CLAIM_LOWER_BOUND,
-                 (q - 1) // 2, True)
+                emit("prop9", KIND_NUM_K_SUBFIELD, 0, CLAIM_EXACT_CARD,
+                     (q + 1) // 2)
+                inv = ctx.q_inv(ctx.q_sub(d[1], d[0]))
+                members = [0] + [
+                    a for a in range(1, q)
+                    if ctx.q_is_square(ctx.q_mul(ctx.q_neg(a), inv))]
+                emit("prop9", KIND_NUM_K_SUBFIELD, 0, CLAIM_EXACT_SET,
+                     tuple(sorted(members)))
+                emit("prop9", KIND_NUM0_PRIME_SUBFIELD, 0, CLAIM_MEMBER,
+                     n >= 4 or (n == 3 and qmod4 == 1))
 
-    if q % 2 == 1 and n >= 5 and at_zero:
-        emit("cor3", KIND_NUM0_PRIME_SUBFIELD, 0, CLAIM_MEMBER, True)
-
-    if all_s_zero and all_d_equal and d[0] != 0 and at_zero:
-        emit("prop7", SCOPE_FIBER_ZERO, 0, CLAIM_EXACT_CARD,
-             scalar_fiber_formula(q, n))
-        if q % 2 == 0 or n >= 3 or qmod4 == 1:
-            emit("prop7", KIND_NUM0_PRIME_SUBFIELD, 0, CLAIM_EXACT_SET, (0,))
-        else:
-            emit("prop7", KIND_NUM0_PRIME_SUBFIELD, 0, CLAIM_EMPTY)
-
-    if qmod4 == 3 and n >= 3 and at_zero:
-        emit("prop8", KIND_NUM0_PRIME_SUBFIELD, 0, CLAIM_LOWER_BOUND, 1)
-
-    if (q % 2 == 1 and (n >= 3 or qmod4 == 1) and all_s_zero
-            and d[0] != d[1] and all(x == d[1] for x in d[1:])):
-        if at_zero:
-            emit("prop9", KIND_NUM_K_SUBFIELD, 0, CLAIM_EXACT_CARD,
+        if (q % 2 == 1 and n >= 3 and all_s_zero and not all_d_equal
+                and at_zero and not (q == 3 and n == 3 and len(set(d)) == 3)):
+            # q=3 with three distinct diagonal values is excluded: there
+            # the nonzero part of the level-0 cone forces every square to
+            # 1, the values collapse to d1+d2+d3 = 0, and the bound fails
+            emit("prop10", KIND_NUM_K_SUBFIELD, 0, CLAIM_LOWER_BOUND,
                  (q + 1) // 2)
-            diff = ctx.q_sub(d[1], d[0])
-            inv = ctx.q_inv(diff)
-            members = [0] + [a for a in range(1, q)
-                             if ctx.q_is_square(ctx.q_mul(ctx.q_neg(a), inv))]
-            emit("prop9", KIND_NUM_K_SUBFIELD, 0, CLAIM_EXACT_SET,
-                 tuple(sorted(members)))
-            emit("prop9", KIND_NUM0_PRIME_SUBFIELD, 0, CLAIM_MEMBER,
-                 n >= 4 or (n == 3 and qmod4 == 1))
 
-    if (q % 2 == 1 and n >= 3 and all_s_zero and not all_d_equal and at_zero
-            and not (q == 3 and n == 3 and len(set(d)) == 3)):
-        # q=3 with three distinct diagonal values is excluded: there the
-        # nonzero part of the level-0 cone forces every square to 1, the
-        # values collapse to d1+d2+d3 = 0, and the bound fails
-        emit("prop10", KIND_NUM_K_SUBFIELD, 0, CLAIM_LOWER_BOUND,
-             (q + 1) // 2)
-
-    if q % 2 == 1 and n >= 3 and _bounded_skew_triple(ctx, d, s, k):
-        emit("prop11", KIND_NUM_K_SUBFIELD, k, CLAIM_LOWER_BOUND,
-             (q + 1) // 2)
+        if q % 2 == 1 and n >= 3 and _bounded_skew_triple(ctx, d, s, k):
+            emit("prop11", KIND_NUM_K_SUBFIELD, k, CLAIM_LOWER_BOUND,
+                 (q + 1) // 2)
 
     return preds
 

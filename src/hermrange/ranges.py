@@ -293,6 +293,8 @@ def resolve_affine_shift(ctx: FieldCtx, *, k: int, trials: int = 20,
     """
     if rng is None:
         raise ValueError("resolution requires a seeded random generator")
+    if type(trials) is not int or trials < 1:
+        raise ValueError(f"trials must be a positive integer, got {trials!r}")
     check_level(ctx, k)
     ident = HermMatrix.identity(ctx, 2)
     ck_ok = ck2_ok = True

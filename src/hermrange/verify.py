@@ -17,8 +17,10 @@ The exhaustive subfield sweep keys on the symmetrized class: for u in
 F_q^n the pairing is
 <u, M u> = sum m_ii u_i^2 + sum_{i<j} (m_ij + m_ji) u_i u_j, so every
 subfield range, fiber count and subfield rule depends on M only through
-its diagonal and the sums m_ij + m_ji.  Random subfield draws rarely
-repeat a class, so a key there would only hold memory.
+its diagonal and the sums m_ij + m_ji; at n = 2 the key is
+((m11, m22), m12 + m21), and each class is predicted once for all q
+levels.  Random subfield draws rarely repeat a class, so a key there
+would only hold memory.
 
 Full-field 2 by 2 sweeps key on the null class (classify.null_class):
 (m11 - m22, N(m12), m12 m21), or (m11 - m22, 0, N(m21)) when m12 = 0.
@@ -45,7 +47,7 @@ import random
 
 from .classify import (FAIL, NULL_CLASS_KINDS, SCOPE_FIBER_ZERO,
                        check_prediction, null_class, predict_direct_sum,
-                       predict_full_field, predict_subfield, symmetrized)
+                       predict_full_field, predict_subfield)
 from .fields import FieldCtx
 from .hermitian import (DEFAULT_CAPACITY, SUBFIELD, CapacityError, HermMatrix,
                         block_diag, cone_upper_bound)
@@ -103,14 +105,6 @@ def _observed_json(obs, verdict: str) -> dict:
     if verdict == FAIL:
         out["values"] = list(obs.values)
     return out
-
-
-def _subfield_preds(m: HermMatrix) -> list:
-    """Subfield predictions of m at every level of F_q."""
-    preds = []
-    for k in range(m.ctx.q):
-        preds.extend(predict_subfield(m, k))
-    return preds
 
 
 def _draw(rng: random.Random, limit: int, n: int) -> tuple:
@@ -230,8 +224,11 @@ def run_exhaustive_2x2(ctx: FieldCtx, *, space: str = "auto",
         raise CapacityError(f"exhaustive 2x2 sweep over {'+'.join(spaces)} "
                             f"holds {total} matrices, capacity is {capacity}")
 
+    def all_levels(m):
+        return predict_subfield(m, range(ctx.q))
+
     def cases():
-        # the two key shapes differ (three codes, or two tuples), so the
+        # the two key shapes differ (three codes, or two items), so the
         # spaces of a "both" sweep never share an outcome
         for sp in spaces:
             if sp == "full":
@@ -240,10 +237,12 @@ def run_exhaustive_2x2(ctx: FieldCtx, *, space: str = "auto",
                     rows = (encs[0:2], encs[2:4])
                     yield rows, _null_class_preds, null_class(ctx, rows)
             else:
-                # q^3 classes, each met q times: once per split of its sum
-                for encs in itertools.product(range(ctx.q), repeat=4):
-                    rows = (encs[0:2], encs[2:4])
-                    yield rows, _subfield_preds, symmetrized(ctx, rows)
+                # q^3 classes (diagonal, m12 + m21), each met q times:
+                # once per split of its sum
+                for m11, m12, m21, m22 in itertools.product(range(ctx.q),
+                                                            repeat=4):
+                    yield (((m11, m12), (m21, m22)), all_levels,
+                           ((m11, m22), ctx.q_add(m12, m21)))
 
     report = _sweep(ctx, SCOPE_EXHAUSTIVE_2X2, cases(), collect, capacity,
                     {"space": space, "seed": seed})
@@ -286,7 +285,8 @@ def run_random_nxn(ctx: FieldCtx, *, n: int = 3, count: int = 50,
     draws = (_draw(rng, ctx.q2 if space == "full" else ctx.q, n)
              for _ in range(count))
     if space == "subfield":
-        cases = ((rows, _subfield_preds, None) for rows in draws)
+        cases = ((rows, lambda m: predict_subfield(m, range(ctx.q)), None)
+                 for rows in draws)
     elif _memo_fits(ctx):
         cases = ((rows, _null_class_preds, null_class(ctx, rows))
                  for rows in draws)
@@ -306,7 +306,7 @@ def run_scalar_fibers(ctx: FieldCtx, *, n_values=(2, 3, 4, 5),
     c_encs = tuple(range(1, ctx.q)) if ctx.q <= 5 else (1, 2)
     cases = ((tuple(tuple(c if i == j else 0 for j in range(n))
                     for i in range(n)),
-              lambda m: predict_subfield(m, 0), None)
+              lambda m: predict_subfield(m, (0,)), None)
              for n in n_values for c in c_encs)
     return _sweep(ctx, SCOPE_SCALAR_FIBERS, cases, collect, capacity,
                   {"n_values": list(n_values), "c_encs": list(c_encs)})

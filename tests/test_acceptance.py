@@ -262,38 +262,37 @@ def test_diagonal_pattern_bounds(towers):
             for d in itertools.product(range(ctx.q), repeat=3):
                 m = _pattern(ctx, d, (0, 0, 0))
                 for ke in range(ctx.q):
-                    seen |= _verify_preds(m, predict_subfield(m, ke))
+                    seen |= _verify_preds(m, predict_subfield(m, (ke,)))
             for _ in range(200):
                 d = tuple(rng.randrange(ctx.q) for _ in range(3))
                 s = [0, 0, 0]
                 s[rng.randrange(3)] = rng.randrange(1, ctx.q)
                 m = _pattern(ctx, d, tuple(s))
                 for ke in range(ctx.q):
-                    seen |= _verify_preds(m, predict_subfield(m, ke))
+                    seen |= _verify_preds(m, predict_subfield(m, (ke,)))
             for _ in range(40):
                 d = tuple(rng.randrange(ctx.q) for _ in range(4))
                 s = tuple(rng.randrange(ctx.q) for _ in range(6))
-                seen |= _verify_preds(_pattern(ctx, d, s),
-                                      predict_subfield(_pattern(ctx, d, s),
-                                                       0))
+                m = _pattern(ctx, d, s)
+                seen |= _verify_preds(m, predict_subfield(m, (0,)))
             for _ in range(20):
                 a, b = rng.sample(range(ctx.q), 2)
                 m = _pattern(ctx, (a, b, b, b), (0,) * 6)
-                seen |= _verify_preds(m, predict_subfield(m, 0))
+                seen |= _verify_preds(m, predict_subfield(m, (0,)))
         for q in (3, 5):
             ctx = towers[q]
             for _ in range(20):
                 d = tuple(rng.randrange(ctx.q) for _ in range(5))
                 s = tuple(rng.randrange(ctx.q) for _ in range(10))
                 m = _pattern(ctx, d, s)
-                seen |= _verify_preds(m, predict_subfield(m, 0))
+                seen |= _verify_preds(m, predict_subfield(m, (0,)))
         for q in (2, 4):
             ctx = towers[q]
             for _ in range(20):
                 d = tuple(rng.randrange(ctx.q) for _ in range(4))
                 s = tuple(rng.randrange(ctx.q) for _ in range(6))
                 m = _pattern(ctx, d, s)
-                seen |= _verify_preds(m, predict_subfield(m, 0))
+                seen |= _verify_preds(m, predict_subfield(m, (0,)))
         assert {"prop8", "prop9", "prop10", "prop11", "cor2", "cor3",
                 "cor4.i", "cor4.ii"} <= seen
         # every odd level splits across two scaled squares: a direct scan

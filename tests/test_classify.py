@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from hermrange import classify
 from hermrange.classify import (CLAIM_EMPTY, CLAIM_EXACT_CARD,
                                 CLAIM_EXACT_SET, CLAIM_LINE,
                                 CLAIM_LOWER_BOUND, CLAIM_MEMBER,
@@ -322,20 +323,20 @@ def test_direct_sum_validates_inputs(f3):
 
 def test_three_mod_four_empties_the_plane_null_range(f3):
     m = _diag(f3, (0, 1))
-    preds = predict_subfield(m, 0)
+    preds = predict_subfield(m, (0,))
     bases = _check_all(m, preds)
     assert "prop5.i" in bases
 
 
 def test_even_q_trace_dichotomy(f2):
     nil = _m(f2, [[0, 1], [0, 0]])  # d1 + d2 + s12 = 1
-    preds = predict_subfield(nil, 0)
+    preds = predict_subfield(nil, (0,))
     _check_all(nil, preds)
     assert (KIND_NUM0_PRIME_SUBFIELD, (1,)) in {
         (p.scope, p.target) for p in preds if p.basis == "prop5.ii"}
 
     bal = _m(f2, [[1, 1], [0, 0]])  # d1 + d2 + s12 = 0
-    preds = predict_subfield(bal, 0)
+    preds = predict_subfield(bal, (0,))
     _check_all(bal, preds)
     assert (KIND_NUM0_PRIME_SUBFIELD, (0,)) in {
         (p.scope, p.target) for p in preds if p.basis == "prop5.ii"}
@@ -343,7 +344,7 @@ def test_even_q_trace_dichotomy(f2):
 
 def test_even_q_full_level_for_split_diagonal(f2):
     m = _diag(f2, (0, 1))
-    preds = predict_subfield(m, 1)
+    preds = predict_subfield(m, (1,))
     _check_all(m, preds)
     assert any(p.basis == "prop5.ii" and p.claim == CLAIM_EXACT_SET
                and p.target == (0, 1) for p in preds)
@@ -351,17 +352,17 @@ def test_even_q_full_level_for_split_diagonal(f2):
 
 def test_one_mod_four_plane_rules(f5):
     crossed = _m(f5, [[0, 1], [1, 0]])  # s12 != 0
-    preds = predict_subfield(crossed, 0)
+    preds = predict_subfield(crossed, (0,))
     _check_all(crossed, preds)
     assert any(p.basis == "prop5.iii1" and p.nonzero_only for p in preds)
 
     split = _diag(f5, (0, 1))  # s12 = 0, d1 != d2
-    preds = predict_subfield(split, 0)
+    preds = predict_subfield(split, (0,))
     _check_all(split, preds)
     cards = {(p.scope, p.target) for p in preds if p.basis == "prop5.iii2"}
     assert (KIND_NUM_K_SUBFIELD, 3) in cards
     assert (KIND_NUM0_PRIME_SUBFIELD, 2) in cards
-    preds = predict_subfield(split, 2)
+    preds = predict_subfield(split, (2,))
     _check_all(split, preds)
     assert any(p.basis == "remark10" and p.target == 3 for p in preds)
 
@@ -369,25 +370,25 @@ def test_one_mod_four_plane_rules(f5):
 def test_even_q_balance_dichotomy(f2, f4):
     assert "prop6.b" in _check_all(
         HermMatrix.identity(f2, 2),
-        predict_subfield(HermMatrix.identity(f2, 2), 0))
+        predict_subfield(HermMatrix.identity(f2, 2), (0,)))
     m3 = _m(f4, [[1, 1, 0], [0, 0, 1], [0, 0, 2]])
-    preds = predict_subfield(m3, 0)
+    preds = predict_subfield(m3, (0,))
     bases = _check_all(m3, preds)
     assert "prop6.c" in bases
     m4 = _diag(f2, (0, 1, 1, 0))
-    preds = predict_subfield(m4, 0)
+    preds = predict_subfield(m4, (0,))
     bases = _check_all(m4, preds)
     assert "prop6.c" in bases and "cor2" in bases
 
 
 def test_scalar_matrix_fiber_and_null_range(f3, f5):
     two_i = HermMatrix.scalar(f3, 2, 2)
-    preds = predict_subfield(two_i, 0)
+    preds = predict_subfield(two_i, (0,))
     _check_all(two_i, preds)
     assert any(p.basis == "prop7" and p.claim == CLAIM_EMPTY for p in preds)
 
     scal5 = HermMatrix.scalar(f5, 2, 3)
-    preds = predict_subfield(scal5, 0)
+    preds = predict_subfield(scal5, (0,))
     _check_all(scal5, preds)
     assert any(p.basis == "prop7" and p.scope == SCOPE_FIBER_ZERO
                and p.target == 9 for p in preds)
@@ -396,14 +397,14 @@ def test_scalar_matrix_fiber_and_null_range(f3, f5):
 
 def test_odd_dimension_attains_a_nonzero_value(f3):
     m = _diag(f3, (0, 1, 2))
-    preds = predict_subfield(m, 0)
+    preds = predict_subfield(m, (0,))
     _check_all(m, preds)
     assert any(p.basis == "prop8" for p in preds)
 
 
 def test_two_valued_diagonal_exact_sets(f3, f5):
     m5 = _diag(f5, (0, 1, 1))
-    preds = predict_subfield(m5, 0)
+    preds = predict_subfield(m5, (0,))
     _check_all(m5, preds)
     by_claim = {p.claim: p for p in preds if p.basis == "prop9"}
     assert by_claim[CLAIM_EXACT_CARD].target == 3
@@ -411,7 +412,7 @@ def test_two_valued_diagonal_exact_sets(f3, f5):
     assert by_claim[CLAIM_MEMBER].target is True
 
     m3 = _diag(f3, (0, 1, 1))
-    preds = predict_subfield(m3, 0)
+    preds = predict_subfield(m3, (0,))
     _check_all(m3, preds)
     member = next(p for p in preds if p.basis == "prop9"
                   and p.claim == CLAIM_MEMBER)
@@ -424,16 +425,16 @@ def test_distinct_diagonal_bound_declines_the_collapsing_case(f3, f5):
     # range collapses to the singleton {d1+d2+d3}; the halved bound is
     # false there and must not be claimed
     m = _diag(f3, (0, 1, 2))
-    assert all(p.basis != "prop10" for p in predict_subfield(m, 0))
+    assert all(p.basis != "prop10" for p in predict_subfield(m, (0,)))
     assert num_k_subfield(m, 0).values == (0,)
 
     repeated = _diag(f3, (0, 1, 1))
-    preds = predict_subfield(repeated, 0)
+    preds = predict_subfield(repeated, (0,))
     assert any(p.basis == "prop10" for p in preds)
     _check_all(repeated, preds)
 
     wide5 = _diag(f5, (0, 1, 2))
-    preds = predict_subfield(wide5, 0)
+    preds = predict_subfield(wide5, (0,))
     assert any(p.basis == "prop10" for p in preds)
     _check_all(wide5, preds)
 
@@ -444,14 +445,14 @@ def test_skew_triple_bound_declines_degenerate_forms(f3, f5):
     m = _m(f3, [[1, 2, 2], [1, 1, 1], [1, 0, 1]])
     for ke in range(3):
         assert all(p.basis != "prop11"
-                   for p in predict_subfield(m, ke))
+                   for p in predict_subfield(m, (ke,)))
     assert num_k_subfield(m, 1).cardinality == 1
 
     # q = 1 mod 4 with a perfect-square form: only square levels keep
     # the half bound; nonsquare levels drop to (q-1)/2 values
     deg = _m(f5, [[0, 0, 0], [0, 1, 4], [0, 0, 4]])
     for ke in range(5):
-        preds = predict_subfield(deg, ke)
+        preds = predict_subfield(deg, (ke,))
         fired = any(p.basis == "prop11" for p in preds)
         assert fired == (ke in (0, 1, 4))
         _check_all(deg, preds)
@@ -460,28 +461,28 @@ def test_skew_triple_bound_declines_degenerate_forms(f3, f5):
 
     sound = _diag(f3, (0, 1, 1))
     for ke in range(3):
-        preds = predict_subfield(sound, ke)
+        preds = predict_subfield(sound, (ke,))
         assert any(p.basis == "prop11" for p in preds)
         _check_all(sound, preds)
 
 
 def test_one_mod_four_scalar_and_general_bounds(f5):
     scal = HermMatrix.scalar(f5, 3, 2)
-    preds = predict_subfield(scal, 3)
+    preds = predict_subfield(scal, (3,))
     _check_all(scal, preds)
     [p] = [p_ for p_ in preds if p_.basis == "cor4.i"
            and p_.scope == KIND_NUM_K_SUBFIELD]
     assert p.target == (f5.q_mul(3, 2),)
 
     m = _m(f5, [[0, 1], [2, 3]])
-    preds = predict_subfield(m, 0)
+    preds = predict_subfield(m, (0,))
     _check_all(m, preds)
     assert any(p.basis == "cor4.ii" and p.nonzero_only for p in preds)
 
 
 def test_odd_q_five_dimensions_attain_zero(f3):
     m = _diag(f3, (0, 1, 2, 0, 1))
-    preds = predict_subfield(m, 0)
+    preds = predict_subfield(m, (0,))
     bases = _check_all(m, preds)
     assert "cor3" in bases
 
@@ -495,16 +496,47 @@ def test_subfield_sweep_never_contradicts(towers):
                 m = _m(ctx, [[rng.randrange(ctx.q) for _ in range(n)]
                              for _ in range(n)])
                 for ke in range(ctx.q):
-                    _check_all(m, predict_subfield(m, ke))
+                    _check_all(m, predict_subfield(m, (ke,)))
 
 
 def test_subfield_validation(f3):
     with pytest.raises(ValueError):
-        predict_subfield(_m(f3, [[1]]), 0)
+        predict_subfield(_m(f3, [[1]]), (0,))
     with pytest.raises(ValueError):
-        predict_subfield(_m(f3, [[3, 0], [0, 1]]), 0)
+        predict_subfield(_m(f3, [[3, 0], [0, 1]]), (0,))
     with pytest.raises(ValueError):
-        predict_subfield(_diag(f3, (0, 1)), 5)
+        predict_subfield(_diag(f3, (0, 1)), (5,))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9])
+def test_predict_subfield_over_all_levels_joins_the_single_levels(towers, q):
+    ctx = towers[q]
+    rng = random.Random(q)
+    for n in (2, 3, 4):
+        for _ in range(12):
+            m = _m(ctx, [[rng.randrange(q) for _ in range(n)]
+                         for _ in range(n)])
+            joined = [p for k in range(q) for p in predict_subfield(m, (k,))]
+            assert predict_subfield(m, range(q)) == joined, m
+            # any order of levels, a generator included, is kept
+            assert predict_subfield(m, (k for k in range(q - 1, -1, -1))) == [
+                p for k in range(q - 1, -1, -1)
+                for p in predict_subfield(m, (k,))], m
+
+
+@pytest.mark.parametrize("levels", [(0, 1, 3), (3, 0), (0, 2, True),
+                                    (1, -1, 0), (0, 1, 2, 4)])
+def test_predict_subfield_checks_every_level_before_predicting(
+        monkeypatch, f3, levels):
+    # a bad level anywhere in levels refuses the call before any rule
+    # builds a prediction, even for the good levels before it
+    scalar = _diag(f3, (1, 1, 1))
+    assert predict_subfield(scalar, (0,)) and predict_subfield(scalar, ()) == []
+    built = []
+    monkeypatch.setattr(classify, "Prediction", lambda *a: built.append(a))
+    with pytest.raises(ValueError, match="level code must lie in F_q"):
+        predict_subfield(scalar, levels)
+    assert built == []
 
 
 def _class_rep(m):
@@ -532,7 +564,8 @@ def test_subfield_data_depends_only_on_the_symmetrized_class(towers):
         for k in range(ctx.q):
             assert (range_naive(m, KIND_NUM_K_SUBFIELD, k)
                     == num_k_subfield(rep, k)), (m, k)
-            assert predict_subfield(m, k) == predict_subfield(rep, k), (m, k)
+            assert (predict_subfield(m, (k,))
+                    == predict_subfield(rep, (k,))), (m, k)
         assert (range_naive(m, KIND_NUM0_PRIME_SUBFIELD, 0)
                 == num0_prime_subfield(rep)), m
         assert fiber_table(m) == fiber_table(rep), m
@@ -734,7 +767,7 @@ def test_prediction_payload_types(towers, f3):
         for encs in itertools.product(range(ctx.q), repeat=4):
             m = _m(ctx, [encs[0:2], encs[2:4]])
             for ke in range(ctx.q):
-                check(ctx, predict_subfield(m, ke))
+                check(ctx, predict_subfield(m, (ke,)))
     rng = random.Random(101)
     for q in (2, 3, 4, 5):
         ctx = towers[q]
@@ -742,7 +775,7 @@ def test_prediction_payload_types(towers, f3):
             m = _m(ctx, [[rng.randrange(ctx.q) for _ in range(3)]
                          for _ in range(3)])
             for ke in range(ctx.q):
-                check(ctx, predict_subfield(m, ke))
+                check(ctx, predict_subfield(m, (ke,)))
     for ctx, encs in ((f3, (0, 1, 2)), (f3, (0, 1, 3)), (f3, (0, 1, 2, 3)),
                       (towers[2], (0, 1, 2))):
         check(ctx, predict_unitary_diagonal(

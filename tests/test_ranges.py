@@ -250,7 +250,7 @@ _LEVEL_CALLS = {
     "range_naive": lambda m, k: range_naive(m, KIND_NUM_K_SUBFIELD, k),
     "range_naive-null": lambda m, k: range_naive(m, KIND_NUM0_PRIME_SUBFIELD,
                                                  k),
-    "predict_subfield": predict_subfield,
+    "predict_subfield": lambda m, k: predict_subfield(m, (k,)),
     "fiber_count": fiber_count,
     "resolve_affine_shift": lambda m, k: resolve_affine_shift(
         m.ctx, k=k, trials=1, rng=random.Random(0)),
@@ -305,6 +305,17 @@ def test_affine_shift_resolution(f3):
                                 rng=random.Random(0)) == "tie"
     with pytest.raises(ValueError):
         resolve_affine_shift(f3, k=2)
+
+
+@pytest.mark.parametrize("trials", [0, -5, 2.0, True])
+def test_affine_shift_refuses_trials_below_one_before_any_draw(f3, trials):
+    # with no matrix tried, "tie" would read as "no level separates the
+    # two laws"
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="trials must be a positive integer"):
+        resolve_affine_shift(f3, k=2, trials=trials, rng=rng)
+    assert rng.getstate() == state
 
 
 def test_gram_value_matches_the_pairing(towers):

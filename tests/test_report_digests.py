@@ -42,6 +42,22 @@ PINNED = (
     ("exhaustive-2x2-subfield-q7", run_exhaustive_2x2, (7, 1),
      {"space": "subfield"},
      "11bf166f76489d4be3179a6ed8108a71f5f0a25d7ebdafa2fb150452b88bf1bd"),
+    # q = 9 = 1 mod 4 on a degree-2 field: prop5.iii*, cor4.*, prop7,
+    # prop9 and remark10
+    ("exhaustive-2x2-subfield-q9", run_exhaustive_2x2, (3, 2),
+     {"space": "subfield"},
+     "db72b99e9a9a7de5d06d9d862129fb8fa32d0ea5900a53cd9e3c177c5fbde810"),
+    # random subfield draws at n >= 3: prop9, prop10, prop11 and cor4.ii
+    # at q = 5; prop6.* at q = 4; prop8 and prop11 at q = 3, n = 4
+    ("random-nxn-q5-n3", run_random_nxn, (5, 1),
+     {"n": 3, "count": 200, "seed": 0},
+     "d916ad0ef6e65290a61f35ded1c0bd7cd326bf8a655c8c5fc39bc523ff194266"),
+    ("random-nxn-q4-n3", run_random_nxn, (2, 2),
+     {"n": 3, "count": 200, "seed": 0},
+     "f71d8a5f55b27c551a5b2b3f577aba97e573a92cef0bc830851b3eb4d590b9c1"),
+    ("random-nxn-q3-n4", run_random_nxn, (3, 1),
+     {"n": 4, "count": 100, "seed": 0},
+     "96c36d4781d522c4d7d845894a9adf39c023b10229ece984a1662ebd75c631d2"),
     # random subfield sweep of 3x3 draws, each draw evaluated on its own
     ("random-nxn-q3-n3-count400", run_random_nxn, (3, 1),
      {"n": 3, "count": 400, "seed": 1},

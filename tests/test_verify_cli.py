@@ -86,8 +86,8 @@ def _count_rule_calls(monkeypatch):
     calls = Counter()
     predict, check = verify.predict_subfield, verify.check_prediction
 
-    def counting_predict(m, k):
-        preds = predict(m, k)
+    def counting_predict(m, levels):
+        preds = predict(m, levels)
         calls["predict"] += 1
         calls["predictions"] += len(preds)
         return preds
@@ -104,8 +104,9 @@ def _count_rule_calls(monkeypatch):
 def test_exhaustive_subfield_sweep_evaluates_each_class_once(monkeypatch, f3):
     calls = _count_rule_calls(monkeypatch)
     report = _clean(run_exhaustive_2x2(f3, space="subfield"))
-    # 81 matrices, 27 classes (two diagonal codes and one sum), 3 levels
-    assert calls["predict"] == 27 * 3
+    # 81 matrices, 27 classes (two diagonal codes and one sum), each
+    # predicted once for all 3 levels
+    assert calls["predict"] == 27
     assert calls["check"] == calls["predictions"]
     # every matrix is still tallied and reported: 93 checks, as when each
     # matrix was evaluated on its own
