@@ -182,8 +182,8 @@ def predict_full_field(m: HermMatrix) -> list[Prediction]:
     if m12 and m21:
         preds.append(Prediction("prop4.i", KIND_NUM0_PRIME, 0,
                                 CLAIM_LOWER_BOUND, _half_up(q + 1)))
-        ratio = ctx.div_enc(ctx.neg_enc(m12), m21)
-        if ctx.norm_enc(ratio) != 1:
+        # N(-m12 / m21) != 1, as N(-1) = 1 and the norm is multiplicative
+        if ctx.norm_enc(m12) != ctx.norm_enc(m21):
             preds.append(Prediction("prop4.ii", KIND_NUM0_PRIME, 0,
                                     CLAIM_LOWER_BOUND, q + 1))
     return preds
@@ -321,8 +321,8 @@ def null_class(ctx: FieldCtx, rows):
     q^3 (q^2 - q + 1) keys.  Both operations also preserve every
     hypothesis predict_full_field reads (scalarity, the eigenvalue gap up
     to sign, eigenvector isotropy and orthogonality, eigenspace
-    dimensions, whether m12 m21 != 0, and N(-m12/m21)), so its ordered
-    predictions are functions of the key too.
+    dimensions, whether m12 m21 != 0, and whether N(m12) = N(m21)), so
+    its ordered predictions are functions of the key too.
     """
     (a, b), (c, d) = rows
     if b:
@@ -352,6 +352,8 @@ def predict_subfield(m: HermMatrix, levels) -> list[Prediction]:
     qmod4 = q % 4
     all_s_zero = all(v == 0 for v in s.values())
     all_d_equal = all(x == d[0] for x in d)
+    skew_every, skew_square = (_bounded_skew_triples(ctx, d, s)
+                               if q % 2 == 1 and n >= 3 else (False, False))
     preds: list[Prediction] = []
 
     def emit(*args):
@@ -466,17 +468,22 @@ def predict_subfield(m: HermMatrix, levels) -> list[Prediction]:
             emit("prop10", KIND_NUM_K_SUBFIELD, 0, CLAIM_LOWER_BOUND,
                  (q + 1) // 2)
 
-        if q % 2 == 1 and n >= 3 and _bounded_skew_triple(ctx, d, s, k):
+        if skew_every or (skew_square and ctx.q_is_square(k)):
             emit("prop11", KIND_NUM_K_SUBFIELD, k, CLAIM_LOWER_BOUND,
                  (q + 1) // 2)
 
     return preds
 
 
-def _bounded_skew_triple(ctx: FieldCtx, d, s, k_enc: int) -> bool:
-    """Some row i has two symmetrized-zero partners j1, j2 whose induced
-    form alpha*x^2 + beta*xy + gamma*y^2 (alpha = d_j1 - d_i, gamma =
-    d_j2 - d_i, beta = s_j1j2) pins at least (q+1)/2 values at level k.
+def _bounded_skew_triples(ctx: FieldCtx, d, s) -> tuple[bool, bool]:
+    """Whether some bounded skew triple exists at every level k, and
+    whether one exists at every square level k.
+
+    A bounded skew triple is a row i with two symmetrized-zero partners
+    j1, j2 whose induced form alpha*x^2 + beta*xy + gamma*y^2
+    (alpha = d_j1 - d_i, gamma = d_j2 - d_i, beta = s_j1j2) pins at least
+    (q+1)/2 values at level k.  Only the squareness of k enters, so one
+    scan serves every level.
 
     Two exceptional triple shapes are skipped because the plane form
     cannot always be lifted through the third coordinate:
@@ -495,26 +502,26 @@ def _bounded_skew_triple(ctx: FieldCtx, d, s, k_enc: int) -> bool:
     def sv(i, j):
         return s[(i, j) if i < j else (j, i)]
 
-    def good(alpha, beta, gamma):
-        if alpha == beta == gamma == 0:
-            return False
-        if ctx.q_add(alpha, gamma) != 0:
-            return True
-        if q == 3:
-            return False
-        disc = ctx.q_sub(ctx.q_mul(beta, beta),
-                         ctx.q_mul(four, ctx.q_mul(alpha, gamma)))
-        return disc != 0 or ctx.q_is_square(k_enc)
-
+    square = False
     for i in range(n):
         partners = [j for j in range(n) if j != i and sv(i, j) == 0]
         for a in range(len(partners)):
             for b in range(a + 1, len(partners)):
                 j1, j2 = partners[a], partners[b]
-                if good(ctx.q_sub(d[j1], d[i]), sv(j1, j2),
-                        ctx.q_sub(d[j2], d[i])):
-                    return True
-    return False
+                alpha, beta = ctx.q_sub(d[j1], d[i]), sv(j1, j2)
+                gamma = ctx.q_sub(d[j2], d[i])
+                if alpha == beta == gamma == 0:
+                    continue
+                if ctx.q_add(alpha, gamma) != 0:
+                    return True, True
+                if q == 3:
+                    continue
+                disc = ctx.q_sub(ctx.q_mul(beta, beta),
+                                 ctx.q_mul(four, ctx.q_mul(alpha, gamma)))
+                if disc != 0:
+                    return True, True
+                square = True
+    return False, square
 
 
 def scalar_fiber_formula(q: int, n: int) -> int:

@@ -24,17 +24,18 @@ Arithmetic comes in two tiers, chosen by one test, q^2 <= 512:
   costs two F_q operations, the norm is x * x^q, and ``dot_encs`` sums
   products term by term.
 
-Below them, F_q with q <= 64 uses dense pairwise add/mul tables; larger
-prime F_q (m = 1) computes on integer residues mod p, which are its
-codes, and any other larger F_q on polynomial digit vectors.  Inverses
-are a^(q-2) and squareness is Euler's criterion.  One discrete-log table
-of F_q^* serves both nonlinear maps that complete null vectors: an odd-q
-square root is +-exp[log a / 2], and norm preimages come from a walk
-over the second coordinate x1 of x0 + x1 t in code order.  There
-N(x0 + x1 t) = x1^2 N(x0 / x1 + t), so each x1 != 0 takes its first
-coordinates from a fiber table of y -> N(y + t) at a / x1^2.  The
-log/exp and fiber tables hold q entries each and are built on first
-use; square roots and Artin-Schreier roots in F_{q^2} come from formulas.
+Below them, a prime F_q (m = 1) computes on integer residues mod p,
+which are its codes; any other F_q uses dense pairwise add/mul tables up
+to q = 64 and polynomial digit vectors above.  Inverses are a^(q-2),
+squareness is Euler's criterion, and one square-and-multiply serves
+every power.  One discrete-log table of F_q^* serves both nonlinear maps
+that complete null vectors: an odd-q square root is +-exp[log a / 2],
+and norm preimages come from a walk over the second coordinate x1 of
+x0 + x1 t in code order.  There N(x0 + x1 t) = x1^2 N(x0 / x1 + t), so
+each x1 != 0 takes its first coordinates from a fiber table of
+y -> N(y + t) at a / x1^2.  The log/exp and fiber tables hold q entries
+each and are built on first use; square roots and Artin-Schreier roots
+in F_{q^2} come from formulas.
 """
 
 from __future__ import annotations
@@ -42,37 +43,47 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-# Dense tables are only worth the memory for very small fields: F_q
-# tabulates add/mul up to _Q_PAIRWISE_LIMIT elements,
+# Dense tables are only worth the memory for very small fields: F_q with
+# m > 1 tabulates add/mul up to _Q_PAIRWISE_LIMIT elements,
 # and F_{q^2} tabulates all five operations up to _Q2_PAIRWISE_LIMIT
 # elements and computes them by formula above it.
 _Q_PAIRWISE_LIMIT = 64
 _Q2_PAIRWISE_LIMIT = 512
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
+def _least_factor(n: int) -> int:
+    """The least prime factor of n >= 2, by trial division."""
     d = 2
     while d * d <= n:
         if n % d == 0:
-            return False
+            return d
         d += 1 if d == 2 else 2
-    return True
+    return n
+
+
+def _is_prime(n: int) -> bool:
+    return n >= 2 and _least_factor(n) == n
 
 
 def _prime_factors(n: int) -> list[int]:
     out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
+    while n > 1:
+        d = _least_factor(n)
+        out.append(d)
+        while n % d == 0:
+            n //= d
     return out
+
+
+def _power(mul, a, e: int, one=1):
+    """a^e for e >= 0 by square-and-multiply over the product mul."""
+    result = one
+    while e:
+        if e & 1:
+            result = mul(result, a)
+        a = mul(a, a)
+        e >>= 1
+    return result
 
 
 def _digits(v: int, base: int, width: int) -> list[int]:
@@ -122,44 +133,16 @@ def _pmod(a, f, p: int) -> list[int]:
     return _ptrim(a[:df] or [0])
 
 
-def _pdivmod(a, b, p: int):
-    a = list(a)
-    b = _ptrim(list(b))
-    db = len(b) - 1
-    if b == [0]:
-        raise ZeroDivisionError("polynomial division by zero")
-    inv_lead = pow(b[-1], -1, p)
-    quot = [0] * max(1, len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = (a[i] * inv_lead) % p
-        if c:
-            quot[i - db] = c
-            for j in range(db + 1):
-                a[i - db + j] = (a[i - db + j] - c * b[j]) % p
-    return _ptrim(quot), _ptrim(a[: max(1, db)] or [0])
-
-
 def _pgcd(a, b, p: int) -> list[int]:
+    """Monic gcd of a and a nonzero b: each step divides by the monic
+    associate of the divisor, which leaves the same remainder."""
     a = _ptrim(list(a))
     b = _ptrim(list(b))
     while b != [0]:
-        _, r = _pdivmod(a, b, p)
-        a, b = b, r
-    if a != [0]:
-        inv_lead = pow(a[-1], -1, p)
-        a = [(c * inv_lead) % p for c in a]
+        inv_lead = pow(b[-1], -1, p)
+        monic = [(c * inv_lead) % p for c in b]
+        a, b = monic, _pmod(a, monic, p)
     return a
-
-
-def _ppowmod(base, e: int, f, p: int) -> list[int]:
-    result = [1]
-    acc = _pmod(base, f, p)
-    while e:
-        if e & 1:
-            result = _pmod(_pmul(result, acc, p), f, p)
-        acc = _pmod(_pmul(acc, acc, p), f, p)
-        e >>= 1
-    return result
 
 
 def _irreducible_fp(f, p: int) -> bool:
@@ -167,21 +150,17 @@ def _irreducible_fp(f, p: int) -> bool:
     m = len(f) - 1
     if m == 1:
         return True
-    x = [0, 1]
     # x^(p^m) must reduce to x, and x^(p^(m/r)) - x must be coprime to f
-    # for every prime divisor r of m.
-    xq = _pmod(x, f, p)
+    # for every prime divisor r of m; frob[j] = x^(p^j) mod f
+    frob = [[0, 1]]
     for _ in range(m):
-        xq = _ppowmod(xq, p, f, p)
-    if xq != _pmod(x, f, p):
+        frob.append(_power(lambda u, v: _pmod(_pmul(u, v, p), f, p),
+                           frob[-1], p, [1]))
+    if frob[m] != frob[0]:
         return False
     for r in _prime_factors(m):
-        xk = _pmod(x, f, p)
-        for _ in range(m // r):
-            xk = _ppowmod(xk, p, f, p)
-        diff = _ptrim([(c - d) % p for c, d in
-                       zip(xk + [0] * len(f), _pmod(x, f, p) + [0] * len(f))])
-        if _pgcd(diff, f, p) != [1]:
+        pairs = itertools.zip_longest(frob[m // r], frob[0], fillvalue=0)
+        if _pgcd([(c - d) % p for c, d in pairs], f, p) != [1]:
             return False
     return True
 
@@ -277,15 +256,7 @@ class FieldCtx:
 
     def _init_q_level(self) -> None:
         q = self.q
-        if q <= _Q_PAIRWISE_LIMIT:
-            add_t = [[self._q_add_poly(a, b) for b in range(q)] for a in range(q)]
-            mul_t = [[self._q_mul_poly(a, b) for b in range(q)] for a in range(q)]
-            self.q_add = lambda a, b: add_t[a][b]
-            self.q_mul = lambda a, b: mul_t[a][b]
-            neg_t = [self._q_neg_poly(a) for a in range(q)]
-            self.q_neg = lambda a: neg_t[a]
-            self.q_sub = lambda a, b: add_t[a][neg_t[b]]
-        elif self.m == 1:
+        if self.m == 1:
             # the modulus is x, so codes are residues and the digit
             # routines reduce to integer arithmetic mod p
             p = self.p
@@ -293,6 +264,14 @@ class FieldCtx:
             self.q_mul = lambda a, b: a * b % p
             self.q_neg = lambda a: -a % p
             self.q_sub = lambda a, b: (a - b) % p
+        elif q <= _Q_PAIRWISE_LIMIT:
+            add_t = [[self._q_add_poly(a, b) for b in range(q)] for a in range(q)]
+            mul_t = [[self._q_mul_poly(a, b) for b in range(q)] for a in range(q)]
+            self.q_add = lambda a, b: add_t[a][b]
+            self.q_mul = lambda a, b: mul_t[a][b]
+            neg_t = [self._q_neg_poly(a) for a in range(q)]
+            self.q_neg = lambda a: neg_t[a]
+            self.q_sub = lambda a, b: add_t[a][neg_t[b]]
         else:
             self.q_add = self._q_add_poly
             self.q_mul = self._q_mul_poly
@@ -303,13 +282,7 @@ class FieldCtx:
     def q_pow(self, a: int, e: int) -> int:
         if e < 0:
             a, e = self.q_inv(a), -e
-        result, acc = 1, a
-        while e:
-            if e & 1:
-                result = self.q_mul(result, acc)
-            acc = self.q_mul(acc, acc)
-            e >>= 1
-        return result
+        return _power(self.q_mul, a, e)
 
     def q_inv(self, a: int) -> int:
         if a == 0:
@@ -487,14 +460,7 @@ class FieldCtx:
     def pow_enc(self, x: int, e: int) -> int:
         if e < 0:
             x, e = self.inv_enc(x), -e
-        result, acc = 1, x
-        mul = self.mul_enc
-        while e:
-            if e & 1:
-                result = mul(result, acc)
-            acc = mul(acc, acc)
-            e >>= 1
-        return result
+        return _power(self.mul_enc, x, e)
 
     def inv_enc(self, x: int) -> int:
         if x == 0:

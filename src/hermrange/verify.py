@@ -6,6 +6,13 @@ exhaustively, and aggregates verdicts into a serializable report.  A
 failing check names the matrix, the rule tag, and the observed values,
 so a single failure pinpoints the rule it contradicts.
 
+Every runner checks its largest enumeration against the capacity before
+its first case, so a sweep never starts work that a later case would
+refuse: the matrix count of an exhaustive sweep, the q level cones of a
+random subfield draw, the 2 by 2 level-0 cone of a random full-field
+draw, the subfield cone of every scalar-fibers n, and the full-field
+cone of the largest direct sum.
+
 All runners share one loop, _sweep; a runner only yields cases, each
 the code rows of a matrix, its predictor and an outcome key.  Cases with
 one outcome key share the first one's outcomes (observations and
@@ -29,15 +36,15 @@ diag(1, mu), N(mu) = 1.  Both fix the null cone and the values on it,
 so they fix both level-0 ranges, and they preserve every hypothesis
 predict_full_field reads: scalarity, the eigenvalue gap up to sign,
 eigenvector isotropy and orthogonality, eigenspace dimensions, whether
-m12 m21 != 0, and N(-m12/m21).  So the predictions are functions of the
-class too.  One guard, _null_class_preds, runs once per class on the
-representative's predictions and raises RuntimeError on any claim off
-level 0 or outside NULL_CLASS_KINDS, so a future rule the class does not
-fix fails loudly instead of taking another matrix's outcome.  The
-exhaustive full space always keys (its memo holds one outcome per class,
-and the capacity check on its q^8 matrices bounds that); a random draw
-keys only while every class fits MEMO_RANGE_VALUES (q <= 7), so its
-memo cannot grow with the draw count.
+m12 m21 != 0, and whether N(m12) = N(m21).  So the predictions are
+functions of the class too.  One guard, _null_class_preds, runs once per
+class on the representative's predictions and raises RuntimeError on any
+claim off level 0 or outside NULL_CLASS_KINDS, so a future rule the
+class does not fix fails loudly instead of taking another matrix's
+outcome.  The exhaustive full space always keys (its memo holds one
+outcome per class, and the capacity check on its q^8 matrices bounds
+that); a random draw keys only while every class fits MEMO_RANGE_VALUES
+(q <= 7), so its memo cannot grow with the draw count.
 """
 
 from __future__ import annotations
@@ -49,8 +56,8 @@ from .classify import (FAIL, NULL_CLASS_KINDS, SCOPE_FIBER_ZERO,
                        check_prediction, null_class, predict_direct_sum,
                        predict_full_field, predict_subfield)
 from .fields import FieldCtx
-from .hermitian import (DEFAULT_CAPACITY, SUBFIELD, CapacityError, HermMatrix,
-                        block_diag, cone_upper_bound)
+from .hermitian import (DEFAULT_CAPACITY, FULL_FIELD, SUBFIELD, CapacityError,
+                        HermMatrix, block_diag, cone_upper_bound)
 from .ranges import (FiberCount, fiber_count, num_k, range_of,
                      resolve_affine_shift)
 
@@ -136,6 +143,14 @@ def _memo_fits(ctx: FieldCtx) -> bool:
 def _check_count(count: int) -> None:
     if count < 0:
         raise ValueError(f"matrix count must not be negative, got {count}")
+
+
+def _check_capacity(sweep: str, total: int, capacity: int) -> None:
+    """Refuse a sweep before its first case when a matrix may enumerate
+    more than capacity vectors."""
+    if total > capacity:
+        raise CapacityError(f"{sweep} sweep enumerates up to {total} "
+                            f"vectors a matrix, capacity is {capacity}")
 
 
 def _sweep(ctx: FieldCtx, scope: str, cases, collect: str, capacity: int,
@@ -266,7 +281,8 @@ def run_random_nxn(ctx: FieldCtx, *, n: int = 3, count: int = 50,
 
     A subfield draw is checked at all q levels, so a sweep whose level
     cones may hold more than capacity vectors in all raises
-    CapacityError before its first draw.
+    CapacityError before its first draw; a full-field sweep does so when
+    its 2 by 2 level-0 cone may.
     """
     _check_count(count)
     if n < 2:
@@ -276,11 +292,11 @@ def run_random_nxn(ctx: FieldCtx, *, n: int = 3, count: int = 50,
     if space == "full" and n != 2:
         raise ValueError("full-field rules cover n=2 only")
     if space == "subfield":
-        total = ctx.q * cone_upper_bound(ctx, n, SUBFIELD)
-        if total > capacity:
-            raise CapacityError(
-                f"random {n}x{n} subfield sweep enumerates up to {total} "
-                f"vectors a matrix, capacity is {capacity}")
+        _check_capacity(f"random {n}x{n} subfield",
+                        ctx.q * cone_upper_bound(ctx, n, SUBFIELD), capacity)
+    else:
+        _check_capacity("random 2x2 full-field",
+                        cone_upper_bound(ctx, 2, FULL_FIELD), capacity)
     rng = random.Random(seed)
     draws = (_draw(rng, ctx.q2 if space == "full" else ctx.q, n)
              for _ in range(count))
@@ -299,10 +315,17 @@ def run_random_nxn(ctx: FieldCtx, *, n: int = 3, count: int = 50,
 def run_scalar_fibers(ctx: FieldCtx, *, n_values=(2, 3, 4, 5),
                       collect: str = COLLECT_ALL,
                       capacity: int = DEFAULT_CAPACITY) -> dict:
-    """Fiber-size formula versus counted null fibers for scalar matrices."""
+    """Fiber-size formula versus counted null fibers for scalar matrices.
+
+    Raises CapacityError before the first matrix when the subfield cone
+    of any n in n_values may hold more than capacity vectors.
+    """
     for n in n_values:
         if n < 2:
             raise ValueError(f"dimension must be at least 2, got {n}")
+    for n in n_values:
+        _check_capacity(f"scalar-fibers {n}x{n}",
+                        cone_upper_bound(ctx, n, SUBFIELD), capacity)
     c_encs = tuple(range(1, ctx.q)) if ctx.q <= 5 else (1, 2)
     cases = ((tuple(tuple(c if i == j else 0 for j in range(n))
                     for i in range(n)),
@@ -315,10 +338,18 @@ def run_scalar_fibers(ctx: FieldCtx, *, n_values=(2, 3, 4, 5),
 def run_direct_sums(ctx: FieldCtx, *, count: int = 50, seed: int = 0,
                     collect: str = COLLECT_ALL,
                     capacity: int = DEFAULT_CAPACITY) -> dict:
-    """Zero-level assembly law on random block-diagonal matrices."""
+    """Zero-level assembly law on random block-diagonal matrices.
+
+    Draw i is 2 by 2 or, from i = 1 on, 3 by 3, so a sweep whose
+    full-field cone at the largest size may hold more than capacity
+    vectors raises CapacityError before its first draw.
+    """
     _check_count(count)
     rng = random.Random(seed)
     splits = ((1, 1), (1, 2), (2, 1))
+    for n in sorted({xa + xb for xa, xb in splits[:count]}):
+        _check_capacity(f"direct-sums {n}x{n}",
+                        cone_upper_bound(ctx, n, FULL_FIELD), capacity)
 
     def cases():
         for i in range(count):

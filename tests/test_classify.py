@@ -209,6 +209,25 @@ def test_offdiagonal_norm_condition(f3):
     assert p.target == 4
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_offdiagonal_norm_condition_reads_the_norms(towers, q):
+    # prop4.ii's N(-m12 / m21) != 1 is N(m12) != N(m21), since N(-1) = 1
+    # and N is multiplicative; it holds for every nonzero pair
+    ctx = towers[q]
+    for m12 in range(1, ctx.q2):
+        for m21 in range(1, ctx.q2):
+            ratio = ctx.div_enc(ctx.neg_enc(m12), m21)
+            assert (ctx.norm_enc(m12) != ctx.norm_enc(m21)) == \
+                (ctx.norm_enc(ratio) != 1), (m12, m21)
+    rng = random.Random(q)
+    for _ in range(40):
+        m12, m21 = rng.randrange(1, ctx.q2), rng.randrange(1, ctx.q2)
+        ratio = ctx.div_enc(ctx.neg_enc(m12), m21)
+        bases = {p.basis for p in predict_full_field(
+            _m(ctx, [[rng.randrange(ctx.q2), m12], [m21, 0]]))}
+        assert ("prop4.ii" in bases) == (ctx.norm_enc(ratio) != 1)
+
+
 def test_full_field_sweep_never_contradicts(towers):
     rng = random.Random(83)
     for q in (2, 3):
@@ -464,6 +483,49 @@ def test_skew_triple_bound_declines_degenerate_forms(f3, f5):
         preds = predict_subfield(sound, (ke,))
         assert any(p.basis == "prop11" for p in preds)
         _check_all(sound, preds)
+
+
+def _skew_triple_at(ctx, d, s, k):
+    """prop11's hypothesis at one level, by its definition: some row i
+    with symmetrized-zero partners j1 < j2 whose form is not zero, and
+    which has alpha + gamma != 0, or q > 3 and a nonzero discriminant or
+    a square level."""
+    q, n = ctx.q, len(d)
+    for i, j1, j2 in itertools.permutations(range(n), 3):
+        if j1 > j2 or s[tuple(sorted((i, j1)))] or s[tuple(sorted((i, j2)))]:
+            continue
+        alpha, beta = ctx.q_sub(d[j1], d[i]), s[(j1, j2)]
+        gamma = ctx.q_sub(d[j2], d[i])
+        disc = ctx.q_sub(ctx.q_mul(beta, beta),
+                         ctx.q_mul(4 % ctx.p, ctx.q_mul(alpha, gamma)))
+        if (alpha, beta, gamma) != (0, 0, 0) and (
+                ctx.q_add(alpha, gamma) or q > 3 and (
+                    disc or ctx.q_is_square(k))):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+def test_skew_triples_are_scanned_once_for_all_levels(monkeypatch, towers,
+                                                     q):
+    ctx = towers[q]
+    rng = random.Random(q)
+    calls = []
+    real = classify._bounded_skew_triples
+    monkeypatch.setattr(classify, "_bounded_skew_triples",
+                        lambda *a: calls.append(a) or real(*a))
+    for n in (3, 4, 5):
+        for _ in range(40):
+            # sparse off-diagonal sums, so rows have zero partners
+            m = _m(ctx, [[rng.randrange(q) if i == j or rng.random() < 0.3
+                          else 0 for j in range(n)] for i in range(n)])
+            calls.clear()
+            preds = predict_subfield(m, range(q))
+            assert len(calls) == 1
+            d, sums = symmetrized(ctx, m.encs())
+            assert sorted({p.k_enc for p in preds if p.basis == "prop11"}) \
+                == [k for k in range(q)
+                    if _skew_triple_at(ctx, d, dict(sums), k)], m
 
 
 def test_one_mod_four_scalar_and_general_bounds(f5):

@@ -1,11 +1,16 @@
 """Tower construction and arithmetic on element codes."""
 
+import hashlib
 import inspect
+import itertools
+import json
 import random
 
 import pytest
 
-from hermrange.fields import FieldCtx, FieldSpec, build_tower, ctx_from_spec
+from hermrange.fields import (FieldCtx, FieldSpec, _first_irreducible_fp,
+                              _is_prime, _pmod, _prime_factors, build_tower,
+                              ctx_from_spec)
 
 from conftest import TOWER_PARAMS
 
@@ -50,6 +55,69 @@ def test_spec_round_trip(f5):
     rebuilt = ctx_from_spec(spec)
     assert [rebuilt.mul_enc(a, b) for a in range(25) for b in range(7, 12)] \
         == [f5.mul_enc(a, b) for a in range(25) for b in range(7, 12)]
+
+
+def test_tower_specs_digest():
+    # every prime power up to 4096 and five larger towers, including the
+    # biggest field the command line accepts; the moduli in these specs
+    # pin the irreducibility test, the trial division and the F_q
+    # arithmetic the quadratic modulus search runs on
+    towers = [(p, m) for p in range(2, 4097) if _is_prime(p)
+              for m in range(1, 13) if p ** m <= 4096]
+    towers += [(2, 14), (2, 20), (3, 12), (5, 8), (7, 7)]
+    assert len(towers) == 609
+    text = json.dumps([build_tower(p, m).spec.to_json_dict()
+                       for p, m in towers],
+                      sort_keys=True, separators=(",", ":")) + "\n"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "f32e6009ac909e4966439d650287c7726f3f0586193cd16171fda51055547197")
+
+
+def _first_irreducible_by_trial_division(p, m):
+    """The first monic degree-m candidate in digit order that no monic
+    polynomial of degree 1 to m // 2 divides."""
+    divisors = [list(low) + [1] for d in range(1, m // 2 + 1)
+                for low in itertools.product(range(p), repeat=d)]
+    for low in itertools.product(range(p), repeat=m):
+        f = list(reversed(low)) + [1]
+        if all(_pmod(f, g, p) != [0] for g in divisors):
+            return tuple(f)
+    raise AssertionError("no irreducible candidate")
+
+
+def test_first_irreducible_matches_trial_division():
+    cases = [(p, m) for p in range(2, 730) if _is_prime(p)
+             for m in range(1, 10) if p ** m <= 729]
+    for p, m in cases:
+        assert _first_irreducible_fp(p, m) == \
+            _first_irreducible_by_trial_division(p, m), (p, m)
+
+
+def test_prime_field_powers_match_builtin_pow():
+    rng = random.Random(17)
+    for p in (2, 3, 5, 7, 23, 67, 1031):
+        ctx = build_tower(p)
+        small = p < 100
+        exps = list(range(-2 * p, 2 * p + 2)) if small else [
+            rng.randrange(-2 * p, 2 * p) for _ in range(40)]
+        exps.append(rng.randrange(-10 ** 6, 10 ** 6))
+        for a in range(p) if small else rng.sample(range(p), 40):
+            for e in exps:
+                if a == 0 and e < 0:
+                    continue
+                assert ctx.q_pow(a, e) == pow(a, e, p), (p, a, e)
+
+
+def test_trial_division_matches_a_filter():
+    primes = [n for n in range(2, 3000)
+              if all(n % d for d in range(2, n))]
+    assert [n for n in range(-2, 3000) if _is_prime(n)] == primes
+    for n in range(1, 3000):
+        assert _prime_factors(n) == [d for d in primes if n % d == 0], n
+    # the test stops at the least factor, so a huge composite p is refused
+    # at once rather than after some 2^64 trial divisions
+    with pytest.raises(ValueError, match="p must be prime"):
+        build_tower(3 * (2 ** 127 - 1))
 
 
 def test_canonical_construction_is_stable():
@@ -158,9 +226,10 @@ def test_pow_and_inverse(f9):
 
 
 def test_only_pairwise_subfields_tabulate_inverses():
-    # F_q inverses are a^(q-2) on every tier: the pairwise tier (q <= 64)
-    # reads them through its multiplication table, the digit and residue
-    # tiers compute them, and no tier builds a q-length table to invert
+    # F_q inverses are a^(q-2) on every tier: the pairwise tier (m > 1,
+    # q <= 64) reads them through its multiplication table, the digit and
+    # residue tiers compute them, and no tier builds a q-length table to
+    # invert
     for ctx in (build_tower(2, 6), build_tower(2, 7), build_tower(67)):
         for a in range(1, ctx.q):
             assert ctx.q_mul(a, ctx.q_inv(a)) == 1
@@ -180,13 +249,14 @@ def test_broken_invariants_raise_without_asserts(monkeypatch, formula_tower):
 
 
 def test_prime_residue_tier_matches_the_digit_routines(monkeypatch):
-    f67 = build_tower(67)
-    for a in range(67):
-        assert f67.q_neg(a) == f67._q_neg_poly(a)
-        for b in range(67):
-            assert f67.q_add(a, b) == f67._q_add_poly(a, b)
-            assert f67.q_sub(a, b) == f67._q_sub_poly(a, b)
-            assert f67.q_mul(a, b) == f67._q_mul_poly(a, b)
+    for p in (2, 3, 61, 67):
+        ctx = build_tower(p)
+        for a in range(p):
+            assert ctx.q_neg(a) == ctx._q_neg_poly(a)
+            for b in range(p):
+                assert ctx.q_add(a, b) == ctx._q_add_poly(a, b)
+                assert ctx.q_sub(a, b) == ctx._q_sub_poly(a, b)
+                assert ctx.q_mul(a, b) == ctx._q_mul_poly(a, b)
     f1031 = build_tower(1031)
     rng = random.Random(5)
     for _ in range(3000):
@@ -196,14 +266,16 @@ def test_prime_residue_tier_matches_the_digit_routines(monkeypatch):
         assert f1031.q_sub(a, b) == f1031._q_sub_poly(a, b)
         assert f1031.q_mul(a, b) == f1031._q_mul_poly(a, b)
 
-    # the residue tier never falls back to the digit routines
+    # every prime field is on the residue tier, which never falls back to
+    # the digit routines, so no prime field builds F_q pairwise tables
     def digits_called(*args):
         raise AssertionError("digit routine called")
 
     for name in ("_q_add_poly", "_q_mul_poly", "_q_neg_poly", "_q_sub_poly"):
         monkeypatch.setattr(FieldCtx, name, digits_called)
-    ctx = build_tower(67)
-    assert len(ctx.norm_preimage_encs(ctx.q_neg(1))) == 68
+    for p in (2, 3, 61, 67):
+        ctx = build_tower(p)
+        assert len(ctx.norm_preimage_encs(ctx.q_neg(1))) == p + 1
 
 
 def test_each_tier_subtracts_as_add_of_the_negation(formula_tower):

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import random
+import time
 from collections import Counter
 from types import SimpleNamespace
 
@@ -549,6 +550,56 @@ def test_random_subfield_sweep_over_capacity_raises_before_work(monkeypatch,
         run_random_nxn(f3, n=3, count=5, capacity=53)
     monkeypatch.undo()
     assert run_random_nxn(f3, n=3, count=5, capacity=54)["summary"]["total"]
+
+
+def test_sweeps_check_their_largest_cone_before_work(monkeypatch, f2):
+    # at q = 2 a full-field cone holds at most 12 vectors at n = 2 and 48
+    # at n = 3, a subfield cone 2^(n - 1); the largest decides, and a
+    # single direct sum is 2x2
+    cases = (
+        (lambda c: run_scalar_fibers(f2, capacity=c), "scalar-fibers 5x5", 16),
+        (lambda c: run_direct_sums(f2, count=2, capacity=c),
+         "direct-sums 3x3", 48),
+        (lambda c: run_direct_sums(f2, count=1, capacity=c),
+         "direct-sums 2x2", 12),
+        (lambda c: run_random_nxn(f2, n=2, space="full", capacity=c),
+         "random 2x2 full-field", 12))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a matrix was evaluated")
+
+    monkeypatch.setattr(verify, "evaluate", no_work)
+    for call, sweep, total in cases:
+        with pytest.raises(CapacityError, match=(
+                f"^{sweep} sweep enumerates up to {total} vectors a matrix, "
+                f"capacity is {total - 1}$")):
+            call(total - 1)
+    monkeypatch.undo()
+    for call, _, total in cases:
+        assert _clean(call(total))["summary"]["total"]
+
+
+def test_scalar_fibers_past_capacity_fail_at_once():
+    # q = 2^20: the n = 2 cone (2^20 vectors) fits the capacity and would
+    # take minutes, the n = 3 cone (2^40) does not, so nothing may start
+    ctx = build_tower(2, 20)
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match="scalar-fibers 3x3 sweep"):
+        run_scalar_fibers(ctx)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("argv", [
+    "--p 2 --m 20 --scope scalar-fibers",
+    "--p 29 --scope direct-sums --count 2",
+    "--p 1031 --scope random-nxn --space full --n 2 --count 1",
+], ids=["scalar-fibers-q2^20", "direct-sums-q29", "random-full-q1031"])
+def test_cli_sweep_over_capacity_exits_three_with_sweep_wording(capsys, argv):
+    # verify takes no sample budget, so its refusals must not suggest one
+    assert main(["verify", *argv.split()]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("hermrange: ") and " sweep enumerates up to " in err
+    assert "sample budget" not in err
 
 
 @pytest.mark.parametrize("argv,total", [
