@@ -147,3 +147,18 @@ def test_random_unitary_stream_digest():
     mats = [random_unitary_2x2(ctx, random.Random(s)).encs() for s in range(5)]
     assert _digest({"unitaries": mats}) == (
         "391082394d96e359713caaac5f03551afafe1c8e626039b4a0f9e040614ba374")
+
+
+@pytest.mark.parametrize("argv,expect", [
+    # the largest all-rows report: 65,536 full-field matrices at q = 4,
+    # 239,552 rows
+    ("--p 2 --m 2 --scope exhaustive-2x2 --space full",
+     "3403c37c5cdc21330417b77cbdd1ec7773ef898bfd5e1abb9dce5b7be5de914c"),
+    # the CSV writer's matrix cells and observed column
+    ("--p 3 --scope exhaustive-2x2 --format csv",
+     "77bfb330545d45e9e8340ee2664f0c79df9c29724bcd0011b6a7667c665d7d6b"),
+], ids=["full-q4-json", "exhaustive-q3-csv"])
+def test_cli_verify_report_digest(tmp_path, argv, expect):
+    dest = tmp_path / "report"
+    assert main(["verify", *argv.split(), "--out", str(dest)]) == 0
+    assert hashlib.sha256(dest.read_bytes()).hexdigest() == expect
