@@ -5,6 +5,9 @@ runs a prediction-versus-enumeration sweep preset, `fibers` tabulates
 the null fibers of a subfield matrix.  All output is deterministic for
 a fixed argument list, including the seed of randomized sweeps.
 
+The verify JSON writer, _report_json, encodes each distinct report row
+once instead of every row in full; its bytes are those of _json_bytes.
+
 Exit codes: 0 success, 1 verification found a failing claim, 2 bad
 usage or input (an output file that cannot be written, and a field
 above MAX_FIELD_SIZE elements, included), 3 enumeration over capacity,
@@ -119,6 +122,65 @@ def _json_bytes(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _report_json(report: dict) -> str:
+    """_json_bytes(report) for a verify report, encoding each distinct
+    row once.
+
+    A row of the six fields citation, claim, k, matrix, observed and
+    verdict is written as a head (citation, claim, k), its matrix and a
+    tail (observed, verdict), the order sort_keys gives.  The head and
+    tail are encoded once per distinct citation, claim, k, verdict and
+    observed dict object, which the rows of one outcome share, and the
+    matrix once while consecutive rows hold the same list object, as the
+    rows of one matrix do.  Any other row, or a row with a value that
+    cannot be hashed, is encoded whole.  Equal heads must encode alike,
+    which holds for the str and int values the runners write (not for 1
+    beside True or 1.0).
+    """
+    ends: dict = {}
+    last_matrix = matrix_text = None
+    out = ["{"]
+    for name in sorted(report):
+        value = report[name]
+        out += (_encode(name), ":")
+        if name != "checks" or type(value) is not list:
+            out += (_encode(value), ",")
+            continue
+        out.append("[")
+        for row in value:
+            try:
+                # six fields, each read below: exactly the row fields
+                if len(row) != 6:
+                    raise KeyError
+                matrix, observed = row["matrix"], row["observed"]
+                key = (row["citation"], row["claim"], row["k"],
+                       row["verdict"], id(observed))
+                pair = ends.get(key)
+            except (KeyError, TypeError):
+                out += (_encode(row), ",")
+                continue
+            if pair is None:
+                # the report holds observed, so its id is not reused here
+                pair = ends[key] = (
+                    '{"citation":%s,"claim":%s,"k":%s,"matrix":' % (
+                        _encode(key[0]), _encode(key[1]), _encode(key[2])),
+                    ',"observed":%s,"verdict":%s},' % (
+                        _encode(observed), _encode(key[3])))
+            if matrix is not last_matrix:
+                last_matrix, matrix_text = matrix, _encode(matrix)
+            out += (pair[0], matrix_text, pair[1])
+        if value:
+            out[-1] = out[-1][:-1]  # the last row's comma
+        out += ("]", ",")
+    if report:
+        out.pop()
+    out.append("}\n")
+    return "".join(out)
+
+
 def _csv_text(header, rows) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
@@ -148,13 +210,19 @@ def cmd_verify(args, ctx: FieldCtx) -> int:
                        space=args.space, seed=args.seed, collect=args.collect,
                        capacity=args.capacity)
     if args.fmt == "json":
-        _write(args, _json_bytes(report))
+        _write(args, _report_json(report))
     else:
-        rows = [(c["citation"], c["claim"], c["k"],
-                 ";".join(",".join(str(e) for e in r) for r in c["matrix"]),
-                 c["verdict"],
-                 c["observed"].get("cardinality", c["observed"].get("count")))
-                for c in report["checks"]]
+        # one cell text per matrix list, which the rows of a matrix share
+        rows = []
+        last_matrix = cell = None
+        for c in report["checks"]:
+            if c["matrix"] is not last_matrix:
+                last_matrix = c["matrix"]
+                cell = ";".join(",".join(str(e) for e in r)
+                                for r in last_matrix)
+            rows.append((c["citation"], c["claim"], c["k"], cell, c["verdict"],
+                         c["observed"].get("cardinality",
+                                           c["observed"].get("count"))))
         _write(args, _csv_text(
             ("citation", "claim", "k", "matrix", "verdict", "observed"), rows))
     return 1 if report["summary"]["fail"] else 0

@@ -18,7 +18,9 @@ the code rows of a matrix, its predictor and an outcome key.  Cases with
 one outcome key share the first one's outcomes (observations and
 verdicts), which is exact when the predictions and observations are
 functions of the key.  Every matrix still gets its own tally and report
-rows; the key only lets matrices share work.
+rows; the key only lets matrices share work.  Rows share objects too:
+the rows of one matrix hold one "matrix" list, and the rows of one
+outcome hold one "observed" dict, so a report's rows are read-only.
 
 The exhaustive subfield sweep keys on the symmetrized class: for u in
 F_q^n the pairing is
@@ -164,6 +166,12 @@ def _sweep(ctx: FieldCtx, scope: str, cases, collect: str, capacity: int,
     exact when the predictions and the observations are functions of
     the key.  Every case still gets its own tally and report rows; the
     tally of a key is taken once, times the cases that met it.
+
+    The parts of a key's rows (k, citation, claim, observed dict and
+    verdict) are built once, the first time a case of the key needs
+    rows, and the rows of one case share one matrix list.  So report
+    rows share their "matrix" list and their "observed" dict with other
+    rows: treat them as read-only.
     """
     if collect not in (COLLECT_ALL, COLLECT_FAILS):
         raise ValueError(f"unknown collect policy {collect!r}")
@@ -179,31 +187,33 @@ def _sweep(ctx: FieldCtx, scope: str, cases, collect: str, capacity: int,
                 basis, {"pass": 0, "fail": 0, "inapplicable": 0})
             per[verdict] += times
 
-    # key -> [outcomes, whether one fails, cases met]; None is never stored
+    # key -> [outcomes, whether one fails, cases met, row parts or None];
+    # None is never stored
     shared: dict = {}
     for rows, predict, key in cases:
         entry = shared.get(key)
         if entry is None:
             m = HermMatrix.from_encs(ctx, rows)
             outcomes = evaluate(m, predict(m), capacity)
-            entry = [outcomes, any(o[4] == FAIL for o in outcomes), 0]
+            entry = [outcomes, any(o[4] == FAIL for o in outcomes), 0, None]
             if key is None:
                 tally(outcomes, 1)
             else:
                 shared[key] = entry
         entry[2] += 1
         if collect == COLLECT_ALL or entry[1]:
-            for basis, k_enc, claim, observed, verdict in entry[0]:
-                if collect == COLLECT_ALL or verdict == FAIL:
-                    checks.append({
-                        "matrix": [list(r) for r in rows],
-                        "k": k_enc,
-                        "citation": basis,
-                        "claim": claim,
-                        "observed": _observed_json(observed, verdict),
-                        "verdict": verdict,
-                    })
-    for outcomes, _, times in shared.values():
+            if entry[3] is None:
+                entry[3] = [(k_enc, basis, claim,
+                             _observed_json(observed, verdict), verdict)
+                            for basis, k_enc, claim, observed, verdict
+                            in entry[0]
+                            if collect == COLLECT_ALL or verdict == FAIL]
+            matrix = [list(r) for r in rows]
+            for k_enc, basis, claim, observed, verdict in entry[3]:
+                checks.append({"matrix": matrix, "k": k_enc,
+                               "citation": basis, "claim": claim,
+                               "observed": observed, "verdict": verdict})
+    for outcomes, _, times, _ in shared.values():
         tally(outcomes, times)
     return {"config": {"p": ctx.p, "m": ctx.m, "q": ctx.q, "q2": ctx.q2,
                        "scope": scope, **config},

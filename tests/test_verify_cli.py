@@ -290,6 +290,64 @@ def test_cli_verify_writes_the_run_scope_report(tmp_path, argv, call, expect):
     assert hashlib.sha256(data).hexdigest() == expect
 
 
+@pytest.mark.parametrize("collect", ["all", "fails"])
+@pytest.mark.parametrize("call", [c[1] for c in CLI_SCOPES],
+                         ids=[c[1][1] + "-" + str(i)
+                              for i, c in enumerate(CLI_SCOPES)])
+def test_report_writer_matches_the_plain_encoder(call, collect):
+    p, scope, kw = call
+    report = run_scope(build_tower(p), scope, collect=collect, **kw)
+    assert cli._report_json(report) == cli._json_bytes(report)
+
+
+_SHARED = [[1]]
+
+
+def _row(matrix, verdict="pass", **extra):
+    return {"citation": "prop2", "claim": "exact_card", "k": 0,
+            "matrix": matrix, "observed": {"cardinality": 2, "mode": "exact"},
+            "verdict": verdict, **extra}
+
+
+@pytest.mark.parametrize("checks", [
+    [],
+    [_row([[0, 1], [2, 3]], note="extra")],
+    [dict(_row([[0, 1], [2, 3]], "fail"),
+          observed={"cardinality": 2, "mode": "exact", "values": [0, 5]})],
+    # equal contents in two list objects, and one list in two rows
+    [_row([[0, 1], [2, 3]]), _row([[0, 1], [2, 3]]),
+     _row([[4, 5], [6, 7]], "fail")],
+    [_row(_SHARED), _row(_SHARED), _row([[2]]), _row([[1]], "inapplicable")],
+    ["not a row", _row([[1]]), {"k": 1}],
+], ids=["empty", "extra-field", "observed-list", "equal-matrices",
+        "shared-matrix", "foreign-rows"])
+def test_report_writer_matches_the_plain_encoder_on_built_rows(checks):
+    report = {"summary": {"total": len(checks)}, "checks": checks,
+              "config": {"q": 3}, "affine_law": None}
+    assert cli._report_json(report) == cli._json_bytes(report)
+
+
+def test_report_rows_share_their_parts(monkeypatch):
+    # each of the 673 outcomes of the q = 3 sweep gets one observed dict
+    # and each of its 6,642 matrices one matrix list, shared by its
+    # 22,503 rows
+    calls = Counter()
+    observed_json = verify._observed_json
+
+    def counting(obs, verdict):
+        calls["observed"] += 1
+        return observed_json(obs, verdict)
+
+    monkeypatch.setattr(verify, "_observed_json", counting)
+    checks = run_exhaustive_2x2(build_tower(3))["checks"]
+    assert len(checks) == 22503
+    assert calls["observed"] == 673
+    assert len({id(c["observed"]) for c in checks}) == 673
+    assert len({id(c["matrix"]) for c in checks}) == 6642
+    for a, b in zip(checks, checks[1:]):
+        assert (a["matrix"] is b["matrix"]) == (a["matrix"] == b["matrix"])
+
+
 def test_cli_kind_choices_are_the_range_table():
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
