@@ -120,7 +120,8 @@ def eigen2(m: HermMatrix) -> EigenData2:
         kv = _kernel_vector(ctx, ((ctx.sub_enc(a, r), b), (c, ctx.sub_enc(d, r))))
         vec, dim = ((1, 0), 2) if kv is None else (kv, 1)
         vectors.append(vec)
-        flags.append(inner_encs(ctx, vec, vec) == 0)
+        # <v, v> = N(v0) + N(v1), a sum inside F_q
+        flags.append(ctx.q_add(ctx.norm_enc(vec[0]), ctx.norm_enc(vec[1])) == 0)
         dims.append(dim)
     status = TWO_DISTINCT if len(roots) == 2 else REPEATED
     return EigenData2(status, roots, tuple(vectors), tuple(flags),

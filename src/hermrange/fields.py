@@ -33,9 +33,12 @@ that complete null vectors: an odd-q square root is +-exp[log a / 2],
 and norm preimages come from a walk over the second coordinate x1 of
 x0 + x1 t in code order.  There N(x0 + x1 t) = x1^2 N(x0 / x1 + t), so
 each x1 != 0 takes its first coordinates from a fiber table of
-y -> N(y + t) at a / x1^2.  The log/exp and fiber tables hold q entries
-each and are built on first use; square roots and Artin-Schreier roots
-in F_{q^2} come from formulas.
+y -> N(y + t) at a / x1^2, and a size table, indexed by the log of
+a / x1^2, counts them.  A single preimage is picked by subtracting
+step sizes from its index, from whichever end of the walk is nearer,
+and only the chosen step's codes are computed.  The log/exp, fiber and
+size tables hold q entries each and are built on first use; square
+roots and Artin-Schreier roots in F_{q^2} come from formulas.
 """
 
 from __future__ import annotations
@@ -412,7 +415,7 @@ class FieldCtx:
             self.frob_enc = self._frob_poly
             self.norm_enc = self._norm_poly
 
-        self._fibers: list[tuple[int, ...]] | None = None
+        self._walk: tuple[list, list, list] | None = None
 
     def dot_encs(self, terms, vectors) -> list[int]:
         """Code of sum c * v[i] over the (i, c) of terms, for each vector v.
@@ -473,40 +476,35 @@ class FieldCtx:
 
     # -- norm preimages -----------------------------------------------------
 
-    def _norm_walk(self, a: int):
-        """The steps (x1, ys) of a walk over the preimages of a in code
-        order, x1 = 0, ..., q - 1: the preimages with second coordinate x1
-        are ys itself for x1 = 0 and the x1 * y + q * x1 over y in ys
-        otherwise.  Checks a on the call; the walk itself is lazy.
+    def _walk_tables(self) -> tuple[list, list, list]:
+        """(fibers, sizes, steps) of the walk over norm preimages, built
+        on first use.
 
-        N(x0 + x1 t) = x1^2 f(x0 / x1) for x1 != 0, with
-        f(y) = N(y + t) = y^2 - e1 y + e0, so x0 / x1 lies in the f-fiber
-        of a / x1^2 = exp[(log a - 2 log x1) mod (q - 1)], read from the
-        F_q log table that square roots use too; the value does not
-        depend on the generator behind the table.  The fiber table is
-        built on first use.
+        The walk visits the second coordinate x1 of x0 + x1 t in code
+        order.  N(x0 + x1 t) = x1^2 f(x0 / x1) for x1 != 0, with
+        f(y) = N(y + t) = y^2 - e1 y + e0, so the preimages of a with that
+        x1 are x1 * y + q * x1 over the y in the f-fiber of a / x1^2 =
+        exp[(log a - steps[x1]) mod (q - 1)], where steps[x1] is
+        2 log x1 mod (q - 1).  fibers[c] lists the f-fiber of c by code,
+        and sizes[j] = len(fibers[exp[j]]) counts a step's preimages from
+        that same index j.  The value does not depend on the generator
+        behind the log table.
         """
-        if not 0 <= a < self.q:
-            raise ValueError(f"norm preimages only defined over F_q, got code {a}")
-        first = [(0, self.q_sqrt_encs(a))]
-        if a == 0:
-            return iter(first)
-        q = self.q
-        if self._fibers is None:
+        if self._walk is None:
+            q = self.q
             fibers: list[list[int]] = [[] for _ in range(q)]
             for y in range(q):
                 fibers[self.q_add(self.q_mul(self.q_sub(y, self._e1), y),
                                   self._e0)].append(y)
-            self._fibers = [tuple(f) for f in fibers]
-        la = self._log(a)
-        log, exp = self._logs()
-        fibers = self._fibers
-        return itertools.chain(first, (
-            (x1, fibers[exp[(la - 2 * log[x1]) % (q - 1)]])
-            for x1 in range(1, q)))
+            log, exp = self._logs()
+            self._walk = ([tuple(f) for f in fibers],
+                          [len(fibers[c]) for c in exp],
+                          [None] + [2 * log[x1] % (q - 1) for x1 in range(1, q)])
+        return self._walk
 
     def _walk_codes(self, x1: int, ys) -> tuple[int, ...]:
-        """The codes of one step of _norm_walk, in code order."""
+        """The codes of the walk's step x1 over the fiber ys, in code
+        order; step 0 holds the square roots of a themselves."""
         if x1 == 0:
             return ys
         base = self.q * x1
@@ -515,17 +513,29 @@ class FieldCtx:
         u, v = self.q_mul(x1, ys[0]), self.q_mul(x1, ys[1])
         return (u + base, v + base) if u < v else (v + base, u + base)
 
+    def _preimage_count(self, a: int) -> int:
+        if not 0 <= a < self.q:
+            raise ValueError(f"norm preimages only defined over F_q, got code {a}")
+        return 1 if a == 0 else self.q + 1
+
     def norm_preimage_encs(self, a: int) -> tuple[int, ...]:
         """Codes of all solutions of x^(q+1) = a, for a in F_q, sorted.
 
         Zero has the single preimage zero and any other value q + 1,
-        listed by a walk over the second coordinate x1 of x0 + x1 t in
-        code order, with at most two first coordinates x0 for each x1.
+        listed by the walk of _walk_tables over the second coordinate x1
+        of x0 + x1 t in code order, with at most two first coordinates x0
+        for each x1.
         """
-        out: list[int] = []
-        for x1, ys in self._norm_walk(a):
-            out.extend(self._walk_codes(x1, ys))
-        if len(out) != (1 if a == 0 else self.q + 1):
+        count = self._preimage_count(a)
+        out = list(self.q_sqrt_encs(a))
+        if a:
+            q = self.q
+            fibers, _, steps = self._walk_tables()
+            la, exp = self._log(a), self._logs()[1]
+            for x1 in range(1, q):
+                out.extend(self._walk_codes(
+                    x1, fibers[exp[(la - steps[x1]) % (q - 1)]]))
+        if len(out) != count:
             raise RuntimeError(f"norm value {a} has {len(out)} preimages")
         if self.norm_enc(out[0]) != a:
             raise RuntimeError("listed norm preimage has the wrong norm")
@@ -534,20 +544,38 @@ class FieldCtx:
     def norm_preimage_enc(self, a: int, r: int) -> int:
         """norm_preimage_encs(a)[r] without listing the others.
 
-        The walk counts preimages until it reaches the step that holds
-        the r-th one and computes codes only there.
+        The pick reads each step's preimage count from the size table
+        and subtracts it from r until the step that holds the r-th
+        preimage, then computes codes only there.  The count q + 1 is
+        known, so an r in the upper half counts down from x1 = q - 1.
         """
-        walk = self._norm_walk(a)
-        count = 1 if a == 0 else self.q + 1
+        count = self._preimage_count(a)
         if not 0 <= r < count:
             raise ValueError(f"preimage index {r} out of range [0, {count}) "
                              f"for the norm value {a}")
-        for x1, ys in walk:
-            if r < len(ys):
-                break
-            r -= len(ys)
-        else:
-            raise RuntimeError(f"norm value {a} has fewer than {count} preimages")
+        ys = self.q_sqrt_encs(a)
+        x1 = 0
+        if r >= len(ys):
+            q = self.q
+            fibers, sizes, steps = self._walk_tables()
+            la, exp, n = self._log(a), self._logs()[1], q - 1
+            # index from the end of the walk when that end is nearer
+            down = 2 * r >= count
+            i = count - 1 - r if down else r - len(ys)
+            for x1 in (range(q - 1, 0, -1) if down else range(1, q)):
+                j = (la - steps[x1]) % n
+                size = sizes[j]
+                if i < size:
+                    break
+                i -= size
+            else:
+                raise RuntimeError(f"norm value {a} has fewer than {count} "
+                                   f"preimages")
+            ys = fibers[exp[j]]
+            if len(ys) != size:
+                raise RuntimeError(f"step {x1} of the walk holds {len(ys)} "
+                                   f"preimages, not {size}")
+            r = len(ys) - 1 - i if down else i
         x = self._walk_codes(x1, ys)[r]
         if self.norm_enc(x) != a:
             raise RuntimeError("picked norm preimage has the wrong norm")

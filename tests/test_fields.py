@@ -323,12 +323,35 @@ def test_norm_preimage_pick_matches_the_listing(towers):
             pre = ctx.norm_preimage_encs(a)
             assert [ctx.norm_preimage_enc(a, r) for r in range(len(pre))] \
                 == list(pre), (ctx, a)
+
+
+def test_norm_preimage_pick_at_the_walk_boundaries():
+    # s - 1 and s straddle the square roots at x1 = 0 and the first step
+    # counted from the size table; q // 2 and q // 2 + 1 straddle the
+    # switch to counting down from x1 = q - 1
     ctx = build_tower(1031)
-    rng = random.Random(17)
-    for a in rng.sample(range(1, 1031), 6):
+    for a in range(ctx.q):
         pre = ctx.norm_preimage_encs(a)
-        for r in (0, 1, ctx.q):
-            assert ctx.norm_preimage_enc(a, r) == pre[r], (a, r)
+        s = len(ctx.q_sqrt_encs(a))
+        for r in {0, s - 1, s, ctx.q // 2, ctx.q // 2 + 1, ctx.q}:
+            if 0 <= r < len(pre):
+                assert ctx.norm_preimage_enc(a, r) == pre[r], (a, r)
+
+
+@pytest.mark.parametrize("p,m", [(2, 7), (3, 4)], ids=["2^7", "3^4"])
+def test_norm_preimage_pick_on_digit_towers(p, m):
+    # m > 1 and q > 64: F_q on digit polynomials and F_{q^2} on formulas;
+    # every index of zero, of squares and, for odd q, of nonsquares
+    ctx = build_tower(p, m)
+    rng = random.Random(ctx.q)
+    values = rng.sample(range(1, ctx.q), 40)
+    squares = [a for a in values if ctx.q_is_square(a)][:3]
+    nonsquares = [a for a in values if not ctx.q_is_square(a)][:3]
+    assert len(squares) == 3 and len(nonsquares) == (0 if p == 2 else 3)
+    for a in [0, 1] + squares + nonsquares:
+        pre = ctx.norm_preimage_encs(a)
+        assert [ctx.norm_preimage_enc(a, r) for r in range(len(pre))] \
+            == list(pre), a
 
 
 def test_subfield_arguments_out_of_range_are_refused(f7):
@@ -393,10 +416,10 @@ def test_large_field_norm_preimages():
 
 def test_broken_norm_log_raises():
     # 2 is a nonsquare mod 67, so every preimage of 2 has x1 != 0 and
-    # comes through the log and fiber tables
+    # comes through the log, fiber and size tables
     ctx = build_tower(67)
     ctx.norm_preimage_encs(1)  # builds the walk's tables
-    (log, exp), fibers = ctx._log_exp, ctx._fibers
+    (log, exp), (fibers, sizes, steps) = ctx._log_exp, ctx._walk
     d2 = exp[2]
     broken = (
         # a missing logarithm
@@ -407,8 +430,8 @@ def test_broken_norm_log_raises():
         # no fiber holds anything, so the walk finds no preimage
         ((log, exp), [()] * ctx.q),
     )
-    for tables in broken:
-        ctx._log_exp, ctx._fibers = tables
+    for logs, walk_fibers in broken:
+        ctx._log_exp, ctx._walk = logs, (walk_fibers, sizes, steps)
         for call in (ctx.norm_preimage_encs,
                      lambda a: ctx.norm_preimage_enc(a, 0),
                      lambda a: ctx.norm_preimage_enc(a, ctx.q)):
@@ -418,6 +441,17 @@ def test_broken_norm_log_raises():
     ctx._log_exp = broken[0][0]
     with pytest.raises(RuntimeError):
         ctx.q_sqrt_encs(4)
+
+    # a size table that disagrees with every fiber: at each r the chosen
+    # fiber's length refutes its table size, or the sizes run out, instead
+    # of the pick yielding another preimage of 2 or an IndexError
+    ctx._log_exp = (log, exp)
+    ctx._walk = (fibers, [(s + 1) % 3 for s in sizes], steps)
+    for r in range(ctx.q + 1):
+        with pytest.raises(RuntimeError):
+            ctx.norm_preimage_enc(2, r)
+    # the listing reads no sizes
+    assert ctx.norm_preimage_encs(2) == build_tower(67).norm_preimage_encs(2)
 
 
 def _scan_roots(ctx, pairs):
