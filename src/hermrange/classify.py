@@ -331,6 +331,33 @@ def null_class(ctx: FieldCtx, rows):
     return ctx.sub_enc(a, d), 0, ctx.norm_enc(c)
 
 
+# claim types whose verdict on a range Num stands on lam Num, lam != 0,
+# once a target set is scaled by lam: exact and superset sets scale, while
+# sizes, bounds, emptiness, F_q-lines through 0 and membership of 0 stay
+SCALE_COVARIANT_CLAIMS = (CLAIM_EXACT_SET, CLAIM_SUPERSET, CLAIM_EXACT_CARD,
+                          CLAIM_LOWER_BOUND, CLAIM_UPPER_BOUND, CLAIM_EMPTY,
+                          CLAIM_LINE, CLAIM_MEMBER)
+
+
+def scaled_null_classes(ctx: FieldCtx, key) -> list:
+    """Null-class keys of lam M for the codes lam = 1, ..., q^2 - 1, in
+    that order, given the key of M.
+
+    lam M keeps the null cone and <u, lam M u> = lam <u, M u>, so its
+    level-0 ranges are lam times those of M; its key is
+    (lam d, N(lam) N(m12), lam^2 m12 m21), or (lam d, 0, N(lam) N(m21))
+    when m12 = 0.  Scaling also keeps every hypothesis predict_full_field
+    reads, with the eigenvalue gap scaled by lam.
+    """
+    d, nb, x = key
+    mul, norm, q_mul = ctx.mul_enc, ctx.norm_enc, ctx.q_mul
+    lams = range(1, ctx.q2)
+    if nb:
+        return [(mul(lam, d), q_mul(norm(lam), nb), mul(mul(lam, lam), x))
+                for lam in lams]
+    return [(mul(lam, d), 0, q_mul(norm(lam), x)) for lam in lams]
+
+
 def predict_subfield(m: HermMatrix, levels) -> list[Prediction]:
     """All applicable subfield-range rules for M at each level code in
     levels, in their order; every level is checked before any rule runs.

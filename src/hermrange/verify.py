@@ -39,24 +39,44 @@ so they fix both level-0 ranges, and they preserve every hypothesis
 predict_full_field reads: scalarity, the eigenvalue gap up to sign,
 eigenvector isotropy and orthogonality, eigenspace dimensions, whether
 m12 m21 != 0, and whether N(m12) = N(m21).  So the predictions are
-functions of the class too.  One guard, _null_class_preds, runs once per
-class on the representative's predictions and raises RuntimeError on any
-claim off level 0 or outside NULL_CLASS_KINDS, so a future rule the
-class does not fix fails loudly instead of taking another matrix's
-outcome.  The exhaustive full space always keys (its memo holds one
-outcome per class, and the capacity check on its q^8 matrices bounds
-that); a random draw keys only while every class fits MEMO_RANGE_VALUES
-(q <= 7), so its memo cannot grow with the draw count.
+functions of the class too.
+
+They also share outcomes across the scale orbit of a class.  For
+lam != 0, lam M has the null cone of M and <u, lam M u> = lam <u, M u>,
+so its level-0 ranges are lam times those of M, and scaling keeps every
+hypothesis above (the eigenvalue gap up to a scalar).  Every claim type
+in SCALE_COVARIANT_CLAIMS keeps its verdict when its range and its target
+set scale alike, and a row that does not fail reports only the range's
+cardinality and mode.  So once a representative's outcomes hold no
+fail, they are stored under the keys of all q^2 - 1 multiples
+(classify.scaled_null_classes), with q^2 - 1 lookups an orbit and none
+a draw; no range is mapped.  A representative with a fail shares with
+no other class, so each class of its orbit is evaluated on its own and
+its failing rows carry its own values.  There are 10 orbits of 24
+classes at q = 2, 28 of 189 at q = 3, 58 of 832 at q = 4 and 116 of
+2,625 at q = 5.
+
+One guard, _null_class_preds, runs once per class or orbit on the
+representative's predictions and raises RuntimeError on any claim off
+level 0, outside NULL_CLASS_KINDS or of a type outside
+SCALE_COVARIANT_CLAIMS, so a future rule the orbit does not fix fails
+loudly instead of taking another matrix's outcome.  The exhaustive full
+space always keys (its memo holds one outcome per orbit under one key
+per class, and the capacity check on its q^8 matrices bounds that); a
+random draw keys only while every class fits MEMO_RANGE_VALUES (q <= 7),
+so its memo cannot grow with the draw count.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
-from .classify import (FAIL, NULL_CLASS_KINDS, SCOPE_FIBER_ZERO,
-                       check_prediction, null_class, predict_direct_sum,
-                       predict_full_field, predict_subfield)
+from .classify import (FAIL, NULL_CLASS_KINDS, SCALE_COVARIANT_CLAIMS,
+                       SCOPE_FIBER_ZERO, check_prediction, null_class,
+                       predict_direct_sum, predict_full_field,
+                       predict_subfield, scaled_null_classes)
 from .fields import FieldCtx
 from .hermitian import (DEFAULT_CAPACITY, FULL_FIELD, SUBFIELD, CapacityError,
                         HermMatrix, block_diag, cone_upper_bound)
@@ -73,10 +93,12 @@ VERIFY_SCOPES = (SCOPE_EXHAUSTIVE_2X2, SCOPE_RANDOM_NXN, SCOPE_SCALAR_FIBERS,
 
 # Range values the outcome memo of a random full-field sweep may hold:
 # two level-0 ranges of at most q^2 values for each of the
-# q^3 (q^2 - q + 1) null classes must fit.  2^21 admits q <= 7 (at most
-# 1.45 M values at q = 7; 60,000 random draws there meet 98 % of the
-# classes, raise peak RSS from 17 to 36 MB under CPython 3.11 and run
-# 3.5 times faster) and no larger q.
+# q^3 (q^2 - q + 1) null classes must fit.  The memo holds one outcome
+# per scale orbit (316 at q = 7), or one per class of an orbit with a
+# fail, but still one key per class, so the bound counts every class as
+# its own outcome.  2^21 admits q <= 7 (at most 1.45 M values at q = 7;
+# 60,000 random draws there run in 0.4 s keyed against 5.9 s unkeyed,
+# with peak RSS 18.5 against 16.6 MB under CPython 3.11) and no larger q.
 MEMO_RANGE_VALUES = 1 << 21
 
 COLLECT_ALL = "all"
@@ -124,14 +146,20 @@ def _draw(rng: random.Random, limit: int, n: int) -> tuple:
 
 def _null_class_preds(m: HermMatrix) -> list:
     """predict_full_field of a null-class representative, whose outcomes
-    its whole class takes; raises RuntimeError on any claim the class
-    does not fix (off level 0, or outside NULL_CLASS_KINDS)."""
+    its whole class, and when none fails its scale orbit, takes; raises
+    RuntimeError on any claim the class does not fix (off level 0, or
+    outside NULL_CLASS_KINDS) and on any claim type outside
+    SCALE_COVARIANT_CLAIMS."""
     preds = predict_full_field(m)
     for pred in preds:
         if pred.k_enc or pred.scope not in NULL_CLASS_KINDS:
             raise RuntimeError(
                 f"{pred.basis} claims {pred.scope}@k={pred.k_enc}, which "
                 f"its null class does not determine")
+        if pred.claim not in SCALE_COVARIANT_CLAIMS:
+            raise RuntimeError(
+                f"{pred.basis} claims {pred.claim}, whose verdict its "
+                f"null class's scale orbit need not share")
     return preds
 
 
@@ -156,7 +184,7 @@ def _check_capacity(sweep: str, total: int, capacity: int) -> None:
 
 
 def _sweep(ctx: FieldCtx, scope: str, cases, collect: str, capacity: int,
-           config: dict) -> dict:
+           config: dict, orbit=None) -> dict:
     """The one loop of every runner: build, evaluate, tally and report.
 
     cases yields (rows, predict, key): the code rows of one matrix, a
@@ -164,8 +192,11 @@ def _sweep(ctx: FieldCtx, scope: str, cases, collect: str, capacity: int,
     key or None.  A case whose key an earlier case had takes that case's
     outcomes instead of being built, predicted and evaluated; this is
     exact when the predictions and the observations are functions of
-    the key.  Every case still gets its own tally and report rows; the
-    tally of a key is taken once, times the cases that met it.
+    the key.  orbit, if given, lists the keys whose cases may take the
+    outcomes of a key's case as well; they take them only when none of
+    them fails, and never from a key that already holds outcomes.  Every
+    case still gets its own tally and report rows; the tally of an
+    outcome is taken once, times the cases that met it under any key.
 
     The parts of a key's rows (k, citation, claim, observed dict and
     verdict) are built once, the first time a case of the key needs
@@ -188,8 +219,9 @@ def _sweep(ctx: FieldCtx, scope: str, cases, collect: str, capacity: int,
             per[verdict] += times
 
     # key -> [outcomes, whether one fails, cases met, row parts or None];
-    # None is never stored
+    # None is never stored, and the keys of one orbit share one entry
     shared: dict = {}
+    entries = []
     for rows, predict, key in cases:
         entry = shared.get(key)
         if entry is None:
@@ -199,7 +231,11 @@ def _sweep(ctx: FieldCtx, scope: str, cases, collect: str, capacity: int,
             if key is None:
                 tally(outcomes, 1)
             else:
+                entries.append(entry)
                 shared[key] = entry
+                if orbit is not None and not entry[1]:
+                    for other in orbit(key):
+                        shared.setdefault(other, entry)
         entry[2] += 1
         if collect == COLLECT_ALL or entry[1]:
             if entry[3] is None:
@@ -213,7 +249,7 @@ def _sweep(ctx: FieldCtx, scope: str, cases, collect: str, capacity: int,
                 checks.append({"matrix": matrix, "k": k_enc,
                                "citation": basis, "claim": claim,
                                "observed": observed, "verdict": verdict})
-    for outcomes, _, times, _ in shared.values():
+    for outcomes, _, times, _ in entries:
         tally(outcomes, times)
     return {"config": {"p": ctx.p, "m": ctx.m, "q": ctx.q, "q2": ctx.q2,
                        "scope": scope, **config},
@@ -230,11 +266,12 @@ def run_exhaustive_2x2(ctx: FieldCtx, *, space: str = "auto",
     sweeps F_q entries with every level k, "both" does both and "auto"
     picks both for q <= 3 and subfield only above that.  A sweep whose
     spaces hold more than capacity matrices (q^8 full, q^4 subfield)
-    raises CapacityError before its first matrix.  Each space predicts
-    and evaluates once per class and keeps one outcome per class in
-    memory: q^3 (q^2 - q + 1) null classes on the full space (about
-    65 MB peak RSS at q = 8 and 109 MB at q = 9 under CPython 3.11), q^3
-    symmetrized classes on the subfield space.
+    raises CapacityError before its first matrix.  The full space
+    predicts and evaluates once per scale orbit of null classes and keeps
+    one outcome per orbit, under one key for each of its
+    q^3 (q^2 - q + 1) classes (about 20 MB peak RSS at q = 8 and 24 MB
+    at q = 9 under CPython 3.11, with collect="fails"); the subfield
+    space does so once per each of its q^3 symmetrized classes.
     """
     if space == "auto":
         spaces = ("full", "subfield") if ctx.q <= 3 else ("subfield",)
@@ -251,6 +288,10 @@ def run_exhaustive_2x2(ctx: FieldCtx, *, space: str = "auto",
 
     def all_levels(m):
         return predict_subfield(m, range(ctx.q))
+
+    def orbit(key):
+        # only a null class (three codes) has a scale orbit to share
+        return scaled_null_classes(ctx, key) if len(key) == 3 else ()
 
     def cases():
         # the two key shapes differ (three codes, or two items), so the
@@ -270,7 +311,7 @@ def run_exhaustive_2x2(ctx: FieldCtx, *, space: str = "auto",
                            ((m11, m22), ctx.q_add(m12, m21)))
 
     report = _sweep(ctx, SCOPE_EXHAUSTIVE_2X2, cases(), collect, capacity,
-                    {"space": space, "seed": seed})
+                    {"space": space, "seed": seed}, orbit)
     # settle how the level enters the range of a shifted matrix; only a
     # level outside {0, 1} can separate the two candidate laws
     if ctx.q > 2:
@@ -310,16 +351,19 @@ def run_random_nxn(ctx: FieldCtx, *, n: int = 3, count: int = 50,
     rng = random.Random(seed)
     draws = (_draw(rng, ctx.q2 if space == "full" else ctx.q, n)
              for _ in range(count))
+    orbit = None
     if space == "subfield":
         cases = ((rows, lambda m: predict_subfield(m, range(ctx.q)), None)
                  for rows in draws)
     elif _memo_fits(ctx):
         cases = ((rows, _null_class_preds, null_class(ctx, rows))
                  for rows in draws)
+        orbit = functools.partial(scaled_null_classes, ctx)
     else:
         cases = ((rows, predict_full_field, None) for rows in draws)
     return _sweep(ctx, SCOPE_RANDOM_NXN, cases, collect, capacity,
-                  {"n": n, "count": count, "seed": seed, "space": space})
+                  {"n": n, "count": count, "seed": seed, "space": space},
+                  orbit)
 
 
 def run_scalar_fibers(ctx: FieldCtx, *, n_values=(2, 3, 4, 5),
@@ -386,17 +430,20 @@ def run_scope(ctx: FieldCtx, scope: str, *, n: int | None = None,
     """Run a named sweep preset from the command line's size options.
 
     n, count and space become each runner's own arguments here, and a
-    preset ignores the options it does not take: n defaults to 3 for
-    random-nxn and to the runner's sizes for scalar-fibers, and space
-    "auto" means subfield for random-nxn.
+    preset ignores the options it does not take: space "auto" means
+    subfield for random-nxn, whose n defaults to 3 on the subfield space
+    and to 2, the one size of the full-field rules, on the full space;
+    n defaults to the runner's sizes for scalar-fibers.
     """
     common = {"collect": collect, "capacity": capacity}
     if scope == SCOPE_EXHAUSTIVE_2X2:
         return run_exhaustive_2x2(ctx, space=space, seed=seed, **common)
     if scope == SCOPE_RANDOM_NXN:
-        return run_random_nxn(
-            ctx, n=3 if n is None else n, count=count, seed=seed,
-            space="subfield" if space == "auto" else space, **common)
+        space = "subfield" if space == "auto" else space
+        if n is None:
+            n = 2 if space == "full" else 3
+        return run_random_nxn(ctx, n=n, count=count, seed=seed, space=space,
+                              **common)
     if scope == SCOPE_SCALAR_FIBERS:
         if n is not None:
             common["n_values"] = (n,)

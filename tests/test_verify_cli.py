@@ -12,14 +12,15 @@ from types import SimpleNamespace
 import pytest
 
 from hermrange import cli, verify
-from hermrange.classify import (CLAIM_EXACT_CARD, CLAIM_MEMBER,
-                                SCOPE_FIBER_ZERO, Prediction, null_class,
-                                predict_full_field)
+from hermrange.classify import (CLAIM_EXACT_CARD, CLAIM_EXACT_SET,
+                                CLAIM_MEMBER, CLAIM_SUPERSET, SCOPE_FIBER_ZERO,
+                                Prediction, null_class, predict_full_field,
+                                scaled_null_classes)
 from hermrange.cli import build_parser, main
 from hermrange.fields import build_tower
 from hermrange.hermitian import CapacityError, HermMatrix
 from hermrange.ranges import (KIND_NUM0_PRIME, KIND_NUM0_PRIME_SUBFIELD,
-                              KIND_NUM_K, RANGE_KINDS)
+                              KIND_NUM_K, RANGE_KINDS, num0_prime)
 from hermrange.verify import (COLLECT_FAILS, SCOPE_SCALAR_FIBERS,
                               run_direct_sums, run_exhaustive_2x2,
                               run_random_nxn, run_scalar_fibers, run_scope)
@@ -158,15 +159,113 @@ def test_full_field_predictions_are_functions_of_the_null_class_sampled(
                     == want), (rows, member)
 
 
+def _class_representatives(ctx):
+    """The first matrix with m22 = 0 of each null class; every class has
+    one, since shifts by a I fix the class."""
+    reps = {}
+    for a, b, c in itertools.product(range(ctx.q2), repeat=3):
+        rows = ((a, b), (c, 0))
+        reps.setdefault(null_class(ctx, rows), rows)
+    return reps
+
+
+@pytest.mark.parametrize("q", (2, 3, 4))
+def test_full_field_outcomes_scale_with_the_matrix(towers, q):
+    # what lets a full-field sweep share a passing class's outcomes with
+    # its scale orbit: for every class and every lam != 0, lam M has the
+    # ordered claims of M with its target sets scaled by lam, the same
+    # verdicts and cardinalities, ranges scaled by lam, and the key that
+    # scaled_null_classes gives the sweep
+    ctx = towers[q]
+    mul = ctx.mul_enc
+    reps = _class_representatives(ctx)
+    assert len(reps) == q ** 3 * (q * q - q + 1)
+    for key, rows in reps.items():
+        m = HermMatrix.from_encs(ctx, rows)
+        preds = predict_full_field(m)
+        outcomes = verify.evaluate(m, preds)
+        for lam, lam_key in enumerate(scaled_null_classes(ctx, key), 1):
+            lam_rows = tuple(tuple(mul(lam, e) for e in r) for r in rows)
+            assert null_class(ctx, lam_rows) == lam_key, (rows, lam)
+            lam_m = HermMatrix.from_encs(ctx, lam_rows)
+            lam_preds = predict_full_field(lam_m)
+            assert ([(p.basis, p.scope, p.k_enc, p.claim) for p in lam_preds]
+                    == [(p.basis, p.scope, p.k_enc, p.claim) for p in preds])
+            for pred, lam_pred in zip(preds, lam_preds):
+                if pred.claim in (CLAIM_EXACT_SET, CLAIM_SUPERSET):
+                    assert lam_pred.target == tuple(
+                        sorted(mul(lam, t) for t in pred.target))
+                else:
+                    assert lam_pred.target == pred.target
+            for (_, _, _, obs, verdict), (_, _, _, lam_obs, lam_verdict) in zip(
+                    outcomes, verify.evaluate(lam_m, lam_preds)):
+                assert lam_verdict == verdict, (rows, lam)
+                assert lam_obs.cardinality == obs.cardinality
+                assert set(lam_obs.values) == {mul(lam, v)
+                                               for v in obs.values}
+
+
+def _failing_on(classes):
+    """predict_full_field plus an exact_card 0 claim, which every
+    null-range breaks, on the matrices of the given null classes."""
+    predict = verify.predict_full_field
+    injected = Prediction("injected", KIND_NUM0_PRIME, 0, CLAIM_EXACT_CARD, 0)
+
+    def predict_failing(m):
+        preds = predict(m)
+        if null_class(m.ctx, m.encs()) in classes:
+            preds = preds + [injected]
+        return preds
+    return predict_failing
+
+
+@pytest.mark.parametrize("whole_orbit", [False, True],
+                         ids=["one-class", "whole-orbit"])
+def test_failing_classes_do_not_share_with_their_orbit(monkeypatch, f3,
+                                                       whole_orbit):
+    # a class whose outcomes fail hands them to no other class of its
+    # scale orbit: each is evaluated on its own, so failing rows carry
+    # their own values; the class met first of its orbit fails, as a
+    # later one would take the first one's passing outcomes
+    first = {}
+    for e in itertools.product(range(f3.q2), repeat=4):
+        key = null_class(f3, (e[0:2], e[2:4]))
+        orbit = frozenset(scaled_null_classes(f3, key))
+        first.setdefault(orbit, key)
+    orbit, key = next((o, k) for o, k in first.items() if len(o) > 1)
+    failing = orbit if whole_orbit else {key}
+    calls = _count_full_field_calls(monkeypatch)
+    monkeypatch.setattr(verify, "predict_full_field", _failing_on(failing))
+    report = run_exhaustive_2x2(f3, space="full")
+    # the other 27 orbits are predicted once; a failing orbit once per
+    # class, and one failing class once, plus once for the rest of its
+    # orbit, which the next class met shares
+    assert calls["predict"] == 27 + (len(orbit) if whole_orbit else 2)
+    fails = [c for c in report["checks"] if c["verdict"] == "fail"]
+    assert fails and report["summary"]["fail"] == len(fails)
+    assert all(c["citation"] == "injected" for c in fails)
+    for c in fails:
+        rows = c["matrix"]
+        assert null_class(f3, rows) in failing
+        assert c["observed"]["values"] == list(
+            num0_prime(HermMatrix.from_encs(f3, rows)).values)
+    unkeyed = _unkeyed(monkeypatch, run_exhaustive_2x2, f3, space="full")
+    # one bool, so that a mismatch does not diff two 3 MB texts
+    same = cli._json_bytes(report) == cli._json_bytes(unkeyed)
+    assert same
+
+
 @pytest.mark.parametrize("pred", [
     Prediction("x", KIND_NUM_K, 1, CLAIM_MEMBER, True),
     Prediction("x", KIND_NUM0_PRIME_SUBFIELD, 0, CLAIM_MEMBER, True),
     Prediction("x", SCOPE_FIBER_ZERO, 0, CLAIM_EXACT_CARD, 1),
-], ids=["level-1", "subfield-kind", "fiber"])
+    Prediction("x", KIND_NUM0_PRIME, 0, "values_in_subfield", True),
+], ids=["level-1", "subfield-kind", "fiber", "claim-type"])
 def test_a_null_class_key_refuses_claims_its_class_does_not_fix(
         monkeypatch, f3, pred):
-    # a claim off level 0, or on a kind the class does not fix, must not
-    # hand its outcome to the other matrices of its class
+    # a claim off level 0, on a kind the class does not fix, or of a
+    # type outside SCALE_COVARIANT_CLAIMS must not hand its outcome to
+    # the other matrices of its class or of its scale orbit
     predict = verify.predict_full_field
     monkeypatch.setattr(verify, "predict_full_field",
                         lambda m: predict(m) + [pred])
@@ -211,16 +310,17 @@ def test_full_field_sweep_predicts_and_evaluates_once_per_null_class(
         monkeypatch, f3):
     calls = _count_full_field_calls(monkeypatch)
     report = _clean(run_exhaustive_2x2(f3, space="full"))
-    # 6,561 matrices, 189 null classes, two level-0 kinds at most
-    assert calls["predict"] <= 189
-    assert calls[KIND_NUM_K] + calls[KIND_NUM0_PRIME] <= 2 * 189
+    # 6,561 matrices, 189 null classes in 28 scale orbits, two level-0
+    # kinds at most
+    assert calls["predict"] <= 28
+    assert calls[KIND_NUM_K] + calls[KIND_NUM0_PRIME] <= 2 * 28
     assert set(calls) <= {"predict", KIND_NUM_K, KIND_NUM0_PRIME}
     # every matrix is still tallied and reported, as when each matrix
     # was evaluated on its own
     assert len(report["checks"]) == report["summary"]["total"]
     assert report == _unkeyed(monkeypatch, run_exhaustive_2x2, f3,
                               space="full")
-    assert calls["predict"] >= 189 + 6561
+    assert calls["predict"] >= 28 + 6561
 
 
 # at q = 3 the outcomes of all 189 classes hold at most 189 * 2 * 9 values
@@ -230,9 +330,9 @@ def test_random_full_sweep_keys_on_the_null_class_when_every_class_fits(
     monkeypatch.setattr(verify, "MEMO_RANGE_VALUES", limit)
     calls = _count_full_field_calls(monkeypatch)
     report = _clean(run_random_nxn(f3, n=2, space="full", count=400))
-    # 400 draws repeat some of the 189 classes
+    # 400 draws repeat some of the 189 classes, in 28 scale orbits
     if keyed:
-        assert calls["predict"] <= 189
+        assert calls["predict"] <= 28
     else:
         assert calls["predict"] == 400
     assert report == _unkeyed(monkeypatch, run_random_nxn, f3, n=2,
@@ -328,7 +428,8 @@ def test_report_writer_matches_the_plain_encoder_on_built_rows(checks):
 
 
 def test_report_rows_share_their_parts(monkeypatch):
-    # each of the 673 outcomes of the q = 3 sweep gets one observed dict
+    # each of the 127 outcomes of the q = 3 sweep (its full space
+    # evaluates one null class per scale orbit) gets one observed dict
     # and each of its 6,642 matrices one matrix list, shared by its
     # 22,503 rows
     calls = Counter()
@@ -341,8 +442,8 @@ def test_report_rows_share_their_parts(monkeypatch):
     monkeypatch.setattr(verify, "_observed_json", counting)
     checks = run_exhaustive_2x2(build_tower(3))["checks"]
     assert len(checks) == 22503
-    assert calls["observed"] == 673
-    assert len({id(c["observed"]) for c in checks}) == 673
+    assert calls["observed"] == 127
+    assert len({id(c["observed"]) for c in checks}) == 127
     assert len({id(c["matrix"]) for c in checks}) == 6642
     for a, b in zip(checks, checks[1:]):
         assert (a["matrix"] is b["matrix"]) == (a["matrix"] == b["matrix"])
@@ -455,6 +556,25 @@ def test_cli_verify(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "citation,claim,k,matrix,verdict,observed"
     assert len(lines) == 13
+
+
+def test_cli_random_full_sweep_defaults_to_two_by_two(tmp_path, capsys):
+    # the full-field rules cover n = 2 only, so a full-space random-nxn
+    # without --n draws 2 by 2 matrices; --n 3 is still refused
+    argv = ["verify", "--p", "3", "--scope", "random-nxn", "--space", "full"]
+    out = {}
+    for extra in ([], ["--n", "2"]):
+        dest = tmp_path / f"report{len(extra)}.json"
+        assert main([*argv, *extra, "--out", str(dest)]) == 0
+        out[len(extra)] = dest.read_bytes()
+    assert out[0] == out[2]
+    assert json.loads(out[0])["config"]["n"] == 2
+    assert main([*argv, "--n", "3"]) == 2
+    assert "full-field rules cover n=2 only" in capsys.readouterr().err
+    # so a field too large for the 2 by 2 cone meets the capacity check
+    assert main(["verify", "--p", "1031", "--scope", "random-nxn",
+                 "--space", "full"]) == 3
+    assert "random 2x2 full-field sweep" in capsys.readouterr().err
 
 
 def test_cli_verify_can_collect_failing_rows_only(tmp_path):
