@@ -19,14 +19,12 @@ from .classify import (CLAIM_EMPTY, CLAIM_EXACT_CARD, CLAIM_EXACT_SET,
 from .fields import FieldCtx, FieldSpec, build_tower, ctx_from_spec
 from .hermitian import (DEFAULT_CAPACITY, FULL_FIELD, SUBFIELD, CapacityError,
                         HermMatrix, block_diag, cone_encs, cone_upper_bound,
-                        is_unitary, naive_cone_encs, random_unitary_2x2,
                         sample_cone_encs)
 from .ranges import (EXHAUSTIVE, KIND_NUM0_PRIME, KIND_NUM0_PRIME_SUBFIELD,
                      KIND_NUM_K, KIND_NUM_K_SUBFIELD, RANGE_KINDS, SAMPLED,
                      FiberCount, RangeSet, fiber_count, fiber_table,
                      num0_prime, num0_prime_subfield, num_k, num_k_subfield,
-                     range_naive, range_of, resolve_affine_shift,
-                     scaling_law_check)
+                     range_of, resolve_affine_shift, scaling_law_check)
 from .verify import (SCOPE_DIRECT_SUMS, SCOPE_EXHAUSTIVE_2X2,
                      SCOPE_RANDOM_NXN, SCOPE_SCALAR_FIBERS, VERIFY_SCOPES,
                      evaluate, run_direct_sums, run_exhaustive_2x2,

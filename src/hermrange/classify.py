@@ -4,7 +4,7 @@ Each rule inspects a matrix's eigenstructure or coefficient pattern and,
 when its hypothesis holds, emits Prediction records: exact sets, exact
 cardinalities, bounds, memberships, or line shapes, each tagged with the
 rule that produced it.  check_prediction evaluates one record's claim
-on a computed RangeSet (or a fiber count) and returns a verdict, so a
+on an exhaustive RangeSet (or a fiber count) and returns a verdict, so a
 sweep over a matrix space validates the whole rule table mechanically.
 
 Rules never guess: a matrix matching no hypothesis gets only the
@@ -19,9 +19,8 @@ from dataclasses import dataclass, field
 
 from .fields import FieldCtx
 from .hermitian import DEFAULT_CAPACITY, HermMatrix, check_level, inner_encs
-from .ranges import (EXHAUSTIVE, KIND_NUM0_PRIME, KIND_NUM0_PRIME_SUBFIELD,
-                     KIND_NUM_K, KIND_NUM_K_SUBFIELD, FiberCount, RangeSet,
-                     num0_prime)
+from .ranges import (KIND_NUM0_PRIME, KIND_NUM0_PRIME_SUBFIELD, KIND_NUM_K,
+                     KIND_NUM_K_SUBFIELD, FiberCount, RangeSet, num0_prime)
 
 TWO_DISTINCT = "two_distinct_in_Fq2"
 REPEATED = "repeated"
@@ -40,6 +39,8 @@ SCOPE_FIBER_ZERO = "fiber_zero"
 
 PASS = "pass"
 FAIL = "fail"
+# a report summary key only: check_prediction returns pass or fail, so
+# every sweep counts 0 inapplicable checks
 INAPPLICABLE = "inapplicable"
 
 
@@ -597,35 +598,13 @@ def _holds(pred: Prediction, ctx: FieldCtx, values: set[int]) -> bool:
     raise ValueError(f"unknown claim {claim!r}")
 
 
-def _refuted_by_sample(pred: Prediction, ctx: FieldCtx,
-                       values: set[int]) -> bool:
-    """Whether every superset of the values breaks the claim, so that a
-    sample of the range already refutes it."""
-    claim, target = pred.claim, pred.target
-    if claim in (CLAIM_UPPER_BOUND, CLAIM_EXACT_CARD):
-        return len(values) > target
-    if claim == CLAIM_EXACT_SET:
-        return not values <= set(target)
-    if claim == CLAIM_EMPTY:
-        return bool(values)
-    if claim == CLAIM_MEMBER:
-        return not target and 0 in values
-    if claim == CLAIM_LINE:
-        line = _spanned_line(ctx, values)
-        return line is not None and not values <= line
-    return False
-
-
 def check_prediction(pred: Prediction, observed) -> str:
-    """Compare one claim against a computed range or fiber count.
+    """Compare one claim against a computed range or fiber count: pass
+    or fail.
 
-    On an exhaustive range the verdict is pass or fail.  A sampled range
-    is a subset of the true range: it passes a claim that every superset
-    keeps (lower_bound, superset, 0 in the range) and fails one that
-    every superset breaks (a bound or exact cardinality already
-    exceeded, a value outside an exact set, nonzero values off one
-    F_q-line through 0, any value for empty, 0 for 0 not in the range);
-    every other sampled case is inapplicable.
+    A sampled range raises ValueError (RangeSet.require_exhaustive): its
+    values are a subset of the range, and claims are checked on whole
+    ranges only.
     """
     if isinstance(observed, FiberCount):
         if pred.scope != SCOPE_FIBER_ZERO or observed.value != pred.k_enc:
@@ -641,14 +620,5 @@ def check_prediction(pred: Prediction, observed) -> str:
             f"prediction for {pred.scope}@k={pred.k_enc} paired with "
             f"{observed.kind}@k={observed.k_enc}")
 
-    values = set(observed.values)
-    holds = _holds(pred, observed.ctx, values)
-    if observed.mode == EXHAUSTIVE:
-        return PASS if holds else FAIL
-    claim = pred.claim
-    if holds and (claim in (CLAIM_LOWER_BOUND, CLAIM_SUPERSET)
-                  or claim == CLAIM_MEMBER and pred.target):
-        return PASS
-    if _refuted_by_sample(pred, observed.ctx, values):
-        return FAIL
-    return INAPPLICABLE
+    observed.require_exhaustive()
+    return PASS if _holds(pred, observed.ctx, set(observed.values)) else FAIL

@@ -50,19 +50,23 @@ def _check_field_size(p: int, m: int) -> None:
 
 
 def _resolve_ctx(args, file_spec: FieldSpec | None) -> FieldCtx:
-    # a field block in a matrix file must agree with any -p/-m flags
+    # a field block in a matrix file must agree with each --p/--m flag given
     if file_spec is not None:
-        if args.p is not None and (args.p, args.m) != (file_spec.p, file_spec.m):
+        given = {k: v for k, v in (("p", args.p), ("m", args.m))
+                 if v is not None}
+        if any(v != getattr(file_spec, k) for k, v in given.items()):
+            flags = " ".join(f"{k}={v}" for k, v in given.items())
             raise ValueError(
-                f"field flags p={args.p} m={args.m} disagree with the "
+                f"field flags {flags} disagree with the "
                 f"matrix file's p={file_spec.p} m={file_spec.m}")
         _check_field_size(file_spec.p, file_spec.m)
         return ctx_from_spec(file_spec)
     if args.p is None:
         raise ValueError("no field given: pass --p (and --m) or a matrix "
                          "file with a field block")
-    _check_field_size(args.p, args.m)
-    return build_tower(args.p, args.m)
+    m = 1 if args.m is None else args.m
+    _check_field_size(args.p, m)
+    return build_tower(args.p, m)
 
 
 def _parse_inline(text: str) -> tuple[tuple[int, ...], ...]:
@@ -84,7 +88,7 @@ def _load_matrix(args) -> tuple[FieldCtx, HermMatrix]:
     try:
         with open(text, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read matrix file {text!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"matrix file {text!r} is not JSON: {exc}") from exc
@@ -256,8 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--p", type=int, help="field characteristic")
-        sp.add_argument("--m", type=int, default=1,
-                        help="degree of F_q over F_p (default 1)")
+        sp.add_argument("--m", type=int, default=None,
+                        help="degree of F_q over F_p (default 1, or a "
+                             "matrix file's m)")
         sp.add_argument("--capacity", type=int, default=DEFAULT_CAPACITY,
                         help="max vectors or matrices to enumerate "
                              "exhaustively")

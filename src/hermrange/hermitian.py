@@ -8,8 +8,7 @@ F_q, where the form degenerates to the sum of squares.
 
 Enumeration completes a free choice of the first n - 1 coordinates with
 the norm preimages (or subfield square roots) of the residual, instead
-of filtering the whole space.  A naive full-space filter is kept as an
-independent oracle for the optimized walk.
+of filtering the whole space.
 """
 
 from __future__ import annotations
@@ -84,29 +83,6 @@ class HermMatrix:
     def encs(self) -> tuple[tuple[int, ...], ...]:
         return self._encs
 
-    def dagger(self) -> "HermMatrix":
-        """Conjugate transpose: entry (i, j) becomes m_ji^q."""
-        frob = self.ctx.frob_enc
-        cols = zip(*self._encs)
-        return HermMatrix._of(self.ctx, tuple(tuple(frob(e) for e in c)
-                                              for c in cols))
-
-    def apply(self, v) -> tuple[int, ...]:
-        """Codes of M v, for the code tuple v."""
-        q2 = self.ctx.q2
-        if len(v) != self.n or any(type(x) is not int or not 0 <= x < q2
-                                   for x in v):
-            raise ValueError(f"vector {v!r} is not {self.n} codes below {q2}")
-        return tuple(self.ctx.dot_encs(list(enumerate(v)), self._encs))
-
-    def __matmul__(self, other: "HermMatrix") -> "HermMatrix":
-        if other.ctx is not self.ctx or other.n != self.n:
-            raise ValueError("matrix shapes or contexts differ")
-        ctx = self.ctx
-        cols = tuple(zip(*other._encs))
-        return HermMatrix._of(ctx, tuple(
-            tuple(ctx.dot_encs(list(enumerate(r)), cols)) for r in self._encs))
-
     def __add__(self, other: "HermMatrix") -> "HermMatrix":
         if other.ctx is not self.ctx or other.n != self.n:
             raise ValueError("matrix shapes or contexts differ")
@@ -126,22 +102,10 @@ class HermMatrix:
         return all(e == (c if i == j else 0)
                    for i, r in enumerate(self._encs) for j, e in enumerate(r))
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, HermMatrix) and other.ctx is self.ctx
-                and other._encs == self._encs)
-
-    def __hash__(self) -> int:
-        return hash((id(self.ctx), self._encs))
-
     def __repr__(self) -> str:
         poly = self.ctx.poly_str
         body = "; ".join(", ".join(poly(e) for e in r) for r in self._encs)
         return f"HermMatrix([{body}])"
-
-
-def is_unitary(u: HermMatrix) -> bool:
-    """Whether u^dagger u is the identity."""
-    return (u.dagger() @ u) == HermMatrix.identity(u.ctx, u.n)
 
 
 def block_diag(a: HermMatrix, b: HermMatrix) -> HermMatrix:
@@ -215,25 +179,6 @@ def _residual(ctx: FieldCtx, norm_of, k_enc: int, prefix) -> int:
     return residual
 
 
-def naive_cone_encs(ctx: FieldCtx, n: int, k_enc: int, mode: str,
-                    exclude_zero: bool = False) -> Iterator[tuple[int, ...]]:
-    """Oracle enumeration: filter the full space by the definition.
-
-    Self-pairings are evaluated with generic power maps rather than the
-    completion tables, so this path is independent of the one it checks.
-    """
-    space = ctx.q2 if mode == FULL_FIELD else ctx.q
-    e = ctx.q + 1 if mode == FULL_FIELD else 2
-    for u in itertools.product(range(space), repeat=n):
-        acc = 0
-        for x in u:
-            acc = ctx.add_enc(acc, ctx.pow_enc(x, e))
-        if acc == k_enc:
-            if exclude_zero and not any(u):
-                continue
-            yield u
-
-
 @lru_cache(maxsize=128)
 def cone_encs(ctx: FieldCtx, n: int, k_enc: int, mode: str,
               exclude_zero: bool = False,
@@ -298,25 +243,3 @@ def _draw_cone(ctx: FieldCtx, n: int, k_enc: int, mode: str,
             continue
         produced += 1
         yield prefix + (last,)
-
-
-def random_unitary_2x2(ctx: FieldCtx, rng) -> HermMatrix:
-    """Random 2 by 2 unitary built from a unit vector and its completion."""
-    q2 = ctx.q2
-    while True:
-        a, b = rng.randrange(q2), rng.randrange(q2)
-        s = ctx.q_add(ctx.norm_enc(a), ctx.norm_enc(b))
-        if s != 0:
-            break
-    # rescale (a, b) to a unit vector; each nonzero norm value has q + 1
-    # preimages
-    t = ctx.norm_preimage_enc(ctx.q_inv(s), rng.randrange(ctx.q + 1))
-    a, b = ctx.mul_enc(a, t), ctx.mul_enc(b, t)
-    # orthogonal completion (-b^q s', a^q s') with s' of norm one
-    sp = ctx.norm_preimage_enc(1, rng.randrange(ctx.q + 1))
-    w0 = ctx.mul_enc(ctx.neg_enc(ctx.frob_enc(b)), sp)
-    w1 = ctx.mul_enc(ctx.frob_enc(a), sp)
-    u = HermMatrix.from_encs(ctx, ((a, w0), (b, w1)))
-    if not is_unitary(u):
-        raise RuntimeError("completed 2 by 2 matrix is not unitary")
-    return u

@@ -12,9 +12,9 @@ Exhaustive ranges are evaluated once per Gram class of the cone:
 vectors with the same tuple u_i^q * u_j pair to the same value under
 every matrix, and witness_count stays the cone size.  One evaluator,
 _values, turns Gram tuples into pairings for every path: exhaustive,
-sampled, the naive oracle and the fiber counts.  It hands the sums to
-the context's dot_encs, which picks table or polynomial arithmetic, so
-no path here depends on the arithmetic tier.
+sampled and the fiber counts.  It hands the sums to the context's
+dot_encs, which picks table or polynomial arithmetic, so no path here
+depends on the arithmetic tier.
 
 Exhaustive results are canonical: values are kept as sorted code lists,
 so equal ranges serialize to identical bytes.  When the cone is too
@@ -31,7 +31,7 @@ from functools import lru_cache
 from .fields import FieldCtx
 from .hermitian import (DEFAULT_CAPACITY, FULL_FIELD, SUBFIELD, CapacityError,
                         HermMatrix, check_level, cone_encs, cone_upper_bound,
-                        naive_cone_encs, sample_cone_encs)
+                        sample_cone_encs)
 
 KIND_NUM_K = "num_k"
 KIND_NUM0_PRIME = "num0_prime"
@@ -68,9 +68,6 @@ class RangeSet:
     @property
     def cardinality(self) -> int:
         return len(self.values)
-
-    def contains_enc(self, enc: int) -> bool:
-        return enc in set(self.values)
 
     def require_exhaustive(self) -> "RangeSet":
         if self.mode != EXHAUSTIVE:
@@ -236,16 +233,6 @@ def range_of(m: HermMatrix, kind: str, k: int, **kw) -> RangeSet:
     if k or type(k) is not int:
         _check_range(m, kind, k)  # raises: a null-range takes only k = 0
     return _ENTRY_POINTS[kind](m, **kw)
-
-
-def range_naive(m: HermMatrix, kind: str, k: int) -> RangeSet:
-    """Full-space filter oracle for any of the range kinds."""
-    ctx = m.ctx
-    mode, null = _check_range(m, kind, k)
-    values = _values(m, [_gram(ctx, u) for u in
-                         naive_cone_encs(ctx, m.n, k, mode, null)])
-    return RangeSet(kind=kind, k_enc=k, values=tuple(sorted(set(values))),
-                    mode=EXHAUSTIVE, witness_count=len(values), ctx=ctx)
 
 
 def fiber_count(m: HermMatrix, a: int, *,

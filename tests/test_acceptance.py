@@ -9,11 +9,12 @@ import itertools
 import random
 
 from hermrange import (FULL_FIELD, SUBFIELD, HermMatrix, PASS, cone_encs,
-                       evaluate, fiber_count, naive_cone_encs, num0_prime,
-                       num0_prime_subfield, num_k_subfield, predict_subfield,
-                       random_unitary_2x2, resolve_affine_shift,
+                       evaluate, fiber_count, num0_prime, num0_prime_subfield,
+                       num_k_subfield, predict_subfield, resolve_affine_shift,
                        run_exhaustive_2x2, scalar_fiber_formula,
                        scaling_law_check)
+
+from oracles import dagger, matmul, naive_cone_encs, random_unitary_2x2
 
 
 @contextlib.contextmanager
@@ -72,13 +73,13 @@ def test_dagger_duality(f2, f3):
         for encs in itertools.product(range(4), repeat=4):
             m = _m(f2, [encs[0:2], encs[2:4]])
             assert num0_prime(m).cardinality \
-                == num0_prime(m.dagger()).cardinality
+                == num0_prime(dagger(m)).cardinality
         rng = random.Random(11)
         for _ in range(500):
             m = _m(f3, [[rng.randrange(f3.q2) for _ in range(2)]
                         for _ in range(2)])
             assert num0_prime(m).cardinality \
-                == num0_prime(m.dagger()).cardinality
+                == num0_prime(dagger(m)).cardinality
 
 
 def test_scaling_law(f2, f3):
@@ -104,7 +105,7 @@ def test_split_diagonal_line(f2, f3):
                     rs = num0_prime(_diag(ctx, (c1, c2)))
                     assert set(rs.values) == line
                     assert rs.cardinality == ctx.q - 1
-                    assert not rs.contains_enc(0)
+                    assert 0 not in rs.values
 
 
 def test_jordan_type_cardinality(towers):
@@ -117,9 +118,9 @@ def test_jordan_type_cardinality(towers):
                 c = rng.randrange(ctx.q2)
                 d = rng.randrange(1, ctx.q2)
                 u = random_unitary_2x2(ctx, rng)
-                m = u.dagger() @ _m(ctx, [[c, d], [0, c]]) @ u
+                m = matmul(matmul(dagger(u), _m(ctx, [[c, d], [0, c]])), u)
                 rs = num0_prime(m)
-                assert not rs.contains_enc(0)
+                assert 0 not in rs.values
                 assert rs.cardinality == expect
 
 
@@ -135,9 +136,9 @@ def test_isotropic_pair_line(f2, f3):
                              [ctx.div_enc(ctx.neg_enc(th1), det),
                               ctx.div_enc(1, det)]])
             for c1, c2 in c_pairs:
-                rs = num0_prime(p @ _diag(ctx, (c1, c2)) @ p_inv)
+                rs = num0_prime(matmul(matmul(p, _diag(ctx, (c1, c2))), p_inv))
                 assert rs.cardinality == ctx.q
-                assert rs.contains_enc(0)
+                assert 0 in rs.values
                 o = next(v for v in rs.values if v)
                 assert set(rs.values) \
                     == {ctx.mul_enc(t, o) for t in range(ctx.q)}

@@ -4,13 +4,15 @@ import random
 
 import pytest
 
-from hermrange import hermitian
 from hermrange.fields import build_tower
 from hermrange.hermitian import (FULL_FIELD, SUBFIELD, CapacityError,
                                  HermMatrix, _level_set_is_empty, block_diag,
                                  cone_encs, cone_upper_bound, inner_encs,
-                                 is_unitary, naive_cone_encs,
-                                 random_unitary_2x2, sample_cone_encs)
+                                 sample_cone_encs)
+
+import oracles
+from oracles import (apply, dagger, is_unitary, matmul, naive_cone_encs,
+                     random_unitary_2x2)
 
 
 def _rand_matrix(ctx, rng, n, limit=None):
@@ -33,9 +35,10 @@ def test_dagger_is_an_involution_and_antihomomorphism(f9):
     for _ in range(20):
         a = _rand_matrix(f9, rng, 2)
         b = _rand_matrix(f9, rng, 2)
-        assert a.dagger().dagger() == a
-        assert (a + b).dagger() == a.dagger() + b.dagger()
-        assert (a @ b).dagger() == b.dagger() @ a.dagger()
+        assert dagger(dagger(a)).encs() == a.encs()
+        assert dagger(a + b).encs() == (dagger(a) + dagger(b)).encs()
+        assert dagger(matmul(a, b)).encs() \
+            == matmul(dagger(b), dagger(a)).encs()
 
 
 def test_matmul_matches_apply(f9):
@@ -43,10 +46,10 @@ def test_matmul_matches_apply(f9):
     a = _rand_matrix(f9, rng, 3)
     b = _rand_matrix(f9, rng, 3)
     u = tuple(rng.randrange(81) for _ in range(3))
-    assert (a @ b).apply(u) == a.apply(b.apply(u))
+    assert apply(matmul(a, b), u) == apply(a, apply(b, u))
     for bad in (u[:2], (0, -1, 0), (0, 81, 0), (0, True, 0)):
         with pytest.raises(ValueError, match="is not 3 codes below 81"):
-            a.apply(bad)
+            apply(a, bad)
 
 
 def test_matrix_predicates(f3):
@@ -63,11 +66,10 @@ def test_code_rows_round_trip(f9):
                       for _ in range(n))
         by_codes = HermMatrix.from_encs(f9, codes)
         by_lists = HermMatrix.from_encs(f9, [list(r) for r in codes])
-        assert by_codes == by_lists and hash(by_codes) == hash(by_lists)
         assert by_codes.encs() == by_lists.encs() == codes
-        assert HermMatrix.from_encs(f9, by_codes.encs()) == by_codes
-    assert HermMatrix.from_encs(f9, ((1, 2), (3, 4))) \
-        != HermMatrix.from_encs(f9, ((1, 2), (3, 5)))
+        assert HermMatrix.from_encs(f9, by_codes.encs()).encs() == codes
+    assert HermMatrix.from_encs(f9, ((1, 2), (3, 4))).encs() \
+        != HermMatrix.from_encs(f9, ((1, 2), (3, 5))).encs()
 
 
 @pytest.mark.parametrize("rows,message", [
@@ -106,8 +108,8 @@ def test_unitary_conjugation(f4):
         assert is_unitary(random_unitary_2x2(f4, rng))
     assert not is_unitary(HermMatrix.from_encs(f4, ((1, 1), (0, 1))))
     # seeded generation is reproducible
-    assert random_unitary_2x2(f4, random.Random(9)) \
-        == random_unitary_2x2(f4, random.Random(9))
+    assert random_unitary_2x2(f4, random.Random(9)).encs() \
+        == random_unitary_2x2(f4, random.Random(9)).encs()
 
 
 _CONE_FUNCS = {
@@ -270,6 +272,6 @@ def test_broken_invariants_raise_without_asserts(monkeypatch):
     for mode in (FULL_FIELD, SUBFIELD):
         with pytest.raises(RuntimeError, match="residual landed outside"):
             list(sample_cone_encs(ctx, 2, 1, mode, False, 5, random.Random(0)))
-    monkeypatch.setattr(hermitian, "is_unitary", lambda u: False)
+    monkeypatch.setattr(oracles, "is_unitary", lambda u: False)
     with pytest.raises(RuntimeError):
         random_unitary_2x2(build_tower(3), random.Random(0))

@@ -15,10 +15,12 @@ import pytest
 
 from hermrange.cli import main
 from hermrange.fields import build_tower
-from hermrange.hermitian import HermMatrix, random_unitary_2x2
+from hermrange.hermitian import HermMatrix
 from hermrange.ranges import num0_prime
 from hermrange.verify import (run_direct_sums, run_exhaustive_2x2,
                               run_random_nxn, run_scalar_fibers)
+
+from oracles import random_unitary_2x2
 
 PINNED = (
     ("exhaustive-2x2-q2", run_exhaustive_2x2, (2, 1), {},

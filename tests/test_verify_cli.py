@@ -529,6 +529,30 @@ def test_cli_matrix_file(tmp_path, capsys, f2):
     assert "disagree" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags,disagree", [
+    ("--m 2", "m=2"), ("--p 3", "p=3"), ("--p 2 --m 2", "p=2 m=2"),
+    ("--p 3 --m 1", "p=3 m=1"), ("--m 1", None), ("--p 2", None),
+    ("--p 2 --m 1", None),
+], ids=["m", "p", "p-and-m", "p-and-default-m", "m-agrees", "p-agrees",
+        "both-agree"])
+def test_cli_each_field_flag_given_must_agree_with_the_file(
+        tmp_path, capsys, f2, flags, disagree):
+    # --m alone is compared too; it is not ignored for want of --p
+    doc = {"field": f2.spec.to_json_dict(), "entries": [[0, 1], [0, 0]]}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["range", "--matrix", str(path)]) == 0
+    plain = capsys.readouterr().out
+    rc = main(["range", *flags.split(), "--matrix", str(path)])
+    out, err = capsys.readouterr()
+    if disagree is None:
+        assert (rc, out) == (0, plain)
+    else:
+        assert (rc, out) == (2, "")
+        assert err == (f"hermrange: field flags {disagree} disagree with the "
+                       "matrix file's p=2 m=1\n")
+
+
 def test_cli_fibers(capsys):
     rc = main(["fibers", "--p", "5", "--matrix", "1,0;0,1",
                "--format", "csv"])
@@ -617,6 +641,17 @@ def test_cli_error_codes(capsys, tmp_path):
     assert main(["range", "--p", "2",
                  "--matrix", str(tmp_path / "absent.json")]) == 2
     capsys.readouterr()
+
+
+def test_cli_non_utf8_matrix_file_names_the_file(capsys, tmp_path):
+    src = tmp_path / "m.json"
+    src.write_bytes(b'{"entries": [[1]]}\xff')
+    for command in ("range", "fibers"):
+        assert main([command, "--p", "3", "--matrix", str(src)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"hermrange: cannot read matrix file {str(src)!r}: 'utf-8' codec")
+        assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("doc", [
