@@ -221,6 +221,29 @@ def sample_cone_encs(ctx: FieldCtx, n: int, k_enc: int, mode: str,
     return _draw_cone(ctx, n, k_enc, mode, exclude_zero, count, rng)
 
 
+def draw_rows(rng, limit: int, n: int) -> tuple:
+    """Code rows of an n by n matrix with entries drawn below limit.
+
+    Each entry is rng.randrange(limit), drawn in row order: CPython's
+    randrange draws getrandbits(limit.bit_length()) until the value
+    falls below limit, and this loop makes the same calls without
+    randrange's argument checks and call layers, so the entries and the
+    state rng is left in are those of the randrange calls.
+    """
+    bits = rng.getrandbits
+    k = limit.bit_length()
+    rows = []
+    for _ in range(n):
+        row = []
+        for _ in range(n):
+            r = bits(k)
+            while r >= limit:
+                r = bits(k)
+            row.append(r)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 def _draw_cone(ctx: FieldCtx, n: int, k_enc: int, mode: str,
                exclude_zero: bool, count: int, rng) -> Iterator[tuple[int, ...]]:
     space = ctx.q2 if mode == FULL_FIELD else ctx.q

@@ -31,7 +31,7 @@ from functools import lru_cache
 from .fields import FieldCtx
 from .hermitian import (DEFAULT_CAPACITY, FULL_FIELD, SUBFIELD, CapacityError,
                         HermMatrix, check_level, cone_encs, cone_upper_bound,
-                        sample_cone_encs)
+                        draw_rows, sample_cone_encs)
 
 KIND_NUM_K = "num_k"
 KIND_NUM0_PRIME = "num0_prime"
@@ -286,9 +286,7 @@ def resolve_affine_shift(ctx: FieldCtx, *, k: int, trials: int = 20,
     ident = HermMatrix.identity(ctx, 2)
     ck_ok = ck2_ok = True
     for _ in range(trials):
-        m = HermMatrix.from_encs(
-            ctx, tuple(tuple(rng.randrange(ctx.q2) for _ in range(2))
-                       for _ in range(2)))
+        m = HermMatrix.from_encs(ctx, draw_rows(rng, ctx.q2, 2))
         base = num_k(m, k, capacity=capacity).require_exhaustive()
         shifted = num_k(ident + m, k, capacity=capacity).require_exhaustive()
         by_ck = tuple(sorted(ctx.add_enc(k, v) for v in base.values))

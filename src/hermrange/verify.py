@@ -11,7 +11,8 @@ its first case, so a sweep never starts work that a later case would
 refuse: the matrix count of an exhaustive sweep, the q level cones of a
 random subfield draw, the 2 by 2 level-0 cone of a random full-field
 draw, the subfield cone of every scalar-fibers n, and the full-field
-cone of the largest direct sum.
+cone of the largest direct sum.  The random sweeps also bound their
+matrix count by the capacity, so a huge count is refused, not run.
 
 All runners share one loop, _sweep; a runner only yields cases, each
 the code rows of a matrix, its predictor and an outcome key.  Cases with
@@ -79,7 +80,7 @@ from .classify import (FAIL, NULL_CLASS_KINDS, SCALE_COVARIANT_CLAIMS,
                        predict_subfield, scaled_null_classes)
 from .fields import FieldCtx
 from .hermitian import (DEFAULT_CAPACITY, FULL_FIELD, SUBFIELD, CapacityError,
-                        HermMatrix, block_diag, cone_upper_bound)
+                        HermMatrix, block_diag, cone_upper_bound, draw_rows)
 from .ranges import (FiberCount, fiber_count, num_k, range_of,
                      resolve_affine_shift)
 
@@ -97,8 +98,9 @@ VERIFY_SCOPES = (SCOPE_EXHAUSTIVE_2X2, SCOPE_RANDOM_NXN, SCOPE_SCALAR_FIBERS,
 # per scale orbit (316 at q = 7), or one per class of an orbit with a
 # fail, but still one key per class, so the bound counts every class as
 # its own outcome.  2^21 admits q <= 7 (at most 1.45 M values at q = 7;
-# 60,000 random draws there run in 0.4 s keyed against 5.9 s unkeyed,
-# with peak RSS 18.5 against 16.6 MB under CPython 3.11) and no larger q.
+# 60,000 random draws there run in 0.16-0.30 s keyed against 5.5-8.1 s
+# unkeyed, with peak RSS 18.0 against 16.6 MB, under CPython 3.11 on a
+# 2-vCPU VM) and no larger q.
 MEMO_RANGE_VALUES = 1 << 21
 
 COLLECT_ALL = "all"
@@ -138,12 +140,6 @@ def _observed_json(obs, verdict: str) -> dict:
     return out
 
 
-def _draw(rng: random.Random, limit: int, n: int) -> tuple:
-    """Code rows of an n by n matrix with entries drawn below limit."""
-    return tuple(tuple(rng.randrange(limit) for _ in range(n))
-                 for _ in range(n))
-
-
 def _null_class_preds(m: HermMatrix) -> list:
     """predict_full_field of a null-class representative, whose outcomes
     its whole class, and when none fails its scale orbit, takes; raises
@@ -181,6 +177,14 @@ def _check_capacity(sweep: str, total: int, capacity: int) -> None:
     if total > capacity:
         raise CapacityError(f"{sweep} sweep enumerates up to {total} "
                             f"vectors a matrix, capacity is {capacity}")
+
+
+def _check_draws(sweep: str, count: int, capacity: int) -> None:
+    """Refuse a random sweep of more than capacity matrices before its
+    first draw."""
+    if count > capacity:
+        raise CapacityError(f"{sweep} sweep draws {count} matrices, "
+                            f"capacity is {capacity}")
 
 
 def _sweep(ctx: FieldCtx, scope: str, cases, collect: str, capacity: int,
@@ -333,7 +337,8 @@ def run_random_nxn(ctx: FieldCtx, *, n: int = 3, count: int = 50,
     A subfield draw is checked at all q levels, so a sweep whose level
     cones may hold more than capacity vectors in all raises
     CapacityError before its first draw; a full-field sweep does so when
-    its 2 by 2 level-0 cone may.
+    its 2 by 2 level-0 cone may.  After those checks, a count above
+    capacity raises CapacityError too.
     """
     _check_count(count)
     if n < 2:
@@ -343,13 +348,15 @@ def run_random_nxn(ctx: FieldCtx, *, n: int = 3, count: int = 50,
     if space == "full" and n != 2:
         raise ValueError("full-field rules cover n=2 only")
     if space == "subfield":
-        _check_capacity(f"random {n}x{n} subfield",
-                        ctx.q * cone_upper_bound(ctx, n, SUBFIELD), capacity)
+        sweep = f"random {n}x{n} subfield"
+        _check_capacity(sweep, ctx.q * cone_upper_bound(ctx, n, SUBFIELD),
+                        capacity)
     else:
-        _check_capacity("random 2x2 full-field",
-                        cone_upper_bound(ctx, 2, FULL_FIELD), capacity)
+        sweep = "random 2x2 full-field"
+        _check_capacity(sweep, cone_upper_bound(ctx, 2, FULL_FIELD), capacity)
+    _check_draws(sweep, count, capacity)
     rng = random.Random(seed)
-    draws = (_draw(rng, ctx.q2 if space == "full" else ctx.q, n)
+    draws = (draw_rows(rng, ctx.q2 if space == "full" else ctx.q, n)
              for _ in range(count))
     orbit = None
     if space == "subfield":
@@ -396,7 +403,8 @@ def run_direct_sums(ctx: FieldCtx, *, count: int = 50, seed: int = 0,
 
     Draw i is 2 by 2 or, from i = 1 on, 3 by 3, so a sweep whose
     full-field cone at the largest size may hold more than capacity
-    vectors raises CapacityError before its first draw.
+    vectors raises CapacityError before its first draw, and so, after
+    that check, does a count above capacity.
     """
     _check_count(count)
     rng = random.Random(seed)
@@ -404,12 +412,13 @@ def run_direct_sums(ctx: FieldCtx, *, count: int = 50, seed: int = 0,
     for n in sorted({xa + xb for xa, xb in splits[:count]}):
         _check_capacity(f"direct-sums {n}x{n}",
                         cone_upper_bound(ctx, n, FULL_FIELD), capacity)
+    _check_draws("direct-sums", count, capacity)
 
     def cases():
         for i in range(count):
             xa, xb = splits[i % len(splits)]
-            a = HermMatrix.from_encs(ctx, _draw(rng, ctx.q2, xa))
-            b = HermMatrix.from_encs(ctx, _draw(rng, ctx.q2, xb))
+            a = HermMatrix.from_encs(ctx, draw_rows(rng, ctx.q2, xa))
+            b = HermMatrix.from_encs(ctx, draw_rows(rng, ctx.q2, xb))
 
             def predict(m, a=a, b=b):
                 return predict_direct_sum(

@@ -7,8 +7,8 @@ import pytest
 from hermrange.fields import build_tower
 from hermrange.hermitian import (FULL_FIELD, SUBFIELD, CapacityError,
                                  HermMatrix, _level_set_is_empty, block_diag,
-                                 cone_encs, cone_upper_bound, inner_encs,
-                                 sample_cone_encs)
+                                 cone_encs, cone_upper_bound, draw_rows,
+                                 inner_encs, sample_cone_encs)
 
 import oracles
 from oracles import (apply, dagger, is_unitary, matmul, naive_cone_encs,
@@ -197,6 +197,22 @@ def test_exclude_zero_only_affects_level_zero(f5):
 def test_capacity_refusal(f5):
     with pytest.raises(CapacityError):
         cone_encs(f5, 3, 0, FULL_FIELD, False, 100)
+
+
+@pytest.mark.parametrize("limit", [1, 2, 3, 4, 9, 16, 81, 1031 ** 2, 2 ** 20,
+                                   2 ** 33 + 5])
+def test_draw_rows_is_the_stream_of_nested_randrange(limit):
+    # the sweeps' matrices, and so every pinned random digest, are those
+    # of randrange(limit) in row order; a CPython whose randrange stops
+    # drawing getrandbits(limit.bit_length()) until below limit fails here
+    for seed in (0, 1, 5, 2 ** 40 + 3):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for n in (1, 2, 3, 2, 1):
+            got = draw_rows(ours, limit, n)
+            want = tuple(tuple(theirs.randrange(limit) for _ in range(n))
+                         for _ in range(n))
+            assert got == want, (seed, n)
+            assert ours.random() == theirs.random(), (seed, n)
 
 
 def test_sampling_is_seeded_and_sound(f5):

@@ -1,11 +1,15 @@
 """verify.py keeps one sweep loop: every runner yields cases into
 _sweep, which alone builds, evaluates and tallies matrices.  A new scope
-adds a case generator, not another loop."""
+adds a case generator, not another loop.  The sweeps and the affine-shift
+trials draw their matrices through hermitian.draw_rows alone."""
 
 import ast
 from pathlib import Path
 
-VERIFY = Path(__file__).resolve().parent.parent / "src" / "hermrange" / "verify.py"
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "hermrange"
+VERIFY = SRC / "verify.py"
 
 
 def _calls_to(tree, name):
@@ -20,3 +24,14 @@ def _calls_to(tree, name):
 def test_evaluate_is_called_once_inside_the_sweep_driver():
     tree = ast.parse(VERIFY.read_text(encoding="utf-8"), filename=str(VERIFY))
     assert list(_calls_to(tree, "evaluate")) == ["_sweep"]
+
+
+@pytest.mark.parametrize("module", ["verify.py", "ranges.py"])
+def test_matrices_are_drawn_without_randrange(module):
+    path = SRC / module
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    calls = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", getattr(node.func, "id", None))
+             == "randrange"]
+    assert calls == []

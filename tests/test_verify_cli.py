@@ -18,7 +18,7 @@ from hermrange.classify import (CLAIM_EXACT_CARD, CLAIM_EXACT_SET,
                                 scaled_null_classes)
 from hermrange.cli import build_parser, main
 from hermrange.fields import build_tower
-from hermrange.hermitian import CapacityError, HermMatrix
+from hermrange.hermitian import CapacityError, HermMatrix, draw_rows
 from hermrange.ranges import (KIND_NUM0_PRIME, KIND_NUM0_PRIME_SUBFIELD,
                               KIND_NUM_K, RANGE_KINDS, num0_prime)
 from hermrange.verify import (COLLECT_FAILS, SCOPE_SCALAR_FIBERS,
@@ -149,7 +149,7 @@ def test_full_field_predictions_are_functions_of_the_null_class_sampled(
     ctx = towers[q]
     rng = random.Random(q)
     for i in range(400):
-        (a, b), (c, d) = verify._draw(rng, ctx.q2, 2)
+        (a, b), (c, d) = draw_rows(rng, ctx.q2, 2)
         rows = ((a, 0 if i % 4 == 0 else b), (0 if i % 5 == 0 else c, d))
         want = predict_full_field(HermMatrix.from_encs(ctx, rows))
         for _ in range(3):
@@ -768,14 +768,16 @@ def test_random_subfield_sweep_over_capacity_raises_before_work(monkeypatch,
 def test_sweeps_check_their_largest_cone_before_work(monkeypatch, f2):
     # at q = 2 a full-field cone holds at most 12 vectors at n = 2 and 48
     # at n = 3, a subfield cone 2^(n - 1); the largest decides, and a
-    # single direct sum is 2x2
+    # single direct sum is 2x2; random-nxn draws 5 matrices, since the
+    # capacity bounds its count too
     cases = (
         (lambda c: run_scalar_fibers(f2, capacity=c), "scalar-fibers 5x5", 16),
         (lambda c: run_direct_sums(f2, count=2, capacity=c),
          "direct-sums 3x3", 48),
         (lambda c: run_direct_sums(f2, count=1, capacity=c),
          "direct-sums 2x2", 12),
-        (lambda c: run_random_nxn(f2, n=2, space="full", capacity=c),
+        (lambda c: run_random_nxn(f2, n=2, space="full", count=5,
+                                  capacity=c),
          "random 2x2 full-field", 12))
 
     def no_work(*args, **kwargs):
@@ -790,6 +792,43 @@ def test_sweeps_check_their_largest_cone_before_work(monkeypatch, f2):
     monkeypatch.undo()
     for call, _, total in cases:
         assert _clean(call(total))["summary"]["total"]
+
+
+def test_random_sweeps_bound_their_count_by_the_capacity(monkeypatch, f2):
+    # q = 2 cones hold at most 48 vectors, so the count decides; a cone
+    # over capacity keeps its own message
+    def no_work(*args, **kwargs):
+        raise AssertionError("a matrix was evaluated")
+
+    cases = (
+        (lambda c, k: run_random_nxn(f2, n=2, space="full", count=c,
+                                     capacity=k), "random 2x2 full-field"),
+        (lambda c, k: run_random_nxn(f2, n=3, count=c, capacity=k),
+         "random 3x3 subfield"),
+        (lambda c, k: run_direct_sums(f2, count=c, capacity=k),
+         "direct-sums"))
+    monkeypatch.setattr(verify, "evaluate", no_work)
+    for call, sweep in cases:
+        with pytest.raises(CapacityError, match=(
+                f"^{sweep} sweep draws 101 matrices, capacity is 100$")):
+            call(101, 100)
+        with pytest.raises(CapacityError, match="vectors a matrix"):
+            call(10 ** 20, 1)
+    monkeypatch.undo()
+    for call, _ in cases:
+        assert _clean(call(100, 100))["summary"]["total"]
+
+
+@pytest.mark.parametrize("scope", ["random-nxn", "direct-sums"])
+def test_cli_random_sweep_with_a_huge_count_exits_three_at_once(capsys,
+                                                                 scope):
+    start = time.perf_counter()
+    assert main(["verify", "--p", "3", "--scope", scope,
+                 "--count", "99999999999999999999"]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err.endswith(
+        " sweep draws 99999999999999999999 matrices, capacity is "
+        "16777216\n")
 
 
 def test_scalar_fibers_past_capacity_fail_at_once():
