@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 from .fields import FieldCtx
 from .hermitian import DEFAULT_CAPACITY, HermMatrix, check_level, inner_encs
 from .ranges import (KIND_NUM0_PRIME, KIND_NUM0_PRIME_SUBFIELD, KIND_NUM_K,
-                     KIND_NUM_K_SUBFIELD, FiberCount, RangeSet, num0_prime)
+                     KIND_NUM_K_SUBFIELD, FiberCount, RangeSet, num0_prime,
+                     num_k)
 
 TWO_DISTINCT = "two_distinct_in_Fq2"
 REPEATED = "repeated"
@@ -164,10 +165,9 @@ def predict_full_field(m: HermMatrix) -> list[Prediction]:
 
     e = eigen2(m)
     if e.orthogonal_eigenbasis:
-        c1, c2 = e.eigenvalue_encs
-        preds.append(Prediction(
-            "prop1d", KIND_NUM0_PRIME, 0, CLAIM_EXACT_SET,
-            _line_values(ctx, ctx.sub_enc(c2, c1), False)))
+        # the header above, then prop1d on the two simple eigenvalues
+        preds = predict_unitary_diagonal(
+            ctx, [(c, 1) for c in e.eigenvalue_encs])
     elif e.status == TWO_DISTINCT and all(e.isotropic):
         preds.append(Prediction("prop3", KIND_NUM0_PRIME, 0, CLAIM_LINE))
     elif (e.status == REPEATED and e.eigenspace_dims == (1,)
@@ -251,25 +251,19 @@ def predict_unitary_diagonal(ctx: FieldCtx,
     return preds
 
 
-def predict_direct_sum(a: HermMatrix, b: HermMatrix,
-                       num1_a: RangeSet, num1_b: RangeSet,
-                       num0_a: RangeSet, num0_b: RangeSet,
-                       *, capacity: int = DEFAULT_CAPACITY) -> list[Prediction]:
+def predict_direct_sum(a: HermMatrix, b: HermMatrix, *,
+                       capacity: int = DEFAULT_CAPACITY) -> list[Prediction]:
     """Assemble the zero-level range of a block-diagonal matrix.
 
-    Inputs are the exhaustive level-one and level-zero ranges of the two
-    blocks; the result is the exact zero-level set of the direct sum
-    plus the zero-membership status of its punctured version.
+    The exhaustive level-one and level-zero ranges of the two blocks,
+    computed here within capacity, give the exact zero-level set of the
+    direct sum and the zero-membership status of its punctured version.
     """
     ctx = a.ctx
     if b.ctx is not ctx:
         raise ValueError("blocks belong to different field contexts")
-    for rs, kind, k_enc in ((num1_a, KIND_NUM_K, 1), (num1_b, KIND_NUM_K, 1),
-                            (num0_a, KIND_NUM_K, 0), (num0_b, KIND_NUM_K, 0)):
-        if rs.kind != kind or rs.k_enc != k_enc:
-            raise ValueError(f"expected a {kind} range at k={k_enc}, "
-                             f"got {rs.kind} at k={rs.k_enc}")
-        rs.require_exhaustive()
+    num1_a, num1_b, num0_a, num0_b = (num_k(blk, k, capacity=capacity)
+                                      for k in (1, 0) for blk in (a, b))
 
     assembled = {ctx.add_enc(x, y)
                  for x in num0_a.values for y in num0_b.values}
@@ -317,9 +311,11 @@ def null_class(ctx: FieldCtx, rows):
     On the null cone <u, (M + aI) u> = <u, M u> + a <u, u> = <u, M u>,
     and conjugating by the unitary diag(1, mu), N(mu) = 1, maps the cone
     onto itself while sending (m12, m21) to (m12 mu, m21 mu^q).  So
-    Num_0(M) and the null-range depend on M only through
-    (m11 - m22, N(m12), m12 m21), or (m11 - m22, 0, N(m21)) when
-    m12 = 0: the orbit of (m12, m21) under the unit circle.  There are
+    Num_0(M) and the null-range depend on M only through the key
+    (m11 - m22, N(m12), N(m21), m12 m21): the orbit of (m12, m21) under
+    the unit circle.  The third entry is redundant when m12 != 0
+    (N(m21) = N(m12 m21) / N(m12)) and the fourth when m12 = 0 (it is
+    0), so one formula serves every matrix.  There are
     q^3 (q^2 - q + 1) keys.  Both operations also preserve every
     hypothesis predict_full_field reads (scalarity, the eigenvalue gap up
     to sign, eigenvector isotropy and orthogonality, eigenspace
@@ -327,9 +323,8 @@ def null_class(ctx: FieldCtx, rows):
     its ordered predictions are functions of the key too.
     """
     (a, b), (c, d) = rows
-    if b:
-        return ctx.sub_enc(a, d), ctx.norm_enc(b), ctx.mul_enc(b, c)
-    return ctx.sub_enc(a, d), 0, ctx.norm_enc(c)
+    norm = ctx.norm_enc
+    return ctx.sub_enc(a, d), norm(b), norm(c), ctx.mul_enc(b, c)
 
 
 # claim types whose verdict on a range Num stands on lam Num, lam != 0,
@@ -346,17 +341,14 @@ def scaled_null_classes(ctx: FieldCtx, key) -> list:
 
     lam M keeps the null cone and <u, lam M u> = lam <u, M u>, so its
     level-0 ranges are lam times those of M; its key is
-    (lam d, N(lam) N(m12), lam^2 m12 m21), or (lam d, 0, N(lam) N(m21))
-    when m12 = 0.  Scaling also keeps every hypothesis predict_full_field
-    reads, with the eigenvalue gap scaled by lam.
+    (lam d, N(lam) N(m12), N(lam) N(m21), lam^2 m12 m21).  Scaling also
+    keeps every hypothesis predict_full_field reads, with the eigenvalue
+    gap scaled by lam.
     """
-    d, nb, x = key
+    d, nb, nc, x = key
     mul, norm, q_mul = ctx.mul_enc, ctx.norm_enc, ctx.q_mul
-    lams = range(1, ctx.q2)
-    if nb:
-        return [(mul(lam, d), q_mul(norm(lam), nb), mul(mul(lam, lam), x))
-                for lam in lams]
-    return [(mul(lam, d), 0, q_mul(norm(lam), x)) for lam in lams]
+    return [(mul(lam, d), q_mul(norm(lam), nb), q_mul(norm(lam), nc),
+             mul(mul(lam, lam), x)) for lam in range(1, ctx.q2)]
 
 
 def predict_subfield(m: HermMatrix, levels) -> list[Prediction]:

@@ -258,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "against enumeration.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, seeded=True):
         sp.add_argument("--p", type=int, help="field characteristic")
         sp.add_argument("--m", type=int, default=None,
                         help="degree of F_q over F_p (default 1, or a "
@@ -266,8 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--capacity", type=int, default=DEFAULT_CAPACITY,
                         help="max vectors or matrices to enumerate "
                              "exhaustively")
-        sp.add_argument("--seed", type=int, default=0,
-                        help="seed for any randomized step")
+        if seeded:
+            sp.add_argument("--seed", type=int, default=0,
+                            help="seed for any randomized step")
         sp.add_argument("--format", dest="fmt", choices=("json", "csv"),
                         default="json")
         sp.add_argument("--out", help="write output here instead of stdout")
@@ -300,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="report rows of every check, or of failing ones")
 
     sp = sub.add_parser("fibers", help="null fiber table of a subfield matrix")
-    common(sp)
+    common(sp, seeded=False)
     sp.add_argument("--matrix", required=True,
                     help="inline rows like 0,1;2,3 or a JSON file")
 

@@ -32,8 +32,8 @@ its diagonal and the sums m_ij + m_ji; at n = 2 the key is
 levels.  Random subfield draws rarely repeat a class, so a key there
 would only hold memory.
 
-Full-field 2 by 2 sweeps key on the null class (classify.null_class):
-(m11 - m22, N(m12), m12 m21), or (m11 - m22, 0, N(m21)) when m12 = 0.
+Full-field 2 by 2 sweeps key on the null class (classify.null_class),
+one formula for every matrix: (m11 - m22, N(m12), N(m21), m12 m21).
 A class is one orbit of the shifts M -> M + aI and of conjugation by
 diag(1, mu), N(mu) = 1.  Both fix the null cone and the values on it,
 so they fix both level-0 ranges, and they preserve every hypothesis
@@ -81,8 +81,7 @@ from .classify import (FAIL, NULL_CLASS_KINDS, SCALE_COVARIANT_CLAIMS,
 from .fields import FieldCtx
 from .hermitian import (DEFAULT_CAPACITY, FULL_FIELD, SUBFIELD, CapacityError,
                         HermMatrix, block_diag, cone_upper_bound, draw_rows)
-from .ranges import (FiberCount, fiber_count, num_k, range_of,
-                     resolve_affine_shift)
+from .ranges import FiberCount, fiber_count, range_of, resolve_affine_shift
 
 SCOPE_EXHAUSTIVE_2X2 = "exhaustive-2x2"
 SCOPE_RANDOM_NXN = "random-nxn"
@@ -171,9 +170,20 @@ def _check_count(count: int) -> None:
         raise ValueError(f"matrix count must not be negative, got {count}")
 
 
-def _check_capacity(sweep: str, total: int, capacity: int) -> None:
+def _check_capacity(sweep: str, ctx: FieldCtx, n: int, mode: str,
+                    capacity: int, levels: int = 1) -> None:
     """Refuse a sweep before its first case when a matrix may enumerate
-    more than capacity vectors."""
+    more than capacity vectors: levels cones of dimension n in mode.
+
+    A cone bound is at least q^(n - 1) >= 2^(n - 1), so once n - 1
+    passes capacity.bit_length() it exceeds capacity and is not built:
+    at a huge n its power alone would take minutes.
+    """
+    if n - 1 > capacity.bit_length():
+        raise CapacityError(f"{sweep} sweep enumerates up to at least "
+                            f"2^{n - 1} vectors a matrix, capacity is "
+                            f"{capacity}")
+    total = levels * cone_upper_bound(ctx, n, mode)
     if total > capacity:
         raise CapacityError(f"{sweep} sweep enumerates up to {total} "
                             f"vectors a matrix, capacity is {capacity}")
@@ -202,11 +212,12 @@ def _sweep(ctx: FieldCtx, scope: str, cases, collect: str, capacity: int,
     case still gets its own tally and report rows; the tally of an
     outcome is taken once, times the cases that met it under any key.
 
-    The parts of a key's rows (k, citation, claim, observed dict and
-    verdict) are built once, the first time a case of the key needs
-    rows, and the rows of one case share one matrix list.  So report
-    rows share their "matrix" list and their "observed" dict with other
-    rows: treat them as read-only.
+    An outcome's row parts (k, citation, claim, observed dict and
+    verdict), those of every check with collect="all" and of the
+    failing ones with "fails", are built when it is evaluated, and the
+    rows of one case share one matrix list.  So report rows share their
+    "matrix" list and their "observed" dict with other rows: treat them
+    as read-only.
     """
     if collect not in (COLLECT_ALL, COLLECT_FAILS):
         raise ValueError(f"unknown collect policy {collect!r}")
@@ -222,8 +233,8 @@ def _sweep(ctx: FieldCtx, scope: str, cases, collect: str, capacity: int,
                 basis, {"pass": 0, "fail": 0, "inapplicable": 0})
             per[verdict] += times
 
-    # key -> [outcomes, whether one fails, cases met, row parts or None];
-    # None is never stored, and the keys of one orbit share one entry
+    # key -> [outcomes, cases met, row parts]; None is never stored, and
+    # the keys of one orbit share one entry
     shared: dict = {}
     entries = []
     for rows, predict, key in cases:
@@ -231,29 +242,27 @@ def _sweep(ctx: FieldCtx, scope: str, cases, collect: str, capacity: int,
         if entry is None:
             m = HermMatrix.from_encs(ctx, rows)
             outcomes = evaluate(m, predict(m), capacity)
-            entry = [outcomes, any(o[4] == FAIL for o in outcomes), 0, None]
+            entry = [outcomes, 0,
+                     [(k_enc, basis, claim, _observed_json(observed, verdict),
+                       verdict)
+                      for basis, k_enc, claim, observed, verdict in outcomes
+                      if collect == COLLECT_ALL or verdict == FAIL]]
             if key is None:
                 tally(outcomes, 1)
             else:
                 entries.append(entry)
                 shared[key] = entry
-                if orbit is not None and not entry[1]:
+                if orbit is not None and all(o[4] != FAIL for o in outcomes):
                     for other in orbit(key):
                         shared.setdefault(other, entry)
-        entry[2] += 1
-        if collect == COLLECT_ALL or entry[1]:
-            if entry[3] is None:
-                entry[3] = [(k_enc, basis, claim,
-                             _observed_json(observed, verdict), verdict)
-                            for basis, k_enc, claim, observed, verdict
-                            in entry[0]
-                            if collect == COLLECT_ALL or verdict == FAIL]
+        entry[1] += 1
+        if entry[2]:
             matrix = [list(r) for r in rows]
-            for k_enc, basis, claim, observed, verdict in entry[3]:
+            for k_enc, basis, claim, observed, verdict in entry[2]:
                 checks.append({"matrix": matrix, "k": k_enc,
                                "citation": basis, "claim": claim,
                                "observed": observed, "verdict": verdict})
-    for outcomes, _, times, _ in entries:
+    for outcomes, times, _ in entries:
         tally(outcomes, times)
     return {"config": {"p": ctx.p, "m": ctx.m, "q": ctx.q, "q2": ctx.q2,
                        "scope": scope, **config},
@@ -294,11 +303,11 @@ def run_exhaustive_2x2(ctx: FieldCtx, *, space: str = "auto",
         return predict_subfield(m, range(ctx.q))
 
     def orbit(key):
-        # only a null class (three codes) has a scale orbit to share
-        return scaled_null_classes(ctx, key) if len(key) == 3 else ()
+        # only a null class (four codes) has a scale orbit to share
+        return scaled_null_classes(ctx, key) if len(key) == 4 else ()
 
     def cases():
-        # the two key shapes differ (three codes, or two items), so the
+        # the two key shapes differ (four codes, or two items), so the
         # spaces of a "both" sweep never share an outcome
         for sp in spaces:
             if sp == "full":
@@ -349,11 +358,10 @@ def run_random_nxn(ctx: FieldCtx, *, n: int = 3, count: int = 50,
         raise ValueError("full-field rules cover n=2 only")
     if space == "subfield":
         sweep = f"random {n}x{n} subfield"
-        _check_capacity(sweep, ctx.q * cone_upper_bound(ctx, n, SUBFIELD),
-                        capacity)
+        _check_capacity(sweep, ctx, n, SUBFIELD, capacity, ctx.q)
     else:
         sweep = "random 2x2 full-field"
-        _check_capacity(sweep, cone_upper_bound(ctx, 2, FULL_FIELD), capacity)
+        _check_capacity(sweep, ctx, 2, FULL_FIELD, capacity)
     _check_draws(sweep, count, capacity)
     rng = random.Random(seed)
     draws = (draw_rows(rng, ctx.q2 if space == "full" else ctx.q, n)
@@ -385,8 +393,8 @@ def run_scalar_fibers(ctx: FieldCtx, *, n_values=(2, 3, 4, 5),
         if n < 2:
             raise ValueError(f"dimension must be at least 2, got {n}")
     for n in n_values:
-        _check_capacity(f"scalar-fibers {n}x{n}",
-                        cone_upper_bound(ctx, n, SUBFIELD), capacity)
+        _check_capacity(f"scalar-fibers {n}x{n}", ctx, n, SUBFIELD,
+                        capacity)
     c_encs = tuple(range(1, ctx.q)) if ctx.q <= 5 else (1, 2)
     cases = ((tuple(tuple(c if i == j else 0 for j in range(n))
                     for i in range(n)),
@@ -410,8 +418,8 @@ def run_direct_sums(ctx: FieldCtx, *, count: int = 50, seed: int = 0,
     rng = random.Random(seed)
     splits = ((1, 1), (1, 2), (2, 1))
     for n in sorted({xa + xb for xa, xb in splits[:count]}):
-        _check_capacity(f"direct-sums {n}x{n}",
-                        cone_upper_bound(ctx, n, FULL_FIELD), capacity)
+        _check_capacity(f"direct-sums {n}x{n}", ctx, n, FULL_FIELD,
+                        capacity)
     _check_draws("direct-sums", count, capacity)
 
     def cases():
@@ -421,11 +429,7 @@ def run_direct_sums(ctx: FieldCtx, *, count: int = 50, seed: int = 0,
             b = HermMatrix.from_encs(ctx, draw_rows(rng, ctx.q2, xb))
 
             def predict(m, a=a, b=b):
-                return predict_direct_sum(
-                    a, b, num_k(a, 1, capacity=capacity),
-                    num_k(b, 1, capacity=capacity),
-                    num_k(a, 0, capacity=capacity),
-                    num_k(b, 0, capacity=capacity), capacity=capacity)
+                return predict_direct_sum(a, b, capacity=capacity)
             yield block_diag(a, b).encs(), predict, None
 
     return _sweep(ctx, SCOPE_DIRECT_SUMS, cases(), collect, capacity,

@@ -5,7 +5,8 @@ by its own route, so the tests can compare the two: naive_cone_encs
 filters the whole space, range_naive evaluates the vectors it keeps, and
 apply with hermitian.inner_encs gives <u, M u> without Gram tuples.
 dagger, matmul, is_unitary and random_unitary_2x2 build the unitary
-conjugations some tests draw.
+conjugations some tests draw.  null_class_by_cases is the null-class key
+written with a branch on m12, which the one-formula key must match.
 """
 
 import itertools
@@ -94,3 +95,13 @@ def random_unitary_2x2(ctx, rng):
     if not is_unitary(u):
         raise RuntimeError("completed 2 by 2 matrix is not unitary")
     return u
+
+
+def null_class_by_cases(ctx, rows):
+    """The null-class key of a 2 by 2 matrix by cases on m12:
+    (m11 - m22, N(m12), m12 m21), or (m11 - m22, 0, N(m21)) when
+    m12 = 0."""
+    (a, b), (c, d) = rows
+    if b:
+        return ctx.sub_enc(a, d), ctx.norm_enc(b), ctx.mul_enc(b, c)
+    return ctx.sub_enc(a, d), 0, ctx.norm_enc(c)

@@ -33,7 +33,7 @@ from hermrange.ranges import (EXHAUSTIVE, KIND_NUM0_PRIME,
 from hermrange.verify import evaluate
 
 from conftest import TOWER_PARAMS
-from oracles import apply, matmul, range_naive
+from oracles import apply, matmul, null_class_by_cases, range_naive
 
 
 def _m(ctx, rows):
@@ -59,11 +59,6 @@ def _inverse2(m):
     det = ctx.sub_enc(ctx.mul_enc(a, d), ctx.mul_enc(b, c))
     return _m(ctx, [[ctx.div_enc(d, det), ctx.div_enc(ctx.neg_enc(b), det)],
                     [ctx.div_enc(ctx.neg_enc(c), det), ctx.div_enc(a, det)]])
-
-
-def _direct_sum_preds(a, b):
-    return predict_direct_sum(a, b, num_k(a, 1), num_k(b, 1),
-                              num_k(a, 0), num_k(b, 0))
 
 
 # eigenstructure
@@ -316,7 +311,7 @@ def test_direct_sum_assembly(towers):
                          for _ in range(na)])
             b = _m(ctx, [[rng.randrange(ctx.q2) for _ in range(nb)]
                          for _ in range(nb)])
-            _check_all(block_diag(a, b), _direct_sum_preds(a, b))
+            _check_all(block_diag(a, b), predict_direct_sum(a, b))
 
 
 def test_direct_sum_zero_membership_needs_a_shared_value(f3):
@@ -324,17 +319,16 @@ def test_direct_sum_zero_membership_needs_a_shared_value(f3):
     # does: both level-one ranges contain 4
     a = _m(f3, [[4]])
     b = _m(f3, [[0, 4], [7, 6]])
-    preds = _direct_sum_preds(a, b)
+    preds = predict_direct_sum(a, b)
     member = next(p for p in preds if p.claim == CLAIM_MEMBER)
     assert member.target is True
     _check_all(block_diag(a, b), preds)
 
 
-def test_direct_sum_validates_inputs(f3):
-    a = _m(f3, [[1]])
-    with pytest.raises(ValueError):
-        predict_direct_sum(a, a, num_k(a, 0), num_k(a, 1),
-                           num_k(a, 0), num_k(a, 0))
+def test_direct_sum_refuses_blocks_of_different_contexts(towers):
+    a, b = _m(towers[2], [[1]]), _m(towers[3], [[1]])
+    with pytest.raises(ValueError, match="different field contexts"):
+        predict_direct_sum(a, b)
 
 
 # subfield rules
@@ -648,6 +642,22 @@ def _assert_level0_shared_by_class(ctx, rows_seq):
     return len(first)
 
 
+@pytest.mark.parametrize("q", (2, 3, 4, 5))
+def test_null_class_splits_matrices_as_the_key_by_cases(towers, q):
+    # each key determines the other on every (m11, m12, m21), with
+    # m22 = 0, which meets every class, and with a seeded m22
+    ctx = towers[q]
+    rng = random.Random(q)
+    one, by_cases = {}, {}
+    for a, b, c in itertools.product(range(ctx.q2), repeat=3):
+        for d in (0, rng.randrange(ctx.q2)):
+            rows = ((a, b), (c, d))
+            key, old = null_class(ctx, rows), null_class_by_cases(ctx, rows)
+            assert one.setdefault(key, old) == old, rows
+            assert by_cases.setdefault(old, key) == key, rows
+    assert len(one) == q ** 3 * (q * q - q + 1)
+
+
 @pytest.mark.parametrize("q", (2, 3))
 def test_level0_ranges_depend_only_on_the_null_class(towers, q):
     # the invariance full-field sweeps rely on to share level-0 ranges,
@@ -804,7 +814,7 @@ def test_prediction_payload_types(towers, f3):
                          for _ in range(na)])
             b = _m(ctx, [[rng.randrange(ctx.q2) for _ in range(nb)]
                          for _ in range(nb)])
-            check(ctx, _direct_sum_preds(a, b))
-    check(f3, _direct_sum_preds(_m(f3, [[4]]), _m(f3, [[0, 4], [7, 6]])))
+            check(ctx, predict_direct_sum(a, b))
+    check(f3, predict_direct_sum(_m(f3, [[4]]), _m(f3, [[0, 4], [7, 6]])))
     assert claims == set(_SET_CLAIMS + _INT_CLAIMS) | {
         CLAIM_MEMBER, CLAIM_EMPTY, CLAIM_LINE}

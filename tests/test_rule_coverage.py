@@ -22,8 +22,9 @@ PRESETS = ((SCOPE_EXHAUSTIVE_2X2, None), (SCOPE_RANDOM_NXN, 3),
            (SCOPE_RANDOM_NXN, 4), (SCOPE_SCALAR_FIBERS, None),
            (SCOPE_DIRECT_SUMS, None))
 
-# predict_unitary_diagonal alone emits these, and no scope calls it: it
-# takes eigenvalue pairs, not a matrix
+# predict_unitary_diagonal alone emits these, for three or more
+# eigenvalues or n >= 3; the scopes reach it only through
+# predict_full_field's 2 by 2 matrices with two simple eigenvalues
 UNREACHED = {"prop1a", "prop1b", "prop1c"}
 
 _TAG = r"`[\w.-]+`"

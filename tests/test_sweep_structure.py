@@ -1,15 +1,26 @@
 """verify.py keeps one sweep loop: every runner yields cases into
 _sweep, which alone builds, evaluates and tallies matrices.  A new scope
 adds a case generator, not another loop.  The sweeps and the affine-shift
-trials draw their matrices through hermitian.draw_rows alone."""
+trials draw their matrices through hermitian.draw_rows alone.
+
+classify.py keeps one path per rule and per key: each rule tag of the
+README table is written in one top-level function, and the null-class
+key and its scale orbit are one formula each, with no branch."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
+from test_rule_coverage import readme_rule_tags
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "hermrange"
 VERIFY = SRC / "verify.py"
+CLASSIFY = SRC / "classify.py"
+
+
+def _parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
 def _calls_to(tree, name):
@@ -22,16 +33,36 @@ def _calls_to(tree, name):
 
 
 def test_evaluate_is_called_once_inside_the_sweep_driver():
-    tree = ast.parse(VERIFY.read_text(encoding="utf-8"), filename=str(VERIFY))
-    assert list(_calls_to(tree, "evaluate")) == ["_sweep"]
+    assert list(_calls_to(_parse(VERIFY), "evaluate")) == ["_sweep"]
 
 
 @pytest.mark.parametrize("module", ["verify.py", "ranges.py"])
 def test_matrices_are_drawn_without_randrange(module):
-    path = SRC / module
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    calls = [node.lineno for node in ast.walk(tree)
+    calls = [node.lineno for node in ast.walk(_parse(SRC / module))
              if isinstance(node, ast.Call)
              and getattr(node.func, "attr", getattr(node.func, "id", None))
              == "randrange"]
     assert calls == []
+
+
+def test_every_rule_tag_is_written_in_one_function():
+    tags = set(readme_rule_tags())
+    homes: dict[str, set] = {}
+    for top in _parse(CLASSIFY).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Constant) and node.value in tags:
+                homes.setdefault(node.value, set()).add(
+                    getattr(top, "name", None))
+    assert set(homes) == tags
+    assert {tag: names for tag, names in homes.items() if len(names) > 1} \
+        == {}
+
+
+@pytest.mark.parametrize("name", ["null_class", "scaled_null_classes"])
+def test_the_null_class_key_has_no_branch(name):
+    [fn] = [top for top in _parse(CLASSIFY).body
+            if getattr(top, "name", None) == name]
+    branches = [type(node).__name__ for node in ast.walk(fn)
+                if isinstance(node, (ast.If, ast.IfExp, ast.Match))
+                or getattr(node, "ifs", None)]
+    assert branches == []

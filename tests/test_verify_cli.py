@@ -144,8 +144,8 @@ def test_full_field_predictions_are_functions_of_the_null_class(towers, q):
 def test_full_field_predictions_are_functions_of_the_null_class_sampled(
         towers, q):
     # both characteristics, so eigen2's even and odd root paths; every
-    # fourth draw has m12 = 0 and every fifth m21 = 0, so both branches
-    # of the key and the m12 m21 = 0 side of prop4 are met too
+    # fourth draw has m12 = 0 and every fifth m21 = 0, so keys with a
+    # zero norm and the m12 m21 = 0 side of prop4 are met too
     ctx = towers[q]
     rng = random.Random(q)
     for i in range(400):
@@ -568,6 +568,13 @@ def test_cli_fibers(capsys):
     assert doc["fibers"][0] == {"value": 0, "count": 9}
 
 
+def test_cli_fibers_takes_no_seed(capsys):
+    # fibers draws nothing, so it has no --seed to ignore
+    assert main(["fibers", "--p", "5", "--matrix", "1,0;0,1",
+                 "--seed", "0"]) == 2
+    assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
+
+
 def test_cli_verify(capsys):
     rc = main(["verify", "--p", "2", "--scope", "exhaustive-2x2"])
     assert rc == 0
@@ -852,6 +859,54 @@ def test_cli_sweep_over_capacity_exits_three_with_sweep_wording(capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("hermrange: ") and " sweep enumerates up to " in err
     assert "sample budget" not in err
+
+
+@pytest.mark.parametrize("q", (2, 9))
+def test_sweeps_refuse_a_huge_n_without_building_its_bound(towers, q):
+    # a cone bound at n is at least 2^(n - 1); at these n its decimal
+    # digits pass CPython's 4300-digit conversion limit, and 9^29999999
+    # alone takes most of a minute to build
+    ctx = towers[q]
+    for call, sweep, n in (
+            (lambda: run_random_nxn(ctx, n=15000), "random", 15000),
+            (lambda: run_random_nxn(ctx, n=30000000), "random", 30000000),
+            (lambda: run_scalar_fibers(ctx, n_values=(3000000,)),
+             "scalar-fibers", 3000000)):
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match=(
+                f"^{sweep} {n}x{n} .*sweep enumerates up to at least "
+                f"2\\^{n - 1} vectors a matrix, capacity is 16777216$")) as exc:
+            call()
+        assert time.perf_counter() - start < 2.0
+        assert len(str(exc.value)) < 200
+
+
+def test_the_huge_n_refusal_starts_past_the_capacity_bit_length(f2):
+    # capacity 7 has bit length 3: n = 4 keeps the built bound 2^3, and
+    # from n = 5 on the bound is named by its power of two
+    with pytest.raises(CapacityError, match=(
+            "^scalar-fibers 4x4 sweep enumerates up to 8 vectors a matrix, "
+            "capacity is 7$")):
+        run_scalar_fibers(f2, n_values=(4,), capacity=7)
+    with pytest.raises(CapacityError, match=(
+            "^scalar-fibers 5x5 sweep enumerates up to at least 2\\^4 "
+            "vectors a matrix, capacity is 7$")):
+        run_scalar_fibers(f2, n_values=(5,), capacity=7)
+
+
+@pytest.mark.parametrize("argv", [
+    "--p 2 --scope random-nxn --n 15000",
+    "--p 3 --m 2 --scope random-nxn --n 30000000",
+    "--p 2 --scope scalar-fibers --n 3000000",
+    "--p 3 --m 2 --scope scalar-fibers --n 3000000",
+], ids=["random-q2", "random-q9", "scalar-fibers-q2", "scalar-fibers-q9"])
+def test_cli_sweep_with_a_huge_n_exits_three_at_once(capsys, argv):
+    start = time.perf_counter()
+    assert main(["verify", *argv.split()]) == 3
+    assert time.perf_counter() - start < 2.0
+    err = capsys.readouterr().err
+    assert len(err) < 200
+    assert " sweep enumerates up to at least 2^" in err
 
 
 @pytest.mark.parametrize("argv,total", [
