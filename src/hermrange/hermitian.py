@@ -125,6 +125,12 @@ def cone_upper_bound(ctx: FieldCtx, n: int, mode: str) -> int:
     return ctx.q ** (n - 1) * per
 
 
+def count_text(x: int) -> str:
+    """A bound or capacity as a refusal writes it: past 40 digits as the
+    power of two it reaches, for CPython writes no int past 4,300 digits."""
+    return str(x) if x < 10 ** 40 else f"at least 2^{x.bit_length() - 1}"
+
+
 def _level_maps(ctx: FieldCtx, mode: str):
     """The per-coordinate self-pairing of a mode and its completion map,
     which lists every last coordinate giving a residual in F_q."""
@@ -181,15 +187,15 @@ def _residual(ctx: FieldCtx, norm_of, k_enc: int, prefix) -> int:
 
 @lru_cache(maxsize=128)
 def cone_encs(ctx: FieldCtx, n: int, k_enc: int, mode: str,
-              exclude_zero: bool = False,
               capacity: int = DEFAULT_CAPACITY) -> tuple[tuple[int, ...], ...]:
     """Cone vectors in lexicographic code order, cached per context and
-    arguments."""
+    arguments.  At level 0 the zero vector comes first, so the nonzero
+    null vectors are the rest."""
     _check_cone(ctx, n, k_enc, mode)
     bound = cone_upper_bound(ctx, n, mode)
     if bound > capacity:
-        raise CapacityError(
-            f"cone may hold up to {bound} vectors, capacity is {capacity}")
+        raise CapacityError(f"cone may hold up to {count_text(bound)} "
+                            f"vectors, capacity is {count_text(capacity)}")
     space = ctx.q2 if mode == FULL_FIELD else ctx.q
     norm_of, complete = _level_maps(ctx, mode)
     # at most q distinct residuals, each completed once per walk
@@ -200,8 +206,7 @@ def cone_encs(ctx: FieldCtx, n: int, k_enc: int, mode: str,
         options = completions.get(residual)
         if options is None:
             options = completions[residual] = complete(residual)
-        out.extend(prefix + (last,) for last in options
-                   if not (exclude_zero and last == 0 and not any(prefix)))
+        out.extend(prefix + (last,) for last in options)
     return tuple(out)
 
 

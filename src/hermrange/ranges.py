@@ -10,7 +10,9 @@ validator checks a matrix and a level against the table.
 
 Exhaustive ranges are evaluated once per Gram class of the cone:
 vectors with the same tuple u_i^q * u_j pair to the same value under
-every matrix, and witness_count stays the cone size.  One evaluator,
+every matrix, and witness_count stays the number of vectors.  A
+null-range reads the level-0 classes without the first, the zero
+vector's, so both level-0 ranges share one cone.  One evaluator,
 _values, turns Gram tuples into pairings for every path: exhaustive,
 sampled and the fiber counts.  It hands the sums to the context's
 dot_encs, which picks table or polynomial arithmetic, so no path here
@@ -31,7 +33,7 @@ from functools import lru_cache
 from .fields import FieldCtx
 from .hermitian import (DEFAULT_CAPACITY, FULL_FIELD, SUBFIELD, CapacityError,
                         HermMatrix, check_level, cone_encs, cone_upper_bound,
-                        draw_rows, sample_cone_encs)
+                        count_text, draw_rows, sample_cone_encs)
 
 KIND_NUM_K = "num_k"
 KIND_NUM0_PRIME = "num0_prime"
@@ -123,15 +125,15 @@ def _values(m: HermMatrix, grams) -> list[int]:
 
 @lru_cache(maxsize=128)
 def gram_classes(ctx: FieldCtx, n: int, k_enc: int, mode: str,
-                 exclude_zero: bool = False,
                  capacity: int = DEFAULT_CAPACITY):
     """Distinct Gram tuples of one cone, sorted, with their multiplicities.
 
     Returns (classes, cone_size), where classes is a tuple of
     (gram, count) pairs whose counts sum to cone_size.  Keyed like
-    cone_encs and cached the same way.
+    cone_encs and cached the same way.  At level 0 the first class holds
+    the zero vector alone, as g_ii = N(u_i) is nonzero when u_i is.
     """
-    cone = cone_encs(ctx, n, k_enc, mode, exclude_zero, capacity)
+    cone = cone_encs(ctx, n, k_enc, mode, capacity)
     counts = Counter(_gram(ctx, u) for u in cone)
     return tuple(sorted(counts.items())), len(cone)
 
@@ -158,6 +160,8 @@ def _check_range(m: HermMatrix, kind: str, k) -> tuple[str, bool]:
 
 def _range(m: HermMatrix, kind: str, k, capacity: int, sample_budget,
            rng) -> RangeSet:
+    """Any kind's range: over the Gram classes of the level-k cone, less
+    the zero vector's for a null-range, or sampled past capacity."""
     mode, null = _check_range(m, kind, k)
     k_enc = 0 if null else k
     ctx = m.ctx
@@ -173,14 +177,15 @@ def _range(m: HermMatrix, kind: str, k, capacity: int, sample_budget,
                 f"(the larger of the capacity and {DEFAULT_CAPACITY})")
     bound = cone_upper_bound(ctx, m.n, mode)
     if bound <= capacity:
-        classes, size = gram_classes(ctx, m.n, k_enc, mode, null, capacity)
-        values = set(_values(m, (g for g, _ in classes)))
+        classes, size = gram_classes(ctx, m.n, k_enc, mode, capacity)
+        values = set(_values(m, (g for g, _ in classes[null:])))
         return RangeSet(kind=kind, k_enc=k_enc, values=tuple(sorted(values)),
-                        mode=EXHAUSTIVE, witness_count=size, ctx=ctx)
+                        mode=EXHAUSTIVE, witness_count=size - null, ctx=ctx)
     if sample_budget is None:
         raise CapacityError(
-            f"cone may hold up to {bound} vectors, capacity is {capacity}; "
-            "pass a sample budget for a witness subset")
+            f"cone may hold up to {count_text(bound)} vectors, capacity is "
+            f"{count_text(capacity)}; pass a sample budget for a witness "
+            "subset")
     if rng is None:
         raise ValueError("sampling requires a seeded random generator")
     values = set(_values(m, (_gram(ctx, u) for u in sample_cone_encs(
@@ -249,7 +254,7 @@ def fiber_table(m: HermMatrix, *,
     ctx = m.ctx
     if not m.has_subfield_coeffs:
         raise ValueError("fiber counting needs a matrix with F_q entries")
-    classes, _ = gram_classes(ctx, m.n, 0, SUBFIELD, False, capacity)
+    classes, _ = gram_classes(ctx, m.n, 0, SUBFIELD, capacity)
     counts = [0] * ctx.q
     for (_, c), v in zip(classes, _values(m, (g for g, _ in classes))):
         counts[v] += c

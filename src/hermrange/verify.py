@@ -61,11 +61,11 @@ One guard, _null_class_preds, runs once per class or orbit on the
 representative's predictions and raises RuntimeError on any claim off
 level 0, outside NULL_CLASS_KINDS or of a type outside
 SCALE_COVARIANT_CLAIMS, so a future rule the orbit does not fix fails
-loudly instead of taking another matrix's outcome.  The exhaustive full
-space always keys (its memo holds one outcome per orbit under one key
-per class, and the capacity check on its q^8 matrices bounds that); a
-random draw keys only while every class fits MEMO_RANGE_VALUES (q <= 7),
-so its memo cannot grow with the draw count.
+loudly instead of taking another matrix's outcome.  The memo holds one
+outcome per orbit under one key per class, so the capacity bounds it as
+it bounds the exhaustive full space: both key exactly when q^8 <=
+capacity, and a random draw past that is evaluated on its own, so its
+memo cannot grow with the draw count.
 """
 
 from __future__ import annotations
@@ -80,7 +80,8 @@ from .classify import (FAIL, NULL_CLASS_KINDS, SCALE_COVARIANT_CLAIMS,
                        predict_subfield, scaled_null_classes)
 from .fields import FieldCtx
 from .hermitian import (DEFAULT_CAPACITY, FULL_FIELD, SUBFIELD, CapacityError,
-                        HermMatrix, block_diag, cone_upper_bound, draw_rows)
+                        HermMatrix, block_diag, cone_upper_bound, count_text,
+                        draw_rows)
 from .ranges import FiberCount, fiber_count, range_of, resolve_affine_shift
 
 SCOPE_EXHAUSTIVE_2X2 = "exhaustive-2x2"
@@ -90,17 +91,6 @@ SCOPE_DIRECT_SUMS = "direct-sums"
 
 VERIFY_SCOPES = (SCOPE_EXHAUSTIVE_2X2, SCOPE_RANDOM_NXN, SCOPE_SCALAR_FIBERS,
                  SCOPE_DIRECT_SUMS)
-
-# Range values the outcome memo of a random full-field sweep may hold:
-# two level-0 ranges of at most q^2 values for each of the
-# q^3 (q^2 - q + 1) null classes must fit.  The memo holds one outcome
-# per scale orbit (316 at q = 7), or one per class of an orbit with a
-# fail, but still one key per class, so the bound counts every class as
-# its own outcome.  2^21 admits q <= 7 (at most 1.45 M values at q = 7;
-# 60,000 random draws there run in 0.16-0.30 s keyed against 5.5-8.1 s
-# unkeyed, with peak RSS 18.0 against 16.6 MB, under CPython 3.11 on a
-# 2-vCPU VM) and no larger q.
-MEMO_RANGE_VALUES = 1 << 21
 
 COLLECT_ALL = "all"
 COLLECT_FAILS = "fails"
@@ -121,7 +111,7 @@ def evaluate(m: HermMatrix, preds, capacity: int = DEFAULT_CAPACITY) -> tuple:
         obs = observed.get(key)
         if obs is None:
             if pred.scope == SCOPE_FIBER_ZERO:
-                obs = fiber_count(m, 0, capacity=capacity)
+                obs = fiber_count(m, pred.k_enc, capacity=capacity)
             else:
                 obs = range_of(m, pred.scope, pred.k_enc, capacity=capacity)
             observed[key] = obs
@@ -158,13 +148,6 @@ def _null_class_preds(m: HermMatrix) -> list:
     return preds
 
 
-def _memo_fits(ctx: FieldCtx) -> bool:
-    """Whether a random full-field 2 by 2 sweep keys on the null class:
-    the outcomes of every class must fit in MEMO_RANGE_VALUES values."""
-    classes = ctx.q ** 3 * (ctx.q2 - ctx.q + 1)
-    return 2 * ctx.q2 * classes <= MEMO_RANGE_VALUES
-
-
 def _check_count(count: int) -> None:
     if count < 0:
         raise ValueError(f"matrix count must not be negative, got {count}")
@@ -182,19 +165,20 @@ def _check_capacity(sweep: str, ctx: FieldCtx, n: int, mode: str,
     if n - 1 > capacity.bit_length():
         raise CapacityError(f"{sweep} sweep enumerates up to at least "
                             f"2^{n - 1} vectors a matrix, capacity is "
-                            f"{capacity}")
+                            f"{count_text(capacity)}")
     total = levels * cone_upper_bound(ctx, n, mode)
     if total > capacity:
-        raise CapacityError(f"{sweep} sweep enumerates up to {total} "
-                            f"vectors a matrix, capacity is {capacity}")
+        raise CapacityError(f"{sweep} sweep enumerates up to "
+                            f"{count_text(total)} vectors a matrix, "
+                            f"capacity is {count_text(capacity)}")
 
 
 def _check_draws(sweep: str, count: int, capacity: int) -> None:
     """Refuse a random sweep of more than capacity matrices before its
     first draw."""
     if count > capacity:
-        raise CapacityError(f"{sweep} sweep draws {count} matrices, "
-                            f"capacity is {capacity}")
+        raise CapacityError(f"{sweep} sweep draws {count_text(count)} "
+                            f"matrices, capacity is {count_text(capacity)}")
 
 
 def _sweep(ctx: FieldCtx, scope: str, cases, collect: str, capacity: int,
@@ -347,7 +331,9 @@ def run_random_nxn(ctx: FieldCtx, *, n: int = 3, count: int = 50,
     cones may hold more than capacity vectors in all raises
     CapacityError before its first draw; a full-field sweep does so when
     its 2 by 2 level-0 cone may.  After those checks, a count above
-    capacity raises CapacityError too.
+    capacity raises CapacityError too.  Full-field draws share outcomes
+    by null class when the q^8 matrices of the full space fit capacity,
+    the bound of the exhaustive full sweep's memo.
     """
     _check_count(count)
     if n < 2:
@@ -370,7 +356,7 @@ def run_random_nxn(ctx: FieldCtx, *, n: int = 3, count: int = 50,
     if space == "subfield":
         cases = ((rows, lambda m: predict_subfield(m, range(ctx.q)), None)
                  for rows in draws)
-    elif _memo_fits(ctx):
+    elif ctx.q2 ** 4 <= capacity:
         cases = ((rows, _null_class_preds, null_class(ctx, rows))
                  for rows in draws)
         orbit = functools.partial(scaled_null_classes, ctx)

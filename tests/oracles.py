@@ -3,7 +3,8 @@
 The oracles compute from the definitions alone what the engine computes
 by its own route, so the tests can compare the two: naive_cone_encs
 filters the whole space, range_naive evaluates the vectors it keeps, and
-apply with hermitian.inner_encs gives <u, M u> without Gram tuples.
+pairing with apply gives <u, M u> without Gram tuples, one add_enc,
+mul_enc and frob_enc call at a time, so not through FieldCtx.dot_encs.
 dagger, matmul, is_unitary and random_unitary_2x2 build the unitary
 conjugations some tests draw.  null_class_by_cases is the null-class key
 written with a branch on m12, which the one-formula key must match.
@@ -50,13 +51,27 @@ def dagger(m):
                                              for c in zip(*m.encs())))
 
 
+def pairing(ctx, u, v):
+    """<u, v> = sum u_i^q v_i, for code tuples of equal length."""
+    acc = 0
+    for x, y in zip(u, v, strict=True):
+        acc = ctx.add_enc(acc, ctx.mul_enc(ctx.frob_enc(x), y))
+    return acc
+
+
 def apply(m, v):
     """Codes of M v, for the code tuple v."""
-    q2 = m.ctx.q2
+    ctx, q2 = m.ctx, m.ctx.q2
     if len(v) != m.n or any(type(x) is not int or not 0 <= x < q2
                             for x in v):
         raise ValueError(f"vector {v!r} is not {m.n} codes below {q2}")
-    return tuple(m.ctx.dot_encs(list(enumerate(v)), m.encs()))
+    out = []
+    for row in m.encs():
+        acc = 0
+        for mij, x in zip(row, v):
+            acc = ctx.add_enc(acc, ctx.mul_enc(mij, x))
+        out.append(acc)
+    return tuple(out)
 
 
 def matmul(a, b):

@@ -137,7 +137,9 @@ def test_known_cone_sizes(f2):
     # coordinates with matching norms; the rest splits evenly by level
     assert len(cone_encs(f2, 2, 0, FULL_FIELD)) == 10
     assert len(cone_encs(f2, 2, 1, FULL_FIELD)) == 6
-    assert len(cone_encs(f2, 2, 0, FULL_FIELD, True)) == 9
+    # the null cone is the level-0 cone without its first vector, zero
+    assert cone_encs(f2, 2, 0, FULL_FIELD)[0] == (0, 0)
+    assert len(cone_encs(f2, 2, 0, FULL_FIELD)[1:]) == 9
 
 
 def test_cone_matches_naive_filter(towers):
@@ -187,16 +189,23 @@ def test_cone_partition_and_bounds(f3):
 
 
 def test_exclude_zero_only_affects_level_zero(f5):
-    with_zero = cone_encs(f5, 2, 0, SUBFIELD)
-    without = cone_encs(f5, 2, 0, SUBFIELD, True)
-    assert set(with_zero) - set(without) == {(0, 0)}
-    assert cone_encs(f5, 2, 1, FULL_FIELD) \
-        == cone_encs(f5, 2, 1, FULL_FIELD, True)
+    # only the sampler excludes zero: it redraws the zero vector, which
+    # lies on level 0 alone
+    for mode in (FULL_FIELD, SUBFIELD):
+        nonzero = set(cone_encs(f5, 2, 0, mode)[1:])
+        assert set(sample_cone_encs(f5, 2, 0, mode, True, 400,
+                                    random.Random(6))) <= nonzero
+        assert (0, 0) in set(sample_cone_encs(f5, 2, 0, mode, False, 400,
+                                              random.Random(6)))
+        assert tuple(sample_cone_encs(f5, 2, 1, mode, True, 50,
+                                      random.Random(6))) \
+            == tuple(sample_cone_encs(f5, 2, 1, mode, False, 50,
+                                      random.Random(6)))
 
 
 def test_capacity_refusal(f5):
     with pytest.raises(CapacityError):
-        cone_encs(f5, 3, 0, FULL_FIELD, False, 100)
+        cone_encs(f5, 3, 0, FULL_FIELD, 100)
 
 
 @pytest.mark.parametrize("limit", [1, 2, 3, 4, 9, 16, 81, 1031 ** 2, 2 ** 20,

@@ -26,7 +26,7 @@ from hermrange.ranges import (EXHAUSTIVE, KIND_NUM0_PRIME,
                               resolve_affine_shift, scaling_law_check)
 
 from conftest import TOWER_PARAMS
-from oracles import apply, dagger, range_naive
+from oracles import apply, dagger, pairing, range_naive
 
 
 def _m(ctx, rows):
@@ -320,8 +320,10 @@ def test_affine_shift_refuses_trials_below_one_before_any_draw(f3, trials):
 
 
 def test_gram_value_matches_the_pairing(towers):
-    # inner_encs and the oracle apply share no code with _gram/_values;
-    # q = 23 has no pairwise tables, so its rows are computed
+    # the oracles pairing and apply sum one add_enc at a time, so they
+    # share no code with _gram/_values, which sum through dot_encs, nor
+    # with inner_encs; q = 23 has no pairwise tables, so its rows are
+    # computed
     rng = random.Random(79)
     for q in (2, 3, 4, 9, 23):
         ctx = towers[q] if q in towers else build_tower(q)
@@ -332,8 +334,37 @@ def test_gram_value_matches_the_pairing(towers):
                     us = [tuple(rng.randrange(limit) for _ in range(n))
                           for _ in range(4)]
                     got = _values(m, [_gram(ctx, u) for u in us])
+                    assert got == [pairing(ctx, u, apply(m, u)) for u in us]
                     assert got == [inner_encs(ctx, u, apply(m, u)) for u in us]
                     assert _values(m, [_gram(ctx, us[0])]) == got[:1]
+
+
+def test_null_and_level_zero_ranges_build_one_cone(monkeypatch, towers):
+    # the null-range reads the level-0 classes without the zero vector's,
+    # and the subfield fiber table reads the same classes
+    ranges.gram_classes.cache_clear()
+    calls = []
+    walk = ranges.cone_encs
+
+    def counting(*args):
+        calls.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(ranges, "cone_encs", counting)
+    for q, n in ((3, 2), (4, 2), (3, 3)):
+        ctx = towers[q]
+        m = _m(ctx, [[(i * n + j) % ctx.q for j in range(n)]
+                     for i in range(n)])
+        for mode, level, null in ((FULL_FIELD, num_k, num0_prime),
+                                  (SUBFIELD, num_k_subfield,
+                                   num0_prime_subfield)):
+            calls.clear()
+            whole, nonzero = level(m, 0), null(m)
+            if mode == SUBFIELD:
+                fiber_table(m)
+            assert calls == [(ctx, n, 0, mode, DEFAULT_CAPACITY)]
+            assert nonzero.witness_count == whole.witness_count - 1
+            assert nonzero == range_naive(m, nonzero.kind, 0)
 
 
 def test_gram_classes_are_unit_scalar_orbits(towers):

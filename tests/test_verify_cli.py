@@ -7,20 +7,21 @@ import json
 import random
 import time
 from collections import Counter
-from types import SimpleNamespace
 
 import pytest
 
 from hermrange import cli, verify
 from hermrange.classify import (CLAIM_EXACT_CARD, CLAIM_EXACT_SET,
-                                CLAIM_MEMBER, CLAIM_SUPERSET, SCOPE_FIBER_ZERO,
-                                Prediction, null_class, predict_full_field,
-                                scaled_null_classes)
+                                CLAIM_MEMBER, CLAIM_SUPERSET, PASS,
+                                SCOPE_FIBER_ZERO, Prediction, null_class,
+                                predict_full_field, scaled_null_classes)
 from hermrange.cli import build_parser, main
 from hermrange.fields import build_tower
-from hermrange.hermitian import CapacityError, HermMatrix, draw_rows
+from hermrange.hermitian import (CapacityError, HermMatrix, count_text,
+                                 draw_rows)
 from hermrange.ranges import (KIND_NUM0_PRIME, KIND_NUM0_PRIME_SUBFIELD,
-                              KIND_NUM_K, RANGE_KINDS, num0_prime)
+                              KIND_NUM_K, RANGE_KINDS, fiber_count,
+                              num0_prime)
 from hermrange.verify import (COLLECT_FAILS, SCOPE_SCALAR_FIBERS,
                               run_direct_sums, run_exhaustive_2x2,
                               run_random_nxn, run_scalar_fibers, run_scope)
@@ -323,26 +324,73 @@ def test_full_field_sweep_predicts_and_evaluates_once_per_null_class(
     assert calls["predict"] >= 28 + 6561
 
 
-# at q = 3 the outcomes of all 189 classes hold at most 189 * 2 * 9 values
-@pytest.mark.parametrize("limit,keyed", [(3401, False), (3402, True)])
+# at q = 3 the full space holds 3^8 = 6,561 matrices
+@pytest.mark.parametrize("capacity,keyed", [(6560, False), (6561, True)])
 def test_random_full_sweep_keys_on_the_null_class_when_every_class_fits(
-        monkeypatch, f3, limit, keyed):
-    monkeypatch.setattr(verify, "MEMO_RANGE_VALUES", limit)
+        monkeypatch, f3, capacity, keyed):
     calls = _count_full_field_calls(monkeypatch)
-    report = _clean(run_random_nxn(f3, n=2, space="full", count=400))
+    report = _clean(run_random_nxn(f3, n=2, space="full", count=400,
+                                   capacity=capacity))
     # 400 draws repeat some of the 189 classes, in 28 scale orbits
     if keyed:
         assert calls["predict"] <= 28
     else:
         assert calls["predict"] == 400
     assert report == _unkeyed(monkeypatch, run_random_nxn, f3, n=2,
-                              space="full", count=400)
+                              space="full", count=400, capacity=capacity)
 
 
-def test_only_small_fields_key_random_draws_on_the_null_class():
-    # the outcomes of every class fit up to q = 7 and not from q = 8
-    sizes = [SimpleNamespace(q=q, q2=q * q) for q in (2, 3, 4, 5, 7, 8, 9)]
-    assert [verify._memo_fits(c) for c in sizes] == [True] * 5 + [False] * 2
+def _keyed(monkeypatch, ctx, **kw):
+    """Whether the cases of a random full-field sweep carry a key."""
+    keys = []
+    sweep = verify._sweep
+
+    def spying_sweep(ctx, scope, cases, *rest):
+        def spied():
+            for case in cases:
+                keys.append(case[2] is not None)
+                yield case
+        return sweep(ctx, scope, spied(), *rest)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(verify, "_sweep", spying_sweep)
+        run_random_nxn(ctx, n=2, space="full", count=1, **kw)
+    return keys == [True]
+
+
+def test_only_small_fields_key_random_draws_on_the_null_class(monkeypatch,
+                                                              towers):
+    # the default capacity 2^24 holds the q^8 matrices of the full space
+    # up to q = 8 (2^24) and not at q = 9
+    sizes = (2, 3, 4, 5, 7, 8, 9)
+    assert [_keyed(monkeypatch, towers[q]) for q in sizes] \
+        == [True] * 6 + [False]
+    assert [_keyed(monkeypatch, towers[8], capacity=c)
+            for c in (2 ** 24 - 1, 2 ** 24)] == [False, True]
+
+
+def test_random_full_draws_at_q8_share_outcomes(monkeypatch, towers):
+    ctx = towers[8]
+    calls = _count_full_field_calls(monkeypatch)
+    report = _clean(run_random_nxn(ctx, n=2, space="full", count=2000,
+                                   collect=COLLECT_FAILS))
+    assert calls["predict"] < 2000
+    assert report == _unkeyed(monkeypatch, run_random_nxn, ctx, n=2,
+                              space="full", count=2000,
+                              collect=COLLECT_FAILS)
+
+
+def test_fiber_predictions_observe_their_own_value(f3):
+    # a fiber_zero prediction's k_enc is the value whose fiber it counts;
+    # this matrix's fibers hold 3, 0 and 6 null vectors
+    m = HermMatrix.from_encs(f3, ((0, 1, 0), (0, 0, 1), (1, 0, 0)))
+    table = fiber_count(m, 0), fiber_count(m, 1), fiber_count(m, 2)
+    assert [fc.count for fc in table] == [3, 0, 6]
+    preds = [Prediction("x", SCOPE_FIBER_ZERO, a, CLAIM_EXACT_CARD, fc.count)
+             for a, fc in ((1, table[1]), (0, table[0]), (2, table[2]))]
+    outcomes = verify.evaluate(m, preds)
+    assert [(k, obs, verdict) for _, k, _, obs, verdict in outcomes] \
+        == [(1, table[1], PASS), (0, table[0], PASS), (2, table[2], PASS)]
 
 
 def test_scope_dispatch(f2):
@@ -493,6 +541,8 @@ def test_cli_range_json(capsys):
     assert doc["mode"] == "exhaustive"
     assert doc["matrix"] == [[0, 1], [0, 0]]
     assert (doc["field"]["p"], doc["field"]["m"]) == (2, 1)
+    # the nonzero null vectors: the level-0 cone of 10 less zero
+    assert doc["witness_count"] == 9
 
 
 def test_cli_range_csv(capsys):
@@ -907,6 +957,41 @@ def test_cli_sweep_with_a_huge_n_exits_three_at_once(capsys, argv):
     err = capsys.readouterr().err
     assert len(err) < 200
     assert " sweep enumerates up to at least 2^" in err
+
+
+@pytest.mark.parametrize("argv,err", [
+    ("range --p 2 --m 20 --kind num_k --k 0 --matrix {zero}",
+     "hermrange: cone may hold up to at least 2^15980 vectors, capacity is "
+     "16777216; pass a sample budget for a witness subset\n"),
+    ("verify --p 2 --m 20 --scope scalar-fibers --n 13289 "
+     f"--capacity {10 ** 4000}",
+     "hermrange: scalar-fibers 13289x13289 sweep enumerates up to at least "
+     "2^265760 vectors a matrix, capacity is at least 2^13287\n"),
+    (f"verify --p 3 --scope random-nxn --count {10 ** 4100} "
+     f"--capacity {10 ** 4000}",
+     "hermrange: random 3x3 subfield sweep draws at least 2^13619 matrices, "
+     "capacity is at least 2^13287\n"),
+], ids=["range-400x400", "scalar-fibers-capacity-10^4000",
+        "random-count-10^4100"])
+def test_cli_bounds_past_the_digit_limit_exit_three_at_once(capsys, tmp_path,
+                                                           argv, err):
+    # the two cone bounds pass CPython's 4300-digit limit for writing an
+    # int, and the count and capacity would pass 200 characters: each is
+    # written as the power of two it reaches
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps({"entries": [[0] * 400] * 400}),
+                    encoding="utf-8")
+    start = time.perf_counter()
+    assert main(argv.format(zero=zero).split()) == 3
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == err
+    assert len(err) < 200
+
+
+def test_bounds_are_written_in_full_up_to_forty_digits():
+    assert count_text(10 ** 40 - 1) == "9" * 40
+    assert count_text(10 ** 40) == "at least 2^132"
+    assert count_text(2 ** 40) == "1099511627776"
 
 
 @pytest.mark.parametrize("argv,total", [
