@@ -125,6 +125,22 @@ def cone_upper_bound(ctx: FieldCtx, n: int, mode: str) -> int:
     return ctx.q ** (n - 1) * per
 
 
+def cone_excess(ctx: FieldCtx, n: int, mode: str, capacity: int,
+                levels: int = 1) -> str | None:
+    """None when levels cones of dimension n in mode fit capacity, else
+    their bound as a refusal writes it.
+
+    A cone bound is at least q^(n - 1) >= 2^(n - 1), so once n - 1
+    passes capacity.bit_length() it exceeds capacity and is not built:
+    at a huge n its power alone would take seconds, and the text names
+    2^(n - 1) instead.
+    """
+    if n - 1 > capacity.bit_length():
+        return f"at least 2^{n - 1}"
+    total = levels * cone_upper_bound(ctx, n, mode)
+    return None if total <= capacity else count_text(total)
+
+
 def count_text(x: int) -> str:
     """A bound or capacity as a refusal writes it: past 40 digits as the
     power of two it reaches, for CPython writes no int past 4,300 digits."""
@@ -192,10 +208,10 @@ def cone_encs(ctx: FieldCtx, n: int, k_enc: int, mode: str,
     arguments.  At level 0 the zero vector comes first, so the nonzero
     null vectors are the rest."""
     _check_cone(ctx, n, k_enc, mode)
-    bound = cone_upper_bound(ctx, n, mode)
-    if bound > capacity:
-        raise CapacityError(f"cone may hold up to {count_text(bound)} "
-                            f"vectors, capacity is {count_text(capacity)}")
+    excess = cone_excess(ctx, n, mode, capacity)
+    if excess is not None:
+        raise CapacityError(f"cone may hold up to {excess} vectors, "
+                            f"capacity is {count_text(capacity)}")
     space = ctx.q2 if mode == FULL_FIELD else ctx.q
     norm_of, complete = _level_maps(ctx, mode)
     # at most q distinct residuals, each completed once per walk
@@ -226,27 +242,55 @@ def sample_cone_encs(ctx: FieldCtx, n: int, k_enc: int, mode: str,
     return _draw_cone(ctx, n, k_enc, mode, exclude_zero, count, rng)
 
 
-def draw_rows(rng, limit: int, n: int) -> tuple:
-    """Code rows of an n by n matrix with entries drawn below limit.
+# codes per block of draw_matrices, so its memory does not grow with count
+_BLOCK_CODES = 4096
 
-    Each entry is rng.randrange(limit), drawn in row order: CPython's
-    randrange draws getrandbits(limit.bit_length()) until the value
-    falls below limit, and this loop makes the same calls without
-    randrange's argument checks and call layers, so the entries and the
-    state rng is left in are those of the randrange calls.
+
+def draw_matrices(rng, limit: int, n: int,
+                  count: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """count code matrices, n by n, with entries drawn below limit.
+
+    The entries, and the state rng is left in once the generator is
+    exhausted, are those of nested rng.randrange(limit) in row order if
+    nothing else draws from rng meanwhile.  CPython's randrange draws
+    getrandbits(k), k = limit.bit_length(), until the value falls below
+    limit; for k <= 32 that value is the top k bits of one 32-bit
+    Mersenne Twister word, and getrandbits(32 * w) returns w consecutive
+    words, the first least significant.  So for k <= 8 a block's codes
+    are drawn in rounds of one word per code still missing, which the
+    per-entry loop would consume too: bytes.translate keeps the top
+    byte of each word whose top k bits fall below limit, mapped to
+    those bits.  Larger limits draw entry by entry.  A block holds at
+    most _BLOCK_CODES codes, or one matrix.
     """
     bits = rng.getrandbits
     k = limit.bit_length()
-    rows = []
-    for _ in range(n):
-        row = []
-        for _ in range(n):
-            r = bits(k)
-            while r >= limit:
+    if k <= 8:
+        shift = 8 - k
+        table = bytes(b >> shift for b in range(256))
+        reject = bytes(b for b in range(256) if b >> shift >= limit)
+    per = n * n
+    per_block = max(1, _BLOCK_CODES // per)
+    for start in range(0, count, per_block):
+        want = min(per_block, count - start) * per
+        if k <= 8:
+            parts = []
+            while want:
+                kept = bits(32 * want).to_bytes(4 * want, "little")[3::4] \
+                    .translate(table, reject)
+                parts.append(kept)
+                want -= len(kept)
+            codes = b"".join(parts)
+        else:
+            codes = []
+            for _ in range(want):
                 r = bits(k)
-            row.append(r)
-        rows.append(tuple(row))
-    return tuple(rows)
+                while r >= limit:
+                    r = bits(k)
+                codes.append(r)
+        entries = iter(codes)
+        rows = zip(*[entries] * n)
+        yield from zip(*[rows] * n)
 
 
 def _draw_cone(ctx: FieldCtx, n: int, k_enc: int, mode: str,

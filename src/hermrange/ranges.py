@@ -32,8 +32,9 @@ from functools import lru_cache
 
 from .fields import FieldCtx
 from .hermitian import (DEFAULT_CAPACITY, FULL_FIELD, SUBFIELD, CapacityError,
-                        HermMatrix, check_level, cone_encs, cone_upper_bound,
-                        count_text, draw_rows, sample_cone_encs)
+                        HermMatrix, check_level, cone_encs, cone_excess,
+                        cone_upper_bound, count_text, draw_matrices,
+                        sample_cone_encs)
 
 KIND_NUM_K = "num_k"
 KIND_NUM0_PRIME = "num0_prime"
@@ -175,13 +176,14 @@ def _range(m: HermMatrix, kind: str, k, capacity: int, sample_budget,
             raise CapacityError(
                 f"sample budget is {sample_budget}, the bound is {limit} "
                 f"(the larger of the capacity and {DEFAULT_CAPACITY})")
-    bound = cone_upper_bound(ctx, m.n, mode)
-    if bound <= capacity:
+    if cone_excess(ctx, m.n, mode, capacity) is None:
         classes, size = gram_classes(ctx, m.n, k_enc, mode, capacity)
         values = set(_values(m, (g for g, _ in classes[null:])))
         return RangeSet(kind=kind, k_enc=k_enc, values=tuple(sorted(values)),
                         mode=EXHAUSTIVE, witness_count=size - null, ctx=ctx)
     if sample_budget is None:
+        # m holds n^2 entries, so its bound's power is cheap to write
+        bound = cone_upper_bound(ctx, m.n, mode)
         raise CapacityError(
             f"cone may hold up to {count_text(bound)} vectors, capacity is "
             f"{count_text(capacity)}; pass a sample budget for a witness "
@@ -290,8 +292,8 @@ def resolve_affine_shift(ctx: FieldCtx, *, k: int, trials: int = 20,
     check_level(ctx, k)
     ident = HermMatrix.identity(ctx, 2)
     ck_ok = ck2_ok = True
-    for _ in range(trials):
-        m = HermMatrix.from_encs(ctx, draw_rows(rng, ctx.q2, 2))
+    for rows in draw_matrices(rng, ctx.q2, 2, trials):
+        m = HermMatrix.from_encs(ctx, rows)
         base = num_k(m, k, capacity=capacity).require_exhaustive()
         shifted = num_k(ident + m, k, capacity=capacity).require_exhaustive()
         by_ck = tuple(sorted(ctx.add_enc(k, v) for v in base.values))

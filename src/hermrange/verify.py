@@ -80,8 +80,8 @@ from .classify import (FAIL, NULL_CLASS_KINDS, SCALE_COVARIANT_CLAIMS,
                        predict_subfield, scaled_null_classes)
 from .fields import FieldCtx
 from .hermitian import (DEFAULT_CAPACITY, FULL_FIELD, SUBFIELD, CapacityError,
-                        HermMatrix, block_diag, cone_upper_bound, count_text,
-                        draw_rows)
+                        HermMatrix, block_diag, cone_excess, count_text,
+                        draw_matrices)
 from .ranges import FiberCount, fiber_count, range_of, resolve_affine_shift
 
 SCOPE_EXHAUSTIVE_2X2 = "exhaustive-2x2"
@@ -156,21 +156,12 @@ def _check_count(count: int) -> None:
 def _check_capacity(sweep: str, ctx: FieldCtx, n: int, mode: str,
                     capacity: int, levels: int = 1) -> None:
     """Refuse a sweep before its first case when a matrix may enumerate
-    more than capacity vectors: levels cones of dimension n in mode.
-
-    A cone bound is at least q^(n - 1) >= 2^(n - 1), so once n - 1
-    passes capacity.bit_length() it exceeds capacity and is not built:
-    at a huge n its power alone would take minutes.
-    """
-    if n - 1 > capacity.bit_length():
-        raise CapacityError(f"{sweep} sweep enumerates up to at least "
-                            f"2^{n - 1} vectors a matrix, capacity is "
+    more than capacity vectors: levels cones of dimension n in mode."""
+    excess = cone_excess(ctx, n, mode, capacity, levels)
+    if excess is not None:
+        raise CapacityError(f"{sweep} sweep enumerates up to {excess} "
+                            f"vectors a matrix, capacity is "
                             f"{count_text(capacity)}")
-    total = levels * cone_upper_bound(ctx, n, mode)
-    if total > capacity:
-        raise CapacityError(f"{sweep} sweep enumerates up to "
-                            f"{count_text(total)} vectors a matrix, "
-                            f"capacity is {count_text(capacity)}")
 
 
 def _check_draws(sweep: str, count: int, capacity: int) -> None:
@@ -350,8 +341,7 @@ def run_random_nxn(ctx: FieldCtx, *, n: int = 3, count: int = 50,
         _check_capacity(sweep, ctx, 2, FULL_FIELD, capacity)
     _check_draws(sweep, count, capacity)
     rng = random.Random(seed)
-    draws = (draw_rows(rng, ctx.q2 if space == "full" else ctx.q, n)
-             for _ in range(count))
+    draws = draw_matrices(rng, ctx.q2 if space == "full" else ctx.q, n, count)
     orbit = None
     if space == "subfield":
         cases = ((rows, lambda m: predict_subfield(m, range(ctx.q)), None)
@@ -411,8 +401,9 @@ def run_direct_sums(ctx: FieldCtx, *, count: int = 50, seed: int = 0,
     def cases():
         for i in range(count):
             xa, xb = splits[i % len(splits)]
-            a = HermMatrix.from_encs(ctx, draw_rows(rng, ctx.q2, xa))
-            b = HermMatrix.from_encs(ctx, draw_rows(rng, ctx.q2, xb))
+            [a] = draw_matrices(rng, ctx.q2, xa, 1)
+            [b] = draw_matrices(rng, ctx.q2, xb, 1)
+            a, b = HermMatrix.from_encs(ctx, a), HermMatrix.from_encs(ctx, b)
 
             def predict(m, a=a, b=b):
                 return predict_direct_sum(a, b, capacity=capacity)

@@ -1,14 +1,15 @@
 """Pairing, matrices, and cone enumeration against the naive filter."""
 
 import random
+import time
 
 import pytest
 
 from hermrange.fields import build_tower
 from hermrange.hermitian import (FULL_FIELD, SUBFIELD, CapacityError,
-                                 HermMatrix, _level_set_is_empty, block_diag,
-                                 cone_encs, cone_upper_bound, draw_rows,
-                                 inner_encs, sample_cone_encs)
+                                 _BLOCK_CODES, HermMatrix, _level_set_is_empty,
+                                 block_diag, cone_encs, cone_upper_bound,
+                                 draw_matrices, inner_encs, sample_cone_encs)
 
 import oracles
 from oracles import (apply, dagger, is_unitary, matmul, naive_cone_encs,
@@ -208,20 +209,39 @@ def test_capacity_refusal(f5):
         cone_encs(f5, 3, 0, FULL_FIELD, 100)
 
 
-@pytest.mark.parametrize("limit", [1, 2, 3, 4, 9, 16, 81, 1031 ** 2, 2 ** 20,
-                                   2 ** 33 + 5])
+def test_a_huge_n_cone_is_refused_before_its_bound_is_built():
+    # q^(n - 1) at n = 3,000,000 has millions of digits; n - 1 past the
+    # capacity's bit length already shows the cone cannot fit
+    ctx = build_tower(3, 2)
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match=(
+            "^cone may hold up to at least 2\\^2999999 vectors, capacity "
+            "is 16777216$")):
+        cone_encs(ctx, 3000000, 0, SUBFIELD)
+    assert time.perf_counter() - start < 0.1
+
+
+# n = 65 puts 4,225 codes in one matrix, more than a block holds
+@pytest.mark.parametrize("limit", [1, 2, 3, 4, 9, 16, 81, 128, 129, 255, 256,
+                                   1031 ** 2, 2 ** 20, 2 ** 32, 2 ** 33 + 5])
 def test_draw_rows_is_the_stream_of_nested_randrange(limit):
     # the sweeps' matrices, and so every pinned random digest, are those
-    # of randrange(limit) in row order; a CPython whose randrange stops
-    # drawing getrandbits(limit.bit_length()) until below limit fails here
+    # of randrange(limit) in row order: draw_matrices takes the top byte
+    # of getrandbits(32 * w)'s words below 256, so a CPython that changes
+    # that word order, or stops drawing getrandbits(limit.bit_length())
+    # until below limit in randrange, fails here
     for seed in (0, 1, 5, 2 ** 40 + 3):
         ours, theirs = random.Random(seed), random.Random(seed)
-        for n in (1, 2, 3, 2, 1):
-            got = draw_rows(ours, limit, n)
-            want = tuple(tuple(theirs.randrange(limit) for _ in range(n))
-                         for _ in range(n))
-            assert got == want, (seed, n)
-            assert ours.random() == theirs.random(), (seed, n)
+        for n in (1, 2, 3, 65):
+            block = max(1, _BLOCK_CODES // (n * n))
+            for count in (0, 1, block, block + 1):
+                got = tuple(draw_matrices(ours, limit, n, count))
+                want = tuple(tuple(tuple(theirs.randrange(limit)
+                                         for _ in range(n))
+                                   for _ in range(n))
+                             for _ in range(count))
+                assert got == want, (seed, n, count)
+                assert ours.random() == theirs.random(), (seed, n, count)
 
 
 def test_sampling_is_seeded_and_sound(f5):

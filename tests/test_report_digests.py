@@ -81,6 +81,14 @@ PINNED = (
     ("random-full-q9", run_random_nxn, (3, 2),
      {"n": 2, "space": "full", "count": 300, "seed": 0},
      "dc62377ee4062c6905cc34f2d1cdaba1a9c5c7ec07a806238142b174e316e130"),
+    # draws across block boundaries of hermitian.draw_matrices: 12,000
+    # codes at q = 4, and 5,000 at q = 3 with 25 codes a matrix
+    ("random-full-q4-count3000", run_random_nxn, (2, 2),
+     {"n": 2, "space": "full", "count": 3000, "seed": 3},
+     "a9e2ecba58a60edb1368b7c0f7b1c209946331374ac5dd85cec523d6328958c3"),
+    ("random-nxn-q3-n5", run_random_nxn, (3, 1),
+     {"n": 5, "count": 200, "seed": 0},
+     "14d3cf1c7adece791cb380940adfaabf45b95cdb7d0f3e895b1f1b17dd5e0fa4"),
     ("random-full-q23", run_random_nxn, (23, 1),
      {"n": 2, "space": "full", "count": 20, "seed": 0},
      "62ce210fcbdf4ddf75fb38ca91df23b6bc9d7bdf298c81230fa8077ff6af102a"),

@@ -1,7 +1,8 @@
 """verify.py keeps one sweep loop: every runner yields cases into
 _sweep, which alone builds, evaluates and tallies matrices.  A new scope
 adds a case generator, not another loop.  The sweeps and the affine-shift
-trials draw their matrices through hermitian.draw_rows alone.
+trials draw their matrices through hermitian.draw_matrices alone, so
+neither verify.py nor ranges.py calls randrange or getrandbits.
 
 classify.py keeps one path per rule and per key: each rule tag of the
 README table is written in one top-level function, and the null-class
@@ -41,7 +42,7 @@ def test_matrices_are_drawn_without_randrange(module):
     calls = [node.lineno for node in ast.walk(_parse(SRC / module))
              if isinstance(node, ast.Call)
              and getattr(node.func, "attr", getattr(node.func, "id", None))
-             == "randrange"]
+             in ("randrange", "getrandbits")]
     assert calls == []
 
 

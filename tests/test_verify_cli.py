@@ -18,7 +18,7 @@ from hermrange.classify import (CLAIM_EXACT_CARD, CLAIM_EXACT_SET,
 from hermrange.cli import build_parser, main
 from hermrange.fields import build_tower
 from hermrange.hermitian import (CapacityError, HermMatrix, count_text,
-                                 draw_rows)
+                                 draw_matrices)
 from hermrange.ranges import (KIND_NUM0_PRIME, KIND_NUM0_PRIME_SUBFIELD,
                               KIND_NUM_K, RANGE_KINDS, fiber_count,
                               num0_prime)
@@ -150,7 +150,7 @@ def test_full_field_predictions_are_functions_of_the_null_class_sampled(
     ctx = towers[q]
     rng = random.Random(q)
     for i in range(400):
-        (a, b), (c, d) = draw_rows(rng, ctx.q2, 2)
+        [((a, b), (c, d))] = draw_matrices(rng, ctx.q2, 2, 1)
         rows = ((a, 0 if i % 4 == 0 else b), (0 if i % 5 == 0 else c, d))
         want = predict_full_field(HermMatrix.from_encs(ctx, rows))
         for _ in range(3):
