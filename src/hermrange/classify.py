@@ -300,6 +300,30 @@ def symmetrized(ctx: FieldCtx, rows):
     return diag, sums
 
 
+def affine_subfield_classes(ctx: FieldCtx, key) -> list:
+    """Keys of the subfield classes of a I + c M, for a in F_q and c in
+    F_q^*, given the key ((d1, d2), s) of a 2 by 2 matrix M: its diagonal
+    codes and m12 + m21.  Each key is listed once.
+
+    <u, u> = u1^2 + u2^2 for u in F_q^2, so
+    <u, (aI + cM) u> = a <u, u> + c <u, M u> and
+    Num_k(aI + cM)_q = a k + c Num_k(M)_q at every level k: an affine
+    bijection of F_q, which keeps each range's size; the key of aI + cM
+    is ((a + c d1, a + c d2), c s).  The zero matrix and the nonzero
+    scalars keep to themselves, as prop7 reads m11 != 0.  So the q^3
+    keys fall into q + 3 orbits: the zero matrix, the nonzero scalars,
+    and one orbit of q (q - 1) keys for each point [d1 - d2 : s] of
+    P^1(F_q).
+    """
+    (d1, d2), s = key
+    add, mul = ctx.q_add, ctx.q_mul
+    zero = ((0, 0), 0)
+    images = (((add(a, mul(c, d1)), add(a, mul(c, d2))), mul(c, s))
+              for c in range(1, ctx.q) for a in range(ctx.q))
+    return list(dict.fromkeys(k for k in images
+                              if (k == zero) == (key == zero)))
+
+
 # the range kinds a null class determines, both at level 0 only
 NULL_CLASS_KINDS = (KIND_NUM_K, KIND_NUM0_PRIME)
 

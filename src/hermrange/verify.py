@@ -29,8 +29,19 @@ F_q^n the pairing is
 subfield range, fiber count and subfield rule depends on M only through
 its diagonal and the sums m_ij + m_ji; at n = 2 the key is
 ((m11, m22), m12 + m21), and each class is predicted once for all q
-levels.  Random subfield draws rarely repeat a class, so a key there
-would only hold memory.
+levels.  Classes also share along the affine orbit aI + cM, c != 0:
+<u, u> = sum u_i^2, so Num_k(aI + cM)_q = a k + c Num_k(M)_q, a
+bijection of F_q at each level that keeps every range's size and, at
+level 0, the fiber of 0.  Every hypothesis predict_subfield reads at
+n = 2 stands too, except prop7's m11 != 0, so the zero matrix and the
+nonzero scalars are orbits of their own
+(classify.affine_subfield_classes).  A passing class's outcomes are
+stored under its orbit's keys, as for the full space below, so the q^3
+classes are predicted and evaluated once per orbit, q + 3 times (12 at
+q = 9, against 729 classes), and the sweep's time goes to the loop over
+its q^4 matrices.  A guard, _subfield_class_preds, raises RuntimeError
+on any claim whose verdict the orbit need not keep.  Random subfield
+draws rarely repeat a class, so a key there would only hold memory.
 
 Full-field 2 by 2 sweeps key on the null class (classify.null_class),
 one formula for every matrix: (m11 - m22, N(m12), N(m21), m12 m21).
@@ -74,8 +85,9 @@ import functools
 import itertools
 import random
 
-from .classify import (FAIL, NULL_CLASS_KINDS, SCALE_COVARIANT_CLAIMS,
-                       SCOPE_FIBER_ZERO, check_prediction, null_class,
+from .classify import (CLAIM_LINE, CLAIM_MEMBER, FAIL, NULL_CLASS_KINDS,
+                       SCALE_COVARIANT_CLAIMS, SCOPE_FIBER_ZERO,
+                       affine_subfield_classes, check_prediction, null_class,
                        predict_direct_sum, predict_full_field,
                        predict_subfield, scaled_null_classes)
 from .fields import FieldCtx
@@ -145,6 +157,26 @@ def _null_class_preds(m: HermMatrix) -> list:
             raise RuntimeError(
                 f"{pred.basis} claims {pred.claim}, whose verdict its "
                 f"null class's scale orbit need not share")
+    return preds
+
+
+def _subfield_class_preds(m: HermMatrix) -> list:
+    """predict_subfield at every level of a subfield class representative,
+    whose outcomes its class, and when none fails its affine orbit, takes;
+    raises RuntimeError on any claim whose verdict the orbit need not keep:
+    a claim type outside SCALE_COVARIANT_CLAIMS, and off level 0 a
+    membership, line or nonzero-only bound (level k moves by a k) or a
+    fiber count (its value moves by c)."""
+    preds = predict_subfield(m, range(m.ctx.q))
+    for pred in preds:
+        moves = pred.k_enc and (pred.claim in (CLAIM_MEMBER, CLAIM_LINE)
+                                or pred.nonzero_only
+                                or pred.scope == SCOPE_FIBER_ZERO)
+        if moves or pred.claim not in SCALE_COVARIANT_CLAIMS:
+            raise RuntimeError(
+                f"{pred.basis} claims {pred.claim} on "
+                f"{pred.scope}@k={pred.k_enc}, whose verdict its subfield "
+                f"class's affine orbit need not share")
     return preds
 
 
@@ -259,7 +291,9 @@ def run_exhaustive_2x2(ctx: FieldCtx, *, space: str = "auto",
     one outcome per orbit, under one key for each of its
     q^3 (q^2 - q + 1) classes (about 20 MB peak RSS at q = 8 and 24 MB
     at q = 9 under CPython 3.11, with collect="fails"); the subfield
-    space does so once per each of its q^3 symmetrized classes.
+    space does so once per affine orbit of its q^3 symmetrized classes,
+    q + 3 orbits (classify.affine_subfield_classes), so its time goes to
+    the loop over its q^4 matrices.
     """
     if space == "auto":
         spaces = ("full", "subfield") if ctx.q <= 3 else ("subfield",)
@@ -274,12 +308,12 @@ def run_exhaustive_2x2(ctx: FieldCtx, *, space: str = "auto",
         raise CapacityError(f"exhaustive 2x2 sweep over {'+'.join(spaces)} "
                             f"holds {total} matrices, capacity is {capacity}")
 
-    def all_levels(m):
-        return predict_subfield(m, range(ctx.q))
-
     def orbit(key):
-        # only a null class (four codes) has a scale orbit to share
-        return scaled_null_classes(ctx, key) if len(key) == 4 else ()
+        # a null class (four codes) shares with its scale orbit, a
+        # subfield class (two items) with its affine orbit
+        if len(key) == 4:
+            return scaled_null_classes(ctx, key)
+        return affine_subfield_classes(ctx, key)
 
     def cases():
         # the two key shapes differ (four codes, or two items), so the
@@ -291,11 +325,11 @@ def run_exhaustive_2x2(ctx: FieldCtx, *, space: str = "auto",
                     rows = (encs[0:2], encs[2:4])
                     yield rows, _null_class_preds, null_class(ctx, rows)
             else:
-                # q^3 classes (diagonal, m12 + m21), each met q times:
-                # once per split of its sum
+                # q^3 classes (diagonal, m12 + m21) in q + 3 affine
+                # orbits, each class met q times: once per split of its sum
                 for m11, m12, m21, m22 in itertools.product(range(ctx.q),
                                                             repeat=4):
-                    yield (((m11, m12), (m21, m22)), all_levels,
+                    yield (((m11, m12), (m21, m22)), _subfield_class_preds,
                            ((m11, m22), ctx.q_add(m12, m21)))
 
     report = _sweep(ctx, SCOPE_EXHAUSTIVE_2X2, cases(), collect, capacity,

@@ -6,7 +6,9 @@ neither verify.py nor ranges.py calls randrange or getrandbits.
 
 classify.py keeps one path per rule and per key: each rule tag of the
 README table is written in one top-level function, and the null-class
-key and its scale orbit are one formula each, with no branch."""
+key and its scale orbit are one formula each, with no branch.  The
+affine orbit of a subfield class is written in one classify.py function,
+which verify.py reaches only through the orbit it hands to _sweep."""
 
 import ast
 from pathlib import Path
@@ -67,3 +69,41 @@ def test_the_null_class_key_has_no_branch(name):
                 if isinstance(node, (ast.If, ast.IfExp, ast.Match))
                 or getattr(node, "ifs", None)]
     assert branches == []
+
+
+def _references(tree, name):
+    """The (top-level, innermost) function names around each load of
+    name."""
+    found = []
+
+    def visit(node, outer, inner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            outer, inner = outer or node.name, node.name
+        if (isinstance(node, ast.Name) and node.id == name
+                and isinstance(node.ctx, ast.Load)):
+            found.append((outer, inner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, outer, inner)
+    visit(tree, None, None)
+    return found
+
+
+def test_the_subfield_orbit_is_reached_only_through_the_sweep_orbit():
+    name = "affine_subfield_classes"
+    assert [top.name for top in _parse(CLASSIFY).body
+            if isinstance(top, ast.FunctionDef) and top.name == name] \
+        == [name]
+    for path in SRC.glob("*.py"):
+        if path.name != "verify.py":
+            assert _references(_parse(path), name) == [], path.name
+    verify = _parse(VERIFY)
+    assert _references(verify, name) == [("run_exhaustive_2x2", "orbit")]
+    [runner] = [top for top in verify.body
+                if getattr(top, "name", None) == "run_exhaustive_2x2"]
+    sweeps = [node for node in ast.walk(runner)
+              if isinstance(node, ast.Call)
+              and getattr(node.func, "id", None) == "_sweep"]
+    # orbit is _sweep's seventh parameter
+    assert [[getattr(arg, "id", None) for arg in call.args[6:] + [
+        kw.value for kw in call.keywords if kw.arg == "orbit"]]
+            for call in sweeps] == [["orbit"]]

@@ -1,6 +1,7 @@
 """Sweep runners and the command line front end."""
 
 import argparse
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -12,16 +13,19 @@ import pytest
 
 from hermrange import cli, verify
 from hermrange.classify import (CLAIM_EXACT_CARD, CLAIM_EXACT_SET,
-                                CLAIM_MEMBER, CLAIM_SUPERSET, PASS,
-                                SCOPE_FIBER_ZERO, Prediction, null_class,
-                                predict_full_field, scaled_null_classes)
+                                CLAIM_LINE, CLAIM_LOWER_BOUND, CLAIM_MEMBER,
+                                CLAIM_SUPERSET, PASS, SCOPE_FIBER_ZERO,
+                                Prediction, affine_subfield_classes,
+                                null_class, predict_full_field,
+                                predict_subfield, scaled_null_classes)
 from hermrange.cli import build_parser, main
 from hermrange.fields import build_tower
 from hermrange.hermitian import (CapacityError, HermMatrix, count_text,
                                  draw_matrices)
 from hermrange.ranges import (KIND_NUM0_PRIME, KIND_NUM0_PRIME_SUBFIELD,
-                              KIND_NUM_K, RANGE_KINDS, fiber_count,
-                              num0_prime)
+                              KIND_NUM_K, KIND_NUM_K_SUBFIELD, RANGE_KINDS,
+                              FiberCount, fiber_count, num0_prime,
+                              num_k_subfield)
 from hermrange.verify import (COLLECT_FAILS, SCOPE_SCALAR_FIBERS,
                               run_direct_sums, run_exhaustive_2x2,
                               run_random_nxn, run_scalar_fibers, run_scope)
@@ -104,18 +108,104 @@ def _count_rule_calls(monkeypatch):
     return calls
 
 
-def test_exhaustive_subfield_sweep_evaluates_each_class_once(monkeypatch, f3):
+def test_exhaustive_subfield_sweep_evaluates_each_class_once(monkeypatch,
+                                                            towers):
     calls = _count_rule_calls(monkeypatch)
-    report = _clean(run_exhaustive_2x2(f3, space="subfield"))
-    # 81 matrices, 27 classes (two diagonal codes and one sum), each
-    # predicted once for all 3 levels
-    assert calls["predict"] == 27
-    assert calls["check"] == calls["predictions"]
-    # every matrix is still tallied and reported: 93 checks, as when each
-    # matrix was evaluated on its own
-    assert report["summary"]["total"] == 93
-    assert len(report["checks"]) == 93
-    assert calls["check"] < 93
+    for q, total in ((3, 93), (9, 22500)):
+        calls.clear()
+        report = _clean(run_exhaustive_2x2(towers[q], space="subfield"))
+        # q^4 matrices, q^3 classes (two diagonal codes and one sum) in
+        # q + 3 affine orbits, each predicted once for all q levels
+        assert calls["predict"] == q + 3
+        assert calls["check"] == calls["predictions"]
+        # every matrix is still tallied and reported, as when each matrix
+        # was evaluated on its own
+        assert report["summary"]["total"] == total
+        assert len(report["checks"]) == total
+        assert calls["check"] < total
+
+
+def _subfield_key(ctx, rows):
+    """The outcome key the exhaustive subfield sweep gives 2 by 2 rows."""
+    (m11, m12), (m21, m22) = rows
+    return (m11, m22), ctx.q_add(m12, m21)
+
+
+ZERO_CLASS = ((0, 0), 0)
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9))
+def test_subfield_classes_fall_into_q_plus_3_affine_orbits(towers, q):
+    # the zero matrix, the nonzero scalars, and one orbit of q (q - 1)
+    # classes for each point [d1 - d2 : s] of P^1(F_q)
+    ctx = towers[q]
+    keys = {((d1, d2), s)
+            for d1, d2, s in itertools.product(range(q), repeat=3)}
+    orbits = {frozenset(affine_subfield_classes(ctx, key)) for key in keys}
+    assert len(orbits) == q + 3
+    assert sorted(map(len, orbits)) == [1, q - 1] + [q * (q - 1)] * (q + 1)
+    assert set().union(*orbits) == keys
+    assert affine_subfield_classes(ctx, ZERO_CLASS) == [ZERO_CLASS]
+    for key in keys:
+        orbit = affine_subfield_classes(ctx, key)
+        assert len(set(orbit)) == len(orbit) and key in orbit
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9))
+def test_subfield_outcomes_move_with_the_affine_orbit(towers, q):
+    # what lets the exhaustive subfield sweep share a passing class's
+    # outcomes with its affine orbit: for every class M and a I + c M,
+    # c != 0, in the orbit affine_subfield_classes gives, the ordered
+    # claims are those of M with exact and superset targets moved by
+    # v -> a k + c v, the verdicts and sizes are equal, and the ranges
+    # move alike.  Every member at q <= 5, seeded ones above, with the
+    # zero matrix and a nonzero scalar always among the classes.
+    ctx = towers[q]
+    add, mul = ctx.q_add, ctx.q_mul
+    pairs = [(a, c) for c in range(1, q) for a in range(q)]
+    classes = list(itertools.product(range(q), repeat=3))
+    rng = random.Random(q)
+    if q > 5:
+        classes = [(0, 0, 0), (1, 1, 0)] + rng.sample(classes, 40)
+    for d1, d2, s in classes:
+        key = ((d1, d2), s)
+        m = HermMatrix.from_encs(ctx, ((d1, s), (0, d2)))
+        preds = predict_subfield(m, range(q))
+        outcomes = verify.evaluate(m, preds)
+        orbit = set(affine_subfield_classes(ctx, key))
+        for a, c in pairs if q <= 5 else rng.sample(pairs, 4):
+            def move(k, v):
+                return add(mul(a, k), mul(c, v))
+            rows = ((move(1, d1), mul(c, s)), (0, move(1, d2)))
+            member_key = _subfield_key(ctx, rows)
+            member = HermMatrix.from_encs(ctx, rows)
+            member_preds = predict_subfield(member, range(q))
+            if (member_key == ZERO_CLASS) != (key == ZERO_CLASS):
+                # prop7 reads m11 != 0, so it separates the zero matrix
+                # from the nonzero scalars, which the orbit keeps apart
+                assert member_key not in orbit
+                assert (any(p.basis == "prop7" for p in preds)
+                        != any(p.basis == "prop7" for p in member_preds))
+                continue
+            assert member_key in orbit, (key, a, c)
+            assert ([(p.basis, p.scope, p.k_enc, p.claim)
+                     for p in member_preds]
+                    == [(p.basis, p.scope, p.k_enc, p.claim) for p in preds])
+            for pred, member_pred in zip(preds, member_preds):
+                if pred.claim in (CLAIM_EXACT_SET, CLAIM_SUPERSET):
+                    assert member_pred.target == tuple(sorted(
+                        move(pred.k_enc, t) for t in pred.target))
+                else:
+                    assert member_pred.target == pred.target
+            for (_, k, _, obs, verdict), (_, _, _, member_obs, member_verdict) \
+                    in zip(outcomes, verify.evaluate(member, member_preds)):
+                assert member_verdict == verdict, (key, a, c)
+                if isinstance(obs, FiberCount):
+                    assert member_obs.count == obs.count
+                    continue
+                assert member_obs.cardinality == obs.cardinality
+                assert set(member_obs.values) == {move(k, v)
+                                                  for v in obs.values}
 
 
 def _class_member(ctx, rows, rng):
@@ -206,15 +296,18 @@ def test_full_field_outcomes_scale_with_the_matrix(towers, q):
                                                for v in obs.values}
 
 
-def _failing_on(classes):
-    """predict_full_field plus an exact_card 0 claim, which every
-    null-range breaks, on the matrices of the given null classes."""
-    predict = verify.predict_full_field
-    injected = Prediction("injected", KIND_NUM0_PRIME, 0, CLAIM_EXACT_CARD, 0)
+def _failing_on(classes, name="predict_full_field", key_of=null_class,
+                kind=KIND_NUM0_PRIME):
+    """verify's predictor name plus an exact_card 0 claim on level 0 of
+    kind, which every range of kind breaks (a null-range, or a level-0
+    subfield range, which holds 0), on the matrices whose key_of key is
+    in classes."""
+    predict = getattr(verify, name)
+    injected = Prediction("injected", kind, 0, CLAIM_EXACT_CARD, 0)
 
-    def predict_failing(m):
-        preds = predict(m)
-        if null_class(m.ctx, m.encs()) in classes:
+    def predict_failing(m, *levels):
+        preds = predict(m, *levels)
+        if key_of(m.ctx, m.encs()) in classes:
             preds = preds + [injected]
         return preds
     return predict_failing
@@ -276,14 +369,89 @@ def test_a_null_class_key_refuses_claims_its_class_does_not_fix(
         run_random_nxn(f3, n=2, space="full", count=5)
 
 
+@pytest.mark.parametrize("pred", [
+    Prediction("x", KIND_NUM_K_SUBFIELD, 0, "values_in_subfield", True),
+    Prediction("x", KIND_NUM_K_SUBFIELD, 1, CLAIM_MEMBER, True),
+    Prediction("x", KIND_NUM_K_SUBFIELD, 1, CLAIM_LINE),
+    Prediction("x", KIND_NUM_K_SUBFIELD, 1, CLAIM_LOWER_BOUND, 1, True),
+    Prediction("x", SCOPE_FIBER_ZERO, 1, CLAIM_EXACT_CARD, 1),
+], ids=["claim-type", "membership", "line", "nonzero-only", "fiber"])
+def test_a_subfield_class_key_refuses_claims_its_orbit_does_not_keep(
+        monkeypatch, f3, pred):
+    # a claim type outside SCALE_COVARIANT_CLAIMS, or off level 0 a
+    # claim on whether 0 is in the range, on an F_q-line through 0 or on
+    # the nonzero values, or a fiber count at a nonzero value, must not
+    # hand its outcome to the other matrices of its class or of its
+    # affine orbit; at level 0 the last four are kept
+    predict = verify.predict_subfield
+    for k_enc, refused in ((pred.k_enc, True), (0, pred.k_enc == 0)):
+        extra = dataclasses.replace(pred, k_enc=k_enc)
+        monkeypatch.setattr(verify, "predict_subfield",
+                            lambda m, levels: predict(m, levels) + [extra])
+        if refused:
+            with pytest.raises(RuntimeError, match="affine orbit"):
+                run_exhaustive_2x2(f3, space="subfield")
+        else:
+            run_exhaustive_2x2(f3, space="subfield")
+
+
+@pytest.mark.parametrize("whole_orbit", [False, True],
+                         ids=["one-class", "whole-orbit"])
+def test_failing_subfield_classes_do_not_share_with_their_orbit(
+        monkeypatch, f3, whole_orbit):
+    # as for the null classes' scale orbits: a subfield class whose
+    # outcomes fail is evaluated on its own, and so is each class of a
+    # failing orbit, so failing rows carry their own values
+    first = {}
+    for m11, m12, m21, m22 in itertools.product(range(3), repeat=4):
+        key = _subfield_key(f3, ((m11, m12), (m21, m22)))
+        first.setdefault(frozenset(affine_subfield_classes(f3, key)), key)
+    orbit, key = next((o, k) for o, k in first.items() if len(o) > 1)
+    failing = orbit if whole_orbit else {key}
+    calls = _count_rule_calls(monkeypatch)
+    monkeypatch.setattr(verify, "predict_subfield",
+                        _failing_on(failing, "predict_subfield",
+                                    _subfield_key, KIND_NUM_K_SUBFIELD))
+    report = run_exhaustive_2x2(f3, space="subfield")
+    # the other 5 orbits are predicted once; a failing orbit once per
+    # class, and one failing class once, plus once for the rest of its
+    # orbit
+    assert calls["predict"] == 5 + (len(orbit) if whole_orbit else 2)
+    fails = [c for c in report["checks"] if c["verdict"] == "fail"]
+    assert len(fails) == report["summary"]["fail"] == 3 * len(failing)
+    assert all(c["citation"] == "injected" for c in fails)
+    for c in fails:
+        rows = c["matrix"]
+        assert _subfield_key(f3, rows) in failing
+        assert c["observed"]["values"] == list(
+            num_k_subfield(HermMatrix.from_encs(f3, rows), 0).values)
+    assert report == _unkeyed(monkeypatch, run_exhaustive_2x2, f3,
+                              space="subfield")
+
+
+@pytest.mark.parametrize("q,collect", [
+    *((q, collect) for q in (2, 3, 4, 5, 7, 8, 9)
+      for collect in ("all", "fails")),
+    (11, "fails"), (13, "fails")])
+def test_subfield_orbit_sharing_keeps_the_report_bytes(monkeypatch, towers,
+                                                       q, collect):
+    ctx = towers[q] if q in towers else build_tower(q)
+    report = run_exhaustive_2x2(ctx, space="subfield", collect=collect)
+    unkeyed = _unkeyed(monkeypatch, run_exhaustive_2x2, ctx,
+                       space="subfield", collect=collect)
+    # one bool, so that a mismatch does not diff two large texts
+    same = cli._json_bytes(report) == cli._json_bytes(unkeyed)
+    assert same
+
+
 def _unkeyed(monkeypatch, runner, *args, **kw):
-    """The report of a runner whose full-field cases carry no key, so that
-    every matrix is built, predicted and evaluated on its own."""
+    """The report of a runner whose cases carry no key, so that every
+    matrix is built, predicted and evaluated on its own."""
     sweep = verify._sweep
 
     def unkeyed_sweep(ctx, scope, cases, *rest):
-        return sweep(ctx, scope, ((rows, verify.predict_full_field, None)
-                                  for rows, _, _ in cases), *rest)
+        return sweep(ctx, scope, ((rows, predict, None)
+                                  for rows, predict, _ in cases), *rest)
 
     with monkeypatch.context() as mp:
         mp.setattr(verify, "_sweep", unkeyed_sweep)
@@ -476,10 +644,10 @@ def test_report_writer_matches_the_plain_encoder_on_built_rows(checks):
 
 
 def test_report_rows_share_their_parts(monkeypatch):
-    # each of the 127 outcomes of the q = 3 sweep (its full space
-    # evaluates one null class per scale orbit) gets one observed dict
-    # and each of its 6,642 matrices one matrix list, shared by its
-    # 22,503 rows
+    # each of the 104 outcomes of the q = 3 sweep (its full space
+    # evaluates one null class per scale orbit, its subfield space one
+    # class per affine orbit) gets one observed dict and each of its
+    # 6,642 matrices one matrix list, shared by its 22,503 rows
     calls = Counter()
     observed_json = verify._observed_json
 
@@ -490,8 +658,8 @@ def test_report_rows_share_their_parts(monkeypatch):
     monkeypatch.setattr(verify, "_observed_json", counting)
     checks = run_exhaustive_2x2(build_tower(3))["checks"]
     assert len(checks) == 22503
-    assert calls["observed"] == 127
-    assert len({id(c["observed"]) for c in checks}) == 127
+    assert calls["observed"] == 104
+    assert len({id(c["observed"]) for c in checks}) == 104
     assert len({id(c["matrix"]) for c in checks}) == 6642
     for a, b in zip(checks, checks[1:]):
         assert (a["matrix"] is b["matrix"]) == (a["matrix"] == b["matrix"])
