@@ -508,10 +508,7 @@ class FieldCtx:
         if x1 == 0:
             return ys
         base = self.q * x1
-        if len(ys) < 2:
-            return tuple(self.q_mul(x1, y) + base for y in ys)
-        u, v = self.q_mul(x1, ys[0]), self.q_mul(x1, ys[1])
-        return (u + base, v + base) if u < v else (v + base, u + base)
+        return tuple(sorted(self.q_mul(x1, y) + base for y in ys))
 
     def _preimage_count(self, a: int) -> int:
         if not 0 <= a < self.q:

@@ -252,20 +252,21 @@ def draw_matrices(rng, limit: int, n: int,
 
     The entries, and the state rng is left in once the generator is
     exhausted, are those of nested rng.randrange(limit) in row order if
-    nothing else draws from rng meanwhile.  CPython's randrange draws
+    nothing else draws from rng meanwhile.  Limits of 256 and up call
+    rng.randrange itself.  Below 256 a block's codes come from a byte
+    filter, which rests on these CPython facts: randrange draws
     getrandbits(k), k = limit.bit_length(), until the value falls below
     limit; for k <= 32 that value is the top k bits of one 32-bit
-    Mersenne Twister word, and getrandbits(32 * w) returns w consecutive
-    words, the first least significant.  So for k <= 8 a block's codes
-    are drawn in rounds of one word per code still missing, which the
+    Mersenne Twister word; and getrandbits(32 * w) returns w consecutive
+    words, the first least significant.  So for k <= 8 the codes are
+    drawn in rounds of one word per code still missing, which the
     per-entry loop would consume too: bytes.translate keeps the top
     byte of each word whose top k bits fall below limit, mapped to
-    those bits.  Larger limits draw entry by entry.  A block holds at
-    most _BLOCK_CODES codes, or one matrix.
+    those bits.  A block holds at most _BLOCK_CODES codes, or one matrix.
     """
-    bits = rng.getrandbits
     k = limit.bit_length()
     if k <= 8:
+        bits = rng.getrandbits
         shift = 8 - k
         table = bytes(b >> shift for b in range(256))
         reject = bytes(b for b in range(256) if b >> shift >= limit)
@@ -282,12 +283,7 @@ def draw_matrices(rng, limit: int, n: int,
                 want -= len(kept)
             codes = b"".join(parts)
         else:
-            codes = []
-            for _ in range(want):
-                r = bits(k)
-                while r >= limit:
-                    r = bits(k)
-                codes.append(r)
+            codes = [rng.randrange(limit) for _ in range(want)]
         entries = iter(codes)
         rows = zip(*[entries] * n)
         yield from zip(*[rows] * n)

@@ -39,9 +39,8 @@ nonzero scalars are orbits of their own
 stored under its orbit's keys, as for the full space below, so the q^3
 classes are predicted and evaluated once per orbit, q + 3 times (12 at
 q = 9, against 729 classes), and the sweep's time goes to the loop over
-its q^4 matrices.  A guard, _subfield_class_preds, raises RuntimeError
-on any claim whose verdict the orbit need not keep.  Random subfield
-draws rarely repeat a class, so a key there would only hold memory.
+its q^4 matrices.  Random subfield draws rarely repeat a class, so a
+key there would only hold memory.
 
 Full-field 2 by 2 sweeps key on the null class (classify.null_class),
 one formula for every matrix: (m11 - m22, N(m12), N(m21), m12 m21).
@@ -68,15 +67,18 @@ its failing rows carry its own values.  There are 10 orbits of 24
 classes at q = 2, 28 of 189 at q = 3, 58 of 832 at q = 4 and 116 of
 2,625 at q = 5.
 
-One guard, _null_class_preds, runs once per class or orbit on the
-representative's predictions and raises RuntimeError on any claim off
-level 0, outside NULL_CLASS_KINDS or of a type outside
-SCALE_COVARIANT_CLAIMS, so a future rule the orbit does not fix fails
-loudly instead of taking another matrix's outcome.  The memo holds one
-outcome per orbit under one key per class, so the capacity bounds it as
-it bounds the exhaustive full space: both key exactly when q^8 <=
-capacity, and a random draw past that is evaluated on its own, so its
-memo cannot grow with the draw count.
+One guard, _shared_preds, runs once per class or orbit on the
+representative's predictions and raises RuntimeError on any claim of a
+type outside SCALE_COVARIANT_CLAIMS or failing its key's predicate: for
+a null class (_null_class_preds), level 0 of a kind in NULL_CLASS_KINDS;
+for a subfield class (_subfield_class_preds), off level 0 no membership,
+line, nonzero-only bound or fiber count.  So a future rule the orbit
+does not keep fails loudly instead of taking another matrix's outcome.
+
+The full-field memo holds one outcome per orbit under one key per
+class, so the capacity bounds it as it bounds the exhaustive full space:
+both key exactly when q^8 <= capacity, and a random draw past that is
+evaluated on its own, so its memo cannot grow with the draw count.
 """
 
 from __future__ import annotations
@@ -141,43 +143,40 @@ def _observed_json(obs, verdict: str) -> dict:
     return out
 
 
+def _shared_preds(preds, keeps, what: str) -> list:
+    """The sharing guard: preds, unless a claim's type is outside
+    SCALE_COVARIANT_CLAIMS or keeps(pred) fails, where it raises
+    RuntimeError naming what need not share that claim's verdict."""
+    for pred in preds:
+        if pred.claim not in SCALE_COVARIANT_CLAIMS or not keeps(pred):
+            raise RuntimeError(
+                f"{pred.basis} claims {pred.claim} on "
+                f"{pred.scope}@k={pred.k_enc}, whose verdict its {what} "
+                f"need not share")
+    return preds
+
+
 def _null_class_preds(m: HermMatrix) -> list:
     """predict_full_field of a null-class representative, whose outcomes
-    its whole class, and when none fails its scale orbit, takes; raises
-    RuntimeError on any claim the class does not fix (off level 0, or
-    outside NULL_CLASS_KINDS) and on any claim type outside
-    SCALE_COVARIANT_CLAIMS."""
-    preds = predict_full_field(m)
-    for pred in preds:
-        if pred.k_enc or pred.scope not in NULL_CLASS_KINDS:
-            raise RuntimeError(
-                f"{pred.basis} claims {pred.scope}@k={pred.k_enc}, which "
-                f"its null class does not determine")
-        if pred.claim not in SCALE_COVARIANT_CLAIMS:
-            raise RuntimeError(
-                f"{pred.basis} claims {pred.claim}, whose verdict its "
-                f"null class's scale orbit need not share")
-    return preds
+    its whole class, and when none fails its scale orbit, takes: the
+    class fixes only level 0 of NULL_CLASS_KINDS."""
+    return _shared_preds(
+        predict_full_field(m),
+        lambda pred: not pred.k_enc and pred.scope in NULL_CLASS_KINDS,
+        "null class's scale orbit")
 
 
 def _subfield_class_preds(m: HermMatrix) -> list:
     """predict_subfield at every level of a subfield class representative,
-    whose outcomes its class, and when none fails its affine orbit, takes;
-    raises RuntimeError on any claim whose verdict the orbit need not keep:
-    a claim type outside SCALE_COVARIANT_CLAIMS, and off level 0 a
-    membership, line or nonzero-only bound (level k moves by a k) or a
-    fiber count (its value moves by c)."""
-    preds = predict_subfield(m, range(m.ctx.q))
-    for pred in preds:
-        moves = pred.k_enc and (pred.claim in (CLAIM_MEMBER, CLAIM_LINE)
-                                or pred.nonzero_only
-                                or pred.scope == SCOPE_FIBER_ZERO)
-        if moves or pred.claim not in SCALE_COVARIANT_CLAIMS:
-            raise RuntimeError(
-                f"{pred.basis} claims {pred.claim} on "
-                f"{pred.scope}@k={pred.k_enc}, whose verdict its subfield "
-                f"class's affine orbit need not share")
-    return preds
+    whose outcomes its class, and when none fails its affine orbit, takes:
+    off level 0 a membership, line or nonzero-only bound (level k moves
+    by a k) or a fiber count (its value moves by c) is not kept."""
+    return _shared_preds(
+        predict_subfield(m, range(m.ctx.q)),
+        lambda pred: not pred.k_enc or not (
+            pred.claim in (CLAIM_MEMBER, CLAIM_LINE) or pred.nonzero_only
+            or pred.scope == SCOPE_FIBER_ZERO),
+        "subfield class's affine orbit")
 
 
 def _check_count(count: int) -> None:
@@ -406,8 +405,7 @@ def run_scalar_fibers(ctx: FieldCtx, *, n_values=(2, 3, 4, 5),
         _check_capacity(f"scalar-fibers {n}x{n}", ctx, n, SUBFIELD,
                         capacity)
     c_encs = tuple(range(1, ctx.q)) if ctx.q <= 5 else (1, 2)
-    cases = ((tuple(tuple(c if i == j else 0 for j in range(n))
-                    for i in range(n)),
+    cases = ((HermMatrix.scalar(ctx, n, c).encs(),
               lambda m: predict_subfield(m, (0,)), None)
              for n in n_values for c in c_encs)
     return _sweep(ctx, SCOPE_SCALAR_FIBERS, cases, collect, capacity,

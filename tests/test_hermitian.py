@@ -224,12 +224,13 @@ def test_a_huge_n_cone_is_refused_before_its_bound_is_built():
 # n = 65 puts 4,225 codes in one matrix, more than a block holds
 @pytest.mark.parametrize("limit", [1, 2, 3, 4, 9, 16, 81, 128, 129, 255, 256,
                                    1031 ** 2, 2 ** 20, 2 ** 32, 2 ** 33 + 5])
-def test_draw_rows_is_the_stream_of_nested_randrange(limit):
+def test_draw_matrices_is_the_stream_of_nested_randrange(limit):
     # the sweeps' matrices, and so every pinned random digest, are those
     # of randrange(limit) in row order: draw_matrices takes the top byte
     # of getrandbits(32 * w)'s words below 256, so a CPython that changes
     # that word order, or stops drawing getrandbits(limit.bit_length())
-    # until below limit in randrange, fails here
+    # until below limit in randrange, fails here; from 256 up it calls
+    # randrange, and those limits check how blocks are cut into matrices
     for seed in (0, 1, 5, 2 ** 40 + 3):
         ours, theirs = random.Random(seed), random.Random(seed)
         for n in (1, 2, 3, 65):

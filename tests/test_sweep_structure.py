@@ -8,7 +8,9 @@ classify.py keeps one path per rule and per key: each rule tag of the
 README table is written in one top-level function, and the null-class
 key and its scale orbit are one formula each, with no branch.  The
 affine orbit of a subfield class is written in one classify.py function,
-which verify.py reaches only through the orbit it hands to _sweep."""
+which verify.py reaches only through the orbit it hands to _sweep.  One
+guard function of verify.py reads SCALE_COVARIANT_CLAIMS, and both keyed
+predictors call it, so a new orbit adds a predicate, not a guard loop."""
 
 import ast
 from pathlib import Path
@@ -107,3 +109,13 @@ def test_the_subfield_orbit_is_reached_only_through_the_sweep_orbit():
     assert [[getattr(arg, "id", None) for arg in call.args[6:] + [
         kw.value for kw in call.keywords if kw.arg == "orbit"]]
             for call in sweeps] == [["orbit"]]
+
+
+def test_both_keyed_predictors_share_one_guard():
+    verify = _parse(VERIFY)
+    guards = {outer for outer, _ in _references(verify,
+                                                 "SCALE_COVARIANT_CLAIMS")}
+    assert len(guards) == 1 and None not in guards, guards
+    [guard] = guards
+    assert {"_null_class_preds", "_subfield_class_preds"} \
+        <= set(_calls_to(verify, guard))

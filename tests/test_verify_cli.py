@@ -12,9 +12,12 @@ from collections import Counter
 import pytest
 
 from hermrange import cli, verify
-from hermrange.classify import (CLAIM_EXACT_CARD, CLAIM_EXACT_SET,
-                                CLAIM_LINE, CLAIM_LOWER_BOUND, CLAIM_MEMBER,
-                                CLAIM_SUPERSET, PASS, SCOPE_FIBER_ZERO,
+from hermrange.classify import (CLAIM_EMPTY, CLAIM_EXACT_CARD,
+                                CLAIM_EXACT_SET, CLAIM_LINE,
+                                CLAIM_LOWER_BOUND, CLAIM_MEMBER,
+                                CLAIM_SUPERSET, CLAIM_UPPER_BOUND,
+                                NULL_CLASS_KINDS, PASS,
+                                SCALE_COVARIANT_CLAIMS, SCOPE_FIBER_ZERO,
                                 Prediction, affine_subfield_classes,
                                 null_class, predict_full_field,
                                 predict_subfield, scaled_null_classes)
@@ -367,6 +370,28 @@ def test_a_null_class_key_refuses_claims_its_class_does_not_fix(
         run_exhaustive_2x2(f3, space="full")
     with pytest.raises(RuntimeError, match="null class"):
         run_random_nxn(f3, n=2, space="full", count=5)
+
+
+# one datum of each claim type's shape (Prediction.target)
+_TARGETS = {CLAIM_EXACT_SET: (0,), CLAIM_SUPERSET: (0,), CLAIM_EXACT_CARD: 1,
+            CLAIM_LOWER_BOUND: 1, CLAIM_UPPER_BOUND: 1, CLAIM_EMPTY: None,
+            CLAIM_LINE: None, CLAIM_MEMBER: True}
+
+
+@pytest.mark.parametrize("kind", NULL_CLASS_KINDS)
+@pytest.mark.parametrize("claim", SCALE_COVARIANT_CLAIMS)
+def test_a_null_class_key_keeps_level_0_claims_of_each_covariant_type(
+        monkeypatch, f3, claim, kind):
+    # the accept side of the refusals above: a level-0 claim of any
+    # type in SCALE_COVARIANT_CLAIMS on a kind in NULL_CLASS_KINDS is
+    # shared across its null class and scale orbit; it may fail
+    extra = Prediction("x", kind, 0, claim, _TARGETS[claim])
+    predict = verify.predict_full_field
+    monkeypatch.setattr(verify, "predict_full_field",
+                        lambda m: predict(m) + [extra])
+    for report in (run_exhaustive_2x2(f3, space="full"),
+                   run_random_nxn(f3, n=2, space="full", count=5)):
+        assert report["summary"]["by_citation"]["x"]
 
 
 @pytest.mark.parametrize("pred", [
