@@ -263,7 +263,16 @@ def draw_matrices(rng, limit: int, n: int,
     per-entry loop would consume too: bytes.translate keeps the top
     byte of each word whose top k bits fall below limit, mapped to
     those bits.  A block holds at most _BLOCK_CODES codes, or one matrix.
+    A limit or n below 1 raises ValueError on the call, before any draw,
+    as rng.randrange(limit) does for such a limit.
     """
+    if limit < 1 or n < 1:
+        raise ValueError(f"limit and n must be at least 1, got {limit}, {n}")
+    return _draw_blocks(rng, limit, n, count)
+
+
+def _draw_blocks(rng, limit: int, n: int,
+                 count: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     k = limit.bit_length()
     if k <= 8:
         bits = rng.getrandbits

@@ -141,17 +141,15 @@ def gram_classes(ctx: FieldCtx, n: int, k_enc: int, mode: str,
 
 def _check_range(m: HermMatrix, kind: str, k) -> tuple[str, bool]:
     """Mode and null flag of a range kind, once m and the level code k
-    are checked against it.  k is None from the null entry points, which
-    fix the level at zero."""
+    are checked against it; a null-range runs at level 0 only."""
     if kind not in RANGE_KINDS:
         raise ValueError(f"unknown range kind {kind!r}; expected one of "
                          f"{', '.join(RANGE_KINDS)}")
     mode, null = RANGE_KINDS[kind]
-    if k is not None:
-        check_level(m.ctx, k)
-        if null and k:
-            raise ValueError(f"{kind} is a null-range and runs at level zero "
-                             f"only, got level {k}")
+    check_level(m.ctx, k)
+    if null and k:
+        raise ValueError(f"{kind} is a null-range and runs at level zero "
+                         f"only, got level {k}")
     if null and m.n < 2:
         raise ValueError("null-range needs dimension at least 2")
     if mode == SUBFIELD and not m.has_subfield_coeffs:
@@ -159,12 +157,11 @@ def _check_range(m: HermMatrix, kind: str, k) -> tuple[str, bool]:
     return mode, null
 
 
-def _range(m: HermMatrix, kind: str, k, capacity: int, sample_budget,
+def _range(m: HermMatrix, kind: str, k_enc, capacity: int, sample_budget,
            rng) -> RangeSet:
-    """Any kind's range: over the Gram classes of the level-k cone, less
-    the zero vector's for a null-range, or sampled past capacity."""
-    mode, null = _check_range(m, kind, k)
-    k_enc = 0 if null else k
+    """Any kind's range: over the Gram classes of the level-k_enc cone,
+    less the zero vector's for a null-range, or sampled past capacity."""
+    mode, null = _check_range(m, kind, k_enc)
     ctx = m.ctx
     if sample_budget is not None:
         if type(sample_budget) is not int or sample_budget < 1:
@@ -208,7 +205,7 @@ def num0_prime(m: HermMatrix, *, capacity: int = DEFAULT_CAPACITY,
 
     Undefined for 1 by 1 matrices, whose zero level set is trivial.
     """
-    return _range(m, KIND_NUM0_PRIME, None, capacity, sample_budget, rng)
+    return _range(m, KIND_NUM0_PRIME, 0, capacity, sample_budget, rng)
 
 
 def num_k_subfield(m: HermMatrix, k: int, *,
@@ -221,7 +218,7 @@ def num_k_subfield(m: HermMatrix, k: int, *,
 def num0_prime_subfield(m: HermMatrix, *, capacity: int = DEFAULT_CAPACITY,
                         sample_budget: int | None = None, rng=None) -> RangeSet:
     """Null-range with coordinates restricted to F_q."""
-    return _range(m, KIND_NUM0_PRIME_SUBFIELD, None, capacity, sample_budget,
+    return _range(m, KIND_NUM0_PRIME_SUBFIELD, 0, capacity, sample_budget,
                   rng)
 
 
@@ -261,19 +258,6 @@ def fiber_table(m: HermMatrix, *,
     for (_, c), v in zip(classes, _values(m, (g for g, _ in classes))):
         counts[v] += c
     return tuple(FiberCount(value=v, count=c) for v, c in enumerate(counts))
-
-
-def scaling_law_check(m: HermMatrix, *, capacity: int = DEFAULT_CAPACITY) -> bool:
-    """Whether the level-k range is the level-1 range scaled by k, for
-    every nonzero k in F_q."""
-    ctx = m.ctx
-    base = num_k(m, 1, capacity=capacity).require_exhaustive()
-    for k in range(1, ctx.q):
-        scaled = tuple(sorted(ctx.mul_enc(k, v) for v in base.values))
-        got = num_k(m, k, capacity=capacity).require_exhaustive()
-        if got.values != scaled:
-            return False
-    return True
 
 
 def resolve_affine_shift(ctx: FieldCtx, *, k: int, trials: int = 20,

@@ -13,6 +13,7 @@ random subfield draw, the 2 by 2 level-0 cone of a random full-field
 draw, the subfield cone of every scalar-fibers n, and the full-field
 cone of the largest direct sum.  The random sweeps also bound their
 matrix count by the capacity, so a huge count is refused, not run.
+One writer, _refusal, words every such refusal, its numbers in count_text.
 
 All runners share one loop, _sweep; a runner only yields cases, each
 the code rows of a matrix, its predictor and an outcome key.  Cases with
@@ -67,13 +68,15 @@ its failing rows carry its own values.  There are 10 orbits of 24
 classes at q = 2, 28 of 189 at q = 3, 58 of 832 at q = 4 and 116 of
 2,625 at q = 5.
 
-One guard, _shared_preds, runs once per class or orbit on the
-representative's predictions and raises RuntimeError on any claim of a
-type outside SCALE_COVARIANT_CLAIMS or failing its key's predicate: for
-a null class (_null_class_preds), level 0 of a kind in NULL_CLASS_KINDS;
-for a subfield class (_subfield_class_preds), off level 0 no membership,
-line, nonzero-only bound or fiber count.  So a future rule the orbit
-does not keep fails loudly instead of taking another matrix's outcome.
+Each keyed predictor names its orbit in one table, _ORBITS, that _sweep
+reads when a key misses.  One guard, _shared_preds, runs once per class
+or orbit on the representative's predictions and raises RuntimeError on
+any claim of a type outside SCALE_COVARIANT_CLAIMS or failing its key's
+predicate: for a null class (_null_class_preds), level 0 of a kind in
+NULL_CLASS_KINDS; for a subfield class (_subfield_class_preds), off
+level 0 no membership, line, nonzero-only bound or fiber count.  So a
+future rule the orbit does not keep fails loudly instead of taking
+another matrix's outcome.
 
 The full-field memo holds one outcome per orbit under one key per
 class, so the capacity bounds it as it bounds the exhaustive full space:
@@ -83,7 +86,6 @@ evaluated on its own, so its memo cannot grow with the draw count.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 
@@ -179,9 +181,24 @@ def _subfield_class_preds(m: HermMatrix) -> list:
         "subfield class's affine orbit")
 
 
+# each keyed predictor and the orbit its key shares along: the keys whose
+# cases may take the outcomes of a key's case that holds no fail
+_ORBITS = {_null_class_preds: scaled_null_classes,
+           _subfield_class_preds: affine_subfield_classes}
+
+
 def _check_count(count: int) -> None:
     if count < 0:
         raise ValueError(f"matrix count must not be negative, got {count}")
+
+
+def _refusal(head: str, size, tail: str, capacity: int) -> CapacityError:
+    """The error "head size tail, capacity is capacity", both numbers in
+    count_text (a size given as text, cone_excess wrote so already)."""
+    if not isinstance(size, str):
+        size = count_text(size)
+    return CapacityError(f"{head} {size} {tail}, capacity is "
+                         f"{count_text(capacity)}")
 
 
 def _check_capacity(sweep: str, ctx: FieldCtx, n: int, mode: str,
@@ -190,31 +207,29 @@ def _check_capacity(sweep: str, ctx: FieldCtx, n: int, mode: str,
     more than capacity vectors: levels cones of dimension n in mode."""
     excess = cone_excess(ctx, n, mode, capacity, levels)
     if excess is not None:
-        raise CapacityError(f"{sweep} sweep enumerates up to {excess} "
-                            f"vectors a matrix, capacity is "
-                            f"{count_text(capacity)}")
+        raise _refusal(f"{sweep} sweep enumerates up to", excess,
+                       "vectors a matrix", capacity)
 
 
-def _check_draws(sweep: str, count: int, capacity: int) -> None:
-    """Refuse a random sweep of more than capacity matrices before its
-    first draw."""
+def _check_matrices(head: str, count: int, capacity: int) -> None:
+    """Refuse a sweep of more than capacity matrices before its first."""
     if count > capacity:
-        raise CapacityError(f"{sweep} sweep draws {count_text(count)} "
-                            f"matrices, capacity is {count_text(capacity)}")
+        raise _refusal(head, count, "matrices", capacity)
 
 
 def _sweep(ctx: FieldCtx, scope: str, cases, collect: str, capacity: int,
-           config: dict, orbit=None) -> dict:
+           config: dict) -> dict:
     """The one loop of every runner: build, evaluate, tally and report.
 
     cases yields (rows, predict, key): the code rows of one matrix, a
     function listing the predictions of the built matrix, and an outcome
-    key or None.  A case whose key an earlier case had takes that case's
-    outcomes instead of being built, predicted and evaluated; this is
-    exact when the predictions and the observations are functions of
-    the key.  orbit, if given, lists the keys whose cases may take the
-    outcomes of a key's case as well; they take them only when none of
-    them fails, and never from a key that already holds outcomes.  Every
+    key or None; a keyed case's predict is a keyed predictor of _ORBITS.
+    A case whose key an earlier case had takes that case's outcomes
+    instead of being built, predicted and evaluated; this is exact when
+    the predictions and the observations are functions of the key.  The
+    keys of the orbit _ORBITS names for predict, at ctx and the key, may
+    take those outcomes as well; they take them only when none of them
+    fails, and never from a key that already holds outcomes.  Every
     case still gets its own tally and report rows; the tally of an
     outcome is taken once, times the cases that met it under any key.
 
@@ -258,8 +273,8 @@ def _sweep(ctx: FieldCtx, scope: str, cases, collect: str, capacity: int,
             else:
                 entries.append(entry)
                 shared[key] = entry
-                if orbit is not None and all(o[4] != FAIL for o in outcomes):
-                    for other in orbit(key):
+                if all(o[4] != FAIL for o in outcomes):
+                    for other in _ORBITS[predict](ctx, key):
                         shared.setdefault(other, entry)
         entry[1] += 1
         if entry[2]:
@@ -303,16 +318,8 @@ def run_exhaustive_2x2(ctx: FieldCtx, *, space: str = "auto",
     else:
         raise ValueError(f"unknown space {space!r}")
     total = sum(ctx.q2 ** 4 if sp == "full" else ctx.q ** 4 for sp in spaces)
-    if total > capacity:
-        raise CapacityError(f"exhaustive 2x2 sweep over {'+'.join(spaces)} "
-                            f"holds {total} matrices, capacity is {capacity}")
-
-    def orbit(key):
-        # a null class (four codes) shares with its scale orbit, a
-        # subfield class (two items) with its affine orbit
-        if len(key) == 4:
-            return scaled_null_classes(ctx, key)
-        return affine_subfield_classes(ctx, key)
+    _check_matrices(f"exhaustive 2x2 sweep over {'+'.join(spaces)} holds",
+                    total, capacity)
 
     def cases():
         # the two key shapes differ (four codes, or two items), so the
@@ -332,7 +339,7 @@ def run_exhaustive_2x2(ctx: FieldCtx, *, space: str = "auto",
                            ((m11, m22), ctx.q_add(m12, m21)))
 
     report = _sweep(ctx, SCOPE_EXHAUSTIVE_2X2, cases(), collect, capacity,
-                    {"space": space, "seed": seed}, orbit)
+                    {"space": space, "seed": seed})
     # settle how the level enters the range of a shifted matrix; only a
     # level outside {0, 1} can separate the two candidate laws
     if ctx.q > 2:
@@ -372,22 +379,19 @@ def run_random_nxn(ctx: FieldCtx, *, n: int = 3, count: int = 50,
     else:
         sweep = "random 2x2 full-field"
         _check_capacity(sweep, ctx, 2, FULL_FIELD, capacity)
-    _check_draws(sweep, count, capacity)
+    _check_matrices(f"{sweep} sweep draws", count, capacity)
     rng = random.Random(seed)
     draws = draw_matrices(rng, ctx.q2 if space == "full" else ctx.q, n, count)
-    orbit = None
     if space == "subfield":
         cases = ((rows, lambda m: predict_subfield(m, range(ctx.q)), None)
                  for rows in draws)
     elif ctx.q2 ** 4 <= capacity:
         cases = ((rows, _null_class_preds, null_class(ctx, rows))
                  for rows in draws)
-        orbit = functools.partial(scaled_null_classes, ctx)
     else:
         cases = ((rows, predict_full_field, None) for rows in draws)
     return _sweep(ctx, SCOPE_RANDOM_NXN, cases, collect, capacity,
-                  {"n": n, "count": count, "seed": seed, "space": space},
-                  orbit)
+                  {"n": n, "count": count, "seed": seed, "space": space})
 
 
 def run_scalar_fibers(ctx: FieldCtx, *, n_values=(2, 3, 4, 5),
@@ -428,7 +432,7 @@ def run_direct_sums(ctx: FieldCtx, *, count: int = 50, seed: int = 0,
     for n in sorted({xa + xb for xa, xb in splits[:count]}):
         _check_capacity(f"direct-sums {n}x{n}", ctx, n, FULL_FIELD,
                         capacity)
-    _check_draws("direct-sums", count, capacity)
+    _check_matrices("direct-sums sweep draws", count, capacity)
 
     def cases():
         for i in range(count):

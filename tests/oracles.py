@@ -5,6 +5,8 @@ by its own route, so the tests can compare the two: naive_cone_encs
 filters the whole space, range_naive evaluates the vectors it keeps, and
 pairing with apply gives <u, M u> without Gram tuples, one add_enc,
 mul_enc and frob_enc call at a time, so not through FieldCtx.dot_encs.
+scaling_law_check compares the engine's ranges at every nonzero level k
+with its level-1 range times k, a law no command checks.
 dagger, matmul, is_unitary and random_unitary_2x2 build the unitary
 conjugations some tests draw.  null_class_by_cases is the null-class key
 written with a branch on m12, which the one-formula key must match.
@@ -13,7 +15,8 @@ written with a branch on m12, which the one-formula key must match.
 import itertools
 
 from hermrange.hermitian import FULL_FIELD, HermMatrix
-from hermrange.ranges import EXHAUSTIVE, RangeSet, _check_range, _gram, _values
+from hermrange.ranges import (EXHAUSTIVE, RangeSet, _check_range, _gram,
+                              _values, num_k)
 
 
 def naive_cone_encs(ctx, n, k_enc, mode, exclude_zero=False):
@@ -42,6 +45,18 @@ def range_naive(m, kind, k):
                          naive_cone_encs(ctx, m.n, k, mode, null)])
     return RangeSet(kind=kind, k_enc=k, values=tuple(sorted(set(values))),
                     mode=EXHAUSTIVE, witness_count=len(values), ctx=ctx)
+
+
+def scaling_law_check(m):
+    """Whether the level-k range is the level-1 range scaled by k, for
+    every nonzero k in F_q."""
+    ctx = m.ctx
+    base = num_k(m, 1).require_exhaustive()
+    for k in range(1, ctx.q):
+        scaled = tuple(sorted(ctx.mul_enc(k, v) for v in base.values))
+        if num_k(m, k).require_exhaustive().values != scaled:
+            return False
+    return True
 
 
 def dagger(m):

@@ -11,10 +11,10 @@ import random
 from hermrange import (FULL_FIELD, SUBFIELD, HermMatrix, PASS, cone_encs,
                        evaluate, fiber_count, num0_prime, num0_prime_subfield,
                        num_k_subfield, predict_subfield, resolve_affine_shift,
-                       run_exhaustive_2x2, scalar_fiber_formula,
-                       scaling_law_check)
+                       run_exhaustive_2x2, scalar_fiber_formula)
 
-from oracles import dagger, matmul, naive_cone_encs, random_unitary_2x2
+from oracles import (dagger, matmul, naive_cone_encs, random_unitary_2x2,
+                     scaling_law_check)
 
 
 @contextlib.contextmanager

@@ -101,8 +101,11 @@ def test_eigen2_irreducible(f2):
     e = eigen2(_m(f2, [[0, 2], [1, 1]]))
     assert e.status == IRREDUCIBLE
     assert e.eigenvalue_encs == ()
+    # eigen2 and the full-field rules cover 2 by 2 matrices only
     with pytest.raises(ValueError):
         eigen2(HermMatrix.identity(f2, 3))
+    with pytest.raises(ValueError, match="full-field rules cover n=2, got n=3"):
+        predict_full_field(HermMatrix.identity(f2, 3))
 
 
 def _eigen2_scan(m):
@@ -749,6 +752,14 @@ def test_verdict_pairing_is_strict(f3):
     not_a_card = Prediction("x", SCOPE_FIBER_ZERO, 0, CLAIM_MEMBER, True)
     with pytest.raises(ValueError):
         check_prediction(not_a_card, fiber)
+    not_a_fiber = Prediction("x", KIND_NUM_K, 0, CLAIM_EXACT_CARD, 1)
+    with pytest.raises(ValueError, match="does not describe this fiber"):
+        check_prediction(not_a_fiber, fiber)
+    with pytest.raises(ValueError, match="cannot check against tuple"):
+        check_prediction(wrong_scope, obs.values)
+    unknown_claim = Prediction("x", KIND_NUM_K, 0, "values_in_subfield", True)
+    with pytest.raises(ValueError, match="unknown claim 'values_in_subfield'"):
+        check_prediction(unknown_claim, obs)
 
 
 # payload types of every predictor

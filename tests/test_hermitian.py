@@ -100,6 +100,12 @@ def test_block_diag_layout(f3):
     b = HermMatrix.from_encs(f3, ((5,),))
     m = block_diag(a, b)
     assert m.encs() == ((1, 2, 0), (3, 4, 0), (0, 0, 5))
+    # blocks and summands of different field contexts are refused
+    other = HermMatrix.from_encs(build_tower(3), ((1, 2), (3, 4)))
+    with pytest.raises(ValueError, match="different field contexts"):
+        block_diag(a, other)
+    with pytest.raises(ValueError, match="shapes or contexts differ"):
+        a + other
 
 
 def test_unitary_conjugation(f4):
@@ -243,6 +249,24 @@ def test_draw_matrices_is_the_stream_of_nested_randrange(limit):
                              for _ in range(count))
                 assert got == want, (seed, n, count)
                 assert ours.random() == theirs.random(), (seed, n, count)
+
+
+@pytest.mark.parametrize("limit,n,message", [
+    (0, 2, "limit and n must be at least 1, got 0, 2"),
+    (-3, 2, "limit and n must be at least 1, got -3, 2"),
+    (4, 0, "limit and n must be at least 1, got 4, 0"),
+    (4, -1, "limit and n must be at least 1, got 4, -1"),
+])
+def test_draw_matrices_refuses_a_limit_or_n_below_one_before_any_draw(
+        limit, n, message):
+    # as rng.randrange(limit) does for such a limit: a limit of 0 once
+    # filtered every byte forever, and n = 0 divided by zero at the
+    # first draw
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        draw_matrices(rng, limit, n, 1)
+    assert rng.getstate() == state
 
 
 def test_sampling_is_seeded_and_sound(f5):

@@ -23,10 +23,10 @@ from hermrange.ranges import (EXHAUSTIVE, KIND_NUM0_PRIME,
                               _gram, _values, fiber_count, fiber_table,
                               gram_classes, num0_prime, num0_prime_subfield,
                               num_k, num_k_subfield, range_of,
-                              resolve_affine_shift, scaling_law_check)
+                              resolve_affine_shift)
 
 from conftest import TOWER_PARAMS
-from oracles import apply, dagger, pairing, range_naive
+from oracles import apply, dagger, pairing, range_naive, scaling_law_check
 
 
 def _m(ctx, rows):
@@ -306,6 +306,32 @@ def test_affine_shift_resolution(f3):
                                 rng=random.Random(0)) == "tie"
     with pytest.raises(ValueError):
         resolve_affine_shift(f3, k=2)
+
+
+@pytest.mark.parametrize("shifted,form", [(1, "ck2"), (0, None)],
+                         ids=["ck2", "neither"])
+def test_affine_shift_reports_ck2_or_that_no_law_survived(monkeypatch, f3,
+                                                          shifted, form):
+    # at q = 3 and k = 2, k^2 = 1: a num_k stub gives M the range {0}
+    # and I + M the range {shifted}, which the k^2 shift alone explains
+    # at 1, and neither shift at 0
+    calls = []
+
+    def stub(m, k, **kw):
+        # each trial asks for the range of M, then for that of I + M
+        calls.append(m)
+        return ranges.RangeSet(kind=KIND_NUM_K, k_enc=k,
+                               values=(shifted if len(calls) % 2 == 0 else 0,),
+                               mode=EXHAUSTIVE, witness_count=1, ctx=m.ctx)
+
+    monkeypatch.setattr(ranges, "num_k", stub)
+    rng = random.Random(0)
+    if form is None:
+        with pytest.raises(RuntimeError, match="neither candidate shift law"):
+            resolve_affine_shift(f3, k=2, trials=3, rng=rng)
+    else:
+        assert resolve_affine_shift(f3, k=2, trials=3, rng=rng) == form
+    assert len(calls) == 6
 
 
 @pytest.mark.parametrize("trials", [0, -5, 2.0, True])

@@ -8,9 +8,14 @@ classify.py keeps one path per rule and per key: each rule tag of the
 README table is written in one top-level function, and the null-class
 key and its scale orbit are one formula each, with no branch.  The
 affine orbit of a subfield class is written in one classify.py function,
-which verify.py reaches only through the orbit it hands to _sweep.  One
-guard function of verify.py reads SCALE_COVARIANT_CLAIMS, and both keyed
-predictors call it, so a new orbit adds a predicate, not a guard loop."""
+which verify.py reaches only through _ORBITS, the one table that pairs
+each keyed predictor with its orbit and that _sweep alone reads; _sweep
+takes no orbit, and verify.py reads no key's shape, so a new keyed
+predictor adds a pairing, not a branch.  One guard function of verify.py
+reads SCALE_COVARIANT_CLAIMS, and both keyed predictors call it, so a
+new orbit adds a predicate, not a guard loop.  One function of verify.py
+builds every CapacityError it raises, so every sweep refusal writes its
+numbers alike."""
 
 import ast
 from pathlib import Path
@@ -28,6 +33,14 @@ def _parse(path):
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
+def _home(top):
+    """The name of a top-level statement: its function's, or its first
+    assignment target's."""
+    if isinstance(top, ast.Assign):
+        return getattr(top.targets[0], "id", None)
+    return getattr(top, "name", None)
+
+
 def _calls_to(tree, name):
     """Names of the top-level functions holding each call to name."""
     for top in tree.body:
@@ -35,6 +48,11 @@ def _calls_to(tree, name):
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                     and node.func.id == name):
                 yield getattr(top, "name", None)
+
+
+def _top(tree, name):
+    [top] = [top for top in tree.body if _home(top) == name]
+    return top
 
 
 def test_evaluate_is_called_once_inside_the_sweep_driver():
@@ -74,19 +92,21 @@ def test_the_null_class_key_has_no_branch(name):
 
 
 def _references(tree, name):
-    """The (top-level, innermost) function names around each load of
-    name."""
+    """The (top-level, innermost) names around each load of name: a
+    top-level statement's _home, and the innermost function's name, or
+    that home outside any function."""
     found = []
 
     def visit(node, outer, inner):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            outer, inner = outer or node.name, node.name
+            inner = node.name
         if (isinstance(node, ast.Name) and node.id == name
                 and isinstance(node.ctx, ast.Load)):
             found.append((outer, inner))
         for child in ast.iter_child_nodes(node):
             visit(child, outer, inner)
-    visit(tree, None, None)
+    for top in tree.body:
+        visit(top, _home(top), _home(top))
     return found
 
 
@@ -99,16 +119,46 @@ def test_the_subfield_orbit_is_reached_only_through_the_sweep_orbit():
         if path.name != "verify.py":
             assert _references(_parse(path), name) == [], path.name
     verify = _parse(VERIFY)
-    assert _references(verify, name) == [("run_exhaustive_2x2", "orbit")]
-    [runner] = [top for top in verify.body
-                if getattr(top, "name", None) == "run_exhaustive_2x2"]
-    sweeps = [node for node in ast.walk(runner)
-              if isinstance(node, ast.Call)
-              and getattr(node.func, "id", None) == "_sweep"]
-    # orbit is _sweep's seventh parameter
-    assert [[getattr(arg, "id", None) for arg in call.args[6:] + [
-        kw.value for kw in call.keywords if kw.arg == "orbit"]]
-            for call in sweeps] == [["orbit"]]
+    # verify.py names it once, in the table pairing each keyed predictor
+    # with its orbit, and only _sweep reads that table
+    assert _references(verify, name) == [("_ORBITS", "_ORBITS")]
+    table = _top(verify, "_ORBITS").value
+    assert {(k.id, v.id) for k, v in zip(table.keys, table.values)} == {
+        ("_null_class_preds", "scaled_null_classes"),
+        ("_subfield_class_preds", name)}
+    assert _references(verify, "_ORBITS") == [("_sweep", "_sweep")]
+
+
+def test_the_sweep_takes_no_orbit_and_no_key_shape_is_read():
+    verify = _parse(VERIFY)
+    args = _top(verify, "_sweep").args
+    assert [a.arg for a in args.args + args.kwonlyargs] \
+        == ["ctx", "scope", "cases", "collect", "capacity", "config"]
+    # no branch reads a length, such as a key's
+    tests = [node.test for node in ast.walk(verify)
+             if isinstance(node, (ast.If, ast.IfExp, ast.While))]
+    tests += [cond for node in ast.walk(verify)
+              if isinstance(node, ast.comprehension) for cond in node.ifs]
+    assert [node.lineno for test in tests for node in ast.walk(test)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "len"] == []
+    imported = {alias.name for node in ast.walk(verify)
+                if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module for node in ast.walk(verify)
+                 if isinstance(node, ast.ImportFrom)}
+    assert "functools" not in imported
+
+
+def test_one_function_builds_every_capacity_refusal_of_the_sweeps():
+    verify = _parse(VERIFY)
+    assert list(_calls_to(verify, "CapacityError")) == ["_refusal"]
+    refusals = [node for node in ast.walk(verify)
+                if isinstance(node, ast.Raise)
+                and isinstance(node.exc, ast.Call)
+                and getattr(node.exc.func, "id", None) == "_refusal"]
+    # the cone bound of _check_capacity and the matrix count of
+    # _check_matrices, the exhaustive and the random sweeps' alike
+    assert len(refusals) == 2
 
 
 def test_both_keyed_predictors_share_one_guard():

@@ -591,6 +591,8 @@ def test_scope_dispatch(f2):
     assert report["config"]["scope"] == SCOPE_SCALAR_FIBERS
     with pytest.raises(ValueError):
         run_scope(f2, "everything")
+    with pytest.raises(ValueError, match="unknown space 'nope'"):
+        run_exhaustive_2x2(f2, space="nope")
 
 
 # command line
@@ -1164,13 +1166,17 @@ def test_cli_sweep_with_a_huge_n_exits_three_at_once(capsys, argv):
      f"--capacity {10 ** 4000}",
      "hermrange: random 3x3 subfield sweep draws at least 2^13619 matrices, "
      "capacity is at least 2^13287\n"),
+    ("verify --p 1048573 --scope exhaustive-2x2 --space full",
+     "hermrange: exhaustive 2x2 sweep over full holds at least 2^159 "
+     "matrices, capacity is 16777216\n"),
 ], ids=["range-400x400", "scalar-fibers-capacity-10^4000",
-        "random-count-10^4100"])
+        "random-count-10^4100", "exhaustive-full-q1048573"])
 def test_cli_bounds_past_the_digit_limit_exit_three_at_once(capsys, tmp_path,
                                                            argv, err):
     # the two cone bounds pass CPython's 4300-digit limit for writing an
-    # int, and the count and capacity would pass 200 characters: each is
-    # written as the power of two it reaches
+    # int, and the count, the capacity and the q^8 = 1048573^8 matrices
+    # of a full space (49 digits) would pass 40 digits: each is written
+    # as the power of two it reaches
     zero = tmp_path / "zero.json"
     zero.write_text(json.dumps({"entries": [[0] * 400] * 400}),
                     encoding="utf-8")
